@@ -3,8 +3,8 @@
 Everything here is exact. Polynomials are dense integer coefficient tuples
 stored low-to-high; the zero polynomial has an EMPTY coefficient tuple and
 its degree is None (never -1 -- callers must branch on None explicitly).
-Determinants use fraction-free Bareiss elimination with exact-division
-assertions, so a silently wrong division can never survive a test run.
+Determinants use fraction-free Bareiss elimination whose every division is
+checked to be exact (NonIntegerResult otherwise, also under python -O).
 Interpolation is Lagrange over the rationals with a single common-denominator
 clearance at the end; a non-integer result is an error, not a float.
 """
@@ -21,7 +21,8 @@ from .errors import DuplicateNode, NonIntegerResult, NotSquare, ZeroDivisor
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    assert r == 0, f"inexact division {num} / {den}"
+    if r:
+        raise NonIntegerResult(f"inexact division {num} / {den}")
     return q
 
 

@@ -61,6 +61,10 @@ class BadParams(ExactMatchingError):
     """Family generator called with unusable parameters."""
 
 
+class BadColor(ExactMatchingError):
+    """Edge color other than 0 (blue) or 1 (red)."""
+
+
 # ---------------------------------------------------------------------------
 # matching and decomposition
 
@@ -79,6 +83,10 @@ class NotMatchingCovered(ExactMatchingError):
 
 class UnsupportedSize(ExactMatchingError):
     """Exhaustive search refused: instance too large for the stated bound."""
+
+
+class InvariantError(ExactMatchingError):
+    """A result failed the library's own check: a bug, not a bad input."""
 
 
 class CapExceeded(ExactMatchingError):

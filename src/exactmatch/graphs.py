@@ -26,6 +26,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
+    BadColor,
     BadParams,
     BadVersion,
     DuplicateEdge,
@@ -61,7 +62,8 @@ class ColoredBipartiteGraph:
             r, c, k = rec
             if not (0 <= r < n and 0 <= c < n):
                 raise IndexOutOfRange(f"edge {rec} outside 0..{n - 1}")
-            assert k in (BLUE, RED), f"bad color in {rec}"
+            if k not in (BLUE, RED):
+                raise BadColor(f"edge {rec}: color must be 0 or 1")
             if rec in seen:
                 raise DuplicateEdge(f"repeated record {rec}")
             seen.add(rec)

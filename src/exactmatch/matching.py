@@ -4,24 +4,50 @@ Everything here works on the underlying simple structure (cells): edge
 colors never influence whether a matching exists, only how it is counted.
 Algorithms are deterministic -- rows are processed in increasing order and
 adjacency lists are sorted -- so repeated runs give identical certificates.
+
+Allowed edges, matching-covered, brace and tight-set questions are all
+answered from one digraph. Fix a perfect matching M (row i -> column M(i))
+and let D = D(G, M) have one vertex per matched pair i and an arc i -> j
+whenever row i meets column M(j), j != i. A non-matching cell (i, M(j)) is
+the arc i -> j, and it lies in an M-alternating cycle exactly when a
+directed cycle of D runs through that arc. Hence:
+
+  * allowed_edges keeps M plus every cell whose two pairs i, j share a
+    strongly connected component (SCC) of D;
+  * is_matching_covered holds iff n >= 1, M is perfect and D is strongly
+    connected (a weakly connected digraph whose every arc is on a cycle
+    is strongly connected, and G is connected iff D is weakly connected);
+  * is_brace: a bipartite graph is k-extendable iff D is strongly
+    k-connected (Robertson-Seymour-Thomas 1999; Lovasz-Plummer, Matching
+    Theory). For n >= 3 a brace is therefore a strongly connected D that
+    stays strongly connected after deleting any one vertex v. Graphs with
+    n <= 2 are braces exactly when matching-covered, by convention;
+  * find_tight_set takes the first v whose deletion splits D and the
+    source SCC S of D - v that Tarjan's pass emits last. Then
+    A1 = S + {v} and B1 = M(S): a row outside A1 meeting a column M(s)
+    would be an arc into S from the rest of D - v, which a source SCC does
+    not have, so N(B1) is inside A1 and |A1| = |B1| + 1. The certificate
+    is still checked by certificate_ok before it is returned.
+
+Which perfect matching M is used does not change any of these answers.
+The matching search and the SCC pass are iterative, so the depth of an
+augmenting path or of D never meets Python's recursion limit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import (
     CapExceeded,
+    InvariantError,
     IsBrace,
     NoPerfectMatching,
     NotMatchingCovered,
-    UnsupportedSize,
 )
-from .graphs import BLUE, RED, ColoredBipartiteGraph
+from .graphs import RED, ColoredBipartiteGraph
 
-EXHAUSTIVE_TIGHT_SET_LIMIT = 14
 DEFAULT_CYCLE_CAP = 10**6
 
 
@@ -59,49 +85,57 @@ class Matching:
 
 def _augment(
     row_adj: Tuple[Tuple[int, ...], ...],
-    row: int,
+    root: int,
     match_col: list[Optional[int]],
-    visited: list[bool],
 ) -> bool:
-    for col in row_adj[row]:
-        if visited[col]:
+    """Depth-first search for an augmenting path from a free row.
+
+    Visits columns in adjacency order, like the textbook recursion, but
+    keeps its own stack: rows[k] reached its entry through cols[k - 1].
+    """
+    visited = [False] * len(match_col)
+    rows = [root]
+    iters = [iter(row_adj[root])]
+    cols: list[int] = []
+    while rows:
+        for col in iters[-1]:
+            if not visited[col]:
+                visited[col] = True
+                break
+        else:
+            rows.pop()
+            iters.pop()
+            if cols:
+                cols.pop()
             continue
-        visited[col] = True
-        if match_col[col] is None or _augment(
-            row_adj, match_col[col], match_col, visited
-        ):
-            match_col[col] = row
+        cols.append(col)
+        owner = match_col[col]
+        if owner is None:
+            for r, c in zip(rows, cols):
+                match_col[c] = r
             return True
+        rows.append(owner)
+        iters.append(iter(row_adj[owner]))
     return False
 
 
 def _max_assignment(
-    n: int,
-    row_adj: Tuple[Tuple[int, ...], ...],
-    preset: Optional[dict[int, int]] = None,
+    n: int, row_adj: Tuple[Tuple[int, ...], ...]
 ) -> list[Optional[int]]:
-    """Deterministic maximum matching; preset maps row -> col to seed."""
+    """Deterministic maximum matching as row -> column (None if unmatched)."""
     match_col: list[Optional[int]] = [None] * n
-    if preset:
-        for r, c in preset.items():
-            assert match_col[c] is None
-            match_col[c] = r
-    matched_rows = set(preset.keys()) if preset else set()
+    matched_rows: set[int] = set()
     # greedy pass keeps early rows on their first free column (identity on
     # complete graphs), then augmenting paths fix up the rest
     for row in range(n):
-        if row in matched_rows:
-            continue
         for col in row_adj[row]:
             if match_col[col] is None:
                 match_col[col] = row
                 matched_rows.add(row)
                 break
     for row in range(n):
-        if row in matched_rows:
-            continue
-        visited = [False] * n
-        _augment(row_adj, row, match_col, visited)
+        if row not in matched_rows:
+            _augment(row_adj, row, match_col)
     assignment: list[Optional[int]] = [None] * n
     for col, row in enumerate(match_col):
         if row is not None:
@@ -125,128 +159,144 @@ def has_perfect_matching(g: ColoredBipartiteGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the digraph D(G, M)
+
+
+class _PairDigraph:
+    """D(G, M) for a maximum matching M of g; see the module docstring.
+
+    mate[i] is M's column for row i (None if unmatched). pair_of_col and
+    the arcs exist only when M is perfect: pair_of_col[c] is the row matched
+    to column c, and arcs[i] lists the pairs j != i whose column row i
+    meets, in column order.
+    """
+
+    def __init__(self, g: ColoredBipartiteGraph):
+        n = g.n
+        self.n = n
+        self.mate = _max_assignment(n, g.row_adj)
+        self.perfect = None not in self.mate
+        self.pair_of_col = [0] * n
+        self.arcs: Tuple[Tuple[int, ...], ...] = ()
+        if self.perfect:
+            for i, c in enumerate(self.mate):
+                self.pair_of_col[c] = i
+            self.arcs = tuple(
+                tuple(self.pair_of_col[c] for c in adj if c != self.mate[i])
+                for i, adj in enumerate(g.row_adj)
+            )
+
+    def sccs(self, skip: int = -1) -> list[list[int]]:
+        """SCCs of D minus vertex skip, sinks first (Tarjan, iterative).
+
+        Each SCC is emitted after every SCC it has an arc into, so the last
+        one emitted has no in-arcs from the others: it is a source.
+        """
+        arcs = self.arcs
+        index = [-1] * self.n
+        low = [0] * self.n
+        on_stack = [False] * self.n
+        stack: list[int] = []
+        out: list[list[int]] = []
+        counter = 0
+        for root in range(self.n):
+            if root == skip or index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(arcs[root]))]
+            while work:
+                v, it = work[-1]
+                for w in it:
+                    if w == skip:
+                        continue
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, iter(arcs[w])))
+                        break
+                    if on_stack[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                    if low[v] == index[v]:
+                        comp = []
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            comp.append(w)
+                            if w == v:
+                                break
+                        out.append(comp)
+        return out
+
+    def strongly_connected(self) -> bool:
+        """D exists (n >= 1, M perfect) and has a single SCC."""
+        return self.n >= 1 and self.perfect and len(self.sccs()) == 1
+
+    def splitting_vertex(self) -> Optional[int]:
+        """First v with D - v not strongly connected (D itself is, n >= 3)."""
+        for v in range(self.n):
+            if len(self.sccs(skip=v)) > 1:
+                return v
+        return None
+
+
+# ---------------------------------------------------------------------------
 # allowed edges and matching-covered
 
 
 def allowed_edges(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
     """Subgraph of edges lying in at least one perfect matching.
 
-    With a perfect matching M fixed, orient matched cells col -> row and the
-    rest row -> col; a non-matching cell (r, c) is allowed iff r is reachable
-    from c. Raises NoPerfectMatching when the graph has none.
+    Keeps the matched cells of M and every cell (i, M(j)) whose pairs i and
+    j share an SCC of D(G, M). Raises NoPerfectMatching when the graph has
+    none.
     """
-    n = g.n
-    m = max_matching(g)
-    if m.size < n:
-        raise NoPerfectMatching(f"maximum matching has size {m.size} < {n}")
-    assignment = m.assignment
-
-    # reach[c] = set of rows reachable from column c
-    reach: list[set[int]] = []
-    for start in range(n):
-        rows_seen: set[int] = set()
-        cols_seen = {start}
-        frontier_cols = [start]
-        while frontier_cols:
-            col = frontier_cols.pop()
-            row = None
-            for r in g.col_adj[col]:
-                if assignment[r] == col:
-                    row = r
-                    break
-            if row is None or row in rows_seen:
-                continue
-            rows_seen.add(row)
-            for c2 in g.row_adj[row]:
-                if c2 != assignment[row] and c2 not in cols_seen:
-                    cols_seen.add(c2)
-                    frontier_cols.append(c2)
-        reach.append(rows_seen)
-
+    d = _PairDigraph(g)
+    if not d.perfect:
+        size = sum(1 for c in d.mate if c is not None)
+        raise NoPerfectMatching(f"maximum matching has size {size} < {g.n}")
+    comp_of = [0] * g.n
+    for idx, comp in enumerate(d.sccs()):
+        for v in comp:
+            comp_of[v] = idx
     kept = [
         rec
         for rec in g.edges
-        if assignment[rec[0]] == rec[1] or rec[0] in reach[rec[1]]
+        if comp_of[rec[0]] == comp_of[d.pair_of_col[rec[1]]]
     ]
-    return ColoredBipartiteGraph.make(n, kept, g.multi)
+    return ColoredBipartiteGraph.make(g.n, kept, g.multi)
 
 
 def is_matching_covered(g: ColoredBipartiteGraph) -> bool:
     """Connected and every edge lies in some perfect matching."""
-    if g.n == 0:
-        return False
-    if not g.is_connected():
-        return False
-    try:
-        kept = allowed_edges(g)
-    except NoPerfectMatching:
-        return False
-    return kept.edges == g.edges
+    return _PairDigraph(g).strongly_connected()
 
 
 # ---------------------------------------------------------------------------
 # braces
 
 
-def _pm_avoiding(
-    g: ColoredBipartiteGraph,
-    del_rows: set[int],
-    del_cols: set[int],
-    base_assignment: Tuple[Optional[int], ...],
-) -> bool:
-    """Does G minus the given vertices still have a perfect matching?
-
-    Recycles the base matching: pairs untouched by the deletion stay
-    matched, so at most four augmentations run.
-    """
-    n = g.n
-    keep_rows = [r for r in range(n) if r not in del_rows]
-    adj = tuple(
-        tuple(c for c in g.row_adj[r] if c not in del_cols)
-        if r not in del_rows
-        else ()
-        for r in range(n)
-    )
-    preset = {
-        r: base_assignment[r]
-        for r in keep_rows
-        if base_assignment[r] is not None
-        and base_assignment[r] not in del_cols
-    }
-    match_col: list[Optional[int]] = [None] * n
-    for r, c in preset.items():
-        match_col[c] = r
-    matched = len(preset)
-    for row in keep_rows:
-        if row in preset:
-            continue
-        visited = [False] * n
-        for c in del_cols:
-            visited[c] = True
-        if _augment(adj, row, match_col, visited):
-            matched += 1
-        else:
-            return False
-    return matched == len(keep_rows)
-
-
 def is_brace(g: ColoredBipartiteGraph) -> bool:
     """Every two vertex-disjoint edges extend to a perfect matching.
 
-    Equivalently: matching-covered and each 4-vertex deletion induced by a
-    disjoint cell pair leaves a perfectly matchable graph. Graphs with
-    n <= 2 pass vacuously once matching-covered, which is the convention.
+    Decided on D(G, M): strongly connected, and for n >= 3 still strongly
+    connected after deleting any one vertex. Graphs with n <= 2 pass once
+    matching-covered, which is the convention.
     """
-    if not is_matching_covered(g):
+    d = _PairDigraph(g)
+    if not d.strongly_connected():
         return False
-    base = max_matching(g).assignment
-    cells = sorted(g.cells)
-    for (r1, c1), (r2, c2) in itertools.combinations(cells, 2):
-        if r1 == r2 or c1 == c2:
-            continue
-        if not _pm_avoiding(g, {r1, r2}, {c1, c2}, base):
-            return False
-    return True
+    return g.n <= 2 or d.splitting_vertex() is None
 
 
 # ---------------------------------------------------------------------------
@@ -280,113 +330,26 @@ def certificate_ok(g: ColoredBipartiteGraph, cert: TightSetCertificate) -> bool:
 def find_tight_set(g: ColoredBipartiteGraph) -> TightSetCertificate:
     """Produce a tight set certificate for a non-brace matching-covered graph.
 
-    Primary path: take the first vertex-disjoint cell pair whose deletion
-    kills the perfect matching, extract the deficiency violator S of the
-    reduced graph (unmatched rows plus alternating reachability), and lift:
-    A1 = rows minus S, B1 = cols minus N(S). For matching-covered inputs the
-    lift always lands a valid standard-form certificate; if its arithmetic
-    ever fails we fall back to exhaustive column-subset search (n <= 14,
-    UnsupportedSize beyond). Raises IsBrace when no pair fails.
+    With v the first vertex whose deletion splits D(G, M) and S the source
+    SCC of D - v, returns A1 = S + {v}, B1 = M(S) in standard form. Raises
+    IsBrace when no vertex splits D, and InvariantError if the certificate
+    ever fails certificate_ok.
     """
-    if not is_matching_covered(g):
+    d = _PairDigraph(g)
+    if not d.strongly_connected():
         raise NotMatchingCovered("find_tight_set needs a matching-covered graph")
-    n = g.n
-    if n <= 2:
-        raise IsBrace(f"n = {n} matching-covered graphs are braces")
-
-    base = max_matching(g).assignment
-    cells = sorted(g.cells)
-    failing: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
-    for pair in itertools.combinations(cells, 2):
-        (r1, c1), (r2, c2) = pair
-        if r1 == r2 or c1 == c2:
-            continue
-        if not _pm_avoiding(g, {r1, r2}, {c1, c2}, base):
-            failing = pair
-            break
-    if failing is None:
-        raise IsBrace("all disjoint edge pairs extend to perfect matchings")
-
-    cert = _lift_certificate(g, failing)
-    if cert is not None and certificate_ok(g, cert):
-        return cert
-    return _exhaustive_tight_set(g)
-
-
-def _lift_certificate(
-    g: ColoredBipartiteGraph,
-    pair: Tuple[Tuple[int, int], Tuple[int, int]],
-) -> Optional[TightSetCertificate]:
-    (r1, c1), (r2, c2) = pair
-    n = g.n
-    del_rows, del_cols = {r1, r2}, {c1, c2}
-    adj = tuple(
-        tuple(c for c in g.row_adj[r] if c not in del_cols)
-        if r not in del_rows
-        else ()
-        for r in range(n)
+    if g.n <= 2:
+        raise IsBrace(f"n = {g.n} matching-covered graphs are braces")
+    v = d.splitting_vertex()
+    if v is None:
+        raise IsBrace("D(G, M) stays strongly connected after any deletion")
+    source = d.sccs(skip=v)[-1]
+    cert = TightSetCertificate(
+        tuple(sorted(source + [v])), tuple(sorted(d.mate[i] for i in source))
     )
-    match_col: list[Optional[int]] = [None] * n
-    for row in range(n):
-        if row in del_rows:
-            continue
-        visited = [False] * n
-        _augment(adj, row, match_col, visited)
-    row_match: dict[int, int] = {}
-    for col, row in enumerate(match_col):
-        if row is not None:
-            row_match[row] = col
-
-    unmatched = [
-        r for r in range(n) if r not in del_rows and r not in row_match
-    ]
-    if not unmatched:
-        return None  # pair actually extends; caller logic went sideways
-    # alternating reachability: rows over free edges to cols, back over
-    # matched edges to rows
-    s_rows = set(unmatched)
-    seen_cols: set[int] = set()
-    frontier = list(unmatched)
-    while frontier:
-        row = frontier.pop()
-        for col in adj[row]:
-            if col in seen_cols:
-                continue
-            seen_cols.add(col)
-            back = match_col[col]
-            if back is not None and back not in s_rows:
-                s_rows.add(back)
-                frontier.append(back)
-
-    neighborhood = {c for r in s_rows for c in g.row_adj[r]}
-    if len(neighborhood) != len(s_rows) + 1 or len(s_rows) > n - 2:
-        return None
-    a1 = tuple(sorted(set(range(n)) - s_rows))
-    b1 = tuple(sorted(set(range(n)) - neighborhood))
-    if not b1:
-        return None
-    return TightSetCertificate(a1, b1, mirrored=False)
-
-
-def _exhaustive_tight_set(g: ColoredBipartiteGraph) -> TightSetCertificate:
-    n = g.n
-    if n > EXHAUSTIVE_TIGHT_SET_LIMIT:
-        raise UnsupportedSize(
-            f"exhaustive tight-set search capped at n = "
-            f"{EXHAUSTIVE_TIGHT_SET_LIMIT}, got {n}"
-        )
-    for size in range(1, n - 1):
-        for b1 in itertools.combinations(range(n), size):
-            neighborhood: set[int] = set()
-            for c in b1:
-                neighborhood.update(g.col_adj[c])
-            if len(neighborhood) == size + 1:
-                return TightSetCertificate(
-                    tuple(sorted(neighborhood)), b1, mirrored=False
-                )
-    raise AssertionError(
-        "non-brace matching-covered graph without a tight set"
-    )
+    if not certificate_ok(g, cert):
+        raise InvariantError(f"tight set {cert} fails certificate_ok")
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .algebra import IntMatrix, IntPolynomial, det_rows, interpolate
 from .decomposition import Leaf, decompose, leaves
-from .errors import NoPerfectMatching
+from .errors import InvariantError, NoPerfectMatching
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
 from .matching import allowed_edges, is_brace
 from .verify.core import red_count_set
@@ -283,7 +283,7 @@ def _witness(g, t, memo) -> list[EdgeRecord]:
                     for r, cc, kk in sub
                 ]
                 return [(0, c, k)] + lifted
-    raise AssertionError("feasible target with no extractable witness")
+    raise InvariantError("feasible target with no extractable witness")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,8 @@ def solve(
     witness = None
     if decision and opts.want_witness:
         wit = extract_witness(g, t, memo)
-        assert wit is not None
+        if wit is None:
+            raise InvariantError(f"t = {t} decided YES but has no witness")
         witness = tuple(wit)
     t3 = time.perf_counter()
 

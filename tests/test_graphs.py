@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactmatch.errors import (
+    BadColor,
     BadParams,
     BadVersion,
     DuplicateEdge,
@@ -69,6 +70,12 @@ def test_make_allows_bicolored_cell_when_multi():
 def test_make_rejects_out_of_range():
     with pytest.raises(IndexOutOfRange):
         ColoredBipartiteGraph.make(2, [(0, 2, 0)])
+
+
+@pytest.mark.parametrize("color", [2, -1])
+def test_make_rejects_bad_color(color):
+    with pytest.raises(BadColor):
+        ColoredBipartiteGraph.make(1, [(0, 0, color)])
 
 
 def test_adjacency_and_cells():

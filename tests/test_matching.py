@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactmatch.decomposition import Split, decompose
 from exactmatch.errors import (
     CapExceeded,
     IsBrace,
@@ -48,6 +49,58 @@ def brute_max_matching_size(g):
             if len(rows) == size and len(cols) == size:
                 return size
     return best
+
+
+DENSITIES = (0.3, 0.5, 0.7, 0.9)
+
+
+def random_cases(offset, count=64, **kwargs):
+    """Seed k draws n = 2 + k % 8 (2..9) at density DENSITIES[k // 8 % 4]."""
+    return [
+        pytest.param(
+            random_graph(
+                2 + k % 8,
+                DENSITIES[k // 8 % len(DENSITIES)],
+                0.4,
+                seed=offset + k,
+                **kwargs,
+            ),
+            id=str(k),
+        )
+        for k in range(count)
+    ]
+
+
+def decomposition_blocks():
+    """Every node graph decompose emits on colored band_path / biwheel.
+
+    Red crossing records keep their color on the b-side block, so a row with
+    crossing records of both colors yields a parallel cell there.
+    """
+    out = []
+    for name, g in [
+        ("band_path6", with_coloring(band_path(6), red="bernoulli", seed=1)),
+        ("band_path7", with_coloring(band_path(7), red="bernoulli", seed=2)),
+        ("band_path8", with_coloring(band_path(8), red="diag")),
+        ("biwheel5", with_coloring(biwheel(5), red="bernoulli", seed=3)),
+        ("biwheel6", with_coloring(biwheel(6), red="diag")),
+    ]:
+        stack = [decompose(g)]
+        while stack:
+            node = stack.pop()
+            out.append(pytest.param(node.graph, id=f"{name}-{len(out)}"))
+            if isinstance(node, Split):
+                stack += [node.left, node.right]
+    return out
+
+
+BLOCKS = decomposition_blocks()
+
+
+def test_decomposition_blocks_cover_parallel_cells():
+    graphs = [p.values[0] for p in BLOCKS]
+    assert any(len(ks) > 1 for g in graphs for ks in g.cells.values())
+    assert any(g.multi and not brute_is_brace(g) for g in graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +146,22 @@ def test_has_perfect_matching_empty_graph():
     assert has_perfect_matching(ColoredBipartiteGraph.make(0, []))
 
 
+def test_long_even_cycle_needs_no_recursion():
+    # a 2n-cycle, rows on columns {i-1, i} mod n except that rows n-2 and
+    # n-1 swap their pairs: the greedy pass strands row n-1, whose only
+    # augmenting path runs back through all other rows
+    n = 1200
+    edges = [(i, c % n, BLUE) for i in range(n - 2) for c in (i - 1, i)]
+    edges += [(n - 2, n - 2, BLUE), (n - 2, n - 1, BLUE)]
+    edges += [(n - 1, n - 3, BLUE), (n - 1, n - 2, BLUE)]
+    g = ColoredBipartiteGraph.make(n, edges)
+    assert max_matching(g).size == n
+    assert is_matching_covered(g)
+    assert allowed_edges(g) == g
+    assert not is_brace(g)
+    assert certificate_ok(g, find_tight_set(g))
+
+
 # ---------------------------------------------------------------------------
 # allowed edges
 
@@ -118,26 +187,35 @@ def test_allowed_edges_raises_without_pm():
 
 
 def brute_allowed(g):
+    """Records (r, c, k) such that G - r - c has a perfect matching.
+
+    Permutation scan up to n = 5, edge deletion plus maximum matching
+    beyond; neither touches the D(G, M) digraph.
+    """
     keep = []
-    cells = sorted(g.cells)
     for r, c, k in g.edges:
-        rest_rows = [i for i in range(g.n) if i != r]
-        rest_cols = [j for j in range(g.n) if j != c]
-        ok = False
-        for perm in itertools.permutations(rest_cols):
-            if all((i, j) in g.cells for i, j in zip(rest_rows, perm)):
-                ok = True
-                break
+        if g.n > 5:
+            ok = has_perfect_matching(g.without([r], [c]))
+        else:
+            rest_rows = [i for i in range(g.n) if i != r]
+            rest_cols = [j for j in range(g.n) if j != c]
+            ok = any(
+                all((i, j) in g.cells for i, j in zip(rest_rows, perm))
+                for perm in itertools.permutations(rest_cols)
+            )
         if ok:
             keep.append((r, c, k))
-    del cells
     return tuple(keep)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_allowed_edges_matches_brute_force(seed):
-    g = random_graph(2 + seed % 4, 0.7, 0.4, seed=300 + seed, require_pm=True)
+def brute_is_matching_covered(g):
+    return g.is_connected() and brute_allowed(g) == g.edges
+
+
+@pytest.mark.parametrize("g", random_cases(300, require_pm=True) + BLOCKS)
+def test_allowed_edges_matches_brute_force(g):
     assert allowed_edges(g).edges == brute_allowed(g)
+    assert is_matching_covered(g) == brute_is_matching_covered(g)
 
 
 def test_is_matching_covered():
@@ -178,7 +256,8 @@ def test_is_brace_needs_matching_covered():
 
 
 def brute_is_brace(g):
-    if not is_matching_covered(g):
+    """Matching-covered and every two disjoint cells extend (edge pairs)."""
+    if not brute_is_matching_covered(g):
         return False
     cells = sorted(g.cells)
     for (r1, c1), (r2, c2) in itertools.combinations(cells, 2):
@@ -190,12 +269,8 @@ def brute_is_brace(g):
     return True
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_is_brace_matches_brute_force(seed):
-    g = random_graph(2 + seed % 5, 0.75, 0.3, seed=900 + seed)
-    if not has_perfect_matching(g):
-        assert not is_brace(g)
-        return
+@pytest.mark.parametrize("g", random_cases(900) + BLOCKS)
+def test_is_brace_matches_brute_force(g):
     assert is_brace(g) == brute_is_brace(g)
 
 
@@ -229,10 +304,19 @@ def test_certificate_ok_rejects_malformed():
     assert not certificate_ok(g, TightSetCertificate((0,), (0,)))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_find_tight_set_certificates_verify(seed):
-    g = random_graph(3 + seed % 5, 0.55, 0.3, seed=1700 + seed)
-    if not is_matching_covered(g):
+@pytest.mark.parametrize(
+    "g",
+    random_cases(1700)
+    + BLOCKS
+    + [
+        pytest.param(band_path(20), id="band_path20"),
+        pytest.param(band_path(40), id="band_path40"),
+    ],
+)
+def test_find_tight_set_certificates_verify(g):
+    if not brute_is_matching_covered(g):
+        with pytest.raises(NotMatchingCovered):
+            find_tight_set(g)
         return
     try:
         cert = find_tight_set(g)
