@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Fuzz the solver against exhaustive enumeration under a time budget.
+"""Fuzz the solver against the column-subset DP oracle under a time budget.
 
 Draws random colored instances, compares every target's decision with the
-enumerated fiber, and stops at --budget seconds or --max-instances. Any
-disagreement prints the instance in wire format and aborts, so the output
-is a ready-made regression fixture.
+DP oracle's achievable red counts, and stops at --budget seconds or
+--max-instances. Any disagreement prints the instance in wire format and
+aborts, so the output is a ready-made regression fixture.
+
+    python3 scripts/fuzz_decisions.py --budget 30 --max-n 12
 """
 
 import argparse
@@ -16,7 +18,13 @@ sys.path.insert(0, "src")
 
 from exactmatch.graphs import random_graph, serialize_ebg
 from exactmatch.solver import solve
-from exactmatch.verify.core import fiber_table
+from exactmatch.verify.core import red_count_set_dp
+
+
+# The DP oracle's time grows with C(n, n/2) reachable column sets, and the
+# solver's with the grid on large braces; past 14 one instance can take
+# longer than a typical budget.
+MAX_N = 14
 
 
 def main(argv=None) -> int:
@@ -26,7 +34,8 @@ def main(argv=None) -> int:
     ap.add_argument("--max-instances", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=0)
     ns = ap.parse_args(argv)
-    assert 2 <= ns.max_n <= 8, "enumeration oracle is only sensible up to n=8"
+    if not 2 <= ns.max_n <= MAX_N:
+        ap.error(f"--max-n must lie in 2..{MAX_N}")
 
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
@@ -39,14 +48,14 @@ def main(argv=None) -> int:
             red_prob=rng.choice((0.1, 0.3, 0.5, 0.8)),
             seed=rng.randrange(1 << 30),
         )
-        counts = fiber_table(g).counts
+        feasible = red_count_set_dp(g)
         instances += 1
         for t in range(n + 1):
             decisions += 1
             got = solve(g, t).decision
-            want = counts.get(t, 0) > 0
+            want = t in feasible
             if got != want:
-                print(f"DISAGREEMENT at t={t}: solve={got} enumeration={want}")
+                print(f"DISAGREEMENT at t={t}: solve={got} dp-oracle={want}")
                 sys.stdout.write(serialize_ebg(g))
                 return 1
     print(f"ok: {instances} instances, {decisions} decisions, 0 disagreements")

@@ -32,7 +32,8 @@ def parse_args(argv) -> SweepConfig:
     ap.add_argument("--json-out", default="", help="write rows as JSON to this file")
     ns = ap.parse_args(argv)
     sizes = [int(tok) for tok in ns.sizes.split(",") if tok.strip()]
-    assert sizes and all(n >= 1 for n in sizes), "need at least one positive size"
+    if not sizes or any(n < 1 for n in sizes):
+        ap.error("need at least one positive size")
     return SweepConfig(sizes, ns.repeats, ns.seed, ns.json_out)
 
 

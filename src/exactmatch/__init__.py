@@ -47,6 +47,7 @@ from .solver import (
     BlockReport,
     SolveReport,
     SolverOptions,
+    SolveTrace,
     bench,
     extract_witness,
     feasible_red_counts,
@@ -69,6 +70,7 @@ __all__ = [
     "Leaf",
     "Matching",
     "SolveReport",
+    "SolveTrace",
     "SolverOptions",
     "Split",
     "achievable_sets_compose",

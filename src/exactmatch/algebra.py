@@ -233,7 +233,10 @@ class IntMatrix:
         n_cols = len(rows[0]) if rows else 0
         flat = []
         for row in rows:
-            assert len(row) == n_cols, "ragged matrix"
+            if len(row) != n_cols:
+                raise NotSquare(
+                    f"ragged matrix: rows of {n_cols} and {len(row)} entries"
+                )
             flat.extend(row)
         return IntMatrix(n_rows, n_cols, tuple(flat))
 

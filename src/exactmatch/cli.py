@@ -42,12 +42,7 @@ def _load_graph(path: str):
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    opts = SolverOptions(
-        fallback_brute=args.fallback_brute,
-        threads=args.threads,
-        want_witness=args.witness,
-    )
-    report = solve(g, args.target, opts)
+    report = solve(g, args.target, SolverOptions(want_witness=args.witness))
     if args.json:
         print(json.dumps(report.to_json_dict(), separators=(",", ":")))
     else:
@@ -158,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--target", required=True, type=int, help="red count t")
     p_solve.add_argument("--witness", action="store_true")
     p_solve.add_argument("--json", action="store_true")
-    p_solve.add_argument(
-        "--fallback-brute",
-        type=int,
-        default=0,
-        metavar="N",
-        help="enumerate blocks of size <= N instead of the determinant grid",
-    )
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.set_defaults(func=cmd_solve)
 
     p_poly = sub.add_parser("poly", help="print exact-t polynomial coefficients")

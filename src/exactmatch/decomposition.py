@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .errors import NotMatchingCovered, OracleCap
+from .errors import InvariantError, NotMatchingCovered, OracleCap
 from .graphs import BLUE, ColoredBipartiteGraph, EdgeRecord
 from .matching import (
     TightSetCertificate,
@@ -111,18 +111,44 @@ def _identity_meta(
 
 
 def _decompose(g, meta) -> DecompositionNode:
-    if is_brace(g):
-        return Leaf(g, BraceBlock(g, *meta))
-    cert = find_tight_set(g)
-    assert not cert.mirrored, "internal finder emits standard-form certificates"
-    bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(g, meta, cert)
-    b_node = _decompose(bpart, bmeta)
-    a_node = _decompose(apart, ameta)
-    left_has_bstar = bpart.n <= apart.n
-    left, right = (
-        (b_node, a_node) if left_has_bstar else (a_node, b_node)
-    )
-    return Split(g, cert, crossing, left, right, left_has_bstar, lmap, rmap)
+    """Post-order over an explicit stack, so depth is not bounded by the
+    interpreter's recursion limit: a split is built once both blocks are.
+
+    todo holds ("block", graph, meta) entries still to decide and
+    ("split", graph, parts) entries waiting on their two finished blocks,
+    which sit on top of done (b-side below a-side).
+    """
+    todo: list = [("block", g, meta)]
+    done: list[DecompositionNode] = []
+    while todo:
+        kind, graph, data = todo.pop()
+        if kind == "split":
+            cert, crossing, lmap, rmap = data
+            a_node = done.pop()
+            b_node = done.pop()
+            left_has_bstar = b_node.graph.n <= a_node.graph.n
+            left, right = (
+                (b_node, a_node) if left_has_bstar else (a_node, b_node)
+            )
+            done.append(
+                Split(graph, cert, crossing, left, right, left_has_bstar,
+                      lmap, rmap)
+            )
+        elif is_brace(graph):
+            done.append(Leaf(graph, BraceBlock(graph, *data)))
+        else:
+            cert = find_tight_set(graph)
+            if cert.mirrored:
+                raise InvariantError(
+                    "internal finder emits standard-form certificates"
+                )
+            bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(
+                graph, data, cert
+            )
+            todo.append(("split", graph, (cert, crossing, lmap, rmap)))
+            todo.append(("block", apart, ameta))
+            todo.append(("block", bpart, bmeta))
+    return done.pop()
 
 
 def _split(g, meta, cert):
@@ -139,11 +165,13 @@ def _split(g, meta, cert):
     crossing = tuple(
         rec for rec in g.edges if rec[0] in a1 and rec[1] not in b1
     )
-    assert crossing, "tight cut with no crossing edges"
+    if not crossing:
+        raise InvariantError("tight cut with no crossing edges")
     for rec in g.edges:
-        assert not (rec[0] not in a1 and rec[1] in b1), (
-            "certificate leaks: edge from outside rows into B1"
-        )
+        if rec[0] not in a1 and rec[1] in b1:
+            raise InvariantError(
+                "certificate leaks: edge from outside rows into B1"
+            )
 
     # ---- b-side block: rows A1, cols B1 + b* --------------------------
     rmap_l = {r: i for i, r in enumerate(a1s)}
@@ -203,26 +231,45 @@ def _merge_origins(node_recs, origin_of) -> Tuple[EdgeRecord, ...]:
 # tree views
 
 
+def _preorder(node: DecompositionNode) -> list[DecompositionNode]:
+    """Every node, parents before children, left subtree before right."""
+    out: list[DecompositionNode] = []
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        out.append(nd)
+        if isinstance(nd, Split):
+            stack.append(nd.right)
+            stack.append(nd.left)
+    return out
+
+
 def leaves(node: DecompositionNode) -> list[Leaf]:
-    if isinstance(node, Leaf):
-        return [node]
-    return leaves(node.left) + leaves(node.right)
+    return [nd for nd in _preorder(node) if isinstance(nd, Leaf)]
 
 
 def split_count(node: DecompositionNode) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + split_count(node.left) + split_count(node.right)
+    return sum(1 for nd in _preorder(node) if isinstance(nd, Split))
 
 
 def to_dot(node: DecompositionNode) -> str:
-    """Graphviz rendering of the tree shape."""
-    lines = ["digraph decomposition {", "  node [shape=box];"]
-    counter = [0]
+    """Graphviz rendering of the tree shape.
 
-    def walk(nd: DecompositionNode) -> str:
-        name = f"v{counter[0]}"
-        counter[0] += 1
+    Nodes are numbered in preorder; the edge into a node is written after
+    that node's whole subtree.
+    """
+    lines = ["digraph decomposition {", "  node [shape=box];"]
+    counter = 0
+    stack: list = [(node, None)]  # (node, parent name) or (None, edge line)
+    while stack:
+        nd, tag = stack.pop()
+        if nd is None:
+            lines.append(tag)
+            continue
+        name = f"v{counter}"
+        counter += 1
+        if tag is not None:
+            stack.append((None, f"  {tag} -> {name};"))
         if isinstance(nd, Leaf):
             kind = "multi" if nd.block.has_parallel_cells else "simple"
             lines.append(
@@ -235,11 +282,8 @@ def to_dot(node: DecompositionNode) -> str:
                 f"|A1|={len(a1)} |B1|={len(b1)} "
                 f'crossing={len(nd.crossing)}"];'
             )
-            for child in (nd.left, nd.right):
-                lines.append(f"  {name} -> {walk(child)};")
-        return name
-
-    walk(node)
+            stack.append((nd.right, name))
+            stack.append((nd.left, name))
     lines.append("}")
     return "\n".join(lines)
 
@@ -280,20 +324,24 @@ def achievable_sets_compose(g: ColoredBipartiteGraph, cap: int = 8) -> bool:
         out: set[frozenset[EdgeRecord]] = set()
         for ml in b_pms:
             cross_l = [rec for rec in ml if rec[1] == bstar]
-            assert len(cross_l) == 1, "b* must be matched exactly once"
+            if len(cross_l) != 1:
+                raise InvariantError("b* must be matched exactly once")
             cand_l = set(node.lmap[cross_l[0]])
             interior_l = [
                 node.lmap[rec] for rec in ml if rec[1] != bstar
             ]
-            assert all(len(t) == 1 for t in interior_l)
+            if any(len(t) != 1 for t in interior_l):
+                raise InvariantError("interior b-side record is merged")
             base_l = {t[0] for t in interior_l}
             for mr in a_pms:
                 cross_r = [rec for rec in mr if rec[0] == astar]
-                assert len(cross_r) == 1, "a* must be matched exactly once"
+                if len(cross_r) != 1:
+                    raise InvariantError("a* must be matched exactly once")
                 cands = cand_l & set(node.rmap[cross_r[0]])
                 if not cands:
                     continue
-                assert len(cands) == 1, "crossing resolution must be unique"
+                if len(cands) != 1:
+                    raise InvariantError("crossing resolution must be unique")
                 interior_r = {
                     node.rmap[rec][0] for rec in mr if rec[0] != astar
                 }

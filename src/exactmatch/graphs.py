@@ -105,7 +105,8 @@ class ColoredBipartiteGraph:
     def color_of(self, r: int, c: int) -> int:
         """Color of the unique record in a cell (simple graphs)."""
         colors = self.cells[r, c]
-        assert len(colors) == 1, f"cell ({r},{c}) is not simple"
+        if len(colors) != 1:
+            raise BadParams(f"cell ({r},{c}) is not simple")
         return colors[0]
 
     @property
@@ -128,7 +129,11 @@ class ColoredBipartiteGraph:
         """
         rows = sorted(rows)
         cols = sorted(cols)
-        assert len(rows) == len(cols), "induced subgraph must stay balanced"
+        if len(rows) != len(cols):
+            raise BadParams(
+                f"induced subgraph must stay balanced: {len(rows)} rows, "
+                f"{len(cols)} columns"
+            )
         rmap = {r: i for i, r in enumerate(rows)}
         cmap = {c: j for j, c in enumerate(cols)}
         sub = [
@@ -291,7 +296,8 @@ def parse_ebg(text: str) -> ColoredBipartiteGraph:
 
 def serialize_ebg(g: ColoredBipartiteGraph) -> str:
     """Canonical EBG text (records sorted by (row, col, color))."""
-    assert not g.multi, "EBG format carries simple graphs only"
+    if g.multi:
+        raise BadParams("EBG format carries simple graphs only")
     lines = ["ebg 1", f"n {g.n}"]
     lines.extend(f"e {r} {c} {k}" for r, c, k in sorted(g.edges))
     return "\n".join(lines) + "\n"

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
+    BadParams,
     CapExceeded,
     InvariantError,
     IsBrace,
@@ -382,10 +383,12 @@ def alternating_cycles(
     way uses different free cells and is listed separately. Raises
     CapExceeded (carrying the partial list) past cap cycles.
     """
-    assert not g.multi, "alternating cycles are defined on simple graphs"
+    if g.multi:
+        raise BadParams("alternating cycles are defined on simple graphs")
     n = g.n
     assignment = m0.assignment
-    assert all(c is not None for c in assignment), "m0 must be perfect"
+    if any(c is None for c in assignment):
+        raise BadParams("m0 must be perfect")
     col_owner = {c: r for r, c in enumerate(assignment)}
 
     out: list[AlternatingCycle] = []

@@ -21,17 +21,17 @@ rest of the matching into two independent induced subgraphs, so
   T(G) = union over crossing records (a, b, k) of
          k + T(G[A1 - a, B1]) + T(G[A2, B2 - b])
 
-which is what feasible_red_counts recurses on (memoized). The contracted
-block tree from decompose() is still computed for reporting: per-leaf
-feasible tables are labeled by how they were obtained ("pure-ASNC" grid on
-a simple brace, "oracle-fallback" enumeration, or "ASNC-extension
-assumption" for grid tables on parallel-edge blocks too big to enumerate).
+which is what feasible_red_counts recurses on (memoized). That recursion
+is the whole decision, and the report is its trace: a SolveTrace carries
+the memo and records each leaf the recursion settled, in the order it first
+evaluated them (a simple brace on the grid is "pure-ASNC", a piece with
+n <= 2 is "enumeration"), plus counts of subproblems, memo hits, braces,
+tight cuts and enumerated pieces.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -39,10 +39,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .algebra import IntMatrix, IntPolynomial, det_rows, interpolate
-from .decomposition import Leaf, decompose, leaves
 from .errors import InvariantError, NoPerfectMatching
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
-from .matching import allowed_edges, is_brace
+from .matching import allowed_edges, find_tight_set, is_brace
 from .verify.core import red_count_set
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
@@ -175,9 +174,43 @@ def red_count_bounds(
 # sound feasibility recursion
 
 
+@dataclass(frozen=True)
+class BlockReport:
+    n: int
+    feasible_t: Tuple[int, ...]
+    method: str
+
+
+@dataclass
+class SolveTrace:
+    """The memo of the feasibility recursion and a record of its work.
+
+    memo maps each subproblem key to its feasible set. blocks lists the
+    leaves the recursion settled, one per subproblem, in the order they
+    were first evaluated. counts tallies memo misses (subproblems), memo
+    hits, braces decided on the grid, tight cuts split and n <= 2 pieces
+    enumerated.
+    """
+
+    memo: dict = field(default_factory=dict)
+    blocks: list[BlockReport] = field(default_factory=list)
+    counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            ("subproblems", "memo_hits", "braces", "tight_cuts", "enumerated"),
+            0,
+        )
+    )
+
+    def settle(self, count: str, method: str, n: int, result: frozenset):
+        """Record a leaf decided without a split; returns its result."""
+        self.counts[count] += 1
+        self.blocks.append(BlockReport(n, tuple(sorted(result)), method))
+        return result
+
+
 def feasible_red_counts(
     g: ColoredBipartiteGraph,
-    memo: Optional[dict] = None,
+    trace: Optional[SolveTrace] = None,
 ) -> frozenset:
     """The exact set of achievable red counts over perfect matchings.
 
@@ -187,16 +220,18 @@ def feasible_red_counts(
     on simple braces, where fiber-nonemptiness and coefficient
     nonvanishing coincide.
     """
-    if memo is None:
-        memo = {}
+    if trace is None:
+        trace = SolveTrace()
     key = (g.n, g.edges, g.multi)
-    if key in memo:
-        return memo[key]
-    memo[key] = result = _feasible(g, memo)
+    if key in trace.memo:
+        trace.counts["memo_hits"] += 1
+        return trace.memo[key]
+    trace.counts["subproblems"] += 1
+    trace.memo[key] = result = _feasible(g, trace)
     return result
 
 
-def _feasible(g: ColoredBipartiteGraph, memo: dict) -> frozenset:
+def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
     n = g.n
     if n == 0:
         return frozenset({0})
@@ -211,24 +246,25 @@ def _feasible(g: ColoredBipartiteGraph, memo: dict) -> frozenset:
         for rows, cols in comps:
             if len(rows) != len(cols):
                 return frozenset()  # unbalanced piece cannot be matched
-            part = feasible_red_counts(core.induced(rows, cols), memo)
+            part = feasible_red_counts(core.induced(rows, cols), trace)
             if not part:
                 return frozenset()
             acc = {a + b for a in acc for b in part}
         return frozenset(acc)
 
     if n <= 2:
-        return frozenset(red_count_set(core))
+        result = frozenset(red_count_set(core))
+        return trace.settle("enumerated", "enumeration", n, result)
 
     if is_brace(core):
         t_min, t_max = bounds
         grid = EvaluationGrid.for_size(n)
         cands = set(range(t_min, t_max + 1))
-        return frozenset(grid.nonvanishing_targets(core, cands))
-
-    from .matching import find_tight_set
+        result = frozenset(grid.nonvanishing_targets(core, cands))
+        return trace.settle("braces", "pure-ASNC", n, result)
 
     cert = find_tight_set(core)
+    trace.counts["tight_cuts"] += 1
     a1, b1 = set(cert.rows_a1), set(cert.cols_b1)
     a2 = [r for r in range(n) if r not in a1]
     b2 = [c for c in range(n) if c not in b1]
@@ -238,10 +274,10 @@ def _feasible(g: ColoredBipartiteGraph, memo: dict) -> frozenset:
             continue
         left = core.induced(sorted(a1 - {a}), sorted(b1))
         right = core.induced(a2, sorted(set(b2) - {b}))
-        lpart = feasible_red_counts(left, memo)
+        lpart = feasible_red_counts(left, trace)
         if not lpart:
             continue
-        rpart = feasible_red_counts(right, memo)
+        rpart = feasible_red_counts(right, trace)
         rho = 1 if k == RED else 0
         out |= {rho + x + y for x in lpart for y in rpart}
     return frozenset(out)
@@ -254,21 +290,21 @@ def _feasible(g: ColoredBipartiteGraph, memo: dict) -> frozenset:
 def extract_witness(
     g: ColoredBipartiteGraph,
     t: int,
-    memo: Optional[dict] = None,
+    trace: Optional[SolveTrace] = None,
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching with exactly t red edges, or None.
 
     Self-reduction: force row 0 onto each of its records in turn and keep
     the first whose residual graph still reaches the residual target.
     """
-    if memo is None:
-        memo = {}
-    if t not in feasible_red_counts(g, memo):
+    if trace is None:
+        trace = SolveTrace()
+    if t not in feasible_red_counts(g, trace):
         return None
-    return _witness(g, t, memo)
+    return _witness(g, t, trace)
 
 
-def _witness(g, t, memo) -> list[EdgeRecord]:
+def _witness(g, t, trace) -> list[EdgeRecord]:
     n = g.n
     if n == 0:
         return []
@@ -276,8 +312,8 @@ def _witness(g, t, memo) -> list[EdgeRecord]:
         for k in g.cells[0, c]:
             rho = 1 if k == RED else 0
             rest = g.without([0], [c])
-            if t - rho in feasible_red_counts(rest, memo):
-                sub = _witness(rest, t - rho, memo)
+            if t - rho in feasible_red_counts(rest, trace):
+                sub = _witness(rest, t - rho, trace)
                 lifted = [
                     (r + 1, cc if cc < c else cc + 1, kk)
                     for r, cc, kk in sub
@@ -287,22 +323,12 @@ def _witness(g, t, memo) -> list[EdgeRecord]:
 
 
 # ---------------------------------------------------------------------------
-# solve with block reporting
+# solve with its trace
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    fallback_brute: int = 0  # enumerate any leaf block up to this size
-    oracle_bound: int = 8  # parallel-edge leaves up to this size enumerated
-    threads: int = 1
     want_witness: bool = False
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    n: int
-    feasible_t: Tuple[int, ...]
-    method: str
 
 
 @dataclass(frozen=True)
@@ -311,12 +337,13 @@ class SolveReport:
     n: int
     t: int
     blocks: Tuple[BlockReport, ...]
+    counts: dict[str, int]
     witness: Optional[Tuple[EdgeRecord, ...]]
     timings: dict[str, float]
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/1",
+            "schema": "exactmatch/2",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -328,28 +355,12 @@ class SolveReport:
                 }
                 for b in self.blocks
             ],
+            "counts": self.counts,
         }
         if self.witness is not None:
             out["witness"] = [list(rec) for rec in self.witness]
         out["timings"] = self.timings
         return out
-
-
-def _leaf_report(leaf: Leaf, opts: SolverOptions) -> BlockReport:
-    g = leaf.graph
-    bounds = red_count_bounds(g)
-    if bounds is None:
-        return BlockReport(g.n, (), "oracle-fallback")
-    parallel = leaf.block.has_parallel_cells
-    if g.n <= opts.fallback_brute or (parallel and g.n <= opts.oracle_bound):
-        return BlockReport(
-            g.n, tuple(sorted(red_count_set(g))), "oracle-fallback"
-        )
-    grid = EvaluationGrid.for_size(g.n)
-    cands = set(range(bounds[0], bounds[1] + 1))
-    table = tuple(sorted(grid.nonvanishing_targets(g, cands)))
-    method = "ASNC-extension assumption" if parallel else "pure-ASNC"
-    return BlockReport(g.n, table, method)
 
 
 def solve(
@@ -359,47 +370,29 @@ def solve(
 ) -> SolveReport:
     """Decide whether some perfect matching has exactly t red edges.
 
-    The decision comes from the sound recursion (feasible_red_counts); the
-    per-block tables in the report come from the contracted decomposition
-    tree and are labeled with how each was computed. Out-of-range targets
-    are legal and decide to NO.
+    The decision is one run of feasible_red_counts; blocks and counts are
+    its trace, taken before any witness extraction adds subproblems.
+    Out-of-range targets are legal and decide to NO.
     """
+    trace = SolveTrace()
     t0 = time.perf_counter()
-    blocks: list[BlockReport] = []
-    trees = []
-    if red_count_bounds(g) is not None:
-        core = allowed_edges(g)
-        for rows, cols in core.components():
-            trees.append(decompose(core.induced(rows, cols)))
+    decision = t in feasible_red_counts(g, trace)
     t1 = time.perf_counter()
+    blocks, counts = tuple(trace.blocks), dict(trace.counts)
 
-    all_leaves = [lf for tree in trees for lf in leaves(tree)]
-    if opts.threads > 1 and len(all_leaves) > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            blocks = list(
-                pool.map(lambda lf: _leaf_report(lf, opts), all_leaves)
-            )
-    else:
-        blocks = [_leaf_report(lf, opts) for lf in all_leaves]
-    t2 = time.perf_counter()
-
-    memo: dict = {}
-    feasible = feasible_red_counts(g, memo)
-    decision = t in feasible
     witness = None
     if decision and opts.want_witness:
-        wit = extract_witness(g, t, memo)
+        wit = extract_witness(g, t, trace)
         if wit is None:
             raise InvariantError(f"t = {t} decided YES but has no witness")
         witness = tuple(wit)
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
 
     timings = {
-        "decompose_ms": round((t1 - t0) * 1000, 3),
-        "grid_ms": round((t2 - t1) * 1000, 3),
-        "dp_ms": round((t3 - t2) * 1000, 3),
+        "decide_ms": round((t1 - t0) * 1000, 3),
+        "witness_ms": round((t2 - t1) * 1000, 3),
     }
-    return SolveReport(decision, g.n, t, tuple(blocks), witness, timings)
+    return SolveReport(decision, g.n, t, blocks, counts, witness, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +421,8 @@ def bench(sizes: list[int], seed: int = 0) -> list[dict]:
                 f"could not sample a brace at n={n} after 80 tries"
             )
         bounds = red_count_bounds(g)
-        assert bounds is not None
+        if bounds is None:
+            raise InvariantError(f"brace sampled at n={n} has no matching")
         t = (bounds[0] + bounds[1]) // 2
         started = time.perf_counter()
         report = solve(g, t)

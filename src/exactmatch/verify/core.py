@@ -85,6 +85,32 @@ def red_count_set(g: ColoredBipartiteGraph, cap: int = DEFAULT_ENUM_CAP) -> set[
     return {m.red_count for m in enumerate_pms(g, cap)}
 
 
+def red_count_set_dp(g: ColoredBipartiteGraph) -> set[int]:
+    """The achievable red counts, by a DP over sets of used columns.
+
+    Rows are placed one layer at a time. After row r, reach[mask] is an
+    int bitset with bit k set when rows 0..r can be matched onto exactly
+    the columns in mask using k red records. Exact at every size, with no
+    cap: the work is bounded by the reachable masks (at most C(n, n/2)
+    per layer) rather than by the number of matchings. It reads only
+    g.n and g.edges, so it shares no code with the solver.
+    """
+    n = g.n
+    by_row: list[list[Tuple[int, int]]] = [[] for _ in range(n)]
+    for r, c, k in g.edges:
+        by_row[r].append((1 << c, 1 if k == RED else 0))
+    reach = {0: 1}
+    for moves in by_row:
+        step: dict[int, int] = {}
+        for mask, counts in reach.items():
+            for bit, red in moves:
+                if not mask & bit:
+                    step[mask | bit] = step.get(mask | bit, 0) | counts << red
+        reach = step
+    counts = reach.get((1 << n) - 1, 0)
+    return {k for k in range(n + 1) if counts >> k & 1}
+
+
 # ---------------------------------------------------------------------------
 # exact target polynomials
 

@@ -63,14 +63,15 @@ def test_solve_json_report(fixtures_dir, capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/1"
+    assert doc["schema"] == "exactmatch/2"
     assert doc["decision"] == "YES"
     assert doc["n"] == 4 and doc["t"] == 2
     assert doc["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
     ]
+    assert doc["counts"]["braces"] == 1
     assert len(doc["witness"]) == 4
-    assert set(doc["timings"]) == {"decompose_ms", "grid_ms", "dp_ms"}
+    assert set(doc["timings"]) == {"decide_ms", "witness_ms"}
 
 
 def test_solve_json_deterministic_apart_from_timings(fixtures_dir, capsys):
@@ -94,13 +95,16 @@ def test_solve_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_solve_fallback_brute_flag(fixtures_dir, capsys):
-    code, out, _ = run(
+@pytest.mark.parametrize(
+    "flag", [("--threads", "2"), ("--fallback-brute", "8")]
+)
+def test_solve_removed_flags_are_usage_errors(fixtures_dir, capsys, flag):
+    code, _, err = run(
         capsys, "solve", "--input", str(fixtures_dir / "k44_red_diag.ebg"),
-        "--target", "2", "--json", "--fallback-brute", "8",
+        "--target", "2", *flag,
     )
-    assert code == 0
-    assert json.loads(out)["blocks"][0]["method"] == "oracle-fallback"
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------

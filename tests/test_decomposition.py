@@ -1,9 +1,13 @@
 """Tight-cut decomposition tree: blocks, provenance, composition audit."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import exactmatch
 from exactmatch.errors import NotMatchingCovered, OracleCap
 from exactmatch.graphs import (
     BLUE,
@@ -146,6 +150,30 @@ def test_to_dot_renders_tree():
 def test_to_dot_single_leaf():
     dot = to_dot(decompose(knn(2)))
     assert "brace n=2" in dot and "->" not in dot
+
+
+_DEEP_TREE = """
+import sys
+from exactmatch.decomposition import decompose, leaves, split_count, to_dot
+from exactmatch.graphs import band_path
+g = band_path(200)
+sys.setrecursionlimit(120)
+node = decompose(g)
+dot = to_dot(node)
+print(len(leaves(node)), split_count(node), dot.count("->"))
+"""
+
+
+def test_tree_depth_is_not_bounded_by_recursion_limit():
+    # band_path(200) splits 198 times, one cut inside the next
+    src = os.path.dirname(os.path.dirname(exactmatch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_TREE], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["199", "198", str(2 * 198)]
 
 
 # ---------------------------------------------------------------------------

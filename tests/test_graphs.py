@@ -99,7 +99,7 @@ def test_induced_relabels():
     sub = g.induced([1, 3], [0, 2])
     assert sub.n == 2
     assert sub.edges == tuple((i, j, BLUE) for i in range(2) for j in range(2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadParams):
         g.induced([0], [0, 1])
 
 
@@ -204,8 +204,24 @@ def test_parse_out_of_range_and_duplicate():
 
 def test_serialize_refuses_multigraphs():
     g = ColoredBipartiteGraph.make(1, [(0, 0, 0), (0, 0, 1)], multi=True)
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadParams):
         serialize_ebg(g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: knn(2).induced([0, 1], [0]),
+        lambda: serialize_ebg(
+            ColoredBipartiteGraph.make(1, [(0, 0, 0), (0, 0, 1)], multi=True)
+        ),
+    ],
+    ids=["induced-unbalanced", "serialize-multigraph"],
+)
+def test_bad_calls_raise_bad_params_not_assert(call):
+    # a library error, so the check survives python -O
+    with pytest.raises(BadParams):
+        call()
 
 
 # ---------------------------------------------------------------------------

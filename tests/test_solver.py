@@ -6,6 +6,8 @@ import pytest
 
 from exactmatch.algebra import IntPolynomial, P_ZERO
 from exactmatch.graphs import (
+    BLUE,
+    RED,
     ColoredBipartiteGraph,
     band_path,
     biwheel,
@@ -13,10 +15,12 @@ from exactmatch.graphs import (
     random_graph,
     with_coloring,
 )
+from exactmatch.matching import is_brace
 from exactmatch.solver import (
     BlockReport,
     EvaluationGrid,
     SolverOptions,
+    SolveTrace,
     bench,
     build_matrix_at,
     extract_witness,
@@ -26,7 +30,12 @@ from exactmatch.solver import (
     red_count_bounds,
     solve,
 )
-from exactmatch.verify.core import fiber_table, red_count_set, symbolic_pt
+from exactmatch.verify.core import (
+    fiber_table,
+    red_count_set,
+    red_count_set_dp,
+    symbolic_pt,
+)
 
 
 def k44_diag():
@@ -185,11 +194,15 @@ def test_solve_report_blocks_k44():
 
 def test_solve_json_schema():
     d = solve(k44_diag(), 2, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/1"
+    assert d["schema"] == "exactmatch/2"
     assert d["decision"] == "YES"
     assert d["blocks"][0]["feasible_t"] == [0, 1, 2, 4]
+    assert d["counts"] == {
+        "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
+        "enumerated": 0,
+    }
     assert all(len(rec) == 3 for rec in d["witness"])
-    assert set(d["timings"]) == {"decompose_ms", "grid_ms", "dp_ms"}
+    assert set(d["timings"]) == {"decide_ms", "witness_ms"}
 
 
 def test_solve_no_pm_graph():
@@ -204,18 +217,32 @@ def test_solve_out_of_range_t():
     assert not solve(knn(3), 5).decision
 
 
-def test_solve_fallback_brute_labels():
-    rep = solve(k44_diag(), 2, SolverOptions(fallback_brute=8))
-    assert rep.blocks[0].method == "oracle-fallback"
-    assert rep.blocks[0].feasible_t == (0, 1, 2, 4)
+def test_solve_report_traces_the_recursion():
+    g = with_coloring(band_path(7), red="bernoulli", seed=3)
+    want = red_count_set(g)
+    reports = [solve(g, t) for t in range(8)]
+    for t, rep in enumerate(reports):
+        assert rep.decision == (t in want)
+    rep = reports[0]
+    assert rep.blocks
+    assert all(b.method in ("pure-ASNC", "enumeration") for b in rep.blocks)
+    assert rep.counts["tight_cuts"] > 0
+    assert rep.counts["braces"] + rep.counts["enumerated"] == len(rep.blocks)
+    trace = SolveTrace()
+    feasible_red_counts(g, trace)
+    assert rep.counts["subproblems"] == len(trace.memo)
+    again = solve(g, 0)
+    assert again.blocks == rep.blocks and again.counts == rep.counts
 
 
-def test_solve_threads_agree():
-    g = with_coloring(band_path(6), red="diag")
-    seq = solve(g, 2)
-    par = solve(g, 2, SolverOptions(threads=4))
-    assert seq.decision == par.decision
-    assert [b.feasible_t for b in seq.blocks] == [b.feasible_t for b in par.blocks]
+def test_solve_report_ignores_witness_subproblems():
+    g = with_coloring(band_path(7), red="bernoulli", seed=3)
+    t = min(red_count_set(g))
+    plain = solve(g, t)
+    with_wit = solve(g, t, SolverOptions(want_witness=True))
+    assert with_wit.witness is not None
+    assert with_wit.blocks == plain.blocks
+    assert with_wit.counts == plain.counts
 
 
 def test_solve_decisions_match_enumeration_batch():
@@ -231,6 +258,49 @@ def test_non_brace_with_multi_blocks_still_sound():
     # band graphs decompose into several blocks with contracted cells
     g = with_coloring(band_path(7), red="bernoulli", seed=3)
     assert feasible_red_counts(g) == frozenset(red_count_set(g))
+
+
+def _gap_colored(g):
+    # red iff row and column lie on opposite halves: every red count is even
+    h = g.n // 2
+    return ColoredBipartiteGraph.make(
+        g.n, [(r, c, RED if (r < h) != (c < h) else BLUE) for r, c, _ in g.edges]
+    )
+
+
+PAST_CAP_FAMILIES = {
+    "random-0.3": lambda n: random_graph(n, 0.3, 0.5, seed=9900 + n, require_pm=True),
+    "random-0.7": lambda n: random_graph(n, 0.7, 0.5, seed=9950 + n, require_pm=True),
+    "gap-brace": lambda n: _gap_colored(biwheel(n)),
+    "band_path": lambda n: with_coloring(band_path(n), red="bernoulli", seed=n),
+    "biwheel": lambda n: with_coloring(biwheel(n), red="bernoulli", seed=n),
+}
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+@pytest.mark.parametrize("family", sorted(PAST_CAP_FAMILIES))
+def test_decisions_past_enumeration_cap_match_dp_oracle(family, n):
+    # solve decides t by membership in feasible_red_counts, so one call
+    # decides every target 0..n; each YES then goes through solve itself
+    g = PAST_CAP_FAMILIES[family](n)
+    want = red_count_set_dp(g)
+    got = feasible_red_counts(g)
+    assert [t in got for t in range(n + 1)] == [t in want for t in range(n + 1)]
+    for t in sorted(want):
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert rep.decision and rep.witness is not None
+        assert sorted(r for r, _, _ in rep.witness) == list(range(n))
+        assert sorted(c for _, c, _ in rep.witness) == list(range(n))
+        assert all(rec in g.edges for rec in rep.witness)
+        assert sum(1 for _, _, k in rep.witness if k == RED) == t
+
+
+def test_gap_brace_family_has_odd_no_targets_inside_its_bounds():
+    g = PAST_CAP_FAMILIES["gap-brace"](10)
+    feasible = red_count_set_dp(g)
+    assert is_brace(g)
+    assert all(t % 2 == 0 for t in feasible)
+    assert max(feasible) - min(feasible) >= 2
 
 
 def test_biwheel_pm_counts():

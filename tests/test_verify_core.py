@@ -26,6 +26,7 @@ from exactmatch.verify.core import (
     minor_pt,
     mvv_test,
     red_count_set,
+    red_count_set_dp,
     subset_poly,
     symbolic_pt,
     universal_small_check,
@@ -86,6 +87,31 @@ def test_fiber_table_k44_diag():
     tab = fiber_table(g)
     assert tab.counts == {0: 9, 1: 8, 2: 6, 4: 1}
     assert tab.total == 24
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_dp_oracle_matches_enumeration(n):
+    rng = random.Random(4100 + n)
+    graphs = [ColoredBipartiteGraph.make(n, [])]
+    for i in range(12):
+        graphs.append(
+            random_graph(
+                max(n, 1),
+                density=(0.3, 0.5, 0.7, 0.9)[i % 4],
+                red_prob=(0.2, 0.5, 0.8)[i % 3],
+                seed=rng.randrange(1 << 30),
+            )
+        )
+    for g in graphs:
+        assert red_count_set_dp(g) == red_count_set(g)
+
+
+def test_dp_oracle_counts_each_color_of_a_bicolored_cell():
+    g = ColoredBipartiteGraph.make(
+        2, [(0, 0, BLUE), (0, 0, RED), (0, 1, RED), (1, 0, BLUE), (1, 1, RED)],
+        multi=True,
+    )
+    assert red_count_set_dp(g) == red_count_set(g) == {1, 2}
 
 
 # ---------------------------------------------------------------------------
