@@ -3,7 +3,9 @@
 
 Draws random colored instances, compares every target's decision with the
 DP oracle's achievable red counts, and stops at --budget seconds or
---max-instances. Any disagreement prints the instance in wire format and
+--max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red iff
+row and column lie on opposite halves), so every red count is even and the
+odd targets inside its bounds are zeros the grid must certify. Any disagreement prints the instance in wire format and
 aborts, so the output is a ready-made regression fixture.
 
     python3 scripts/fuzz_decisions.py --budget 30 --max-n 12
@@ -16,7 +18,13 @@ import time
 
 sys.path.insert(0, "src")
 
-from exactmatch.graphs import random_graph, serialize_ebg
+from exactmatch.graphs import (
+    BLUE,
+    RED,
+    ColoredBipartiteGraph,
+    random_graph,
+    serialize_ebg,
+)
 from exactmatch.solver import solve
 from exactmatch.verify.core import red_count_set_dp
 
@@ -25,6 +33,15 @@ from exactmatch.verify.core import red_count_set_dp
 # solver's with the grid on large braces; past 14 one instance can take
 # longer than a typical budget.
 MAX_N = 14
+GAP_SHARE = 4
+
+
+def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
+    half = g.n // 2
+    return ColoredBipartiteGraph.make(
+        g.n,
+        [(r, c, RED if (r < half) != (c < half) else BLUE) for r, c, _ in g.edges],
+    )
 
 
 def main(argv=None) -> int:
@@ -42,12 +59,18 @@ def main(argv=None) -> int:
     instances = decisions = 0
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
-        g = random_graph(
-            n,
-            density=rng.choice((0.3, 0.5, 0.7, 0.9)),
-            red_prob=rng.choice((0.1, 0.3, 0.5, 0.8)),
-            seed=rng.randrange(1 << 30),
-        )
+        if instances % GAP_SHARE == GAP_SHARE - 1:
+            g = gap_colored(
+                random_graph(n, rng.choice((0.7, 0.9, 1.0)), 0.5,
+                             seed=rng.randrange(1 << 30))
+            )
+        else:
+            g = random_graph(
+                n,
+                density=rng.choice((0.3, 0.5, 0.7, 0.9)),
+                red_prob=rng.choice((0.1, 0.3, 0.5, 0.8)),
+                seed=rng.randrange(1 << 30),
+            )
         feasible = red_count_set_dp(g)
         instances += 1
         for t in range(n + 1):

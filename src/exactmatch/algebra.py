@@ -7,14 +7,29 @@ Determinants use fraction-free Bareiss elimination whose every division is
 checked to be exact (NonIntegerResult otherwise, also under python -O).
 Interpolation is Lagrange over the rationals with a single common-denominator
 clearance at the end; a non-integer result is an error, not a float.
+
+The modular section works in F_p for primes p below 2^31. Residues stay in
+[0, p), so a product of two is below 2^62 and a sum of two products fits
+numpy int64; there is no floating point and no randomness. det_mod_batch
+runs division-free Gaussian elimination on a whole (B, n, n) stack at once:
+each step picks the first nonzero pivot per matrix, swaps it up with its
+sign, and updates row_i <- piv * row_i + (p - lead) * row_k with one
+reduction, which scales the determinant by piv per updated row. The
+accumulated scale is divided out by one Fermat inverse per matrix at the
+end. A zero residue is only a residue: callers that conclude an integer is
+zero must first multiply enough primes to exceed a bound on its size
+(certificate_primes).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
+
+import numpy as np
 
 from .errors import DuplicateNode, NonIntegerResult, NotSquare, ZeroDivisor
 
@@ -382,3 +397,152 @@ def poly_divides(
         content = -content
     primitive = IntPolynomial(_trim(tuple(_exact_div(c, content) for c in ints)))
     return True, primitive, Fraction(content, denom_lcm)
+
+
+# ---------------------------------------------------------------------------
+# modular arithmetic
+
+MODULUS_CEILING = 1 << 31  # residues below it keep a*b + c*d inside int64
+
+
+def is_probable_prime(m: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases.
+
+    Deterministic, and exact for every m below 3.3 * 10^24, which covers
+    every modulus used here by many orders of magnitude.
+    """
+    if m < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if m % small == 0:
+            return m == small
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_below(m: int) -> int:
+    """The largest prime strictly below m (m > 3)."""
+    q = m - 1 if m % 2 == 0 else m - 2
+    while not is_probable_prime(q):
+        q -= 2
+    return q
+
+
+def certificate_primes(bound: int) -> Tuple[int, ...]:
+    """The largest primes below 2^31, descending, fewest whose product > bound.
+
+    An integer of absolute value at most bound that is divisible by every
+    returned prime is zero.
+    """
+    primes: list[int] = []
+    product = 1
+    p = MODULUS_CEILING
+    while product <= bound:
+        p = _prime_below(p)
+        primes.append(p)
+        product *= p
+    return tuple(primes)
+
+
+def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p for a nonnegative int64 array (a new array).
+
+    a - (a // p) * p: numpy divides by a scalar far faster than it takes a
+    remainder.
+    """
+    return a - a // p * p
+
+
+def _pow_mod_batch(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Elementwise base^e mod p for an int64 array with entries in [0, p)."""
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result = reduce_mod(result * base, p)
+        base = reduce_mod(base * base, p)
+        e >>= 1
+    return result
+
+
+def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a (B, n, n) int64 stack with entries in [0, p).
+
+    Division-free elimination, all B matrices in step. Each step brings the
+    first row with a nonzero entry in the leading column to the top, then
+    replaces the trailing block by piv * row_i + (p - lead_i) * top row,
+    reduced once: both terms are below 2^62, so the sum fits int64. A matrix
+    with no pivot in some column has determinant 0. The stack is not
+    modified. Returns B residues in [0, p).
+    """
+    batch, n = mats.shape[0], mats.shape[1]
+    if n == 0:
+        return np.ones(batch, dtype=np.int64)
+    a = mats.copy()
+    idx = np.arange(batch)
+    negate = np.zeros(batch, dtype=bool)
+    alive = np.ones(batch, dtype=bool)
+    # prefix is the product of the pivots so far; scale gains one prefix per
+    # step, so it ends as prod_k piv_k^(n-1-k), the factor by which the row
+    # updates multiplied the determinant.
+    prefix = np.ones(batch, dtype=np.int64)
+    scale = np.ones(batch, dtype=np.int64)
+    for _ in range(n - 1):
+        nonzero = a[:, :, 0] != 0
+        offset = nonzero.argmax(axis=1)
+        alive &= nonzero[idx, offset]
+        swapped = offset != 0
+        if swapped.any():
+            top = a[:, 0].copy()
+            a[:, 0] = a[idx, offset]
+            a[idx, offset] = top
+            negate ^= swapped
+        piv = a[:, 0, 0]
+        trailing = piv[:, None, None] * a[:, 1:, 1:]
+        trailing += (p - a[:, 1:, 0])[:, :, None] * a[:, None, 0, 1:]
+        a = reduce_mod(trailing, p)
+        prefix = reduce_mod(prefix * piv, p)
+        scale = reduce_mod(scale * prefix, p)
+    alive &= a[:, 0, 0] != 0
+    det = reduce_mod(prefix * a[:, 0, 0], p)
+    det = reduce_mod(det * _pow_mod_batch(scale, p - 2, p), p)
+    det[negate] = reduce_mod(p - det[negate], p)
+    det[~alive] = 0
+    return det
+
+
+def inverse_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of a square integer matrix over F_p (Gauss-Jordan).
+
+    Raises ZeroDivisor when the matrix is singular mod p.
+    """
+    n = len(rows)
+    aug = [
+        [v % p for v in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
+        if pivot is None:
+            raise ZeroDivisor(f"matrix is singular mod {p}")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        inv = pow(aug[k][k], p - 2, p)
+        aug[k] = [v * inv % p for v in aug[k]]
+        for r in range(n):
+            factor = aug[r][k]
+            if r != k and factor:
+                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[k])]
+    return [row[n:] for row in aug]

@@ -28,8 +28,7 @@ from .errors import InvariantError, NotMatchingCovered, OracleCap
 from .graphs import BLUE, ColoredBipartiteGraph, EdgeRecord
 from .matching import (
     TightSetCertificate,
-    find_tight_set,
-    is_brace,
+    _split_certificate,
     is_matching_covered,
 )
 
@@ -134,10 +133,9 @@ def _decompose(g, meta) -> DecompositionNode:
                 Split(graph, cert, crossing, left, right, left_has_bstar,
                       lmap, rmap)
             )
-        elif is_brace(graph):
+        elif (cert := _split_certificate(graph)) is None:  # a brace
             done.append(Leaf(graph, BraceBlock(graph, *data)))
         else:
-            cert = find_tight_set(graph)
             if cert.mirrored:
                 raise InvariantError(
                     "internal finder emits standard-form certificates"

@@ -29,6 +29,10 @@ directed cycle of D runs through that arc. Hence:
     not have, so N(B1) is inside A1 and |A1| = |B1| + 1. The certificate
     is still checked by certificate_ok before it is returned.
 
+is_brace and find_tight_set are both views of _split_certificate (None for
+a brace, else the certificate), so a caller that needs whichever applies,
+like the solver, builds and searches D once.
+
 Which perfect matching M is used does not change any of these answers.
 The matching search and the SCC pass are iterative, so the depth of an
 augmenting path or of D never meets Python's recursion limit.
@@ -294,10 +298,10 @@ def is_brace(g: ColoredBipartiteGraph) -> bool:
     connected after deleting any one vertex. Graphs with n <= 2 pass once
     matching-covered, which is the convention.
     """
-    d = _PairDigraph(g)
-    if not d.strongly_connected():
+    try:
+        return _split_certificate(g) is None
+    except NotMatchingCovered:
         return False
-    return g.n <= 2 or d.splitting_vertex() is None
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +332,29 @@ def certificate_ok(g: ColoredBipartiteGraph, cert: TightSetCertificate) -> bool:
     return neighborhood <= a1
 
 
+def _split_certificate(
+    g: ColoredBipartiteGraph,
+) -> Optional[TightSetCertificate]:
+    """None for a brace, else find_tight_set's certificate, from one D(G, M).
+
+    Raises NotMatchingCovered unless g is matching-covered, and
+    InvariantError if the certificate ever fails certificate_ok.
+    """
+    d = _PairDigraph(g)
+    if not d.strongly_connected():
+        raise NotMatchingCovered("find_tight_set needs a matching-covered graph")
+    v = d.splitting_vertex() if g.n > 2 else None
+    if v is None:
+        return None
+    source = d.sccs(skip=v)[-1]
+    cert = TightSetCertificate(
+        tuple(sorted(source + [v])), tuple(sorted(d.mate[i] for i in source))
+    )
+    if not certificate_ok(g, cert):
+        raise InvariantError(f"tight set {cert} fails certificate_ok")
+    return cert
+
+
 def find_tight_set(g: ColoredBipartiteGraph) -> TightSetCertificate:
     """Produce a tight set certificate for a non-brace matching-covered graph.
 
@@ -336,21 +363,12 @@ def find_tight_set(g: ColoredBipartiteGraph) -> TightSetCertificate:
     IsBrace when no vertex splits D, and InvariantError if the certificate
     ever fails certificate_ok.
     """
-    d = _PairDigraph(g)
-    if not d.strongly_connected():
-        raise NotMatchingCovered("find_tight_set needs a matching-covered graph")
+    cert = _split_certificate(g)
+    if cert is not None:
+        return cert
     if g.n <= 2:
         raise IsBrace(f"n = {g.n} matching-covered graphs are braces")
-    v = d.splitting_vertex()
-    if v is None:
-        raise IsBrace("D(G, M) stays strongly connected after any deletion")
-    source = d.sccs(skip=v)[-1]
-    cert = TightSetCertificate(
-        tuple(sorted(source + [v])), tuple(sorted(d.mate[i] for i in source))
-    )
-    if not certificate_ok(g, cert):
-        raise InvariantError(f"tight set {cert} fails certificate_ok")
-    return cert
+    raise IsBrace("D(G, M) stays strongly connected after any deletion")
 
 
 # ---------------------------------------------------------------------------

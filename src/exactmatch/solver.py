@@ -3,20 +3,26 @@
 The edge matrix at integer points (lam, x) has entry x^rho * (lam + i)^j for
 an edge (i, j) with rho = 1 for red, 0 for blue (multigraph cells weigh in
 as (blues + reds * x) * (lam + i)^j, and 0^0 = 1). Writing D(lam, x) for its
-determinant, the coefficient of x^t collects exactly the perfect matchings
-with t red edges, each contributing a signed monomial of total lam-degree
-n(n-1)/2. Hence:
+determinant, the coefficient c_t(lam) of x^t collects exactly the perfect
+matchings with t red edges, each contributing a signed monomial of total
+lam-degree n(n-1)/2. On a brace, c_t is a nonzero polynomial exactly when
+some perfect matching has t red edges, and the grid decides that exactly:
 
-  * evaluating D at x = 0..n and interpolating recovers the x-coefficients
-    exactly at each lam;
-  * a nonzero coefficient at any lam certifies the t-fiber polynomial is
-    not identically zero, i.e. (on a brace) some perfect matching has
-    exactly t red edges;
-  * after lam = 0..n(n-1)/2 all zero, the coefficient polynomial IS zero.
+  * c_t = 0 outside the exact red-count bounds [t_min, t_max] of the
+    assignment prefilter, so D = x^t_min * P(x) with deg P < m =
+    t_max - t_min + 1, and the values at x = 1..m give every c_t by one
+    inverse Vandermonde matrix;
+  * it works modulo the largest primes below 2^31: a nonzero residue of
+    c_t at any lam node certifies t;
+  * every lam-coefficient of c_t is at most C = coefficient_bound(g), the
+    smaller of the row-sum and column-sum products of A_ij =
+    mult_ij * (1 + i)^j, which bounds perm(A). If c_t vanishes at all
+    n(n-1)/2 + 1 lam nodes modulo each of k primes, each above the degree,
+    then every coefficient is divisible by their product; once that product
+    exceeds C, c_t = 0.
 
-For braces that nonvanishing test decides the t-fiber exactly. Non-brace
-graphs are decomposed: fixing which edge crosses a tight cut splits the
-rest of the matching into two independent induced subgraphs, so
+Non-brace graphs are decomposed: fixing which edge crosses a tight cut
+splits the rest of the matching into two independent induced subgraphs, so
 
   T(G) = union over crossing records (a, b, k) of
          k + T(G[A1 - a, B1]) + T(G[A2, B2 - b])
@@ -26,11 +32,14 @@ is the whole decision, and the report is its trace: a SolveTrace carries
 the memo and records each leaf the recursion settled, in the order it first
 evaluated them (a simple brace on the grid is "pure-ASNC", a piece with
 n <= 2 is "enumeration"), plus counts of subproblems, memo hits, braces,
-tight cuts and enumerated pieces.
+tight cuts, enumerated pieces and the grid's modular determinants.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -38,11 +47,19 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .algebra import IntMatrix, IntPolynomial, det_rows, interpolate
-from .errors import InvariantError, NoPerfectMatching
+from .algebra import (
+    IntMatrix,
+    IntPolynomial,
+    certificate_primes,
+    det_mod_batch,
+    det_rows,
+    interpolate,
+    inverse_mod,
+    reduce_mod,
+)
+from .errors import BadPrime, InvariantError, NoPerfectMatching
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
-from .matching import allowed_edges, find_tight_set, is_brace
-from .verify.core import red_count_set
+from .matching import _split_certificate, allowed_edges, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
@@ -61,6 +78,72 @@ def build_matrix_at(g: ColoredBipartiteGraph, lam: int, x: int) -> IntMatrix:
     return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
 
 
+def coefficient_bound(g: ColoredBipartiteGraph) -> int:
+    """C >= |every lam-coefficient of every x-coefficient c_t of det M|.
+
+    With A_ij = mult_ij * (1 + i)^j (mult_ij records in cell (i, j)), the
+    lam-coefficients of each prod_i (lam + i)^sigma(i) are nonnegative,
+    since i >= 0, and sum to prod_i (1 + i)^sigma(i). So every coefficient
+    is at most perm(A), which is at most the product of A's row sums and
+    the product of its column sums.
+    """
+    rows = [0] * g.n
+    cols = [0] * g.n
+    for (i, j), ks in g.cells.items():
+        a = len(ks) * (1 + i) ** j
+        rows[i] += a
+        cols[j] += a
+    return min(math.prod(rows), math.prod(cols))
+
+
+# Most int64 matrix entries one batched elimination holds, whatever n and
+# the number of nodes: it caps the grid's working memory.
+_GRID_BLOCK_ENTRIES = 1 << 15
+
+
+@functools.lru_cache(maxsize=None)
+def _x_inverse(t_min: int, m: int, p: int) -> np.ndarray:
+    """V^-1 mod p for V[x - 1][s] = x^(t_min + s), x = 1..m.
+
+    It maps the determinant residues at x = 1..m to the residues of
+    c_(t_min + s), s < m. Read-only, since the cache hands it to every caller.
+    """
+    v = [[pow(x, t_min + s, p) for s in range(m)] for x in range(1, m + 1)]
+    inv = np.array(inverse_mod(v, p), dtype=np.int64)
+    inv.setflags(write=False)
+    return inv
+
+
+def _coefficient_residues(
+    weights: np.ndarray, lams: np.ndarray, inv: np.ndarray, p: int
+) -> np.ndarray:
+    """c_(t_min + s)(lam) mod p, one row per lam in lams, one column per s.
+
+    weights[x - 1] is the cell weight matrix blue + red * x mod p for
+    x = 1..m, and inv is _x_inverse for the same t_min, m and p. The
+    matrices at every (lam, x) go through det_mod_batch in blocks of at
+    most _GRID_BLOCK_ENTRIES entries.
+    """
+    m, n = weights.shape[0], weights.shape[1]
+    base = (lams[:, None] + np.arange(n, dtype=np.int64)) % p  # (L, n)
+    powers = np.ones((len(lams), n, n), dtype=np.int64)  # (lam + i)^j
+    for j in range(1, n):
+        powers[:, :, j] = reduce_mod(powers[:, :, j - 1] * base, p)
+    lam_of = np.repeat(np.arange(len(lams)), m)
+    x_of = np.tile(np.arange(m), len(lams))
+    dets = np.empty(len(lam_of), dtype=np.int64)
+    per = max(1, _GRID_BLOCK_ENTRIES // (n * n))
+    for lo in range(0, len(dets), per):
+        hi = lo + per
+        mats = reduce_mod(powers[lam_of[lo:hi]] * weights[x_of[lo:hi]], p)
+        dets[lo:hi] = det_mod_batch(mats, p)
+    dets = dets.reshape(len(lams), m)
+    coeffs = np.zeros((len(lams), m), dtype=np.int64)
+    for x in range(m):
+        coeffs = reduce_mod(coeffs + dets[:, x, None] * inv[None, :, x], p)
+    return coeffs
+
+
 @dataclass(frozen=True)
 class EvaluationGrid:
     """Integer evaluation nodes covering the solver's degree bounds.
@@ -68,6 +151,8 @@ class EvaluationGrid:
     x runs over 0..n (the x-degree of the determinant is at most n) and lam
     over 0..n(n-1)/2 (every matching monomial has exactly that lam-degree,
     so a coefficient polynomial vanishing on all nodes is zero).
+    x_coefficients evaluates exactly at these nodes; nonvanishing_targets
+    uses the same lam nodes and x = 1..m modulo certificate primes.
     """
 
     lam_nodes: Tuple[int, ...]
@@ -100,23 +185,65 @@ class EvaluationGrid:
         return coeffs + [0] * (n + 1 - len(coeffs))
 
     def nonvanishing_targets(
-        self, g: ColoredBipartiteGraph, candidates: set[int]
+        self,
+        g: ColoredBipartiteGraph,
+        candidates: set[int],
+        trace: Optional[SolveTrace] = None,
     ) -> set[int]:
-        """Which candidate coefficients are nonzero polynomials in lam.
+        """Which candidate coefficients c_t are nonzero polynomials in lam.
 
-        Sweeps lam nodes, short-circuiting once every candidate has been
-        certified nonzero; candidates still unseen after the full sweep are
-        identically zero by the degree bound.
+        c_t = 0 outside red_count_bounds(g), and the x nodes are sized to
+        those bounds, never to the candidates. A nonzero residue of c_t at
+        any lam node mod any prime certifies t. Pass 1 works mod the first
+        prime over lam chunks of doubling size and stops once every
+        candidate is certified; pass 2 runs the other certificate primes
+        over all lam nodes for the candidates still open. A t still open
+        after that is zero mod every prime at every node, so c_t is
+        divisible by their product, which exceeds coefficient_bound(g):
+        c_t = 0. trace, when given, counts the modular determinants in
+        grid_dets.
         """
+        bounds = red_count_bounds(g)
+        if bounds is None:
+            return set()
+        t_min, t_max = bounds
+        open_ = {t for t in candidates if t_min <= t <= t_max}
+        if g.n == 0:
+            return open_
+        n, m, degree = g.n, t_max - t_min + 1, self.lam_nodes[-1]
+        primes = certificate_primes(coefficient_bound(g))
+        if min(primes) <= max(degree, m):
+            raise BadPrime(
+                f"certificate primes must exceed {max(degree, m)}: {primes}"
+            )
+        blue = np.zeros((n, n), dtype=np.int64)
+        red = np.zeros((n, n), dtype=np.int64)
+        for (i, j), ks in g.cells.items():
+            reds = sum(1 for k in ks if k == RED)
+            red[i, j] = reds
+            blue[i, j] = len(ks) - reds
+        x = np.arange(1, m + 1, dtype=np.int64)
+        # lam = 0 turns row 0 into a unit row, so the sweep starts at the top
+        lams = np.array(self.lam_nodes[::-1], dtype=np.int64)
+        block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
         found: set[int] = set()
-        remaining = set(candidates)
-        for lam in self.lam_nodes:
-            if not remaining:
-                break
-            vec = self.x_coefficients(g, lam)
-            hits = {t for t in remaining if vec[t] != 0}
-            found |= hits
-            remaining -= hits
+        dets = 0
+        for index, p in enumerate(primes):
+            weights = (blue + red * x[:, None, None]) % p
+            inv = _x_inverse(t_min, m, p)
+            start = 0
+            width = block if index else 1  # pass 1 chunks double from one
+            while open_ and start < len(lams):
+                chunk = lams[start : start + min(width, block)]
+                coeffs = _coefficient_residues(weights, chunk, inv, p)
+                dets += len(chunk) * m
+                hits = {t for t in open_ if coeffs[:, t - t_min].any()}
+                found |= hits
+                open_ -= hits
+                start += len(chunk)
+                width *= 2
+        if trace is not None:
+            trace.counts["grid_dets"] += dets
         return found
 
 
@@ -188,15 +315,19 @@ class SolveTrace:
     memo maps each subproblem key to its feasible set. blocks lists the
     leaves the recursion settled, one per subproblem, in the order they
     were first evaluated. counts tallies memo misses (subproblems), memo
-    hits, braces decided on the grid, tight cuts split and n <= 2 pieces
-    enumerated.
+    hits, braces decided on the grid, tight cuts split, n <= 2 pieces
+    enumerated and the modular determinants the grid evaluated (grid_dets,
+    summed over primes, lam and x nodes).
     """
 
     memo: dict = field(default_factory=dict)
     blocks: list[BlockReport] = field(default_factory=list)
     counts: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(
-            ("subproblems", "memo_hits", "braces", "tight_cuts", "enumerated"),
+            (
+                "subproblems", "memo_hits", "braces", "tight_cuts",
+                "enumerated", "grid_dets",
+            ),
             0,
         )
     )
@@ -235,11 +366,10 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
     n = g.n
     if n == 0:
         return frozenset({0})
-    bounds = red_count_bounds(g)
-    if bounds is None:
+    try:
+        core = allowed_edges(g)  # same perfect matchings, connected pieces now
+    except NoPerfectMatching:
         return frozenset()
-
-    core = allowed_edges(g)  # same perfect matchings, connected pieces now
     comps = core.components()
     if len(comps) > 1:
         acc = {0}
@@ -252,18 +382,24 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
             acc = {a + b for a in acc for b in part}
         return frozenset(acc)
 
-    if n <= 2:
-        result = frozenset(red_count_set(core))
+    if n <= 2:  # every column order, every record of each matched cell
+        result = frozenset(
+            sum(1 for k in ks if k == RED)
+            for perm in itertools.permutations(range(n))
+            for ks in itertools.product(
+                *(core.cells.get(cell, ()) for cell in enumerate(perm))
+            )
+        )
         return trace.settle("enumerated", "enumeration", n, result)
 
-    if is_brace(core):
-        t_min, t_max = bounds
+    cert = _split_certificate(core)  # None: core is a brace
+    if cert is None:
         grid = EvaluationGrid.for_size(n)
-        cands = set(range(t_min, t_max + 1))
-        result = frozenset(grid.nonvanishing_targets(core, cands))
+        result = frozenset(
+            grid.nonvanishing_targets(core, set(range(n + 1)), trace)
+        )
         return trace.settle("braces", "pure-ASNC", n, result)
 
-    cert = find_tight_set(core)
     trace.counts["tight_cuts"] += 1
     a1, b1 = set(cert.rows_a1), set(cert.cols_b1)
     a2 = [r for r in range(n) if r not in a1]

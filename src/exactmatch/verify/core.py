@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..algebra import IntPolynomial, P_ZERO, perm_sign
+from ..algebra import IntPolynomial, P_ZERO, is_probable_prime, perm_sign
 from ..errors import BadFamily, BadPrime, CapExceeded, UnsupportedSize
 from ..graphs import BLUE, RED, ColoredBipartiteGraph
 from ..matching import Matching
@@ -322,29 +322,6 @@ def universal_small_check(n: int) -> UniversalReport:
 # randomized modular agreement test
 
 
-def _is_probable_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % small == 0:
-            return m == small
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _det_mod(rows: list[list[int]], p: int) -> int:
     n = len(rows)
     det = 1
@@ -396,7 +373,7 @@ def mvv_test(
     exceed n(n-1) so the lam points stay meaningful.
     """
     n = g.n
-    if prime <= n * (n - 1) or not _is_probable_prime(prime):
+    if prime <= n * (n - 1) or not is_probable_prime(prime):
         raise BadPrime(f"need a prime above {n * (n - 1)}, got {prime}")
     if t < 0 or t > n:
         return False

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: polynomials, interpolation, determinants."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,15 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from exactmatch.algebra import (
+    MODULUS_CEILING,
     IntMatrix,
     IntPolynomial,
     LAM,
     P_ONE,
     P_ZERO,
     bareiss_det,
+    certificate_primes,
+    det_mod_batch,
     det_rows,
     interpolate,
+    inverse_mod,
+    is_probable_prime,
     perm_sign,
     poly_det,
     poly_divides,
@@ -24,6 +32,7 @@ from exactmatch.algebra import (
     poly_product,
 )
 from exactmatch.errors import DuplicateNode, NonIntegerResult, NotSquare, ZeroDivisor
+from exactmatch.verify.core import _det_mod
 
 small_coeffs = st.lists(st.integers(-9, 9), max_size=6)
 
@@ -290,3 +299,95 @@ def test_poly_divides_reconstructs_product(a, b):
             content = math.gcd(content, abs(c))
         assert content == 1
         assert q.coeffs[-1] > 0
+
+
+# ---------------------------------------------------------------------------
+# modular arithmetic
+
+P31 = MODULUS_CEILING - 1  # 2^31 - 1, the largest certificate prime
+
+
+def test_is_probable_prime_matches_trial_division():
+    def trial(m):
+        return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+    for m in list(range(-3, 3000)) + list(range(P31 - 200, P31 + 1)):
+        assert is_probable_prime(m) == trial(m), m
+
+
+def test_certificate_primes_are_the_fewest_largest_primes():
+    assert certificate_primes(0) == ()
+    assert certificate_primes(1) == (P31,)
+    assert certificate_primes(P31 - 1) == (P31,)
+    assert certificate_primes(P31) == (P31, 2147483629)
+    for bound in (10**20, 2**163, 3**200):
+        primes = certificate_primes(bound)
+        assert list(primes) == sorted(primes, reverse=True)
+        assert all(is_probable_prime(p) and p < MODULUS_CEILING for p in primes)
+        assert math.prod(primes) > bound >= math.prod(primes[:-1])
+    # nothing between consecutive certificate primes is prime
+    primes = certificate_primes(2**300)
+    for hi, lo in zip(primes, primes[1:]):
+        assert not any(is_probable_prime(q) for q in range(lo + 1, hi))
+
+
+def _stack(mats, n):
+    return np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_det_mod_batch_matches_det_mod(n):
+    rng = random.Random(4100 + n)
+    near = lambda: P31 - 1 - rng.randrange(4)  # noqa: E731
+    mats = []
+    for b in range(60):
+        kind = b % 5
+        if kind == 0:  # uniform residues
+            rows = [[rng.randrange(P31) for _ in range(n)] for _ in range(n)]
+        elif kind == 1:  # every entry near p
+            rows = [[near() for _ in range(n)] for _ in range(n)]
+        elif kind == 2:  # sparse: zero pivots force row swaps
+            rows = [
+                [rng.choice((0, 0, 0, 1, near(), rng.randrange(P31)))
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        elif kind == 3:  # a repeated row (mod p): singular
+            rows = [[rng.randrange(P31) for _ in range(n)] for _ in range(n)]
+            if n >= 2:
+                rows[-1] = list(rows[0])
+        else:  # a zero column: no pivot at all
+            rows = [[rng.randrange(P31) for _ in range(n)] for _ in range(n)]
+            for row in rows:
+                row[b % n] = 0
+        mats.append(rows)
+    stack = _stack(mats, n)
+    got = det_mod_batch(stack, P31)
+    assert (stack == _stack(mats, n)).all()  # the input is left alone
+    want = [_det_mod([list(r) for r in rows], P31) for rows in mats]
+    assert got.tolist() == want
+    assert want == [det_rows([list(r) for r in rows]) % P31 for rows in mats]
+
+
+def test_det_mod_batch_small_prime_sign_and_swaps():
+    # permutation matrices: the determinant is the sign, reduced mod p
+    p = 37
+    perms = list(itertools.permutations(range(4)))
+    mats = [[[int(perm[i] == j) for j in range(4)] for i in range(4)]
+            for perm in perms]
+    got = det_mod_batch(_stack(mats, 4), p)
+    assert got.tolist() == [perm_sign(perm) % p for perm in perms]
+
+
+def test_inverse_mod():
+    p = 101
+    rows = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
+    inv = inverse_mod(rows, p)
+    for i in range(3):
+        for j in range(3):
+            entry = sum(rows[i][k] * inv[k][j] for k in range(3)) % p
+            assert entry == int(i == j)
+    with pytest.raises(ZeroDivisor):
+        inverse_mod([[1, 2], [2, 4]], p)
+    with pytest.raises(ZeroDivisor):
+        inverse_mod([[p, 0], [0, 1]], p)

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from exactmatch.algebra import IntPolynomial, P_ZERO
+from exactmatch import solver
+from exactmatch.algebra import IntPolynomial, P_ZERO, is_probable_prime
+from exactmatch.decomposition import Split, decompose
+from exactmatch.errors import BadPrime
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -23,6 +26,7 @@ from exactmatch.solver import (
     SolveTrace,
     bench,
     build_matrix_at,
+    coefficient_bound,
     extract_witness,
     feasible_red_counts,
     pt_nonvanishing,
@@ -83,6 +87,200 @@ def test_pt_nonvanishing_on_brace_matches_fiber():
     counts = fiber_table(g).counts
     for t in range(5):
         assert pt_nonvanishing(g, t) == (counts.get(t, 0) > 0)
+
+
+# ---------------------------------------------------------------------------
+# modular certificate
+
+
+def exact_sweep(g, candidates):
+    """The exact reference: x_coefficients at every lam node."""
+    grid = EvaluationGrid.for_size(g.n)
+    vectors = [grid.x_coefficients(g, lam) for lam in grid.lam_nodes]
+    return {t for t in candidates if any(vec[t] for vec in vectors)}
+
+
+def _gap_colored(g):
+    # red iff row and column lie on opposite halves: every red count is even
+    h = g.n // 2
+    return ColoredBipartiteGraph.make(
+        g.n, [(r, c, RED if (r < h) != (c < h) else BLUE) for r, c, _ in g.edges]
+    )
+
+
+def _dense_gap_brace(n, seed):
+    """The first brace drawn at density 0.8 from seed up, gap-colored."""
+    while True:
+        g = random_graph(n, 0.8, 0.5, seed=seed, require_pm=True)
+        if is_brace(g):
+            return _gap_colored(g)
+        seed += 1
+
+
+def _random_braces():
+    out = []
+    seed = 12000
+    while len(out) < 28:
+        n = 3 + len(out) % 7
+        density = (0.5, 0.7, 0.85, 1.0)[len(out) // 7 % 4]
+        g = random_graph(n, density, 0.5, seed=seed, require_pm=True)
+        seed += 1
+        if is_brace(g):
+            out.append(pytest.param(g, id=f"random-n{n}-d{density}"))
+    return out
+
+
+def _decomposition_blocks():
+    # multigraph blocks included: crossing records keep their color
+    out = []
+    for name, g in [
+        ("band_path7", with_coloring(band_path(7), red="bernoulli", seed=2)),
+        ("band_path8", with_coloring(band_path(8), red="diag")),
+        ("biwheel6", with_coloring(biwheel(6), red="bernoulli", seed=3)),
+    ]:
+        stack = [decompose(g)]
+        while stack:
+            node = stack.pop()
+            out.append(pytest.param(node.graph, id=f"{name}-{len(out)}"))
+            if isinstance(node, Split):
+                stack += [node.left, node.right]
+    return out
+
+
+CERTIFICATE_CASES = (
+    _random_braces()
+    + [pytest.param(_dense_gap_brace(n, 12500 + n), id=f"gap-n{n}")
+       for n in range(4, 10)]
+    + [pytest.param(_gap_colored(biwheel(n)), id=f"gap-biwheel{n}")
+       for n in (5, 6, 8)]
+    + _decomposition_blocks()
+)
+
+
+def test_certificate_cases_cover_zeros_and_multigraphs():
+    graphs = [p.values[0] for p in CERTIFICATE_CASES]
+    assert any(g.multi and len(ks) > 1 for g in graphs for ks in g.cells.values())
+    holes = 0
+    for g in graphs:
+        t_min, t_max = red_count_bounds(g)
+        holes += len(exact_sweep(g, range(t_min, t_max + 1))) < t_max - t_min + 1
+    assert holes >= 6
+
+
+@pytest.mark.parametrize("g", CERTIFICATE_CASES)
+def test_nonvanishing_targets_match_exact_sweep(g):
+    t_min, t_max = red_count_bounds(g)
+    grid = EvaluationGrid.for_size(g.n)
+    want = exact_sweep(g, range(t_min, t_max + 1))
+    full = set(range(t_min, t_max + 1))
+    assert grid.nonvanishing_targets(g, full) == want
+    # the whole 0..n range, singletons, and targets outside the bounds
+    assert grid.nonvanishing_targets(g, set(range(g.n + 1))) == want
+    for t in range(-1, g.n + 2):
+        assert grid.nonvanishing_targets(g, {t}) == ({t} & want)
+
+
+def _small_primes_from(start):
+    def supply(bound):
+        primes, product, q = [], 1, start
+        while product <= bound:
+            q += 1
+            if is_probable_prime(q):
+                primes.append(q)
+                product *= q
+        return tuple(primes)
+
+    return supply
+
+
+SMALL_CASES = [p for p in CERTIFICATE_CASES if p.values[0].n <= 6]
+
+
+def _just_above_degree(g):
+    t_min, t_max = red_count_bounds(g)
+    return _small_primes_from(max(g.n * (g.n - 1) // 2, t_max - t_min + 1))
+
+
+@pytest.mark.parametrize("g", SMALL_CASES)
+def test_small_primes_keep_the_certificate_exact(g, monkeypatch):
+    # primes just above the degree make accidental zero residues common; a
+    # zero is only believed once their product exceeds the bound
+    monkeypatch.setattr(solver, "certificate_primes", _just_above_degree(g))
+    t_min, t_max = red_count_bounds(g)
+    full = set(range(t_min, t_max + 1))
+    grid = EvaluationGrid.for_size(g.n)
+    assert grid.nonvanishing_targets(g, full) == exact_sweep(g, full)
+
+
+def test_small_primes_do_hit_accidental_zeros():
+    # many nonzero c_t vanish mod the first small prime at lam = n(n-1)/2,
+    # the node the sweep tries first, so the test above is not vacuous
+    accidental = 0
+    for param in SMALL_CASES:
+        g = param.values[0]
+        p = _just_above_degree(g)(1)[0]
+        grid = EvaluationGrid.for_size(g.n)
+        top = grid.x_coefficients(g, grid.lam_nodes[-1])
+        t_min, t_max = red_count_bounds(g)
+        for t in exact_sweep(g, range(t_min, t_max + 1)):
+            accidental += top[t] % p == 0
+    assert accidental >= 10
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_coefficient_bound_covers_symbolic_coefficients(seed):
+    n = 1 + seed % 6
+    if seed % 3 == 2:  # multigraph: parallel records of both colors
+        rng = random.Random(12900 + seed)
+        edges = [(i, j, k) for i in range(n) for j in range(n) for k in (BLUE, RED)
+                 if rng.random() < 0.6]
+        g = ColoredBipartiteGraph.make(n, edges, multi=True)
+    else:
+        g = random_graph(n, 0.8, 0.5, seed=12900 + seed)
+    bound = coefficient_bound(g)
+    biggest = max(
+        (abs(c) for t in range(n + 1) for c in symbolic_pt(g, t).coeffs),
+        default=0,
+    )
+    assert bound >= biggest
+
+
+def test_coefficient_bound_is_row_or_column_sum_product():
+    # A = [[1, 1], [1, 2]] for knn(2): rows 2 * 3 = 6, columns 2 * 3 = 6
+    assert coefficient_bound(knn(2)) == 6
+    assert coefficient_bound(ColoredBipartiteGraph.make(0, [])) == 1
+
+
+def test_prime_at_or_below_degree_raises_bad_prime(monkeypatch):
+    # k44_diag: degree n(n-1)/2 = 6, m = 5 x nodes; k33 diag: degree 3, m = 4
+    k33 = with_coloring(knn(3), red="diag")
+    for g, p in ((k44_diag(), 5), (k33, 3), (k33, 2)):
+        grid = EvaluationGrid.for_size(g.n)
+        monkeypatch.setattr(
+            solver, "certificate_primes", lambda bound, p=p: (p,) * 40
+        )
+        with pytest.raises(BadPrime):
+            grid.nonvanishing_targets(g, set(range(g.n + 1)))
+    # the next primes up are fine
+    for g, start in ((k44_diag(), 6), (k33, 4)):
+        grid = EvaluationGrid.for_size(g.n)
+        monkeypatch.setattr(solver, "certificate_primes", _small_primes_from(start))
+        want = exact_sweep(g, range(g.n + 1))
+        assert grid.nonvanishing_targets(g, set(range(g.n + 1))) == want
+
+
+def test_grid_dets_count_the_modular_determinants():
+    g = k44_diag()
+    # t = 3 is identically zero: the one prime (C < 2^31) sweeps all 7 lam
+    # nodes at the 5 x nodes
+    assert solve(g, 3).counts["grid_dets"] == 7 * 5
+    gap = _dense_gap_brace(8, 12500 + 8)
+    first, again = solve(gap, 1), solve(gap, 1)
+    assert first.counts == again.counts and first.blocks == again.blocks
+    primes = solver.certificate_primes(coefficient_bound(gap))
+    t_min, t_max = red_count_bounds(gap)
+    # odd targets are zeros: every prime sweeps all 29 lam nodes
+    assert first.counts["grid_dets"] == len(primes) * 29 * (t_max - t_min + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +397,7 @@ def test_solve_json_schema():
     assert d["blocks"][0]["feasible_t"] == [0, 1, 2, 4]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0,
+        "enumerated": 0, "grid_dets": 35,
     }
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
@@ -260,25 +458,27 @@ def test_non_brace_with_multi_blocks_still_sound():
     assert feasible_red_counts(g) == frozenset(red_count_set(g))
 
 
-def _gap_colored(g):
-    # red iff row and column lie on opposite halves: every red count is even
-    h = g.n // 2
-    return ColoredBipartiteGraph.make(
-        g.n, [(r, c, RED if (r < h) != (c < h) else BLUE) for r, c, _ in g.edges]
-    )
-
-
 PAST_CAP_FAMILIES = {
     "random-0.3": lambda n: random_graph(n, 0.3, 0.5, seed=9900 + n, require_pm=True),
     "random-0.7": lambda n: random_graph(n, 0.7, 0.5, seed=9950 + n, require_pm=True),
     "gap-brace": lambda n: _gap_colored(biwheel(n)),
+    "gap-dense": lambda n: _dense_gap_brace(n, 13000 + n),
     "band_path": lambda n: with_coloring(band_path(n), red="bernoulli", seed=n),
     "biwheel": lambda n: with_coloring(biwheel(n), red="bernoulli", seed=n),
 }
+# Dense gap-colored braces stop at n = 11: their witnesses, one self-reduction
+# per YES target, take longest of all families.
+PAST_CAP_SIZES = {"gap-dense": range(9, 12)}
 
 
-@pytest.mark.parametrize("n", range(9, 13))
-@pytest.mark.parametrize("family", sorted(PAST_CAP_FAMILIES))
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        pytest.param(family, n, id=f"{family}-{n}")
+        for family in sorted(PAST_CAP_FAMILIES)
+        for n in PAST_CAP_SIZES.get(family, range(9, 13))
+    ],
+)
 def test_decisions_past_enumeration_cap_match_dp_oracle(family, n):
     # solve decides t by membership in feasible_red_counts, so one call
     # decides every target 0..n; each YES then goes through solve itself
