@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Fuzz the solver against the column-subset DP oracle under a time budget.
 
-Draws random colored instances, compares every target's decision with the
-DP oracle's achievable red counts, and stops at --budget seconds or
---max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red iff
-row and column lie on opposite halves), so every red count is even and the
-odd targets inside its bounds are zeros the grid must certify. Any disagreement prints the instance in wire format and
-aborts, so the output is a ready-made regression fixture.
+Draws random colored instances and compares the solver's achievable set,
+one feasible_red_counts call per instance, with the DP oracle's: solve
+decides t by membership in that set, so this checks every target 0..n.
+One YES target per instance then goes through solve(..., want_witness=True)
+and its witness is checked against the graph. The run stops at --budget
+seconds or --max-instances. One draw in GAP_SHARE is a dense graph
+gap-colored (red iff row and column lie on opposite halves), so every red
+count is even and the odd targets inside its bounds are zeros the grid must
+certify. Any disagreement or bad witness prints the instance in wire format
+and aborts, so the output is a ready-made regression fixture.
 
-    python3 scripts/fuzz_decisions.py --budget 30 --max-n 12
+    python3 scripts/fuzz_decisions.py --budget 60 --max-n 14
 """
 
 import argparse
@@ -25,7 +29,7 @@ from exactmatch.graphs import (
     random_graph,
     serialize_ebg,
 )
-from exactmatch.solver import solve
+from exactmatch.solver import SolverOptions, feasible_red_counts, solve
 from exactmatch.verify.core import red_count_set_dp
 
 
@@ -44,6 +48,17 @@ def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
     )
 
 
+def witness_ok(g: ColoredBipartiteGraph, t: int, witness) -> bool:
+    """A perfect matching of g made of its records, with t red ones."""
+    return (
+        witness is not None
+        and sorted(r for r, _, _ in witness) == list(range(g.n))
+        and sorted(c for _, c, _ in witness) == list(range(g.n))
+        and all(tuple(rec) in g.edges for rec in witness)
+        and sum(1 for _, _, k in witness if k == RED) == t
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budget", type=float, default=30.0, help="seconds")
@@ -56,7 +71,7 @@ def main(argv=None) -> int:
 
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
-    instances = decisions = 0
+    instances = decisions = witnesses = 0
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         if instances % GAP_SHARE == GAP_SHARE - 1:
@@ -71,17 +86,28 @@ def main(argv=None) -> int:
                 red_prob=rng.choice((0.1, 0.3, 0.5, 0.8)),
                 seed=rng.randrange(1 << 30),
             )
-        feasible = red_count_set_dp(g)
+        want = red_count_set_dp(g)
+        got = feasible_red_counts(g)
         instances += 1
-        for t in range(n + 1):
-            decisions += 1
-            got = solve(g, t).decision
-            want = t in feasible
-            if got != want:
-                print(f"DISAGREEMENT at t={t}: solve={got} dp-oracle={want}")
+        decisions += n + 1
+        wrong = [t for t in range(n + 1) if (t in got) != (t in want)]
+        if wrong:
+            t = wrong[0]
+            print(f"DISAGREEMENT at t={t}: solver={t in got} dp-oracle={t in want}")
+            sys.stdout.write(serialize_ebg(g))
+            return 1
+        if want:
+            t = rng.choice(sorted(want))
+            witness = solve(g, t, SolverOptions(want_witness=True)).witness
+            witnesses += 1
+            if not witness_ok(g, t, witness):
+                print(f"BAD WITNESS at t={t}: {witness}")
                 sys.stdout.write(serialize_ebg(g))
                 return 1
-    print(f"ok: {instances} instances, {decisions} decisions, 0 disagreements")
+    print(
+        f"ok: {instances} instances, {decisions} decisions, "
+        f"{witnesses} witnesses, 0 disagreements"
+    )
     return 0
 
 

@@ -24,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .errors import InvariantError, NotMatchingCovered, OracleCap
+from .errors import InvariantError, OracleCap
 from .graphs import BLUE, ColoredBipartiteGraph, EdgeRecord
-from .matching import (
-    TightSetCertificate,
-    _split_certificate,
-    is_matching_covered,
-)
+from .matching import TightSetCertificate, _split_certificate
 
 Origin = Tuple[Optional[int], ...]
 
@@ -92,11 +88,11 @@ DecompositionNode = Union[Leaf, Split]
 
 
 def decompose(g: ColoredBipartiteGraph) -> DecompositionNode:
-    """Build the full tight-cut decomposition tree of a matching-covered graph."""
-    if not is_matching_covered(g):
-        raise NotMatchingCovered("decompose needs a matching-covered graph")
-    meta = _identity_meta(g)
-    return _decompose(g, meta)
+    """Build the full tight-cut decomposition tree of a matching-covered graph.
+
+    Raises NotMatchingCovered unless g is matching-covered.
+    """
+    return _decompose(g, _identity_meta(g))
 
 
 def _identity_meta(
@@ -112,6 +108,7 @@ def _identity_meta(
 def _decompose(g, meta) -> DecompositionNode:
     """Post-order over an explicit stack, so depth is not bounded by the
     interpreter's recursion limit: a split is built once both blocks are.
+    Each graph is checked and split from its one D(G, M).
 
     todo holds ("block", graph, meta) entries still to decide and
     ("split", graph, parts) entries waiting on their two finished blocks,
@@ -133,19 +130,21 @@ def _decompose(g, meta) -> DecompositionNode:
                 Split(graph, cert, crossing, left, right, left_has_bstar,
                       lmap, rmap)
             )
-        elif (cert := _split_certificate(graph)) is None:  # a brace
+            continue
+        cert = _split_certificate(graph)
+        if cert is None:  # a brace
             done.append(Leaf(graph, BraceBlock(graph, *data)))
-        else:
-            if cert.mirrored:
-                raise InvariantError(
-                    "internal finder emits standard-form certificates"
-                )
-            bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(
-                graph, data, cert
+            continue
+        if cert.mirrored:
+            raise InvariantError(
+                "internal finder emits standard-form certificates"
             )
-            todo.append(("split", graph, (cert, crossing, lmap, rmap)))
-            todo.append(("block", apart, ameta))
-            todo.append(("block", bpart, bmeta))
+        bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(
+            graph, data, cert
+        )
+        todo.append(("split", graph, (cert, crossing, lmap, rmap)))
+        todo.append(("block", apart, ameta))
+        todo.append(("block", bpart, bmeta))
     return done.pop()
 
 

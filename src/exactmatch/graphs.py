@@ -125,7 +125,10 @@ class ColoredBipartiteGraph:
         """Induced subgraph on the given rows/cols, relabeled 0..k-1.
 
         Row/col order follows the sorted original labels; both sides must
-        have equal size (the result is square by construction).
+        have equal size (the result is square by construction), and every
+        label must lie in 0..n-1. The relabeling is monotone, so the kept
+        records of a valid graph come out sorted and valid as they are,
+        with no second pass through make.
         """
         rows = sorted(rows)
         cols = sorted(cols)
@@ -134,14 +137,23 @@ class ColoredBipartiteGraph:
                 f"induced subgraph must stay balanced: {len(rows)} rows, "
                 f"{len(cols)} columns"
             )
-        rmap = {r: i for i, r in enumerate(rows)}
-        cmap = {c: j for j, c in enumerate(cols)}
-        sub = [
+        if rows and not (
+            0 <= rows[0] and rows[-1] < self.n
+            and 0 <= cols[0] and cols[-1] < self.n
+        ):
+            raise BadParams(f"induced labels must lie in 0..{self.n - 1}")
+        rmap = [-1] * self.n
+        cmap = [-1] * self.n
+        for i, r in enumerate(rows):
+            rmap[r] = i
+        for j, c in enumerate(cols):
+            cmap[c] = j
+        sub = tuple(
             (rmap[r], cmap[c], k)
             for r, c, k in self.edges
-            if r in rmap and c in cmap
-        ]
-        return ColoredBipartiteGraph.make(len(rows), sub, self.multi)
+            if rmap[r] >= 0 and cmap[c] >= 0
+        )
+        return ColoredBipartiteGraph(len(rows), sub, self.multi)
 
     def without(
         self, del_rows: Iterable[int] = (), del_cols: Iterable[int] = ()

@@ -10,18 +10,23 @@ answered from one digraph. Fix a perfect matching M (row i -> column M(i))
 and let D = D(G, M) have one vertex per matched pair i and an arc i -> j
 whenever row i meets column M(j), j != i. A non-matching cell (i, M(j)) is
 the arc i -> j, and it lies in an M-alternating cycle exactly when a
-directed cycle of D runs through that arc. Hence:
+directed cycle of D runs through that arc.
 
-  * allowed_edges keeps M plus every cell whose two pairs i, j share a
-    strongly connected component (SCC) of D;
-  * is_matching_covered holds iff n >= 1, M is perfect and D is strongly
-    connected (a weakly connected digraph whose every arc is on a cycle
-    is strongly connected, and G is connected iff D is weakly connected);
+One private primitive, _elementary(g), builds D once and returns None when
+g has no perfect matching, else the elementary blocks: the SCCs of D, each
+as its pairs and their columns, ordered by smallest row (Lovasz-Plummer,
+Matching Theory). For a single block it also yields, on request, the
+tight-set certificate, None for a brace. Every public question is a view:
+
+  * allowed_edges keeps the records whose row and column share a block;
+  * is_matching_covered holds iff there is exactly one block (n >= 1): a
+    weakly connected digraph whose every arc is on a cycle is strongly
+    connected, and G is connected iff D is weakly connected;
   * is_brace: a bipartite graph is k-extendable iff D is strongly
-    k-connected (Robertson-Seymour-Thomas 1999; Lovasz-Plummer, Matching
-    Theory). For n >= 3 a brace is therefore a strongly connected D that
-    stays strongly connected after deleting any one vertex v. Graphs with
-    n <= 2 are braces exactly when matching-covered, by convention;
+    k-connected (Robertson-Seymour-Thomas 1999). For n >= 3 a brace is
+    therefore a strongly connected D that stays strongly connected after
+    deleting any one vertex v. Graphs with n <= 2 are braces exactly when
+    matching-covered, by convention;
   * find_tight_set takes the first v whose deletion splits D and the
     source SCC S of D - v that Tarjan's pass emits last. Then
     A1 = S + {v} and B1 = M(S): a row outside A1 meeting a column M(s)
@@ -30,8 +35,9 @@ directed cycle of D runs through that arc. Hence:
     is still checked by certificate_ok before it is returned.
 
 is_brace and find_tight_set are both views of _split_certificate (None for
-a brace, else the certificate), so a caller that needs whichever applies,
-like the solver, builds and searches D once.
+a brace, else the certificate). The solver's recursion and the tight-cut
+decomposition call the primitive once per graph, so each of their graphs
+has exactly one D built and searched.
 
 Which perfect matching M is used does not change any of these answers.
 The matching search and the SCC pass are iterative, so the depth of an
@@ -170,10 +176,9 @@ def has_perfect_matching(g: ColoredBipartiteGraph) -> bool:
 class _PairDigraph:
     """D(G, M) for a maximum matching M of g; see the module docstring.
 
-    mate[i] is M's column for row i (None if unmatched). pair_of_col and
-    the arcs exist only when M is perfect: pair_of_col[c] is the row matched
-    to column c, and arcs[i] lists the pairs j != i whose column row i
-    meets, in column order.
+    mate[i] is M's column for row i (None if unmatched). The arcs exist
+    only when M is perfect: arcs[i] lists the pairs j != i whose column
+    row i meets, in column order.
     """
 
     def __init__(self, g: ColoredBipartiteGraph):
@@ -181,13 +186,13 @@ class _PairDigraph:
         self.n = n
         self.mate = _max_assignment(n, g.row_adj)
         self.perfect = None not in self.mate
-        self.pair_of_col = [0] * n
         self.arcs: Tuple[Tuple[int, ...], ...] = ()
         if self.perfect:
+            pair_of_col = [0] * n
             for i, c in enumerate(self.mate):
-                self.pair_of_col[c] = i
+                pair_of_col[c] = i
             self.arcs = tuple(
-                tuple(self.pair_of_col[c] for c in adj if c != self.mate[i])
+                tuple(pair_of_col[c] for c in adj if c != self.mate[i])
                 for i, adj in enumerate(g.row_adj)
             )
 
@@ -243,65 +248,14 @@ class _PairDigraph:
                         out.append(comp)
         return out
 
-    def strongly_connected(self) -> bool:
-        """D exists (n >= 1, M perfect) and has a single SCC."""
-        return self.n >= 1 and self.perfect and len(self.sccs()) == 1
-
-    def splitting_vertex(self) -> Optional[int]:
-        """First v with D - v not strongly connected (D itself is, n >= 3)."""
+    def split(self) -> Optional[Tuple[int, list[list[int]]]]:
+        """First v whose deletion splits D (D itself is strongly connected,
+        n >= 3), with the SCCs of D - v; None when no deletion splits D."""
         for v in range(self.n):
-            if len(self.sccs(skip=v)) > 1:
-                return v
+            comps = self.sccs(skip=v)
+            if len(comps) > 1:
+                return v, comps
         return None
-
-
-# ---------------------------------------------------------------------------
-# allowed edges and matching-covered
-
-
-def allowed_edges(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
-    """Subgraph of edges lying in at least one perfect matching.
-
-    Keeps the matched cells of M and every cell (i, M(j)) whose pairs i and
-    j share an SCC of D(G, M). Raises NoPerfectMatching when the graph has
-    none.
-    """
-    d = _PairDigraph(g)
-    if not d.perfect:
-        size = sum(1 for c in d.mate if c is not None)
-        raise NoPerfectMatching(f"maximum matching has size {size} < {g.n}")
-    comp_of = [0] * g.n
-    for idx, comp in enumerate(d.sccs()):
-        for v in comp:
-            comp_of[v] = idx
-    kept = [
-        rec
-        for rec in g.edges
-        if comp_of[rec[0]] == comp_of[d.pair_of_col[rec[1]]]
-    ]
-    return ColoredBipartiteGraph.make(g.n, kept, g.multi)
-
-
-def is_matching_covered(g: ColoredBipartiteGraph) -> bool:
-    """Connected and every edge lies in some perfect matching."""
-    return _PairDigraph(g).strongly_connected()
-
-
-# ---------------------------------------------------------------------------
-# braces
-
-
-def is_brace(g: ColoredBipartiteGraph) -> bool:
-    """Every two vertex-disjoint edges extend to a perfect matching.
-
-    Decided on D(G, M): strongly connected, and for n >= 3 still strongly
-    connected after deleting any one vertex. Graphs with n <= 2 pass once
-    matching-covered, which is the convention.
-    """
-    try:
-        return _split_certificate(g) is None
-    except NotMatchingCovered:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +286,94 @@ def certificate_ok(g: ColoredBipartiteGraph, cert: TightSetCertificate) -> bool:
     return neighborhood <= a1
 
 
+# ---------------------------------------------------------------------------
+# the primitive: elementary blocks and the split, from one D(G, M)
+
+Block = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (rows, cols), both sorted
+
+
+class _Elementary:
+    """What one D(G, M) says about a graph g that has a perfect matching.
+
+    blocks are the SCCs of D as (rows, cols): rows the pairs of the SCC,
+    cols their columns M(rows), ordered by smallest row. They are the
+    connected components of allowed_edges(g), in components() order, and
+    g induces each one directly: a cell of g inside an SCC is an arc of it
+    or a matched cell, so it is allowed. g is matching-covered exactly when
+    there is one block (n >= 1), and then g is its own allowed-edge graph.
+    """
+
+    def __init__(self, g: ColoredBipartiteGraph, d: _PairDigraph):
+        self._g = g
+        self._d = d
+        self.blocks: Tuple[Block, ...] = tuple(
+            (tuple(rows), tuple(sorted(d.mate[i] for i in rows)))
+            for rows in sorted(sorted(comp) for comp in d.sccs())
+        )
+
+    def split_certificate(self) -> Optional[TightSetCertificate]:
+        """None for a brace, else find_tight_set's certificate.
+
+        With v the first vertex whose deletion splits D and S the source
+        SCC of D - v, the certificate is A1 = S + {v}, B1 = M(S). Raises
+        NotMatchingCovered unless g is one block, and InvariantError if
+        the certificate ever fails certificate_ok.
+        """
+        if len(self.blocks) != 1:
+            raise NotMatchingCovered("the graph is not matching-covered")
+        found = self._d.split() if self._g.n > 2 else None
+        if found is None:
+            return None
+        v, comps = found
+        source = comps[-1]
+        cert = TightSetCertificate(
+            tuple(sorted(source + [v])),
+            tuple(sorted(self._d.mate[i] for i in source)),
+        )
+        if not certificate_ok(self._g, cert):
+            raise InvariantError(f"tight set {cert} fails certificate_ok")
+        return cert
+
+
+def _elementary(g: ColoredBipartiteGraph) -> Optional[_Elementary]:
+    """None when g has no perfect matching, else its _Elementary."""
+    d = _PairDigraph(g)
+    return _Elementary(g, d) if d.perfect else None
+
+
+# ---------------------------------------------------------------------------
+# views: allowed edges, matching-covered, braces, tight sets
+
+
+def allowed_edges(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
+    """Subgraph of edges lying in at least one perfect matching.
+
+    Keeps every record whose row and column lie in the same elementary
+    block. Raises NoPerfectMatching when the graph has none.
+    """
+    elem = _elementary(g)
+    if elem is None:
+        raise NoPerfectMatching(f"no perfect matching on {g.n} + {g.n} vertices")
+    block_of_row = [0] * g.n
+    block_of_col = [0] * g.n
+    for idx, (rows, cols) in enumerate(elem.blocks):
+        for r in rows:
+            block_of_row[r] = idx
+        for c in cols:
+            block_of_col[c] = idx
+    # a subsequence of g's sorted, valid records is sorted and valid
+    kept = tuple(
+        rec for rec in g.edges if block_of_row[rec[0]] == block_of_col[rec[1]]
+    )
+    return ColoredBipartiteGraph(g.n, kept, g.multi)
+
+
+def is_matching_covered(g: ColoredBipartiteGraph) -> bool:
+    """Connected and every edge lies in some perfect matching."""
+    elem = _elementary(g)
+    return elem is not None and len(elem.blocks) == 1
+
+
 def _split_certificate(
     g: ColoredBipartiteGraph,
 ) -> Optional[TightSetCertificate]:
@@ -340,19 +382,23 @@ def _split_certificate(
     Raises NotMatchingCovered unless g is matching-covered, and
     InvariantError if the certificate ever fails certificate_ok.
     """
-    d = _PairDigraph(g)
-    if not d.strongly_connected():
-        raise NotMatchingCovered("find_tight_set needs a matching-covered graph")
-    v = d.splitting_vertex() if g.n > 2 else None
-    if v is None:
-        return None
-    source = d.sccs(skip=v)[-1]
-    cert = TightSetCertificate(
-        tuple(sorted(source + [v])), tuple(sorted(d.mate[i] for i in source))
-    )
-    if not certificate_ok(g, cert):
-        raise InvariantError(f"tight set {cert} fails certificate_ok")
-    return cert
+    elem = _elementary(g)
+    if elem is None:
+        raise NotMatchingCovered("the graph has no perfect matching")
+    return elem.split_certificate()
+
+
+def is_brace(g: ColoredBipartiteGraph) -> bool:
+    """Every two vertex-disjoint edges extend to a perfect matching.
+
+    Decided on D(G, M): strongly connected, and for n >= 3 still strongly
+    connected after deleting any one vertex. Graphs with n <= 2 pass once
+    matching-covered, which is the convention.
+    """
+    try:
+        return _split_certificate(g) is None
+    except NotMatchingCovered:
+        return False
 
 
 def find_tight_set(g: ColoredBipartiteGraph) -> TightSetCertificate:

@@ -21,18 +21,27 @@ some perfect matching has t red edges, and the grid decides that exactly:
     then every coefficient is divisible by their product; once that product
     exceeds C, c_t = 0.
 
-Non-brace graphs are decomposed: fixing which edge crosses a tight cut
-splits the rest of the matching into two independent induced subgraphs, so
+Every other graph is reduced first. One D(G, M) per subproblem
+(matching._elementary) gives either no perfect matching, or the elementary
+blocks -- the SCCs of D, which are the connected pieces of the
+allowed-edge graph -- or, for a single block, a brace or a tight cut.
+Blocks multiply independently (sumset), and each is induced from the
+subproblem's own graph: a cell inside one SCC is an arc of it, so it is
+allowed, and a single block is its own allowed-edge graph. At a tight cut
+(A1, B1), fixing which record crosses splits the rest of the matching into
+two independent induced subgraphs, so
 
   T(G) = union over crossing records (a, b, k) of
          k + T(G[A1 - a, B1]) + T(G[A2, B2 - b])
 
-which is what feasible_red_counts recurses on (memoized). That recursion
-is the whole decision, and the report is its trace: a SolveTrace carries
-the memo and records each leaf the recursion settled, in the order it first
-evaluated them (a simple brace on the grid is "pure-ASNC", a piece with
-n <= 2 is "enumeration"), plus counts of subproblems, memo hits, braces,
-tight cuts, enumerated pieces and the grid's modular determinants.
+where the left set depends only on a and the right only on b, so each is
+evaluated once per distinct row or column. feasible_red_counts recurses on
+this (memoized by the subgraph's records). That recursion is the whole
+decision, and the report is its trace: a SolveTrace carries the memo and
+records each leaf the recursion settled, in the order it first evaluated
+them (a simple brace on the grid is "pure-ASNC", a piece with n <= 2 is
+"enumeration"), plus counts of subproblems, memo hits, braces, tight cuts,
+enumerated pieces, the grid's modular determinants and the recursion depth.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from .algebra import (
 )
 from .errors import BadPrime, InvariantError, NoPerfectMatching
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
-from .matching import _split_certificate, allowed_edges, is_brace
+from .matching import _elementary, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
@@ -316,8 +325,10 @@ class SolveTrace:
     leaves the recursion settled, one per subproblem, in the order they
     were first evaluated. counts tallies memo misses (subproblems), memo
     hits, braces decided on the grid, tight cuts split, n <= 2 pieces
-    enumerated and the modular determinants the grid evaluated (grid_dets,
-    summed over primes, lam and x nodes).
+    enumerated, the modular determinants the grid evaluated (grid_dets,
+    summed over primes, lam and x nodes) and the deepest nesting of
+    feasible_red_counts calls, memo hits included (depth; the root call
+    counts as 1). level is the nesting of the call running now.
     """
 
     memo: dict = field(default_factory=dict)
@@ -326,11 +337,12 @@ class SolveTrace:
         default_factory=lambda: dict.fromkeys(
             (
                 "subproblems", "memo_hits", "braces", "tight_cuts",
-                "enumerated", "grid_dets",
+                "enumerated", "grid_dets", "depth",
             ),
             0,
         )
     )
+    level: int = 0
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
         """Record a leaf decided without a split; returns its result."""
@@ -345,75 +357,86 @@ def feasible_red_counts(
 ) -> frozenset:
     """The exact set of achievable red counts over perfect matchings.
 
-    Components multiply independently (sumset); matching-covered components
-    are decided by the brace grid test or recursively through tight-cut
-    crossing records. The recursion only ever evaluates determinant tables
-    on simple braces, where fiber-nonemptiness and coefficient
-    nonvanishing coincide.
+    Elementary blocks multiply independently (sumset); a matching-covered
+    graph is decided by the brace grid test or recursively through its
+    tight-cut crossing records. Every subproblem is induced from the input
+    graph, so the recursion only ever evaluates determinant tables on
+    simple braces, where fiber-nonemptiness and coefficient nonvanishing
+    coincide.
     """
     if trace is None:
         trace = SolveTrace()
-    key = (g.n, g.edges, g.multi)
-    if key in trace.memo:
-        trace.counts["memo_hits"] += 1
-        return trace.memo[key]
-    trace.counts["subproblems"] += 1
-    trace.memo[key] = result = _feasible(g, trace)
-    return result
+    trace.level += 1
+    if trace.level > trace.counts["depth"]:
+        trace.counts["depth"] = trace.level
+    try:
+        key = (g.n, g.edges, g.multi)
+        if key in trace.memo:
+            trace.counts["memo_hits"] += 1
+            return trace.memo[key]
+        trace.counts["subproblems"] += 1
+        trace.memo[key] = result = _feasible(g, trace)
+        return result
+    finally:
+        trace.level -= 1
 
 
 def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
     n = g.n
     if n == 0:
         return frozenset({0})
-    try:
-        core = allowed_edges(g)  # same perfect matchings, connected pieces now
-    except NoPerfectMatching:
-        return frozenset()
-    comps = core.components()
-    if len(comps) > 1:
+    elem = _elementary(g)  # the one D(G, M) of this subproblem
+    if elem is None:
+        return frozenset()  # no perfect matching
+    if len(elem.blocks) > 1:  # the elementary blocks, induced on g itself
         acc = {0}
-        for rows, cols in comps:
-            if len(rows) != len(cols):
-                return frozenset()  # unbalanced piece cannot be matched
-            part = feasible_red_counts(core.induced(rows, cols), trace)
-            if not part:
-                return frozenset()
+        for rows, cols in elem.blocks:
+            part = feasible_red_counts(g.induced(rows, cols), trace)
             acc = {a + b for a in acc for b in part}
         return frozenset(acc)
 
+    # one block: g is matching-covered, so every record is allowed
     if n <= 2:  # every column order, every record of each matched cell
         result = frozenset(
             sum(1 for k in ks if k == RED)
             for perm in itertools.permutations(range(n))
             for ks in itertools.product(
-                *(core.cells.get(cell, ()) for cell in enumerate(perm))
+                *(g.cells.get(cell, ()) for cell in enumerate(perm))
             )
         )
         return trace.settle("enumerated", "enumeration", n, result)
 
-    cert = _split_certificate(core)  # None: core is a brace
+    cert = elem.split_certificate()  # None: g is a brace
     if cert is None:
         grid = EvaluationGrid.for_size(n)
         result = frozenset(
-            grid.nonvanishing_targets(core, set(range(n + 1)), trace)
+            grid.nonvanishing_targets(g, set(range(n + 1)), trace)
         )
         return trace.settle("braces", "pure-ASNC", n, result)
 
+    # T(G[A1 - a, B1]) depends only on a and T(G[A2, B2 - b]) only on b:
+    # each is evaluated once, in the order the crossing records first ask
     trace.counts["tight_cuts"] += 1
-    a1, b1 = set(cert.rows_a1), set(cert.cols_b1)
+    a1s, b1s = cert.rows_a1, cert.cols_b1
+    a1, b1 = set(a1s), set(b1s)
     a2 = [r for r in range(n) if r not in a1]
     b2 = [c for c in range(n) if c not in b1]
+    lefts: dict[int, frozenset] = {}
+    rights: dict[int, frozenset] = {}
     out: set[int] = set()
-    for a, b, k in core.edges:
+    for a, b, k in g.edges:
         if a not in a1 or b in b1:
             continue
-        left = core.induced(sorted(a1 - {a}), sorted(b1))
-        right = core.induced(a2, sorted(set(b2) - {b}))
-        lpart = feasible_red_counts(left, trace)
+        lpart = lefts.get(a)
+        if lpart is None:
+            left = g.induced([r for r in a1s if r != a], b1s)
+            lpart = lefts[a] = feasible_red_counts(left, trace)
         if not lpart:
             continue
-        rpart = feasible_red_counts(right, trace)
+        rpart = rights.get(b)
+        if rpart is None:
+            right = g.induced(a2, [c for c in b2 if c != b])
+            rpart = rights[b] = feasible_red_counts(right, trace)
         rho = 1 if k == RED else 0
         out |= {rho + x + y for x in lpart for y in rpart}
     return frozenset(out)

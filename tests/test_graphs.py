@@ -1,5 +1,7 @@
 """Graph container, EBG format, generators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,42 @@ def test_without():
     assert h.n == 2 and len(h.edges) == 4
 
 
+def _made(g, rows, cols):
+    """make() of the records induced on rows/cols, relabeled by rank."""
+    rmap = {r: i for i, r in enumerate(sorted(rows))}
+    cmap = {c: j for j, c in enumerate(sorted(cols))}
+    return ColoredBipartiteGraph.make(
+        len(rows),
+        [(rmap[r], cmap[c], k) for r, c, k in g.edges if r in rmap and c in cmap],
+        g.multi,
+    )
+
+
+def test_induced_and_without_equal_make_of_the_same_records():
+    graphs = [random_graph(n, d, 0.5, seed=40 + n) for n in range(1, 10)
+              for d in (0.3, 0.7, 1.0)]
+    # multigraph blocks: a cell with both colors, rows with mixed degrees
+    graphs.append(ColoredBipartiteGraph.make(
+        3, [(0, 0, 0), (0, 0, 1), (0, 2, 1), (1, 1, 0), (2, 0, 0), (2, 2, 0),
+            (2, 2, 1)], multi=True))
+    graphs.append(ColoredBipartiteGraph.make(
+        4, [(r, c, k) for r in range(4) for c in range(4) for k in (0, 1)
+            if (r + c + k) % 3], multi=True))
+    rng = random.Random(11)
+    for g in graphs:
+        for _ in range(12):
+            size = rng.randint(0, g.n)
+            rows = rng.sample(range(g.n), size)
+            cols = rng.sample(range(g.n), size)
+            sub = g.induced(rows, cols)
+            want = _made(g, rows, cols)
+            assert (sub.n, sub.edges, sub.multi) == (want.n, want.edges, want.multi)
+            assert validate(sub) == validate(want)
+            dr = [r for r in range(g.n) if r not in rows]
+            dc = [c for c in range(g.n) if c not in cols]
+            assert g.without(dr, dc) == want
+
+
 def test_components_and_connectivity():
     g = ColoredBipartiteGraph.make(
         4, [(0, 0, 0), (0, 1, 0), (1, 0, 0), (2, 2, 0), (3, 3, 0)]
@@ -212,11 +250,18 @@ def test_serialize_refuses_multigraphs():
     "call",
     [
         lambda: knn(2).induced([0, 1], [0]),
+        lambda: knn(2).induced([0, 2], [0, 1]),
+        lambda: knn(2).induced([0, 1], [-1, 0]),
+        lambda: knn(3).without([0], []),
         lambda: serialize_ebg(
             ColoredBipartiteGraph.make(1, [(0, 0, 0), (0, 0, 1)], multi=True)
         ),
     ],
-    ids=["induced-unbalanced", "serialize-multigraph"],
+    ids=[
+        "induced-unbalanced", "induced-row-out-of-range",
+        "induced-col-out-of-range", "without-unbalanced",
+        "serialize-multigraph",
+    ],
 )
 def test_bad_calls_raise_bad_params_not_assert(call):
     # a library error, so the check survives python -O

@@ -27,6 +27,8 @@ from exactmatch.graphs import (
 )
 from exactmatch.matching import (
     TightSetCertificate,
+    _elementary,
+    _split_certificate,
     allowed_edges,
     alternating_cycles,
     certificate_ok,
@@ -325,6 +327,68 @@ def test_find_tight_set_certificates_verify(g):
         return
     assert not brute_is_brace(g)
     assert certificate_ok(g, cert)
+
+
+# ---------------------------------------------------------------------------
+# the primitive: elementary blocks and the split
+
+
+ELEMENTARY_CASES = (
+    random_cases(2500)
+    + BLOCKS
+    + [
+        pytest.param(ColoredBipartiteGraph.make(0, []), id="n0"),
+        pytest.param(ColoredBipartiteGraph.make(1, [(0, 0, RED)]), id="n1"),
+        pytest.param(ColoredBipartiteGraph.make(1, []), id="n1-empty"),
+        pytest.param(
+            ColoredBipartiteGraph.make(3, [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 0)]),
+            id="hall-violator",
+        ),
+        pytest.param(
+            ColoredBipartiteGraph.make(2, [(0, 0, 0), (1, 1, 0)]), id="two-blocks"
+        ),
+    ]
+)
+
+
+def test_elementary_cases_cover_every_outcome():
+    outcomes = set()
+    for p in ELEMENTARY_CASES:
+        elem = _elementary(p.values[0])
+        if elem is None:
+            outcomes.add("no-pm")
+        elif len(elem.blocks) != 1:
+            outcomes.add("blocks")
+        else:
+            outcomes.add("split" if elem.split_certificate() else "brace")
+    assert outcomes == {"no-pm", "blocks", "split", "brace"}
+
+
+@pytest.mark.parametrize("g", ELEMENTARY_CASES)
+def test_elementary_matches_components_and_core_split(g):
+    elem = _elementary(g)
+    if not has_perfect_matching(g):
+        assert elem is None
+        with pytest.raises(NoPerfectMatching):
+            allowed_edges(g)
+        return
+    core = ColoredBipartiteGraph.make(g.n, brute_allowed(g), g.multi)
+    assert list(elem.blocks) == core.components()
+    assert list(elem.blocks) == allowed_edges(g).components()
+    for rows, cols in elem.blocks:
+        # a cell of g inside a block is allowed, so g induces the block
+        assert g.induced(rows, cols) == core.induced(rows, cols)
+    if len(elem.blocks) != 1:
+        assert not brute_is_matching_covered(g)
+        with pytest.raises(NotMatchingCovered):
+            elem.split_certificate()
+        return
+    assert core == g  # one block: g is its own core
+    cert = elem.split_certificate()
+    assert cert == _split_certificate(core)
+    assert (cert is None) == brute_is_brace(g)
+    if cert is not None:
+        assert certificate_ok(g, cert)
 
 
 # ---------------------------------------------------------------------------

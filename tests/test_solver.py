@@ -397,7 +397,7 @@ def test_solve_json_schema():
     assert d["blocks"][0]["feasible_t"] == [0, 1, 2, 4]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0, "grid_dets": 35,
+        "enumerated": 0, "grid_dets": 35, "depth": 1,
     }
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
@@ -441,6 +441,63 @@ def test_solve_report_ignores_witness_subproblems():
     assert with_wit.witness is not None
     assert with_wit.blocks == plain.blocks
     assert with_wit.counts == plain.counts
+
+
+# Read off solve(g, 0) at the commit before subproblems were induced from
+# the input graph and each crossing child was evaluated once per row/column:
+# the change must keep the recursion's subproblems, leaves and their order.
+PINNED_TRACES = {
+    "band_path7": (
+        lambda: with_coloring(band_path(7), red="bernoulli", seed=3),
+        {"subproblems": 10, "braces": 0, "tight_cuts": 4, "enumerated": 3,
+         "grid_dets": 0},
+        [(1, (0,), "enumeration"), (1, (1,), "enumeration"),
+         (2, (0, 1), "enumeration")],
+    ),
+    "random12-d0.3": (
+        lambda: random_graph(12, 0.3, 0.5, seed=13, require_pm=True),
+        {"subproblems": 147, "braces": 5, "tight_cuts": 60, "enumerated": 11,
+         "grid_dets": 31},
+        [(10, (4, 5, 6, 7, 8, 9), "pure-ASNC"), (1, (0,), "enumeration"),
+         (1, (1,), "enumeration"), (2, (1, 2), "enumeration"),
+         (2, (1, 2), "enumeration"), (2, (0, 1), "enumeration"),
+         (2, (2,), "enumeration"), (2, (0, 1), "enumeration"),
+         (2, (0, 1), "enumeration"), (2, (1,), "enumeration"),
+         (10, (4, 5, 6, 7, 8, 9), "pure-ASNC"),
+         (10, (3, 4, 5, 6, 7, 8, 9), "pure-ASNC"),
+         (2, (1, 2), "enumeration"), (2, (1,), "enumeration"),
+         (10, (4, 5, 6, 7, 8, 9), "pure-ASNC"),
+         (10, (4, 5, 6, 7, 8, 9), "pure-ASNC")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_solve_trace_matches_pinned_recursion(name):
+    make, counts, blocks = PINNED_TRACES[name]
+    rep = solve(make(), 0)
+    assert {k: rep.counts[k] for k in counts} == counts
+    assert [(b.n, b.feasible_t, b.method) for b in rep.blocks] == blocks
+
+
+def test_depth_is_the_deepest_nesting_of_the_recursion(monkeypatch):
+    g = random_graph(12, 0.3, 0.5, seed=13, require_pm=True)
+    inner = solver.feasible_red_counts
+    level = deepest = 0
+
+    def nested(graph, trace=None):
+        nonlocal level, deepest
+        level += 1
+        deepest = max(deepest, level)
+        try:
+            return inner(graph, trace)
+        finally:
+            level -= 1
+
+    monkeypatch.setattr(solver, "feasible_red_counts", nested)
+    rep = solve(g, 0)
+    assert rep.counts["depth"] == deepest > 2
+    assert solve(knn(3), 0).counts["depth"] == 1
 
 
 def test_solve_decisions_match_enumeration_batch():
