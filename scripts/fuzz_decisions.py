@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Fuzz the solver against the column-subset DP oracle under a time budget.
 
-Draws random colored instances and compares the solver's achievable set,
-one feasible_red_counts call per instance, with the DP oracle's: solve
-decides t by membership in that set, so this checks every target 0..n.
-One YES target per instance then goes through solve(..., want_witness=True)
+Draws random colored instances and checks each against the DP oracle
+twice: the recursion's achievable set, one feasible_red_counts call per
+instance, and solve(g, t).decision for every t in -1..n+1, which the root
+certificates (bounds, congruence, probe) settle before any recursion. One
+YES target per instance then goes through solve(..., want_witness=True)
 and its witness is checked against the graph. The run stops at --budget
 seconds or --max-instances. One draw in GAP_SHARE is a dense graph
 gap-colored (red iff row and column lie on opposite halves), so every red
@@ -89,13 +90,16 @@ def main(argv=None) -> int:
         want = red_count_set_dp(g)
         got = feasible_red_counts(g)
         instances += 1
-        decisions += n + 1
-        wrong = [t for t in range(n + 1) if (t in got) != (t in want)]
-        if wrong:
-            t = wrong[0]
-            print(f"DISAGREEMENT at t={t}: solver={t in got} dp-oracle={t in want}")
-            sys.stdout.write(serialize_ebg(g))
-            return 1
+        for t in range(-1, n + 2):
+            decided = solve(g, t).decision
+            decisions += 1
+            if (t in got) != (t in want) or decided != (t in want):
+                print(
+                    f"DISAGREEMENT at t={t}: recursion={t in got} "
+                    f"solve={decided} dp-oracle={t in want}"
+                )
+                sys.stdout.write(serialize_ebg(g))
+                return 1
         if want:
             t = rng.choice(sorted(want))
             witness = solve(g, t, SolverOptions(want_witness=True)).witness

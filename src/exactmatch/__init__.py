@@ -35,13 +35,11 @@ from .graphs import (
 from .matching import (
     Matching,
     allowed_edges,
-    alternating_cycles,
     find_tight_set,
     has_perfect_matching,
     is_brace,
     is_matching_covered,
     max_matching,
-    reachable_red_counts,
 )
 from .solver import (
     BlockReport,
@@ -75,7 +73,6 @@ __all__ = [
     "Split",
     "achievable_sets_compose",
     "allowed_edges",
-    "alternating_cycles",
     "band_cyclic",
     "band_path",
     "bareiss_det",
@@ -98,7 +95,6 @@ __all__ = [
     "pt_nonvanishing",
     "pt_polynomial",
     "random_graph",
-    "reachable_red_counts",
     "red_count_bounds",
     "serialize_ebg",
     "solve",

@@ -1,4 +1,4 @@
-"""Matchings, allowed edges, braces, tight sets, alternating cycles.
+"""Matchings, allowed edges, braces and tight sets.
 
 Everything here works on the underlying simple structure (cells): edge
 colors never influence whether a matching exists, only how it is counted.
@@ -50,17 +50,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
-    BadParams,
-    CapExceeded,
     InvariantError,
     IsBrace,
     NoPerfectMatching,
     NotMatchingCovered,
 )
 from .graphs import RED, ColoredBipartiteGraph
-
-DEFAULT_CYCLE_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -415,139 +410,3 @@ def find_tight_set(g: ColoredBipartiteGraph) -> TightSetCertificate:
     if g.n <= 2:
         raise IsBrace(f"n = {g.n} matching-covered graphs are braces")
     raise IsBrace("D(G, M) stays strongly connected after any deletion")
-
-
-# ---------------------------------------------------------------------------
-# alternating cycles
-
-
-@dataclass(frozen=True)
-class AlternatingCycle:
-    """Cycle alternating between a base matching M0 and other edges.
-
-    rows is the canonical rotation (smallest row first) of the visited rows
-    i_0..i_{k-1}; the cycle uses matched cells (i_j, m0(i_j)) and free cells
-    (i_j, m0(i_{j+1})). displacement is the red-count change from switching
-    the matching along the cycle.
-    """
-
-    rows: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    displacement: int
-
-
-def alternating_cycles(
-    g: ColoredBipartiteGraph,
-    m0: Matching,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> list[AlternatingCycle]:
-    """All alternating cycles w.r.t. m0, lexicographic by row sequence.
-
-    Cycles are directed: for k >= 3 rows, traversing the same rows the other
-    way uses different free cells and is listed separately. Raises
-    CapExceeded (carrying the partial list) past cap cycles.
-    """
-    if g.multi:
-        raise BadParams("alternating cycles are defined on simple graphs")
-    n = g.n
-    assignment = m0.assignment
-    if any(c is None for c in assignment):
-        raise BadParams("m0 must be perfect")
-    col_owner = {c: r for r, c in enumerate(assignment)}
-
-    out: list[AlternatingCycle] = []
-
-    def rho(r: int, c: int) -> int:
-        return 1 if g.cells[r, c][0] == RED else 0
-
-    def close_cycle(path: list[int]) -> None:
-        edges = []
-        delta = 0
-        k = len(path)
-        for idx in range(k):
-            r = path[idx]
-            nxt = path[(idx + 1) % k]
-            edges.append((r, assignment[r]))
-            edges.append((r, assignment[nxt]))
-            delta += rho(r, assignment[nxt]) - rho(r, assignment[r])
-        out.append(AlternatingCycle(tuple(path), tuple(edges), delta))
-        if len(out) > cap:
-            raise CapExceeded(
-                f"more than {cap} alternating cycles", partial=out[:cap]
-            )
-
-    def extend(start: int, path: list[int], used: set[int]) -> None:
-        last = path[-1]
-        for col in g.row_adj[last]:
-            if col == assignment[last]:
-                continue
-            row = col_owner[col]
-            if row == start and len(path) >= 2:
-                close_cycle(path)
-                continue
-            if row <= start or row in used:
-                continue
-            used.add(row)
-            path.append(row)
-            extend(start, path, used)
-            path.pop()
-            used.remove(row)
-
-    for start in range(n):
-        extend(start, [start], {start})
-
-    def dedupe_two_cycles(
-        cycles: list[AlternatingCycle],
-    ) -> list[AlternatingCycle]:
-        # k = 2 cycles appear once per direction but are the same edge set
-        seen: set[Tuple[int, ...]] = set()
-        kept = []
-        for cyc in cycles:
-            if len(cyc.rows) == 2:
-                key = cyc.rows
-                if key in seen:
-                    continue
-                seen.add(key)
-            kept.append(cyc)
-        return kept
-
-    return dedupe_two_cycles(out)
-
-
-def reachable_red_counts(
-    g: ColoredBipartiteGraph,
-    m0: Matching,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> set[int]:
-    """Red counts of matchings reachable from m0 by disjoint cycle switches.
-
-    Every collection of row-disjoint alternating cycles yields the matching
-    obtained by switching all of them; the result's red count is m0's plus
-    the displacement sum. Raises CapExceeded past cap collections.
-    """
-    cycles = alternating_cycles(g, m0, cap)
-    base = m0.red_count
-    counts = {base}
-    masks = [
-        (sum(1 << r for r in cyc.rows), cyc.displacement) for cyc in cycles
-    ]
-
-    seen_states = 0
-
-    def walk(idx: int, used_mask: int, delta: int) -> None:
-        nonlocal seen_states
-        counts.add(base + delta)
-        for j in range(idx, len(masks)):
-            mask, d = masks[j]
-            if mask & used_mask:
-                continue
-            seen_states += 1
-            if seen_states > cap:
-                raise CapExceeded(
-                    f"more than {cap} disjoint cycle collections",
-                    partial=sorted(counts),
-                )
-            walk(j + 1, used_mask | mask, delta + d)
-
-    walk(0, 0, 0)
-    return counts

@@ -36,12 +36,33 @@ two independent induced subgraphs, so
 
 where the left set depends only on a and the right only on b, so each is
 evaluated once per distinct row or column. feasible_red_counts recurses on
-this (memoized by the subgraph's records). That recursion is the whole
-decision, and the report is its trace: a SolveTrace carries the memo and
-records each leaf the recursion settled, in the order it first evaluated
-them (a simple brace on the grid is "pure-ASNC", a piece with n <= 2 is
-"enumeration"), plus counts of subproblems, memo hits, braces, tight cuts,
-enumerated pieces, the grid's modular determinants and the recursion depth.
+this (memoized by the subgraph's records), and each brace's grid is asked
+only for the t its congruence class allows (below).
+
+Certificates first: when no witness is wanted, solve lets the root call
+settle the whole achievable set before the recursion, from exact
+certificates that need no zero proof:
+
+  * bounds: red_count_bounds gives [t_min, t_max], both attained;
+  * congruence: on each elementary block, potentials along a spanning
+    tree with p(col) - p(row) = red(e) leave a discrepancy on every other
+    record; with g_b their gcd, every perfect matching has red count
+    congruent to sum p(col) - sum p(row) modulo the gcd of the g_b
+    (equal when it is 0), and that class is exact (_congruence);
+  * probe: c_t at the top lam node mod the first certificate prime, one
+    batched elimination when it fits _GRID_BLOCK_ENTRIES. A nonzero
+    residue needs a matching with t red edges on any graph; a zero
+    proves nothing.
+
+If the endpoints and the probe's hits cover every in-bound t of the class,
+those t are the achievable set; otherwise the recursion runs unchanged.
+The report is the trace of whatever decided: a SolveTrace carries the
+memo and records each leaf settled, in the order it was first evaluated
+(a root settled by certificates names the one needed last: "bounds",
+"congruence" or "probe"; a simple brace on the grid is "pure-ASNC", a
+piece with n <= 2 is "enumeration"), plus counts of subproblems, memo
+hits, braces, tight cuts, enumerated pieces, certified roots, the modular
+determinants of the grid and the probe, and the recursion depth.
 """
 
 from __future__ import annotations
@@ -68,7 +89,7 @@ from .algebra import (
 )
 from .errors import BadPrime, InvariantError, NoPerfectMatching
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
-from .matching import _elementary, is_brace
+from .matching import Block, _elementary, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
@@ -108,6 +129,18 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
 # Most int64 matrix entries one batched elimination holds, whatever n and
 # the number of nodes: it caps the grid's working memory.
 _GRID_BLOCK_ENTRIES = 1 << 15
+
+
+def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
+    """blue + red * x for every cell at x = 1..m, shape (m, n, n)."""
+    blue = np.zeros((g.n, g.n), dtype=np.int64)
+    red = np.zeros((g.n, g.n), dtype=np.int64)
+    for (i, j), ks in g.cells.items():
+        reds = sum(1 for k in ks if k == RED)
+        red[i, j] = reds
+        blue[i, j] = len(ks) - reds
+    x = np.arange(1, m + 1, dtype=np.int64)
+    return blue + red * x[:, None, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,7 +237,8 @@ class EvaluationGrid:
         c_t = 0 outside red_count_bounds(g), and the x nodes are sized to
         those bounds, never to the candidates. A nonzero residue of c_t at
         any lam node mod any prime certifies t. Pass 1 works mod the first
-        prime over lam chunks of doubling size and stops once every
+        prime, on the top lam node alone and then over chunks of as many
+        nodes as one batched elimination holds, and stops once every
         candidate is certified; pass 2 runs the other certificate primes
         over all lam nodes for the candidates still open. A t still open
         after that is zero mod every prime at every node, so c_t is
@@ -225,32 +259,27 @@ class EvaluationGrid:
             raise BadPrime(
                 f"certificate primes must exceed {max(degree, m)}: {primes}"
             )
-        blue = np.zeros((n, n), dtype=np.int64)
-        red = np.zeros((n, n), dtype=np.int64)
-        for (i, j), ks in g.cells.items():
-            reds = sum(1 for k in ks if k == RED)
-            red[i, j] = reds
-            blue[i, j] = len(ks) - reds
-        x = np.arange(1, m + 1, dtype=np.int64)
         # lam = 0 turns row 0 into a unit row, so the sweep starts at the top
         lams = np.array(self.lam_nodes[::-1], dtype=np.int64)
         block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
         found: set[int] = set()
         dets = 0
+        cell_weights = _cell_weights(g, m)
         for index, p in enumerate(primes):
-            weights = (blue + red * x[:, None, None]) % p
+            weights = cell_weights % p
             inv = _x_inverse(t_min, m, p)
             start = 0
-            width = block if index else 1  # pass 1 chunks double from one
             while open_ and start < len(lams):
-                chunk = lams[start : start + min(width, block)]
+                # pass 1 tries the top node alone: a t still open after it
+                # is almost always a zero, which needs every node anyway
+                width = block if index or start else 1
+                chunk = lams[start : start + width]
                 coeffs = _coefficient_residues(weights, chunk, inv, p)
                 dets += len(chunk) * m
                 hits = {t for t in open_ if coeffs[:, t - t_min].any()}
                 found |= hits
                 open_ -= hits
                 start += len(chunk)
-                width *= 2
         if trace is not None:
             trace.counts["grid_dets"] += dets
         return found
@@ -307,6 +336,87 @@ def red_count_bounds(
 
 
 # ---------------------------------------------------------------------------
+# congruence and probe certificates
+
+
+def _congruence(
+    g: ColoredBipartiteGraph, blocks: Tuple[Block, ...]
+) -> Tuple[int, int]:
+    """(modulus, residue) with red(M) = residue (mod modulus) for every PM.
+
+    blocks are the elementary blocks of g (_elementary(g).blocks). Each is
+    connected by its allowed records, so a spanning walk gives potentials
+    with p(col) - p(row) = red(e) on its tree records; every record of a
+    block then has red(e) = p(col) - p(row) + d(e). A perfect matching
+    covers every vertex once, so red(M) = sum p(col) - sum p(row) + sum
+    of d over M, and modulus = gcd of all d makes the last term vanish
+    (equality when modulus = 0). The gcd is exact: differences of perfect
+    matchings generate the lattice of balanced integer edge vectors of a
+    matching-covered bipartite graph (Lovasz), whose red values are the
+    multiples of the block's gcd, and blocks combine by sumset. Linear in
+    the records.
+    """
+    n = g.n
+    block_of = [0] * (2 * n)  # rows 0..n-1, columns n..2n-1
+    for b, (rows, cols) in enumerate(blocks):
+        for r in rows:
+            block_of[r] = b
+        for c in cols:
+            block_of[n + c] = b
+    adj: list[list[Tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for r, c, k in g.edges:
+        if block_of[r] == block_of[n + c]:
+            rho = 1 if k == RED else 0
+            adj[r].append((n + c, rho))
+            adj[n + c].append((r, -rho))
+    pot: list[Optional[int]] = [None] * (2 * n)
+    for rows, _ in blocks:
+        pot[rows[0]] = 0
+        stack = [rows[0]]
+        while stack:
+            v = stack.pop()
+            for w, d in adj[v]:
+                if pot[w] is None:
+                    pot[w] = pot[v] + d
+                    stack.append(w)
+    modulus = 0
+    for r in range(n):
+        for c, rho in adj[r]:
+            modulus = math.gcd(modulus, rho - pot[c] + pot[r])
+    residue = sum(pot[n:]) - sum(pot[:n])
+    return modulus, residue % modulus if modulus else residue
+
+
+def _in_class(lo: int, hi: int, modulus: int, residue: int) -> set[int]:
+    """The t in lo..hi with t = residue (mod modulus), or t = residue if 0."""
+    if modulus == 0:
+        return {residue} if lo <= residue <= hi else set()
+    return set(range(lo + (residue - lo) % modulus, hi + 1, modulus))
+
+
+def _probe(
+    g: ColoredBipartiteGraph, t_min: int, t_max: int, trace: SolveTrace
+) -> set[int]:
+    """The t whose c_t is nonzero at the top lam node mod the first prime.
+
+    t_min, t_max are red_count_bounds(g). A nonzero coefficient needs a
+    perfect matching with t red edges on any graph, multigraphs included,
+    so every returned t is achievable; a zero proves nothing. The probe
+    runs only when its m determinants fit one batched elimination, else it
+    certifies nothing.
+    """
+    n, m = g.n, t_max - t_min + 1
+    if m * n * n > _GRID_BLOCK_ENTRIES:
+        return set()
+    p = certificate_primes(1)[0]
+    top = np.array([n * (n - 1) // 2], dtype=np.int64)
+    inv = _x_inverse(t_min, m, p)
+    coeffs = _coefficient_residues(_cell_weights(g, m) % p, top, inv, p)
+    trace.counts["grid_dets"] += m
+    return {t_min + int(s) for s in np.flatnonzero(coeffs[0])}
+
+
+# ---------------------------------------------------------------------------
 # sound feasibility recursion
 
 
@@ -325,10 +435,13 @@ class SolveTrace:
     leaves the recursion settled, one per subproblem, in the order they
     were first evaluated. counts tallies memo misses (subproblems), memo
     hits, braces decided on the grid, tight cuts split, n <= 2 pieces
-    enumerated, the modular determinants the grid evaluated (grid_dets,
-    summed over primes, lam and x nodes) and the deepest nesting of
+    enumerated, roots settled by certificates (certified), the modular
+    determinants the grid and the probe evaluated (grid_dets, summed over
+    primes, lam and x nodes) and the deepest nesting of
     feasible_red_counts calls, memo hits included (depth; the root call
     counts as 1). level is the nesting of the call running now.
+    certify_root lets a root call (level 1) try the bounds, congruence
+    and probe certificates before the recursion; only solve sets it.
     """
 
     memo: dict = field(default_factory=dict)
@@ -337,18 +450,48 @@ class SolveTrace:
         default_factory=lambda: dict.fromkeys(
             (
                 "subproblems", "memo_hits", "braces", "tight_cuts",
-                "enumerated", "grid_dets", "depth",
+                "enumerated", "certified", "grid_dets", "depth",
             ),
             0,
         )
     )
     level: int = 0
+    certify_root: bool = False
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
         """Record a leaf decided without a split; returns its result."""
         self.counts[count] += 1
         self.blocks.append(BlockReport(n, tuple(sorted(result)), method))
         return result
+
+
+def _certify(g: ColoredBipartiteGraph, trace: SolveTrace) -> Optional[frozenset]:
+    """g's achievable set when exact certificates settle it, else None.
+
+    The bounds are attained, so t_min and t_max are achievable, and every
+    achievable t is an in-bound t of the congruence class. When those
+    endpoints and the probe's hits cover every such candidate, the
+    candidates are the achievable set; the block names the certificate
+    that was needed last. No perfect matching gives the empty set with no
+    block.
+    """
+    bounds = red_count_bounds(g)
+    if bounds is None:
+        return frozenset()
+    t_min, t_max = bounds
+    proved = {t_min, t_max}
+    candidates = set(range(t_min, t_max + 1))
+    method = "bounds"
+    if not candidates <= proved:
+        method = "congruence"
+        elem = _elementary(g)  # not None: the bounds found a matching
+        candidates &= _in_class(t_min, t_max, *_congruence(g, elem.blocks))
+    if not candidates <= proved:
+        method = "probe"
+        proved |= _probe(g, t_min, t_max, trace)
+    if not candidates <= proved:
+        return None
+    return trace.settle("certified", method, g.n, frozenset(candidates))
 
 
 def feasible_red_counts(
@@ -362,7 +505,8 @@ def feasible_red_counts(
     tight-cut crossing records. Every subproblem is induced from the input
     graph, so the recursion only ever evaluates determinant tables on
     simple braces, where fiber-nonemptiness and coefficient nonvanishing
-    coincide.
+    coincide. A root call on a trace with certify_root first tries
+    _certify, and recurses only when the certificates leave a t open.
     """
     if trace is None:
         trace = SolveTrace()
@@ -375,7 +519,12 @@ def feasible_red_counts(
             trace.counts["memo_hits"] += 1
             return trace.memo[key]
         trace.counts["subproblems"] += 1
-        trace.memo[key] = result = _feasible(g, trace)
+        result = None
+        if trace.certify_root and trace.level == 1:
+            result = _certify(g, trace)
+        if result is None:
+            result = _feasible(g, trace)
+        trace.memo[key] = result
         return result
     finally:
         trace.level -= 1
@@ -407,11 +556,10 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
         return trace.settle("enumerated", "enumeration", n, result)
 
     cert = elem.split_certificate()  # None: g is a brace
-    if cert is None:
+    if cert is None:  # the grid applies the bounds; the class drops holes
         grid = EvaluationGrid.for_size(n)
-        result = frozenset(
-            grid.nonvanishing_targets(g, set(range(n + 1)), trace)
-        )
+        candidates = _in_class(0, n, *_congruence(g, elem.blocks))
+        result = frozenset(grid.nonvanishing_targets(g, candidates, trace))
         return trace.settle("braces", "pure-ASNC", n, result)
 
     # T(G[A1 - a, B1]) depends only on a and T(G[A2, B2 - b]) only on b:
@@ -502,7 +650,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/2",
+            "schema": "exactmatch/3",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -531,9 +679,11 @@ def solve(
 
     The decision is one run of feasible_red_counts; blocks and counts are
     its trace, taken before any witness extraction adds subproblems.
-    Out-of-range targets are legal and decide to NO.
+    Without a witness the root first tries the certificates (_certify);
+    a witness needs the recursion's memo, so it skips them. Out-of-range
+    targets are legal and decide to NO.
     """
-    trace = SolveTrace()
+    trace = SolveTrace(certify_root=not opts.want_witness)
     t0 = time.perf_counter()
     decision = t in feasible_red_counts(g, trace)
     t1 = time.perf_counter()

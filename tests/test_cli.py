@@ -63,7 +63,7 @@ def test_solve_json_report(fixtures_dir, capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/2"
+    assert doc["schema"] == "exactmatch/3"
     assert doc["decision"] == "YES"
     assert doc["n"] == 4 and doc["t"] == 2
     assert doc["blocks"] == [

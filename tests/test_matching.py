@@ -1,4 +1,4 @@
-"""Matchings, allowed edges, braces, tight sets, alternating cycles."""
+"""Matchings, allowed edges, braces and tight sets."""
 
 import itertools
 import random
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from exactmatch.decomposition import Split, decompose
 from exactmatch.errors import (
-    CapExceeded,
     IsBrace,
     NoPerfectMatching,
     NotMatchingCovered,
@@ -30,14 +29,12 @@ from exactmatch.matching import (
     _elementary,
     _split_certificate,
     allowed_edges,
-    alternating_cycles,
     certificate_ok,
     find_tight_set,
     has_perfect_matching,
     is_brace,
     is_matching_covered,
     max_matching,
-    reachable_red_counts,
 )
 
 
@@ -389,67 +386,3 @@ def test_elementary_matches_components_and_core_split(g):
     assert (cert is None) == brute_is_brace(g)
     if cert is not None:
         assert certificate_ok(g, cert)
-
-
-# ---------------------------------------------------------------------------
-# alternating cycles
-
-
-def test_alternating_cycles_k22():
-    g = knn(2)
-    cycles = alternating_cycles(g, max_matching(g))
-    assert len(cycles) == 1
-    assert cycles[0].rows == (0, 1)
-    assert cycles[0].displacement == 0
-
-
-def test_alternating_cycles_band3():
-    g = band_path(3)
-    cycles = alternating_cycles(g, max_matching(g))
-    assert len(cycles) == 2
-    assert sorted(c.rows for c in cycles) == [(0, 1), (1, 2)]
-
-
-def test_alternating_cycles_k33_count_and_direction():
-    g = knn(3)
-    cycles = alternating_cycles(g, max_matching(g))
-    # three 2-cycles plus the 3-cycle in both directions
-    assert len(cycles) == 5
-    assert sorted(len(c.rows) for c in cycles) == [2, 2, 2, 3, 3]
-
-
-def test_alternating_cycle_displacement():
-    g = with_coloring(knn(2), red=[(0, 1)])
-    m0 = max_matching(g)  # identity, 0 red
-    (cyc,) = alternating_cycles(g, m0)
-    assert cyc.displacement == 1
-
-
-def test_alternating_cycles_cap():
-    g = knn(5)
-    with pytest.raises(CapExceeded) as err:
-        alternating_cycles(g, max_matching(g), cap=3)
-    assert len(err.value.partial) == 3
-
-
-def test_reachable_red_counts_k44_diag():
-    g = with_coloring(knn(4), red="diag")
-    counts = reachable_red_counts(g, max_matching(g))
-    assert counts == {0, 1, 2, 4}
-
-
-def test_reachable_red_counts_matches_full_enumeration():
-    rng = random.Random(5)
-    for trial in range(15):
-        n = 2 + trial % 3
-        g = random_graph(n, 0.8, 0.5, seed=2200 + trial, require_pm=True)
-        counts = reachable_red_counts(g, max_matching(g))
-        # brute force: every perfect matching's red count
-        want = set()
-        for perm in itertools.permutations(range(n)):
-            if all((i, perm[i]) in g.cells for i in range(n)):
-                want.add(
-                    sum(1 for i in range(n) if g.cells[i, perm[i]][0] == RED)
-                )
-        assert counts == want
-    del rng

@@ -1,5 +1,6 @@
 """Solver pipeline: grid nonvanishing, feasibility recursion, witnesses."""
 
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from exactmatch.graphs import (
     random_graph,
     with_coloring,
 )
-from exactmatch.matching import is_brace
+from exactmatch.matching import _elementary, is_brace
 from exactmatch.solver import (
     BlockReport,
     EvaluationGrid,
@@ -272,11 +273,15 @@ def test_prime_at_or_below_degree_raises_bad_prime(monkeypatch):
 def test_grid_dets_count_the_modular_determinants():
     g = k44_diag()
     # t = 3 is identically zero: the one prime (C < 2^31) sweeps all 7 lam
-    # nodes at the 5 x nodes
-    assert solve(g, 3).counts["grid_dets"] == 7 * 5
+    # nodes at the 5 x nodes, after the root probe's 5 determinants (one lam
+    # node, 5 x nodes) left t = 3 open
+    assert solve(g, 3).counts["grid_dets"] == 7 * 5 + 5
     gap = _dense_gap_brace(8, 12500 + 8)
-    first, again = solve(gap, 1), solve(gap, 1)
-    assert first.counts == again.counts and first.blocks == again.blocks
+    grid = EvaluationGrid.for_size(gap.n)
+    first, again = SolveTrace(), SolveTrace()
+    assert grid.nonvanishing_targets(gap, {1}, first) == set()
+    assert grid.nonvanishing_targets(gap, {1}, again) == set()
+    assert first.counts == again.counts
     primes = solver.certificate_primes(coefficient_bound(gap))
     t_min, t_max = red_count_bounds(gap)
     # odd targets are zeros: every prime sweeps all 29 lam nodes
@@ -392,12 +397,12 @@ def test_solve_report_blocks_k44():
 
 def test_solve_json_schema():
     d = solve(k44_diag(), 2, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/2"
+    assert d["schema"] == "exactmatch/3"
     assert d["decision"] == "YES"
     assert d["blocks"][0]["feasible_t"] == [0, 1, 2, 4]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0, "grid_dets": 35, "depth": 1,
+        "enumerated": 0, "certified": 0, "grid_dets": 35, "depth": 1,
     }
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
@@ -418,34 +423,35 @@ def test_solve_out_of_range_t():
 def test_solve_report_traces_the_recursion():
     g = with_coloring(band_path(7), red="bernoulli", seed=3)
     want = red_count_set(g)
-    reports = [solve(g, t) for t in range(8)]
-    for t, rep in enumerate(reports):
-        assert rep.decision == (t in want)
-    rep = reports[0]
+    for t in range(8):
+        assert solve(g, t).decision == (t in want)
+    rep = SolveTrace()
+    assert feasible_red_counts(g, rep) == want
     assert rep.blocks
     assert all(b.method in ("pure-ASNC", "enumeration") for b in rep.blocks)
     assert rep.counts["tight_cuts"] > 0
     assert rep.counts["braces"] + rep.counts["enumerated"] == len(rep.blocks)
-    trace = SolveTrace()
-    feasible_red_counts(g, trace)
-    assert rep.counts["subproblems"] == len(trace.memo)
-    again = solve(g, 0)
+    assert rep.counts["subproblems"] == len(rep.memo)
+    again = SolveTrace()
+    feasible_red_counts(g, again)
     assert again.blocks == rep.blocks and again.counts == rep.counts
 
 
 def test_solve_report_ignores_witness_subproblems():
     g = with_coloring(band_path(7), red="bernoulli", seed=3)
     t = min(red_count_set(g))
-    plain = solve(g, t)
+    plain = SolveTrace()
+    feasible_red_counts(g, plain)
     with_wit = solve(g, t, SolverOptions(want_witness=True))
     assert with_wit.witness is not None
-    assert with_wit.blocks == plain.blocks
+    assert list(with_wit.blocks) == plain.blocks
     assert with_wit.counts == plain.counts
 
 
 # Read off solve(g, 0) at the commit before subproblems were induced from
-# the input graph and each crossing child was evaluated once per row/column:
-# the change must keep the recursion's subproblems, leaves and their order.
+# the input graph and each crossing child was evaluated once per row/column,
+# when solve always ran the recursion: the recursion must keep its
+# subproblems, leaves and their order.
 PINNED_TRACES = {
     "band_path7": (
         lambda: with_coloring(band_path(7), red="bernoulli", seed=3),
@@ -475,7 +481,8 @@ PINNED_TRACES = {
 @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
 def test_solve_trace_matches_pinned_recursion(name):
     make, counts, blocks = PINNED_TRACES[name]
-    rep = solve(make(), 0)
+    rep = SolveTrace()
+    feasible_red_counts(make(), rep)
     assert {k: rep.counts[k] for k in counts} == counts
     assert [(b.n, b.feasible_t, b.method) for b in rep.blocks] == blocks
 
@@ -495,9 +502,148 @@ def test_depth_is_the_deepest_nesting_of_the_recursion(monkeypatch):
             level -= 1
 
     monkeypatch.setattr(solver, "feasible_red_counts", nested)
-    rep = solve(g, 0)
+    rep = SolveTrace()
+    solver.feasible_red_counts(g, rep)
     assert rep.counts["depth"] == deepest > 2
     assert solve(knn(3), 0).counts["depth"] == 1
+
+
+# ---------------------------------------------------------------------------
+# root certificates
+
+
+def _congruence_cases():
+    # n <= 10 at densities 0.3-0.9, one draw in three gap-colored; sparse
+    # draws have several elementary blocks, and the decomposition blocks
+    # are multigraphs with parallel cells of both colors
+    out = []
+    for seed in range(72):
+        n = 2 + seed % 9
+        density = (0.3, 0.5, 0.7, 0.9)[seed // 9 % 4]
+        g = random_graph(n, density, 0.5, seed=14000 + seed, require_pm=True)
+        gap = seed % 3 == 2
+        if gap:
+            g = _gap_colored(g)
+        out.append(pytest.param(
+            g, id=f"{'gap' if gap else 'random'}-n{n}-d{density}-{seed}"))
+    return out + _decomposition_blocks()
+
+
+CONGRUENCE_CASES = _congruence_cases()
+# in-bound NOs that neither the bounds nor the congruence explain
+RESIDUAL_HOLES = [
+    pytest.param(with_coloring(knn(3), red="diag"), id="k33-diag"),
+    pytest.param(k44_diag(), id="k44-diag"),
+]
+
+
+def test_congruence_cases_cover_blocks_multigraphs_and_classes():
+    graphs = [p.values[0] for p in CONGRUENCE_CASES]
+    assert sum(len(_elementary(g).blocks) > 1 for g in graphs) >= 10
+    assert any(g.multi and len(ks) > 1 for g in graphs for ks in g.cells.values())
+    moduli = [solver._congruence(g, _elementary(g).blocks)[0] for g in graphs]
+    assert {0, 1, 2} <= set(moduli)
+
+
+@pytest.mark.parametrize("g", CONGRUENCE_CASES)
+def test_congruence_is_the_gcd_of_achievable_differences(g):
+    want = red_count_set_dp(g)
+    if g.n <= 8:
+        assert want == red_count_set(g)
+    modulus, residue = solver._congruence(g, _elementary(g).blocks)
+    low = min(want)
+    assert modulus == math.gcd(*(t - low for t in want))
+    if modulus:
+        assert 0 <= residue < modulus and (low - residue) % modulus == 0
+    else:
+        assert residue == low
+
+
+@pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)
+def test_certificates_never_contradict_the_dp_oracle(g):
+    want = red_count_set_dp(g)
+    t_min, t_max = red_count_bounds(g)
+    assert {t_min, t_max} <= want  # YES: the endpoints are attained
+    in_class = solver._in_class(
+        t_min, t_max, *solver._congruence(g, _elementary(g).blocks)
+    )
+    assert want <= in_class  # NO: outside the bounds or off the class
+    trace = SolveTrace()
+    assert solver._probe(g, t_min, t_max, trace) <= want  # YES: the probe
+    assert trace.counts["grid_dets"] == t_max - t_min + 1
+    for t in range(-1, g.n + 2):
+        assert solve(g, t).decision == (t in want)
+
+
+def test_certificates_settle_most_roots_and_leave_the_holes_open():
+    methods = {}
+    for param in CONGRUENCE_CASES + RESIDUAL_HOLES:
+        rep = solve(param.values[0], 0)
+        method = rep.blocks[0].method if rep.counts["certified"] else "recursion"
+        methods[method] = methods.get(method, 0) + 1
+    assert methods["recursion"] >= len(RESIDUAL_HOLES)
+    assert all(methods.get(m, 0) >= 5 for m in ("bounds", "congruence", "probe"))
+
+
+@pytest.mark.parametrize(
+    "g, method",
+    [
+        pytest.param(knn(3), "bounds", id="all-blue"),  # T = {0}
+        pytest.param(
+            with_coloring(knn(2), red=[(0, 1), (1, 0)]), "congruence",
+            id="k22-antidiag",
+        ),  # T = {0, 2}
+        pytest.param(
+            with_coloring(knn(3), red=[(0, 0), (1, 1)]), "probe", id="k33-two"
+        ),  # T = {0, 1, 2}
+        pytest.param(k44_diag(), "pure-ASNC", id="k44-diag"),  # 3 is a hole
+    ],
+)
+def test_certified_report_names_its_method(g, method):
+    rep = solve(g, 0)
+    assert [b.method for b in rep.blocks] == [method]
+    assert rep.blocks[0].n == g.n
+    assert rep.blocks[0].feasible_t == tuple(sorted(red_count_set(g)))
+    assert rep.counts["certified"] == (method != "pure-ASNC")
+    assert rep.counts["subproblems"] == 1
+    assert rep.to_json_dict()["blocks"][0]["method"] == method
+
+
+def test_witness_and_bare_recursion_skip_the_certificates():
+    g = with_coloring(knn(3), red=[(0, 0), (1, 1)])
+    assert solve(g, 1).blocks[0].method == "probe"
+    rep = solve(g, 1, SolverOptions(want_witness=True))
+    assert rep.counts["certified"] == 0
+    assert [b.method for b in rep.blocks] == ["pure-ASNC"]
+    trace = SolveTrace()
+    feasible_red_counts(g, trace)
+    assert trace.counts["certified"] == 0
+
+
+def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
+    # with no probe hits and modulus 1 the root and every brace grid see
+    # every in-bound target, so the recursion and the grid's zero path
+    # decide what the certificates settled before
+    graphs = [p.values[0] for p in CONGRUENCE_CASES + RESIDUAL_HOLES]
+    before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
+    monkeypatch.setattr(solver, "_probe", lambda g, t_min, t_max, trace: set())
+    monkeypatch.setattr(solver, "_congruence", lambda g, blocks: (1, 0))
+    zeros = 0
+    for g, decisions in zip(graphs, before):
+        want = red_count_set_dp(g)
+        reports = [solve(g, t) for t in range(-1, g.n + 2)]
+        assert [rep.decision for rep in reports] == decisions
+        assert decisions == [t in want for t in range(-1, g.n + 2)]
+        rep = reports[0]
+        t_min, t_max = red_count_bounds(g)
+        if t_max - t_min > 1:
+            assert rep.counts["certified"] == 0
+            zeros += any(
+                b.method == "pure-ASNC" and b.feasible_t[-1] - b.feasible_t[0]
+                >= len(b.feasible_t)
+                for b in rep.blocks
+            )
+    assert zeros >= 10
 
 
 def test_solve_decisions_match_enumeration_batch():
