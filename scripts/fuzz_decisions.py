@@ -10,8 +10,12 @@ and its witness is checked against the graph. The run stops at --budget
 seconds or --max-instances. One draw in GAP_SHARE is a dense graph
 gap-colored (red iff row and column lie on opposite halves), so every red
 count is even and the odd targets inside its bounds are zeros the grid must
-certify. Any disagreement or bad witness prints the instance in wire format
-and aborts, so the output is a ready-made regression fixture.
+certify. One draw in MULTI_SHARE (gap draws take precedence) is a node
+graph of decompose(g) for a matching-covered random g: the blocks below
+its root are multigraphs, with a parallel cell wherever crossing records of
+both colors meet. Any disagreement or bad witness prints the instance in
+wire format (a make() call for a multigraph, which EBG cannot carry) and
+aborts, so the output is a ready-made regression fixture.
 
     python3 scripts/fuzz_decisions.py --budget 60 --max-n 14
 """
@@ -23,6 +27,7 @@ import time
 
 sys.path.insert(0, "src")
 
+from exactmatch.decomposition import Split, decompose
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -30,6 +35,7 @@ from exactmatch.graphs import (
     random_graph,
     serialize_ebg,
 )
+from exactmatch.matching import is_matching_covered
 from exactmatch.solver import SolverOptions, feasible_red_counts, solve
 from exactmatch.verify.core import red_count_set_dp
 
@@ -39,6 +45,7 @@ from exactmatch.verify.core import red_count_set_dp
 # longer than a typical budget.
 MAX_N = 14
 GAP_SHARE = 4
+MULTI_SHARE = 3
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -47,6 +54,31 @@ def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
         g.n,
         [(r, c, RED if (r < half) != (c < half) else BLUE) for r, c, _ in g.edges],
     )
+
+
+def decomposition_node(rng: random.Random, n: int) -> ColoredBipartiteGraph:
+    """A node graph of decompose(g), below the root when g has a tight cut,
+    for the first matching-covered draw g of size n."""
+    while True:
+        g = random_graph(n, rng.choice((0.3, 0.4, 0.5)), 0.5,
+                         seed=rng.randrange(1 << 30))
+        if is_matching_covered(g):
+            break
+    root = decompose(g)
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            stack += [node.left, node.right]
+        if node is not root:
+            nodes.append(node.graph)
+    return rng.choice(nodes) if nodes else g
+
+
+def wire(g: ColoredBipartiteGraph) -> str:
+    if not g.multi:
+        return serialize_ebg(g)
+    return f"ColoredBipartiteGraph.make({g.n}, {list(g.edges)}, multi=True)\n"
 
 
 def witness_ok(g: ColoredBipartiteGraph, t: int, witness) -> bool:
@@ -80,6 +112,8 @@ def main(argv=None) -> int:
                 random_graph(n, rng.choice((0.7, 0.9, 1.0)), 0.5,
                              seed=rng.randrange(1 << 30))
             )
+        elif instances % MULTI_SHARE == MULTI_SHARE - 1:
+            g = decomposition_node(rng, n)
         else:
             g = random_graph(
                 n,
@@ -90,7 +124,7 @@ def main(argv=None) -> int:
         want = red_count_set_dp(g)
         got = feasible_red_counts(g)
         instances += 1
-        for t in range(-1, n + 2):
+        for t in range(-1, g.n + 2):
             decided = solve(g, t).decision
             decisions += 1
             if (t in got) != (t in want) or decided != (t in want):
@@ -98,7 +132,7 @@ def main(argv=None) -> int:
                     f"DISAGREEMENT at t={t}: recursion={t in got} "
                     f"solve={decided} dp-oracle={t in want}"
                 )
-                sys.stdout.write(serialize_ebg(g))
+                sys.stdout.write(wire(g))
                 return 1
         if want:
             t = rng.choice(sorted(want))
@@ -106,7 +140,7 @@ def main(argv=None) -> int:
             witnesses += 1
             if not witness_ok(g, t, witness):
                 print(f"BAD WITNESS at t={t}: {witness}")
-                sys.stdout.write(serialize_ebg(g))
+                sys.stdout.write(wire(g))
                 return 1
     print(
         f"ok: {instances} instances, {decisions} decisions, "

@@ -31,7 +31,9 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DuplicateNode, NonIntegerResult, NotSquare, ZeroDivisor
+from .errors import (
+    BadParams, DuplicateNode, NonIntegerResult, NotSquare, ZeroDivisor,
+)
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -104,7 +106,8 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "IntPolynomial":
-        assert k >= 0
+        if k < 0:
+            raise BadParams(f"polynomial power needs k >= 0, got {k}")
         result = P_ONE
         base = self
         while k:

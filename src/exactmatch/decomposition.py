@@ -135,10 +135,6 @@ def _decompose(g, meta) -> DecompositionNode:
         if cert is None:  # a brace
             done.append(Leaf(graph, BraceBlock(graph, *data)))
             continue
-        if cert.mirrored:
-            raise InvariantError(
-                "internal finder emits standard-form certificates"
-            )
         bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(
             graph, data, cert
         )

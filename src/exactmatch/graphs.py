@@ -42,7 +42,13 @@ EdgeRecord = Tuple[int, int, int]  # (row, col, color)
 
 @dataclass(frozen=True)
 class ColoredBipartiteGraph:
-    """Immutable edge-colored bipartite graph on n+n vertices."""
+    """Immutable edge-colored bipartite graph on n+n vertices.
+
+    Invariant: edges are valid records sorted by (row, col, color); make
+    sorts them, and induced and matching.allowed_edges keep a monotonically
+    relabeled subsequence. The cells, row_adj and col_adj views are each
+    one pass that relies on it, with no set and no sort.
+    """
 
     n: int
     edges: Tuple[EdgeRecord, ...]
@@ -77,24 +83,28 @@ class ColoredBipartiteGraph:
     @cached_property
     def cells(self) -> dict[Tuple[int, int], Tuple[int, ...]]:
         """(row, col) -> sorted tuple of colors present."""
-        out: dict[Tuple[int, int], list[int]] = {}
+        out: dict[Tuple[int, int], Tuple[int, ...]] = {}
         for r, c, k in self.edges:
-            out.setdefault((r, c), []).append(k)
-        return {cell: tuple(sorted(ks)) for cell, ks in out.items()}
+            out[r, c] = out.get((r, c), ()) + (k,)
+        return out
 
     @cached_property
     def row_adj(self) -> Tuple[Tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for r, c, _ in self.edges:
-            adj[r].add(c)
-        return tuple(tuple(sorted(s)) for s in adj)
+            row = adj[r]
+            if not row or row[-1] != c:
+                row.append(c)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def col_adj(self) -> Tuple[Tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for r, c, _ in self.edges:
-            adj[c].add(r)
-        return tuple(tuple(sorted(s)) for s in adj)
+            col = adj[c]
+            if not col or col[-1] != r:
+                col.append(r)
+        return tuple(map(tuple, adj))
 
     def has_edge(self, r: int, c: int, color: Optional[int] = None) -> bool:
         colors = self.cells.get((r, c))

@@ -13,10 +13,11 @@ the arc i -> j, and it lies in an M-alternating cycle exactly when a
 directed cycle of D runs through that arc.
 
 One private primitive, _elementary(g), builds D once and returns None when
-g has no perfect matching, else the elementary blocks: the SCCs of D, each
-as its pairs and their columns, ordered by smallest row (Lovasz-Plummer,
-Matching Theory). For a single block it also yields, on request, the
-tight-set certificate, None for a brace. Every public question is a view:
+g has no perfect matching, else D itself: M, the arcs, the elementary
+blocks -- the SCCs of D, each as its pairs and their columns, ordered by
+smallest row (Lovasz-Plummer, Matching Theory) -- with a block index per
+pair, and for a single block, on request, the tight-set certificate, None
+for a brace. Every public question is a view:
 
   * allowed_edges keeps the records whose row and column share a block;
   * is_matching_covered holds iff there is exactly one block (n >= 1): a
@@ -35,9 +36,9 @@ tight-set certificate, None for a brace. Every public question is a view:
     is still checked by certificate_ok before it is returned.
 
 is_brace and find_tight_set are both views of _split_certificate (None for
-a brace, else the certificate). The solver's recursion and the tight-cut
-decomposition call the primitive once per graph, so each of their graphs
-has exactly one D built and searched.
+a brace, else the certificate). The solver's recursion (its root
+certificates included) and the tight-cut decomposition build one D per
+graph and ask it every structural question about that graph.
 
 Which perfect matching M is used does not change any of these answers.
 The matching search and the SCC pass are iterative, so the depth of an
@@ -55,7 +56,7 @@ from .errors import (
     NoPerfectMatching,
     NotMatchingCovered,
 )
-from .graphs import RED, ColoredBipartiteGraph
+from .graphs import RED, ColoredBipartiteGraph, EdgeRecord
 
 @dataclass(frozen=True)
 class Matching:
@@ -165,31 +166,76 @@ def has_perfect_matching(g: ColoredBipartiteGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the digraph D(G, M)
+# tight set certificates
+
+
+@dataclass(frozen=True)
+class TightSetCertificate:
+    """Rows A1 and columns B1 with N(B1) subseteq A1 and |A1| = |B1| + 1.
+
+    Every perfect matching then crosses from A1 to the complement columns
+    exactly once.
+    """
+
+    rows_a1: Tuple[int, ...]
+    cols_b1: Tuple[int, ...]
+
+
+def certificate_ok(g: ColoredBipartiteGraph, cert: TightSetCertificate) -> bool:
+    a1, b1 = set(cert.rows_a1), set(cert.cols_b1)
+    if not b1 or not (0 < len(a1) < g.n):
+        return False
+    if len(a1) != len(b1) + 1:
+        return False
+    neighborhood = {r for c in b1 for r in g.col_adj[c]}
+    return neighborhood <= a1
+
+
+# ---------------------------------------------------------------------------
+# the primitive: D(G, M), its elementary blocks and its split
+
+Block = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (rows, cols), both sorted
 
 
 class _PairDigraph:
-    """D(G, M) for a maximum matching M of g; see the module docstring.
+    """D(G, M) for a perfect matching M of g, and what it says about g.
 
-    mate[i] is M's column for row i (None if unmatched). The arcs exist
-    only when M is perfect: arcs[i] lists the pairs j != i whose column
-    row i meets, in column order.
+    mate[i] is M's column for row i, and arcs[i] lists the pairs j != i
+    whose column row i meets, in column order. blocks are the SCCs of D as
+    (rows, cols): rows the pairs of the SCC, cols their columns M(rows),
+    ordered by smallest row, and block_of[i] is the index of pair i's
+    block, the block of row i and of column mate[i]. The blocks are the
+    connected components of allowed_edges(g), in components() order, and g
+    induces each one directly: a cell of g inside an SCC is an arc of it
+    or a matched cell, so it is allowed. g is matching-covered exactly when
+    there is one block (n >= 1), and then g is its own allowed-edge graph.
     """
 
-    def __init__(self, g: ColoredBipartiteGraph):
-        n = g.n
-        self.n = n
-        self.mate = _max_assignment(n, g.row_adj)
-        self.perfect = None not in self.mate
-        self.arcs: Tuple[Tuple[int, ...], ...] = ()
-        if self.perfect:
-            pair_of_col = [0] * n
-            for i, c in enumerate(self.mate):
-                pair_of_col[c] = i
-            self.arcs = tuple(
-                tuple(pair_of_col[c] for c in adj if c != self.mate[i])
-                for i, adj in enumerate(g.row_adj)
-            )
+    def __init__(self, g: ColoredBipartiteGraph, mate: list[int]):
+        self.g, self.n, self.mate = g, g.n, mate
+        self.pair_of_col = pair_of_col = [0] * g.n
+        for i, c in enumerate(mate):
+            pair_of_col[c] = i
+        self.arcs: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(pair_of_col[c] for c in adj if c != mate[i])
+            for i, adj in enumerate(g.row_adj)
+        )
+        self.blocks: Tuple[Block, ...] = tuple(
+            (tuple(rows), tuple(sorted(mate[i] for i in rows)))
+            for rows in sorted(sorted(comp) for comp in self.sccs())
+        )
+        self.block_of = [0] * g.n
+        for b, (rows, _) in enumerate(self.blocks):
+            for r in rows:
+                self.block_of[r] = b
+
+    def allowed(self) -> Tuple[EdgeRecord, ...]:
+        """g's records whose row and column share a block, in g's order."""
+        block_of, pair_of_col = self.block_of, self.pair_of_col
+        return tuple(
+            rec for rec in self.g.edges
+            if block_of[rec[0]] == block_of[pair_of_col[rec[1]]]
+        )
 
     def sccs(self, skip: int = -1) -> list[list[int]]:
         """SCCs of D minus vertex skip, sinks first (Tarjan, iterative).
@@ -252,60 +298,6 @@ class _PairDigraph:
                 return v, comps
         return None
 
-
-# ---------------------------------------------------------------------------
-# tight set certificates
-
-
-@dataclass(frozen=True)
-class TightSetCertificate:
-    """Rows A1 and columns B1 with N(B1) subseteq A1 and |A1| = |B1| + 1.
-
-    Every perfect matching then crosses from A1 to the complement columns
-    exactly once. mirrored certificates swap the roles of rows and columns.
-    """
-
-    rows_a1: Tuple[int, ...]
-    cols_b1: Tuple[int, ...]
-    mirrored: bool = False
-
-
-def certificate_ok(g: ColoredBipartiteGraph, cert: TightSetCertificate) -> bool:
-    base = g.transpose() if cert.mirrored else g
-    a1, b1 = set(cert.rows_a1), set(cert.cols_b1)
-    if not b1 or not (0 < len(a1) < base.n):
-        return False
-    if len(a1) != len(b1) + 1:
-        return False
-    neighborhood = {r for c in b1 for r in base.col_adj[c]}
-    return neighborhood <= a1
-
-
-# ---------------------------------------------------------------------------
-# the primitive: elementary blocks and the split, from one D(G, M)
-
-Block = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (rows, cols), both sorted
-
-
-class _Elementary:
-    """What one D(G, M) says about a graph g that has a perfect matching.
-
-    blocks are the SCCs of D as (rows, cols): rows the pairs of the SCC,
-    cols their columns M(rows), ordered by smallest row. They are the
-    connected components of allowed_edges(g), in components() order, and
-    g induces each one directly: a cell of g inside an SCC is an arc of it
-    or a matched cell, so it is allowed. g is matching-covered exactly when
-    there is one block (n >= 1), and then g is its own allowed-edge graph.
-    """
-
-    def __init__(self, g: ColoredBipartiteGraph, d: _PairDigraph):
-        self._g = g
-        self._d = d
-        self.blocks: Tuple[Block, ...] = tuple(
-            (tuple(rows), tuple(sorted(d.mate[i] for i in rows)))
-            for rows in sorted(sorted(comp) for comp in d.sccs())
-        )
-
     def split_certificate(self) -> Optional[TightSetCertificate]:
         """None for a brace, else find_tight_set's certificate.
 
@@ -316,24 +308,24 @@ class _Elementary:
         """
         if len(self.blocks) != 1:
             raise NotMatchingCovered("the graph is not matching-covered")
-        found = self._d.split() if self._g.n > 2 else None
+        found = self.split() if self.n > 2 else None
         if found is None:
             return None
         v, comps = found
         source = comps[-1]
         cert = TightSetCertificate(
             tuple(sorted(source + [v])),
-            tuple(sorted(self._d.mate[i] for i in source)),
+            tuple(sorted(self.mate[i] for i in source)),
         )
-        if not certificate_ok(self._g, cert):
+        if not certificate_ok(self.g, cert):
             raise InvariantError(f"tight set {cert} fails certificate_ok")
         return cert
 
 
-def _elementary(g: ColoredBipartiteGraph) -> Optional[_Elementary]:
-    """None when g has no perfect matching, else its _Elementary."""
-    d = _PairDigraph(g)
-    return _Elementary(g, d) if d.perfect else None
+def _elementary(g: ColoredBipartiteGraph) -> Optional[_PairDigraph]:
+    """None when g has no perfect matching, else its one D(G, M)."""
+    mate = _max_assignment(g.n, g.row_adj)
+    return None if None in mate else _PairDigraph(g, mate)
 
 
 # ---------------------------------------------------------------------------
@@ -346,27 +338,17 @@ def allowed_edges(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
     Keeps every record whose row and column lie in the same elementary
     block. Raises NoPerfectMatching when the graph has none.
     """
-    elem = _elementary(g)
-    if elem is None:
+    d = _elementary(g)
+    if d is None:
         raise NoPerfectMatching(f"no perfect matching on {g.n} + {g.n} vertices")
-    block_of_row = [0] * g.n
-    block_of_col = [0] * g.n
-    for idx, (rows, cols) in enumerate(elem.blocks):
-        for r in rows:
-            block_of_row[r] = idx
-        for c in cols:
-            block_of_col[c] = idx
     # a subsequence of g's sorted, valid records is sorted and valid
-    kept = tuple(
-        rec for rec in g.edges if block_of_row[rec[0]] == block_of_col[rec[1]]
-    )
-    return ColoredBipartiteGraph(g.n, kept, g.multi)
+    return ColoredBipartiteGraph(g.n, d.allowed(), g.multi)
 
 
 def is_matching_covered(g: ColoredBipartiteGraph) -> bool:
     """Connected and every edge lies in some perfect matching."""
-    elem = _elementary(g)
-    return elem is not None and len(elem.blocks) == 1
+    d = _elementary(g)
+    return d is not None and len(d.blocks) == 1
 
 
 def _split_certificate(
@@ -377,10 +359,10 @@ def _split_certificate(
     Raises NotMatchingCovered unless g is matching-covered, and
     InvariantError if the certificate ever fails certificate_ok.
     """
-    elem = _elementary(g)
-    if elem is None:
+    d = _elementary(g)
+    if d is None:
         raise NotMatchingCovered("the graph has no perfect matching")
-    return elem.split_certificate()
+    return d.split_certificate()
 
 
 def is_brace(g: ColoredBipartiteGraph) -> bool:

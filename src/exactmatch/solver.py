@@ -41,7 +41,8 @@ only for the t its congruence class allows (below).
 
 Certificates first: when no witness is wanted, solve lets the root call
 settle the whole achievable set before the recursion, from exact
-certificates that need no zero proof:
+certificates that need no zero proof. They run inside _feasible on the
+root's one D(G, M), right after it is built:
 
   * bounds: red_count_bounds gives [t_min, t_max], both attained;
   * congruence: on each elementary block, potentials along a spanning
@@ -55,7 +56,8 @@ certificates that need no zero proof:
     proves nothing.
 
 If the endpoints and the probe's hits cover every in-bound t of the class,
-those t are the achievable set; otherwise the recursion runs unchanged.
+those t are the achievable set; otherwise the recursion runs unchanged, and
+a root that is a brace hands those in-class candidates to its grid.
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
 (a root settled by certificates names the one needed last: "bounds",
@@ -87,9 +89,9 @@ from .algebra import (
     inverse_mod,
     reduce_mod,
 )
-from .errors import BadPrime, InvariantError, NoPerfectMatching
+from .errors import BadParams, BadPrime, InvariantError, NoPerfectMatching
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
-from .matching import Block, _elementary, is_brace
+from .matching import _elementary, _PairDigraph, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
@@ -194,7 +196,8 @@ class EvaluationGrid:
     over 0..n(n-1)/2 (every matching monomial has exactly that lam-degree,
     so a coefficient polynomial vanishing on all nodes is zero).
     x_coefficients evaluates exactly at these nodes; nonvanishing_targets
-    uses the same lam nodes and x = 1..m modulo certificate primes.
+    uses the same lam nodes and x = 1..m modulo certificate primes. Both
+    raise BadParams when the distinct nodes do not cover those bounds.
     """
 
     lam_nodes: Tuple[int, ...]
@@ -206,8 +209,14 @@ class EvaluationGrid:
             tuple(range(n * (n - 1) // 2 + 1)), tuple(range(n + 1))
         )
 
+    def _check_nodes(self, n: int, x_nodes: bool) -> None:
+        lams, xs = len(set(self.lam_nodes)), len(set(self.x_nodes))
+        if lams <= n * (n - 1) // 2 or (x_nodes and xs <= n):
+            raise BadParams(f"too few nodes for n = {n}: {lams} lam, {xs} x")
+
     def x_coefficients(self, g: ColoredBipartiteGraph, lam: int) -> list[int]:
         """Exact x-coefficient vector of det M(lam, x), length n+1."""
+        self._check_nodes(g.n, x_nodes=True)
         n = g.n
         if n == 0:
             return [1]
@@ -246,6 +255,7 @@ class EvaluationGrid:
         c_t = 0. trace, when given, counts the modular determinants in
         grid_dets.
         """
+        self._check_nodes(g.n, x_nodes=False)
         bounds = red_count_bounds(g)
         if bounds is None:
             return set()
@@ -339,12 +349,10 @@ def red_count_bounds(
 # congruence and probe certificates
 
 
-def _congruence(
-    g: ColoredBipartiteGraph, blocks: Tuple[Block, ...]
-) -> Tuple[int, int]:
+def _congruence(g: ColoredBipartiteGraph, d: _PairDigraph) -> Tuple[int, int]:
     """(modulus, residue) with red(M) = residue (mod modulus) for every PM.
 
-    blocks are the elementary blocks of g (_elementary(g).blocks). Each is
+    d is g's D(G, M) (_elementary(g)). Each of its elementary blocks is
     connected by its allowed records, so a spanning walk gives potentials
     with p(col) - p(row) = red(e) on its tree records; every record of a
     block then has red(e) = p(col) - p(row) + d(e). A perfect matching
@@ -357,20 +365,13 @@ def _congruence(
     the records.
     """
     n = g.n
-    block_of = [0] * (2 * n)  # rows 0..n-1, columns n..2n-1
-    for b, (rows, cols) in enumerate(blocks):
-        for r in rows:
-            block_of[r] = b
-        for c in cols:
-            block_of[n + c] = b
     adj: list[list[Tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for r, c, k in g.edges:
-        if block_of[r] == block_of[n + c]:
-            rho = 1 if k == RED else 0
-            adj[r].append((n + c, rho))
-            adj[n + c].append((r, -rho))
+    for r, c, k in d.allowed():  # rows 0..n-1, columns n..2n-1
+        rho = 1 if k == RED else 0
+        adj[r].append((n + c, rho))
+        adj[n + c].append((r, -rho))
     pot: list[Optional[int]] = [None] * (2 * n)
-    for rows, _ in blocks:
+    for rows, _ in d.blocks:
         pot[rows[0]] = 0
         stack = [rows[0]]
         while stack:
@@ -465,33 +466,31 @@ class SolveTrace:
         return result
 
 
-def _certify(g: ColoredBipartiteGraph, trace: SolveTrace) -> Optional[frozenset]:
-    """g's achievable set when exact certificates settle it, else None.
+def _certify(
+    g: ColoredBipartiteGraph, d: _PairDigraph, trace: SolveTrace
+) -> Tuple[Optional[frozenset], set[int]]:
+    """(g's achievable set, or None if still open; the candidates).
 
-    The bounds are attained, so t_min and t_max are achievable, and every
-    achievable t is an in-bound t of the congruence class. When those
-    endpoints and the probe's hits cover every such candidate, the
-    candidates are the achievable set; the block names the certificate
-    that was needed last. No perfect matching gives the empty set with no
-    block.
+    d is g's D(G, M). The bounds are attained, so t_min and t_max are
+    achievable, and every achievable t is a candidate: an in-bound t of
+    the congruence class. When the endpoints and the probe's hits cover
+    every candidate, the candidates are the achievable set; the block
+    names the certificate that was needed last.
     """
-    bounds = red_count_bounds(g)
-    if bounds is None:
-        return frozenset()
-    t_min, t_max = bounds
+    t_min, t_max = red_count_bounds(g)  # not None: d has a perfect matching
     proved = {t_min, t_max}
     candidates = set(range(t_min, t_max + 1))
     method = "bounds"
     if not candidates <= proved:
         method = "congruence"
-        elem = _elementary(g)  # not None: the bounds found a matching
-        candidates &= _in_class(t_min, t_max, *_congruence(g, elem.blocks))
+        candidates &= _in_class(t_min, t_max, *_congruence(g, d))
     if not candidates <= proved:
         method = "probe"
         proved |= _probe(g, t_min, t_max, trace)
     if not candidates <= proved:
-        return None
-    return trace.settle("certified", method, g.n, frozenset(candidates))
+        return None, candidates
+    settled = trace.settle("certified", method, g.n, frozenset(candidates))
+    return settled, candidates
 
 
 def feasible_red_counts(
@@ -505,8 +504,7 @@ def feasible_red_counts(
     tight-cut crossing records. Every subproblem is induced from the input
     graph, so the recursion only ever evaluates determinant tables on
     simple braces, where fiber-nonemptiness and coefficient nonvanishing
-    coincide. A root call on a trace with certify_root first tries
-    _certify, and recurses only when the certificates leave a t open.
+    coincide.
     """
     if trace is None:
         trace = SolveTrace()
@@ -519,12 +517,7 @@ def feasible_red_counts(
             trace.counts["memo_hits"] += 1
             return trace.memo[key]
         trace.counts["subproblems"] += 1
-        result = None
-        if trace.certify_root and trace.level == 1:
-            result = _certify(g, trace)
-        if result is None:
-            result = _feasible(g, trace)
-        trace.memo[key] = result
+        result = trace.memo[key] = _feasible(g, trace)
         return result
     finally:
         trace.level -= 1
@@ -532,14 +525,19 @@ def feasible_red_counts(
 
 def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
     n = g.n
+    d = _elementary(g)  # the one D(G, M) of this subproblem
+    if d is None:
+        return frozenset()  # no perfect matching
+    candidates = None  # the grid's targets if g is a brace; a root narrows them
+    if trace.certify_root and trace.level == 1:
+        settled, candidates = _certify(g, d, trace)
+        if settled is not None:
+            return settled
     if n == 0:
         return frozenset({0})
-    elem = _elementary(g)  # the one D(G, M) of this subproblem
-    if elem is None:
-        return frozenset()  # no perfect matching
-    if len(elem.blocks) > 1:  # the elementary blocks, induced on g itself
+    if len(d.blocks) > 1:  # the elementary blocks, induced on g itself
         acc = {0}
-        for rows, cols in elem.blocks:
+        for rows, cols in d.blocks:
             part = feasible_red_counts(g.induced(rows, cols), trace)
             acc = {a + b for a in acc for b in part}
         return frozenset(acc)
@@ -555,10 +553,11 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
         )
         return trace.settle("enumerated", "enumeration", n, result)
 
-    cert = elem.split_certificate()  # None: g is a brace
+    cert = d.split_certificate()  # None: g is a brace
     if cert is None:  # the grid applies the bounds; the class drops holes
         grid = EvaluationGrid.for_size(n)
-        candidates = _in_class(0, n, *_congruence(g, elem.blocks))
+        if candidates is None:
+            candidates = _in_class(0, n, *_congruence(g, d))
         result = frozenset(grid.nonvanishing_targets(g, candidates, trace))
         return trace.settle("braces", "pure-ASNC", n, result)
 

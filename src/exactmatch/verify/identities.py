@@ -66,8 +66,10 @@ def _quotient_equals(q: Tuple[IntPolynomial, int], other: IntPolynomial) -> bool
 
 def poly_order(d: IntPolynomial, p: IntPolynomial) -> int:
     """Multiplicity of the linear factor d in the nonzero polynomial p."""
-    assert d.degree == 1
-    assert not p.is_zero
+    if d.degree != 1:
+        raise BadParams(f"poly_order needs a linear factor, got {d}")
+    if p.is_zero:
+        raise BadParams("poly_order needs a nonzero polynomial")
     order = 0
     cur = p
     while True:

@@ -31,7 +31,13 @@ from exactmatch.algebra import (
     poly_eval,
     poly_product,
 )
-from exactmatch.errors import DuplicateNode, NonIntegerResult, NotSquare, ZeroDivisor
+from exactmatch.errors import (
+    BadParams,
+    DuplicateNode,
+    NonIntegerResult,
+    NotSquare,
+    ZeroDivisor,
+)
 from exactmatch.verify.core import _det_mod
 
 small_coeffs = st.lists(st.integers(-9, 9), max_size=6)
@@ -83,6 +89,12 @@ def test_pow():
     assert (LAM + P_ONE) ** 0 == P_ONE
     assert ((LAM + P_ONE) ** 2).coeffs == (1, 2, 1)
     assert ((LAM + P_ONE) ** 3).coeffs == (1, 3, 3, 1)
+
+
+def test_negative_pow_raises_bad_params():
+    # k >>= 1 keeps k = -1 at -1, so without the check the loop never ends
+    with pytest.raises(BadParams):
+        (LAM + P_ONE) ** -1
 
 
 def test_shift_is_composition_with_translate():

@@ -63,6 +63,20 @@ def test_poly_order():
     assert poly_order(mu, 6 * mu) == 1
 
 
+@pytest.mark.parametrize(
+    "d, p",
+    [
+        pytest.param(linear_form(1), P_ZERO, id="zero-p"),
+        pytest.param(IntPolynomial.of(3), linear_form(1), id="constant-d"),
+        pytest.param(linear_form(1) ** 2, linear_form(1), id="quadratic-d"),
+    ],
+)
+def test_poly_order_rejects_bad_input(d, p):
+    # each of these divides forever, so the loop would never end
+    with pytest.raises(BadParams):
+        poly_order(d, p)
+
+
 # ---------------------------------------------------------------------------
 # single-edge expansion
 

@@ -96,6 +96,33 @@ def decomposition_blocks():
 BLOCKS = decomposition_blocks()
 
 
+def _reference_views(g):
+    """cells, row_adj and col_adj through sets and sorts, in any record order."""
+    cells, rows, cols = {}, [set() for _ in range(g.n)], [set() for _ in range(g.n)]
+    for r, c, k in g.edges:
+        cells.setdefault((r, c), []).append(k)
+        rows[r].add(c)
+        cols[c].add(r)
+    return (
+        {cell: tuple(sorted(ks)) for cell, ks in cells.items()},
+        tuple(tuple(sorted(s)) for s in rows),
+        tuple(tuple(sorted(s)) for s in cols),
+    )
+
+
+def test_one_pass_views_match_a_set_and_sort_reference():
+    graphs = []
+    for p in random_cases(2600) + BLOCKS:
+        g = p.values[0]
+        graphs += [g, g.induced(range(1, g.n), range(g.n - 1)), g.without([0], [0])]
+        if has_perfect_matching(g):
+            graphs.append(allowed_edges(g))
+    assert sum(g.multi and len(ks) > 1 for g in graphs for ks in g.cells.values()) >= 5
+    for g in graphs:
+        cells, rows, cols = _reference_views(g)
+        assert (g.cells, g.row_adj, g.col_adj) == (cells, rows, cols)
+
+
 def test_decomposition_blocks_cover_parallel_cells():
     graphs = [p.values[0] for p in BLOCKS]
     assert any(len(ks) > 1 for g in graphs for ks in g.cells.values())

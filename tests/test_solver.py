@@ -8,7 +8,7 @@ import pytest
 from exactmatch import solver
 from exactmatch.algebra import IntPolynomial, P_ZERO, is_probable_prime
 from exactmatch.decomposition import Split, decompose
-from exactmatch.errors import BadPrime
+from exactmatch.errors import BadParams, BadPrime
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -68,6 +68,30 @@ def test_grid_shape():
     grid = EvaluationGrid.for_size(4)
     assert grid.lam_nodes == tuple(range(7))
     assert grid.x_nodes == tuple(range(5))
+
+
+def test_hand_built_grid_must_cover_the_degree_bounds():
+    g = k44_diag()  # T = {0, 1, 2, 4}
+    full = EvaluationGrid.for_size(4)
+    coeffs = [-10878, 60846, -71556, 0, 21600]
+    assert full.nonvanishing_targets(g, set(range(5))) == {0, 1, 2, 4}
+    assert full.x_coefficients(g, 3) == coeffs
+    # any order of enough distinct nodes gives the same answers
+    turned = EvaluationGrid(full.lam_nodes[::-1], full.x_nodes[::-1])
+    assert turned.nonvanishing_targets(g, set(range(5))) == {0, 1, 2, 4}
+    assert turned.x_coefficients(g, 3) == coeffs
+    short = [
+        EvaluationGrid((0,), tuple(range(5))),  # said {1, 2, 4}
+        EvaluationGrid((0,) * 7, tuple(range(5))),
+    ]
+    for grid in short:
+        with pytest.raises(BadParams):
+            grid.nonvanishing_targets(g, set(range(5)))
+        with pytest.raises(BadParams):
+            grid.x_coefficients(g, 3)
+    for x_nodes in [(0, 1), (0, 1, 2, 3, 3)]:  # (0, 1) said [-10878, 10890, 0, 0, 0]
+        with pytest.raises(BadParams):
+            EvaluationGrid(full.lam_nodes, x_nodes).x_coefficients(g, 3)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -541,7 +565,7 @@ def test_congruence_cases_cover_blocks_multigraphs_and_classes():
     graphs = [p.values[0] for p in CONGRUENCE_CASES]
     assert sum(len(_elementary(g).blocks) > 1 for g in graphs) >= 10
     assert any(g.multi and len(ks) > 1 for g in graphs for ks in g.cells.values())
-    moduli = [solver._congruence(g, _elementary(g).blocks)[0] for g in graphs]
+    moduli = [solver._congruence(g, _elementary(g))[0] for g in graphs]
     assert {0, 1, 2} <= set(moduli)
 
 
@@ -550,7 +574,7 @@ def test_congruence_is_the_gcd_of_achievable_differences(g):
     want = red_count_set_dp(g)
     if g.n <= 8:
         assert want == red_count_set(g)
-    modulus, residue = solver._congruence(g, _elementary(g).blocks)
+    modulus, residue = solver._congruence(g, _elementary(g))
     low = min(want)
     assert modulus == math.gcd(*(t - low for t in want))
     if modulus:
@@ -565,7 +589,7 @@ def test_certificates_never_contradict_the_dp_oracle(g):
     t_min, t_max = red_count_bounds(g)
     assert {t_min, t_max} <= want  # YES: the endpoints are attained
     in_class = solver._in_class(
-        t_min, t_max, *solver._congruence(g, _elementary(g).blocks)
+        t_min, t_max, *solver._congruence(g, _elementary(g))
     )
     assert want <= in_class  # NO: outside the bounds or off the class
     trace = SolveTrace()
@@ -620,6 +644,55 @@ def test_witness_and_bare_recursion_skip_the_certificates():
     assert trace.counts["certified"] == 0
 
 
+def _multi_block_root():
+    # k33 with a red diagonal (a hole at 2) beside a two-pair block, and a
+    # record between them that no perfect matching uses
+    k33 = with_coloring(knn(3), red="diag")
+    k22 = [(3 + r, 3 + c, RED if r == c else BLUE) for r in range(2) for c in range(2)]
+    return ColoredBipartiteGraph.make(5, list(k33.edges) + k22 + [(0, 3, BLUE)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(with_coloring(knn(3), red="diag"), id="k33-diag"),
+        pytest.param(k44_diag(), id="k44-diag"),
+        pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), id="probe"),
+        pytest.param(knn(3), id="bounds"),
+        pytest.param(_multi_block_root(), id="multi-block"),
+        pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3), id="band7"),
+        pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), id="no-pm"),
+        pytest.param(ColoredBipartiteGraph.make(0, []), id="n0"),
+    ],
+)
+def test_one_pair_digraph_per_subproblem(g, monkeypatch):
+    builds = []
+    build = solver._elementary
+
+    def counted(graph):
+        builds.append(graph.n)
+        return build(graph)
+
+    monkeypatch.setattr(solver, "_elementary", counted)
+    for t in range(-1, g.n + 2):
+        builds.clear()
+        rep = solve(g, t)
+        assert len(builds) == rep.counts["subproblems"]
+    builds.clear()
+    trace = SolveTrace()
+    for t in range(-1, g.n + 2):
+        extract_witness(g, t, trace)
+    assert len(builds) == trace.counts["subproblems"] >= 1
+
+
+def test_multi_block_root_reaches_the_recursion():
+    g = _multi_block_root()
+    assert len(_elementary(g).blocks) == 2
+    rep = solve(g, 2)
+    assert rep.counts["certified"] == 0 and rep.counts["subproblems"] == 3
+    assert [b.method for b in rep.blocks] == ["pure-ASNC", "enumeration"]
+
+
 def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
     # with no probe hits and modulus 1 the root and every brace grid see
     # every in-bound target, so the recursion and the grid's zero path
@@ -627,7 +700,7 @@ def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
     graphs = [p.values[0] for p in CONGRUENCE_CASES + RESIDUAL_HOLES]
     before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
     monkeypatch.setattr(solver, "_probe", lambda g, t_min, t_max, trace: set())
-    monkeypatch.setattr(solver, "_congruence", lambda g, blocks: (1, 0))
+    monkeypatch.setattr(solver, "_congruence", lambda g, d: (1, 0))
     zeros = 0
     for g, decisions in zip(graphs, before):
         want = red_count_set_dp(g)
