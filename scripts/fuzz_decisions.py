@@ -4,9 +4,10 @@
 Draws random colored instances and checks each against the DP oracle
 twice: the recursion's achievable set, one feasible_red_counts call per
 instance, and solve(g, t).decision for every t in -1..n+1, which the root
-certificates (bounds, congruence, probe) settle before any recursion. One
-YES target per instance then goes through solve(..., want_witness=True)
-and its witness is checked against the graph. The run stops at --budget
+certificates (bounds, congruence, probe) settle before any recursion.
+Every YES target of an instance with n <= WITNESS_ALL_N (one drawn YES
+target above that) then goes through solve(..., want_witness=True), and
+each witness is checked against the graph. The run stops at --budget
 seconds or --max-instances. One draw in GAP_SHARE is a dense graph
 gap-colored (red iff row and column lie on opposite halves), so every red
 count is even and the odd targets inside its bounds are zeros the grid must
@@ -44,6 +45,8 @@ from exactmatch.verify.core import red_count_set_dp
 # solver's with the grid on large braces; past 14 one instance can take
 # longer than a typical budget.
 MAX_N = 14
+# Up to this size every achievable target's witness is extracted and checked.
+WITNESS_ALL_N = 10
 GAP_SHARE = 4
 MULTI_SHARE = 3
 
@@ -134,8 +137,10 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
-        if want:
-            t = rng.choice(sorted(want))
+        targets = sorted(want)
+        if targets and g.n > WITNESS_ALL_N:
+            targets = [rng.choice(targets)]
+        for t in targets:
             witness = solve(g, t, SolverOptions(want_witness=True)).witness
             witnesses += 1
             if not witness_ok(g, t, witness):

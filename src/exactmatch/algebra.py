@@ -16,9 +16,12 @@ each step picks the first nonzero pivot per matrix, swaps it up with its
 sign, and updates row_i <- piv * row_i + (p - lead) * row_k with one
 reduction, which scales the determinant by piv per updated row. The
 accumulated scale is divided out by one Fermat inverse per matrix at the
-end. A zero residue is only a residue: callers that conclude an integer is
-zero must first multiply enough primes to exceed a bound on its size
-(certificate_primes).
+end. inverse_det_mod_batch runs the same update as an in-place
+Gauss-Jordan and returns every inverse with its determinant; its scales
+are cleared by one batch of modular inverses (Montgomery's trick,
+inverses_mod). A zero residue is only a residue: callers that conclude
+an integer is zero must first multiply enough primes to exceed a bound
+on its size (certificate_primes).
 """
 
 from __future__ import annotations
@@ -527,25 +530,88 @@ def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
     return det
 
 
-def inverse_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Inverse of a square integer matrix over F_p (Gauss-Jordan).
+def inverses_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses mod p of a 1-D int64 array; a 0 stays 0.
 
-    Raises ZeroDivisor when the matrix is singular mod p.
+    Montgomery's trick in Python ints: one pow and three products per
+    entry, far cheaper than a batched Fermat power for a few dozen entries.
     """
-    n = len(rows)
-    aug = [
-        [v % p for v in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if aug[r][k]), None)
-        if pivot is None:
-            raise ZeroDivisor(f"matrix is singular mod {p}")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        inv = pow(aug[k][k], p - 2, p)
-        aug[k] = [v * inv % p for v in aug[k]]
-        for r in range(n):
-            factor = aug[r][k]
-            if r != k and factor:
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[k])]
-    return [row[n:] for row in aug]
+    vals = [v or 1 for v in values.tolist()]
+    prefix, acc = [], 1
+    for v in vals:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * vals[i] % p
+    res = np.array(out, dtype=np.int64)
+    res[values == 0] = 0
+    return res
+
+
+def inverse_det_mod_batch(
+    mats: np.ndarray, p: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverses and determinants mod p of a (B, k, k) int64 stack.
+
+    Entries lie in [0, p). In-place division-free Gauss-Jordan, all B
+    matrices in step. Column c brings the first row at or below the
+    diagonal with a nonzero entry up (a row swap, with its sign), stores
+    the inverse's column c in its place (the pivot row gets P_c, the
+    product of the earlier pivots, and the others 0), and replaces every
+    other row by piv * row + (p - lead) * pivot row, reduced once as in
+    det_mod_batch. Row r then holds row r of A^-1 times s_r = P_k / P_r,
+    so one inverse of P_k per matrix clears every row; det A is the
+    product of piv_c / P_c with the swaps' sign. The row swaps come back
+    out as column swaps in reverse order. Returns (inv, det): a singular
+    matrix has det 0 and an all-zero inverse. The stack is not modified.
+    """
+    batch, k = mats.shape[0], mats.shape[1]
+    a = mats.copy()
+    idx = np.arange(batch)
+    negate = np.zeros(batch, dtype=bool)
+    alive = np.ones(batch, dtype=bool)
+    prefix = np.ones((batch, k + 1), dtype=np.int64)  # P_0 .. P_k
+    swaps = []  # (c, the row each matrix swapped with row c)
+    for c in range(k):
+        nonzero = a[:, c:, c] != 0
+        offset = nonzero.argmax(axis=1)
+        alive &= nonzero[idx, offset]
+        swapped = offset != 0
+        if swapped.any():
+            top = a[:, c].copy()
+            a[:, c] = a[idx, c + offset]
+            a[idx, c + offset] = top
+            negate ^= swapped
+            swaps.append((c, c + offset))
+        piv = a[:, c, c].copy()
+        lead = p - a[:, :, c]
+        row = a[:, c].copy()
+        row[:, c] = prefix[:, c]
+        a[:, :, c] = 0
+        a = reduce_mod(
+            piv[:, None, None] * a + lead[:, :, None] * row[:, None], p
+        )
+        a[:, c] = row
+        prefix[:, c + 1] = reduce_mod(prefix[:, c] * piv, p)
+    # det = P_k / (P_0 ... P_(k-1)) and 1 / s_r = P_r / P_k: one inverse
+    # of P_k and of the product of the others per matrix
+    lower = np.ones(batch, dtype=np.int64)
+    for c in range(k):
+        lower = reduce_mod(lower * prefix[:, c], p)
+    top_inv, lower_inv = inverses_mod(
+        np.concatenate([prefix[:, k], lower]), p
+    ).reshape(2, batch)
+    unscale = reduce_mod(prefix[:, :k] * top_inv[:, None], p)  # 1 / s_r
+    inv = reduce_mod(a * unscale[:, :, None], p)
+    for c, other in reversed(swaps):
+        col = inv[:, :, c].copy()
+        inv[:, :, c] = inv[idx, :, other]
+        inv[idx, :, other] = col
+    det = reduce_mod(prefix[:, k] * lower_inv, p)
+    det[negate] = reduce_mod(p - det[negate], p)
+    det[~alive] = 0
+    inv[~alive] = 0
+    return inv, det

@@ -58,6 +58,20 @@ root's one D(G, M), right after it is built:
 If the endpoints and the probe's hits cover every in-bound t of the class,
 those t are the achievable set; otherwise the recursion runs unchanged, and
 a root that is a brace hands those in-class candidates to its grid.
+Witnesses: extract_witness reduces one row at a time, as a loop. A graph
+the recursion settled on the grid as a brace goes down a cofactor chain
+(_brace_witness): M(lam*, x) at the probe's node, inverted once modulo
+the first certificate prime at the x nodes its bounds need, gives every
+record's cofactor along a row; the first record whose coefficient for the
+target left is nonzero is taken, and a rank-one downdate of the inverse
+gives the next row's cofactors. A nonzero coefficient is a certificate,
+so each step is exact, and a certified start c_t(lam*) != 0 mod p keeps a
+qualifying record in every row (the matrix-inverse self-reduction of
+Rabin and Vazirani, deterministic here). When the start is not certified
+or a cofactor vanishes at an x node, the chain gives up and row 0 is
+forced onto the first record whose residual graph keeps the residual
+target in feasible_red_counts. The witness is checked against the graph.
+
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
 (a root settled by certificates names the one needed last: "bounds",
@@ -86,10 +100,13 @@ from .algebra import (
     det_mod_batch,
     det_rows,
     interpolate,
-    inverse_mod,
+    inverse_det_mod_batch,
+    inverses_mod,
     reduce_mod,
 )
-from .errors import BadParams, BadPrime, InvariantError, NoPerfectMatching
+from .errors import (
+    BadParams, BadPrime, InvariantError, NoPerfectMatching, ZeroDivisor,
+)
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
 from .matching import _elementary, _PairDigraph, is_brace
 
@@ -146,16 +163,46 @@ def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _x_inverse(t_min: int, m: int, p: int) -> np.ndarray:
-    """V^-1 mod p for V[x - 1][s] = x^(t_min + s), x = 1..m.
+def _v0_inverse(m: int, p: int) -> np.ndarray:
+    """V0^-1 mod p for V0[x - 1][s] = x^s, x = 1..m (p > m).
 
-    It maps the determinant residues at x = 1..m to the residues of
-    c_(t_min + s), s < m. Read-only, since the cache hands it to every caller.
+    Read-only, since the cache hands it to every caller.
     """
-    v = [[pow(x, t_min + s, p) for s in range(m)] for x in range(1, m + 1)]
-    inv = np.array(inverse_mod(v, p), dtype=np.int64)
+    x = np.arange(1, m + 1, dtype=np.int64)
+    v0 = np.ones((1, m, m), dtype=np.int64)
+    for s in range(1, m):
+        v0[0, :, s] = reduce_mod(v0[0, :, s - 1] * x, p)
+    inv, det = inverse_det_mod_batch(v0, p)
+    if not det[0]:
+        raise ZeroDivisor(f"x nodes 1..{m} collide mod {p}")
+    inv = inv[0]
     inv.setflags(write=False)
     return inv
+
+
+@functools.lru_cache(maxsize=None)
+def _x_inverse(t_min: int, m: int, p: int) -> np.ndarray:
+    """V^-1 mod p for V[x - 1][s] = x^(t_min + s), x = 1..m; t_min may be < 0.
+
+    It maps the determinant residues at x = 1..m to the residues of
+    c_(t_min + s), s < m. V = diag(x^t_min) V0, so V^-1 is V0^-1 with
+    column x - 1 scaled by x^-t_min. Read-only, like _v0_inverse.
+    """
+    scale = np.array(
+        [pow(x, -t_min, p) for x in range(1, m + 1)], dtype=np.int64
+    )
+    inv = reduce_mod(_v0_inverse(m, p) * scale, p)
+    inv.setflags(write=False)
+    return inv
+
+
+def _lam_powers(lams: np.ndarray, n: int, p: int) -> np.ndarray:
+    """(lam + i)^j mod p for every lam in lams, shape (L, n, n)."""
+    base = (lams[:, None] + np.arange(n, dtype=np.int64)) % p  # (L, n)
+    powers = np.ones((len(lams), n, n), dtype=np.int64)
+    for j in range(1, n):
+        powers[:, :, j] = reduce_mod(powers[:, :, j - 1] * base, p)
+    return powers
 
 
 def _coefficient_residues(
@@ -169,10 +216,7 @@ def _coefficient_residues(
     most _GRID_BLOCK_ENTRIES entries.
     """
     m, n = weights.shape[0], weights.shape[1]
-    base = (lams[:, None] + np.arange(n, dtype=np.int64)) % p  # (L, n)
-    powers = np.ones((len(lams), n, n), dtype=np.int64)  # (lam + i)^j
-    for j in range(1, n):
-        powers[:, :, j] = reduce_mod(powers[:, :, j - 1] * base, p)
+    powers = _lam_powers(lams, n, p)
     lam_of = np.repeat(np.arange(len(lams)), m)
     x_of = np.tile(np.arange(m), len(lams))
     dets = np.empty(len(lam_of), dtype=np.int64)
@@ -263,11 +307,14 @@ class EvaluationGrid:
         open_ = {t for t in candidates if t_min <= t <= t_max}
         if g.n == 0:
             return open_
-        n, m, degree = g.n, t_max - t_min + 1, self.lam_nodes[-1]
+        n, m, degree = g.n, t_max - t_min + 1, g.n * (g.n - 1) // 2
         primes = certificate_primes(coefficient_bound(g))
-        if min(primes) <= max(degree, m):
+        if min(primes) <= m or any(
+            len({lam % p for lam in self.lam_nodes}) <= degree for p in primes
+        ):
             raise BadPrime(
-                f"certificate primes must exceed {max(degree, m)}: {primes}"
+                f"certificate primes must exceed {m} and keep {degree + 1} "
+                f"lam nodes distinct: {primes}"
             )
         # lam = 0 turns row 0 into a unit row, so the sweep starts at the top
         lams = np.array(self.lam_nodes[::-1], dtype=np.int64)
@@ -443,9 +490,12 @@ class SolveTrace:
     counts as 1). level is the nesting of the call running now.
     certify_root lets a root call (level 1) try the bounds, congruence
     and probe certificates before the recursion; only solve sets it.
+    brace_keys holds the memo keys of the subproblems the grid settled as
+    braces, where witness extraction can take the cofactor chain.
     """
 
     memo: dict = field(default_factory=dict)
+    brace_keys: set = field(default_factory=set)
     blocks: list[BlockReport] = field(default_factory=list)
     counts: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(
@@ -493,6 +543,10 @@ def _certify(
     return settled, candidates
 
 
+def _memo_key(g: ColoredBipartiteGraph) -> tuple:
+    return g.n, g.edges, g.multi
+
+
 def feasible_red_counts(
     g: ColoredBipartiteGraph,
     trace: Optional[SolveTrace] = None,
@@ -512,7 +566,7 @@ def feasible_red_counts(
     if trace.level > trace.counts["depth"]:
         trace.counts["depth"] = trace.level
     try:
-        key = (g.n, g.edges, g.multi)
+        key = _memo_key(g)
         if key in trace.memo:
             trace.counts["memo_hits"] += 1
             return trace.memo[key]
@@ -559,6 +613,7 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
         if candidates is None:
             candidates = _in_class(0, n, *_congruence(g, d))
         result = frozenset(grid.nonvanishing_targets(g, candidates, trace))
+        trace.brace_keys.add(_memo_key(g))
         return trace.settle("braces", "pure-ASNC", n, result)
 
     # T(G[A1 - a, B1]) depends only on a and T(G[A2, B2 - b]) only on b:
@@ -600,32 +655,142 @@ def extract_witness(
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching with exactly t red edges, or None.
 
-    Self-reduction: force row 0 onto each of its records in turn and keep
-    the first whose residual graph still reaches the residual target.
+    Self-reduction, one row at a time. A graph the recursion settled as a
+    brace goes down the cofactor chain of _brace_witness, which finishes
+    the matching from one certified coefficient; otherwise, or when the
+    chain gives up, row 0 is forced onto each of its records in turn and
+    the first whose residual graph still reaches the residual target is
+    kept. The result is checked against g before it is returned.
     """
     if trace is None:
         trace = SolveTrace()
     if t not in feasible_red_counts(g, trace):
         return None
-    return _witness(g, t, trace)
+    witness = _witness(g, t, trace)
+    rows = sorted(r for r, _, _ in witness)
+    cols = sorted(c for _, c, _ in witness)
+    records = set(g.edges)
+    if (
+        rows != list(range(g.n))
+        or cols != rows
+        or not all(rec in records for rec in witness)
+        or sum(1 for _, _, k in witness if k == RED) != t
+    ):
+        raise InvariantError(
+            f"witness for t = {t} is not a perfect matching of the graph "
+            f"with t red records: {witness}"
+        )
+    return witness
 
 
-def _witness(g, t, trace) -> list[EdgeRecord]:
-    n = g.n
-    if n == 0:
-        return []
-    for c in g.row_adj[0]:
-        for k in g.cells[0, c]:
-            rho = 1 if k == RED else 0
+def _rho(k: int) -> int:
+    return 1 if k == RED else 0
+
+
+def _witness(
+    g: ColoredBipartiteGraph, t: int, trace: SolveTrace
+) -> list[EdgeRecord]:
+    """The self-reduction as a loop: g shrinks by one row per forced record.
+
+    rows and cols map the current g's labels to the input's; a brace the
+    recursion settled hands the rest of the matching to _brace_witness.
+    """
+    rows, cols = list(range(g.n)), list(range(g.n))
+    out: list[EdgeRecord] = []
+    while g.n:
+        if _memo_key(g) in trace.brace_keys:
+            chain = _brace_witness(g, t)
+            if chain is not None:
+                return out + [(rows[r], cols[c], k) for r, c, k in chain]
+        for c in g.row_adj[0]:
             rest = g.without([0], [c])
-            if t - rho in feasible_red_counts(rest, trace):
-                sub = _witness(rest, t - rho, trace)
-                lifted = [
-                    (r + 1, cc if cc < c else cc + 1, kk)
-                    for r, cc, kk in sub
-                ]
-                return [(0, c, k)] + lifted
-    raise InvariantError("feasible target with no extractable witness")
+            feasible = feasible_red_counts(rest, trace)
+            k = next(
+                (k for k in g.cells[0, c] if t - _rho(k) in feasible), None
+            )
+            if k is not None:
+                break
+        else:
+            raise InvariantError("feasible target with no extractable witness")
+        out.append((rows.pop(0), cols.pop(c), k))
+        g, t = rest, t - _rho(k)
+    return out
+
+
+def _brace_witness(
+    g: ColoredBipartiteGraph, t: int
+) -> Optional[list[EdgeRecord]]:
+    """A perfect matching of the brace g with t red records, or None.
+
+    Cofactor self-reduction at the probe's node lam* = n(n-1)/2 modulo the
+    first certificate prime p. A(x) = M(lam*, x) is inverted once at
+    x = 1..m, m = t_max - t_min + 2 (inverse_det_mod_batch). At row r, what
+    is left of A is the minor on rows r.. and the columns not yet taken;
+    with B its inverse, its cofactor along row r at column c is det *
+    B[c, r]. A record (r, c) of red count rho completes every perfect
+    matching of that cofactor's minor, so their red counts lie in
+    t_min - 1 - forced .. t_max - forced (forced: red records taken so
+    far) and the m x nodes give its coefficients through _x_inverse. A
+    nonzero residue of the coefficient of x^(t - forced - rho) is a sum
+    over the minor's perfect matchings with that many red records, so one
+    exists and the record is safe to take. By Laplace expansion along row
+    r, the coefficient of det for the target left is the sum of those
+    record terms, and the cofactor of the record taken is the next det: a
+    nonzero c_t(lam*) mod p carries the chain to the last row with no
+    second certificate. The first record whose coefficient is nonzero and
+    whose cofactor is nonzero at every x node (the next A(x) stays
+    invertible) is taken, and B is downdated by the rank-one deletion
+    formula B - B[:, r] B[c, :] / B[c, r], which zeroes row c and column r
+    and leaves the inverse of the minor. Returns None, for the row-forcing
+    fallback, when some A(x) is singular or no record of a row qualifies
+    (c_t(lam*) = 0 mod p, or only cofactors that vanish at some node); a
+    returned matching is always a witness.
+    """
+    n = g.n
+    t_min, t_max = red_count_bounds(g)  # not None: a brace has a matching
+    if not t_min <= t <= t_max:
+        return None
+    m = t_max - t_min + 2
+    p = certificate_primes(1)[0]
+    top = np.array([n * (n - 1) // 2], dtype=np.int64)
+    mats = reduce_mod(_lam_powers(top, n, p) * (_cell_weights(g, m) % p), p)
+    inv, det = inverse_det_mod_batch(mats, p)
+    if not det.all():
+        return None
+    # det holds x^forced * det A(x) (up to sign), so the cofactors it gives
+    # carry the x-powers t_min - 1 .. t_max and a record of red count rho
+    # needs the coefficient of x^(t - rho) at every row: two rows of V^-1
+    basis = _x_inverse(t_min - 1, m, p)[[t - t_min + 1, t - t_min]]
+    x = np.arange(1, m + 1, dtype=np.int64)
+    out: list[EdgeRecord] = []
+    for r in range(n):
+        first = inv[:, :, r]  # row r's cofactors are det * first
+        weights = reduce_mod(basis * det, p)
+        coeffs = reduce_mod(
+            reduce_mod(weights[:, :, None] * first, p).sum(axis=1), p
+        ).tolist()  # coeffs[rho][c]
+        alive = first.all(axis=0).tolist()  # taken columns read 0
+        pick = next(
+            (
+                (c, k)
+                for c in g.row_adj[r]
+                if alive[c]
+                for k in g.cells[r, c]
+                if coeffs[_rho(k)][c]
+            ),
+            None,
+        )
+        if pick is None:
+            return None
+        c, k = pick
+        out.append((r, c, k))
+        pivot = first[:, c]
+        row = reduce_mod(inv[:, c] * inverses_mod(pivot, p)[:, None], p)
+        inv = reduce_mod(inv + (p - first)[:, :, None] * row[:, None], p)
+        det = reduce_mod(det * pivot, p)
+        if _rho(k):
+            det = reduce_mod(det * x, p)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from exactmatch.algebra import (
     det_mod_batch,
     det_rows,
     interpolate,
-    inverse_mod,
+    inverse_det_mod_batch,
+    inverses_mod,
     is_probable_prime,
     perm_sign,
     poly_det,
@@ -347,32 +348,37 @@ def _stack(mats, n):
     return np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
 
 
-@pytest.mark.parametrize("n", range(0, 8))
-def test_det_mod_batch_matches_det_mod(n):
-    rng = random.Random(4100 + n)
-    near = lambda: P31 - 1 - rng.randrange(4)  # noqa: E731
+def _hard_mats(rng, n, p):
+    """60 n x n residue matrices mod p: uniform, near p, sparse, singular."""
+    near = lambda: p - 1 - rng.randrange(4)  # noqa: E731
     mats = []
     for b in range(60):
         kind = b % 5
         if kind == 0:  # uniform residues
-            rows = [[rng.randrange(P31) for _ in range(n)] for _ in range(n)]
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         elif kind == 1:  # every entry near p
             rows = [[near() for _ in range(n)] for _ in range(n)]
         elif kind == 2:  # sparse: zero pivots force row swaps
             rows = [
-                [rng.choice((0, 0, 0, 1, near(), rng.randrange(P31)))
+                [rng.choice((0, 0, 0, 1, near(), rng.randrange(p)))
                  for _ in range(n)]
                 for _ in range(n)
             ]
         elif kind == 3:  # a repeated row (mod p): singular
-            rows = [[rng.randrange(P31) for _ in range(n)] for _ in range(n)]
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             if n >= 2:
                 rows[-1] = list(rows[0])
         else:  # a zero column: no pivot at all
-            rows = [[rng.randrange(P31) for _ in range(n)] for _ in range(n)]
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             for row in rows:
                 row[b % n] = 0
         mats.append(rows)
+    return mats
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_det_mod_batch_matches_det_mod(n):
+    mats = _hard_mats(random.Random(4100 + n), n, P31)
     stack = _stack(mats, n)
     got = det_mod_batch(stack, P31)
     assert (stack == _stack(mats, n)).all()  # the input is left alone
@@ -391,15 +397,73 @@ def test_det_mod_batch_small_prime_sign_and_swaps():
     assert got.tolist() == [perm_sign(perm) % p for perm in perms]
 
 
-def test_inverse_mod():
+def _exact_inverse_mod(rows, p):
+    """The rational inverse of an integer matrix, reduced mod p."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    return [[v.numerator * pow(v.denominator, -1, p) % p for v in row[n:]]
+            for row in aug]
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("p", [P31, 37])
+def test_inverse_det_mod_batch_matches_det_and_inverse(n, p):
+    mats = _hard_mats(random.Random(4300 + n), n, p)
+    stack = _stack(mats, n)
+    inv, det = inverse_det_mod_batch(stack, p)
+    assert (stack == _stack(mats, n)).all()  # the input is left alone
+    assert inv.shape == stack.shape
+    assert det.tolist() == det_mod_batch(stack, p).tolist()
+    singular = 0
+    for rows, b, d in zip(mats, inv.tolist(), det.tolist()):
+        if d == 0:
+            singular += 1
+            assert not any(map(any, b))  # singular: an all-zero inverse
+            continue
+        eye = [[sum(rows[i][l] * b[l][j] for l in range(n)) % p
+                for j in range(n)] for i in range(n)]
+        assert eye == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert b == _exact_inverse_mod(rows, p)
+    assert singular >= (24 if n >= 2 else 0)
+
+
+def test_inverse_det_mod_batch_small_cases():
     p = 101
     rows = [[2, 3, 5], [7, 11, 13], [17, 19, 23]]
-    inv = inverse_mod(rows, p)
-    for i in range(3):
-        for j in range(3):
-            entry = sum(rows[i][k] * inv[k][j] for k in range(3)) % p
-            assert entry == int(i == j)
-    with pytest.raises(ZeroDivisor):
-        inverse_mod([[1, 2], [2, 4]], p)
-    with pytest.raises(ZeroDivisor):
-        inverse_mod([[p, 0], [0, 1]], p)
+    inv, det = inverse_det_mod_batch(_stack([rows], 3), p)
+    assert inv[0].tolist() == _exact_inverse_mod(rows, p)
+    assert det.tolist() == [det_rows([list(r) for r in rows]) % p]
+    # singular: [[1, 2], [2, 4]], and [[p, 0], [0, 1]] reduced mod p
+    singular = _stack([[[1, 2], [2, 4]], [[0, 0], [0, 1]]], 2)
+    inv, det = inverse_det_mod_batch(singular, p)
+    assert det.tolist() == [0, 0] and not inv.any()
+    # k = 0 and k = 1
+    inv, det = inverse_det_mod_batch(np.zeros((3, 0, 0), dtype=np.int64), p)
+    assert inv.shape == (3, 0, 0) and det.tolist() == [1, 1, 1]
+    inv, det = inverse_det_mod_batch(_stack([[[5]], [[0]], [[p - 1]]], 1), p)
+    assert det.tolist() == [5, 0, p - 1]
+    assert inv[:, 0, 0].tolist() == [pow(5, -1, p), 0, p - 1]
+    # permutation matrices: the inverse is the transpose, det the sign
+    perms = list(itertools.permutations(range(4)))
+    mats = [[[int(perm[i] == j) for j in range(4)] for i in range(4)]
+            for perm in perms]
+    inv, det = inverse_det_mod_batch(_stack(mats, 4), 37)
+    assert det.tolist() == [perm_sign(perm) % 37 for perm in perms]
+    assert (inv == _stack(mats, 4).transpose(0, 2, 1)).all()
+
+
+def test_inverses_mod():
+    p = 37
+    values = np.array([0, 1, 2, 36, 5, 0, 17], dtype=np.int64)
+    got = inverses_mod(values, p).tolist()
+    assert got[0] == got[5] == 0
+    assert all(v * g % p == 1 for v, g in zip(values.tolist(), got) if v)
+    assert inverses_mod(np.zeros(0, dtype=np.int64), p).tolist() == []

@@ -1,14 +1,19 @@
 """Solver pipeline: grid nonvanishing, feasibility recursion, witnesses."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from exactmatch import solver
-from exactmatch.algebra import IntPolynomial, P_ZERO, is_probable_prime
+from exactmatch.algebra import (
+    IntPolynomial, P_ZERO, certificate_primes, is_probable_prime,
+)
 from exactmatch.decomposition import Split, decompose
-from exactmatch.errors import BadParams, BadPrime
+from exactmatch.errors import BadParams, BadPrime, InvariantError
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -294,6 +299,26 @@ def test_prime_at_or_below_degree_raises_bad_prime(monkeypatch):
         assert grid.nonvanishing_targets(g, set(range(g.n + 1))) == want
 
 
+def test_grid_primes_must_keep_the_lam_nodes_apart(monkeypatch):
+    # knn(4) all blue: c_0 = 12 at every lam, m = 1, lam-degree 6
+    g = knn(4)
+    full = EvaluationGrid.for_size(4)
+    turned = EvaluationGrid(full.lam_nodes[::-1], full.x_nodes)
+    assert turned.nonvanishing_targets(g, {0}) == {0}
+    p = certificate_primes(1)[0]
+    for lams in [(p, 1, 2, 3, 4, 5, 0), (0, 1, 2, 3, 4, 5, 2 * p)]:
+        with pytest.raises(BadPrime):  # two nodes meet mod p
+            EvaluationGrid(lams, full.x_nodes).nonvanishing_targets(g, {0})
+    # 5 <= 6: both orders raise (the turned grid once checked against 0)
+    monkeypatch.setattr(solver, "certificate_primes", lambda bound: (5,))
+    for grid in (full, turned):
+        with pytest.raises(BadPrime):
+            grid.nonvanishing_targets(g, {0})
+    monkeypatch.setattr(solver, "certificate_primes", lambda bound: (7,))
+    assert full.nonvanishing_targets(g, {0}) == {0}
+    assert turned.nonvanishing_targets(g, {0}) == {0}
+
+
 def test_grid_dets_count_the_modular_determinants():
     g = k44_diag()
     # t = 3 is identically zero: the one prime (C < 2^31) sweeps all 7 lam
@@ -396,6 +421,132 @@ def test_extract_witness_random(seed):
         assert sorted(c for _, c, _ in wit) == list(range(g.n))
         assert sum(1 for _, _, k in wit if k == 1) == t
         assert all(rec in g.edges for rec in wit)
+
+
+def _is_witness(g, t, wit):
+    return (
+        wit is not None
+        and sorted(r for r, _, _ in wit) == list(range(g.n))
+        and sorted(c for _, c, _ in wit) == list(range(g.n))
+        and all(rec in g.edges for rec in wit)
+        and sum(1 for _, _, k in wit if k == RED) == t
+    )
+
+
+def _random_braces(count, seed):
+    out = []
+    for s in range(seed, seed + 4 * count):
+        g = random_graph(3 + s % 9, 0.7, 0.5, seed=s, require_pm=True)
+        if is_brace(g):
+            out.append(g)
+    assert len(out) >= count
+    return out[:count]
+
+
+@pytest.mark.parametrize("p", [certificate_primes(1)[0], 37])
+def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
+    for m in range(1, 8):
+        for t_min in (-3, -1, 0, 1, 4):
+            inv = solver._x_inverse(t_min, m, p).tolist()
+            v = [[pow(x, t_min + s, p) for s in range(m)] for x in range(1, m + 1)]
+            prod = [[sum(inv[i][l] * v[l][j] for l in range(m)) % p
+                     for j in range(m)] for i in range(m)]
+            assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def test_brace_witness_finishes_every_target_at_the_real_prime():
+    for g in _random_braces(30, 14100) + [k44_diag(), biwheel(6)]:
+        for t in sorted(red_count_set_dp(g)):
+            assert _is_witness(g, t, solver._brace_witness(g, t))
+        t_min, t_max = red_count_bounds(g)
+        assert solver._brace_witness(g, t_min - 1) is None
+        assert solver._brace_witness(g, t_max + 1) is None
+
+
+@pytest.mark.parametrize("p", [31, 37, 41])
+def test_brace_witness_under_small_primes_is_right_or_gives_up(p, monkeypatch):
+    # small primes make zero residues common: the chain must then return
+    # None (the fallback's cue), and never a wrong matching
+    monkeypatch.setattr(solver, "certificate_primes", lambda bound: (p,))
+    outcomes = {"witness": 0, "none": 0}
+    for g in _random_braces(40, 14300):
+        for t in sorted(red_count_set_dp(g)):
+            wit = solver._brace_witness(g, t)
+            if wit is None:
+                outcomes["none"] += 1
+            else:
+                assert _is_witness(g, t, wit)
+                outcomes["witness"] += 1
+    assert outcomes["witness"] >= 20 and outcomes["none"] >= 20
+
+
+def test_brace_witness_leaves_the_recursion_alone():
+    # on a brace the decision settled, the chain adds no subproblem
+    for g in _random_braces(10, 14500) + [k44_diag()]:
+        trace = SolveTrace()
+        feasible = feasible_red_counts(g, trace)
+        assert solver._memo_key(g) in trace.brace_keys
+        subproblems = trace.counts["subproblems"]
+        for t in sorted(feasible):
+            assert _is_witness(g, t, extract_witness(g, t, trace))
+        assert trace.counts["subproblems"] == subproblems == len(trace.memo)
+
+
+def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
+    monkeypatch.setattr(solver, "_brace_witness", lambda g, t: None)
+    graphs = _random_braces(10, 14700) + [
+        k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
+    ]
+    for g in graphs:
+        for t in sorted(red_count_set_dp(g)):
+            rep = solve(g, t, SolverOptions(want_witness=True))
+            assert rep.decision and _is_witness(g, t, rep.witness)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        [(r, r, RED) for r in range(4)],  # four red records, not two
+        [(0, 0, BLUE), (1, 1, RED), (2, 2, RED), (3, 3, BLUE)],  # not in g
+        [(0, 0, RED), (1, 0, BLUE), (2, 2, RED), (3, 1, BLUE)],  # column 0 twice
+        [(0, 0, RED), (1, 1, RED)],  # rows 2 and 3 unmatched
+    ],
+)
+def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
+    monkeypatch.setattr(solver, "_brace_witness", lambda g, t: list(wrong))
+    with pytest.raises(InvariantError):
+        solve(k44_diag(), 2, SolverOptions(want_witness=True))
+
+
+_MANY_BLOCKS = """
+import sys
+from exactmatch.graphs import BLUE, RED, ColoredBipartiteGraph
+from exactmatch.solver import SolverOptions, solve
+# 80 disjoint K_2,2 blocks, red sets {0, 2}, {0, 1} and {1, 2} in turn
+reds = [{(0, 0), (1, 1)}, {(0, 0)}, {(0, 0), (0, 1), (1, 0)}]
+edges = [
+    (2 * b + r, 2 * b + c, RED if (r, c) in reds[b % 3] else BLUE)
+    for b in range(80) for r in range(2) for c in range(2)
+]
+g = ColoredBipartiteGraph.make(160, edges)
+sys.setrecursionlimit(120)
+rep = solve(g, 80, SolverOptions(want_witness=True))
+print(rep.decision, rep.counts["depth"], len(rep.witness),
+      sum(1 for _, _, k in rep.witness if k == RED))
+"""
+
+
+def test_witness_depth_is_not_bounded_by_recursion_limit():
+    # the decision nests 2 deep; the row-forcing self-reduction takes 160
+    # rows, one loop step each
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MANY_BLOCKS], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["True", "2", "160", "80"]
 
 
 # ---------------------------------------------------------------------------
