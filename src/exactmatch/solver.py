@@ -13,7 +13,10 @@ some perfect matching has t red edges, and the grid decides that exactly:
     t_max - t_min + 1, and the values at x = 1..m give every c_t by one
     inverse Vandermonde matrix;
   * it works modulo the largest primes below 2^31: a nonzero residue of
-    c_t at any lam node certifies t;
+    c_t at any lam node certifies t. Every reader of these residues (the
+    probe, the grid, the witness chain) runs det_mod_batch or
+    inverse_det_mod_batch at x = 1..m and applies V^-1 the same way
+    (_apply_v_inverse);
   * every lam-coefficient of c_t is at most C = coefficient_bound(g), the
     smaller of the row-sum and column-sum products of A_ij =
     mult_ij * (1 + i)^j, which bounds perm(A). If c_t vanishes at all
@@ -53,7 +56,7 @@ root's one D(G, M), right after it is built:
   * probe: c_t at the top lam node mod the first certificate prime, one
     batched elimination when it fits _GRID_BLOCK_ENTRIES. A nonzero
     residue needs a matching with t red edges on any graph; a zero
-    proves nothing.
+    proves nothing. The same _probe opens every brace grid's sweep.
 
 If the endpoints and the probe's hits cover every in-bound t of the class,
 those t are the achievable set; otherwise the recursion runs unchanged, and
@@ -94,7 +97,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .algebra import (
-    IntMatrix,
     IntPolynomial,
     certificate_primes,
     det_mod_batch,
@@ -115,16 +117,6 @@ _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
 # ---------------------------------------------------------------------------
 # matrix and grid
-
-
-def build_matrix_at(g: ColoredBipartiteGraph, lam: int, x: int) -> IntMatrix:
-    """The edge matrix evaluated at integer (lam, x)."""
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for (i, j), ks in g.cells.items():
-        weight = sum(x if k == RED else 1 for k in ks)
-        rows[i][j] = weight * (lam + i) ** j
-    return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, ())
 
 
 def coefficient_bound(g: ColoredBipartiteGraph) -> int:
@@ -163,35 +155,18 @@ def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _v0_inverse(m: int, p: int) -> np.ndarray:
-    """V0^-1 mod p for V0[x - 1][s] = x^s, x = 1..m (p > m).
-
-    Read-only, since the cache hands it to every caller.
-    """
-    x = np.arange(1, m + 1, dtype=np.int64)
-    v0 = np.ones((1, m, m), dtype=np.int64)
-    for s in range(1, m):
-        v0[0, :, s] = reduce_mod(v0[0, :, s - 1] * x, p)
-    inv, det = inverse_det_mod_batch(v0, p)
-    if not det[0]:
-        raise ZeroDivisor(f"x nodes 1..{m} collide mod {p}")
-    inv = inv[0]
-    inv.setflags(write=False)
-    return inv
-
-
-@functools.lru_cache(maxsize=None)
 def _x_inverse(t_min: int, m: int, p: int) -> np.ndarray:
     """V^-1 mod p for V[x - 1][s] = x^(t_min + s), x = 1..m; t_min may be < 0.
 
     It maps the determinant residues at x = 1..m to the residues of
-    c_(t_min + s), s < m. V = diag(x^t_min) V0, so V^-1 is V0^-1 with
-    column x - 1 scaled by x^-t_min. Read-only, like _v0_inverse.
+    c_(t_min + s), s < m (p > m keeps the nodes apart). Read-only, since
+    the cache hands it to every caller.
     """
-    scale = np.array(
-        [pow(x, -t_min, p) for x in range(1, m + 1)], dtype=np.int64
-    )
-    inv = reduce_mod(_v0_inverse(m, p) * scale, p)
+    v = [[pow(x, t_min + s, p) for s in range(m)] for x in range(1, m + 1)]
+    inv, det = inverse_det_mod_batch(np.array([v], dtype=np.int64), p)
+    if not det[0]:
+        raise ZeroDivisor(f"x nodes 1..{m} collide mod {p}")
+    inv = inv[0]
     inv.setflags(write=False)
     return inv
 
@@ -205,63 +180,73 @@ def _lam_powers(lams: np.ndarray, n: int, p: int) -> np.ndarray:
     return powers
 
 
+def _apply_v_inverse(
+    inv: np.ndarray, values: np.ndarray, p: int
+) -> np.ndarray:
+    """Rows of V^-1 applied mod p to residues at the x nodes.
+
+    inv is (s, m), rows of an _x_inverse; values holds the m x nodes on
+    axis 0. Each product is reduced before the m terms are summed, and m
+    terms below p < 2^31 fit int64. Returns shape (s,) + values.shape[1:].
+    """
+    inv = inv.reshape(inv.shape + (1,) * (values.ndim - 1))
+    return reduce_mod(reduce_mod(inv * values, p).sum(axis=1), p)
+
+
 def _coefficient_residues(
     weights: np.ndarray, lams: np.ndarray, inv: np.ndarray, p: int
 ) -> np.ndarray:
-    """c_(t_min + s)(lam) mod p, one row per lam in lams, one column per s.
+    """c_(t_min + s)(lam) mod p, one row per s, one column per lam in lams.
 
     weights[x - 1] is the cell weight matrix blue + red * x mod p for
     x = 1..m, and inv is _x_inverse for the same t_min, m and p. The
-    matrices at every (lam, x) go through det_mod_batch in blocks of at
+    matrices at every (x, lam) go through det_mod_batch in blocks of at
     most _GRID_BLOCK_ENTRIES entries.
     """
     m, n = weights.shape[0], weights.shape[1]
     powers = _lam_powers(lams, n, p)
-    lam_of = np.repeat(np.arange(len(lams)), m)
-    x_of = np.tile(np.arange(m), len(lams))
-    dets = np.empty(len(lam_of), dtype=np.int64)
+    x_of = np.repeat(np.arange(m), len(lams))
+    lam_of = np.tile(np.arange(len(lams)), m)
+    dets = np.empty(len(x_of), dtype=np.int64)
     per = max(1, _GRID_BLOCK_ENTRIES // (n * n))
     for lo in range(0, len(dets), per):
         hi = lo + per
         mats = reduce_mod(powers[lam_of[lo:hi]] * weights[x_of[lo:hi]], p)
         dets[lo:hi] = det_mod_batch(mats, p)
-    dets = dets.reshape(len(lams), m)
-    coeffs = np.zeros((len(lams), m), dtype=np.int64)
-    for x in range(m):
-        coeffs = reduce_mod(coeffs + dets[:, x, None] * inv[None, :, x], p)
-    return coeffs
+    return _apply_v_inverse(inv, dets.reshape(m, len(lams)), p)
 
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Integer evaluation nodes covering the solver's degree bounds.
+    """Integer evaluation nodes covering the solver's degree bounds at size n.
 
     x runs over 0..n (the x-degree of the determinant is at most n) and lam
     over 0..n(n-1)/2 (every matching monomial has exactly that lam-degree,
-    so a coefficient polynomial vanishing on all nodes is zero).
-    x_coefficients evaluates exactly at these nodes; nonvanishing_targets
-    uses the same lam nodes and x = 1..m modulo certificate primes. Both
-    raise BadParams when the distinct nodes do not cover those bounds.
+    so a coefficient polynomial vanishing on all nodes is zero); both node
+    tuples follow from n. x_coefficients evaluates exactly at these nodes;
+    nonvanishing_targets uses the same lam nodes and x = 1..m modulo
+    certificate primes. Both raise BadParams on a graph of another size.
     """
 
-    lam_nodes: Tuple[int, ...]
-    x_nodes: Tuple[int, ...]
+    n: int
 
     @staticmethod
     def for_size(n: int) -> "EvaluationGrid":
-        return EvaluationGrid(
-            tuple(range(n * (n - 1) // 2 + 1)), tuple(range(n + 1))
-        )
+        return EvaluationGrid(n)
 
-    def _check_nodes(self, n: int, x_nodes: bool) -> None:
-        lams, xs = len(set(self.lam_nodes)), len(set(self.x_nodes))
-        if lams <= n * (n - 1) // 2 or (x_nodes and xs <= n):
-            raise BadParams(f"too few nodes for n = {n}: {lams} lam, {xs} x")
+    @property
+    def lam_nodes(self) -> Tuple[int, ...]:
+        return tuple(range(self.n * (self.n - 1) // 2 + 1))
+
+    @property
+    def x_nodes(self) -> Tuple[int, ...]:
+        return tuple(range(self.n + 1))
 
     def x_coefficients(self, g: ColoredBipartiteGraph, lam: int) -> list[int]:
         """Exact x-coefficient vector of det M(lam, x), length n+1."""
-        self._check_nodes(g.n, x_nodes=True)
         n = g.n
+        if n != self.n:
+            raise BadParams(f"grid for n = {self.n} given n = {n}")
         if n == 0:
             return [1]
         pow_table = [
@@ -290,53 +275,53 @@ class EvaluationGrid:
         c_t = 0 outside red_count_bounds(g), and the x nodes are sized to
         those bounds, never to the candidates. A nonzero residue of c_t at
         any lam node mod any prime certifies t. Pass 1 works mod the first
-        prime, on the top lam node alone and then over chunks of as many
-        nodes as one batched elimination holds, and stops once every
-        candidate is certified; pass 2 runs the other certificate primes
-        over all lam nodes for the candidates still open. A t still open
-        after that is zero mod every prime at every node, so c_t is
-        divisible by their product, which exceeds coefficient_bound(g):
-        c_t = 0. trace, when given, counts the modular determinants in
-        grid_dets.
+        prime: it opens with _probe at the top lam node, then sweeps the
+        other nodes in chunks of as many as one batched elimination holds,
+        and stops once every candidate is certified; pass 2 runs the other
+        certificate primes over all lam nodes for the candidates still
+        open. A t still open after that is zero mod every prime at every
+        node, so c_t is divisible by their product, which exceeds
+        coefficient_bound(g): c_t = 0. trace, when given, counts the
+        modular determinants in grid_dets.
         """
-        self._check_nodes(g.n, x_nodes=False)
+        n = g.n
+        if n != self.n:
+            raise BadParams(f"grid for n = {self.n} given n = {n}")
         bounds = red_count_bounds(g)
         if bounds is None:
             return set()
         t_min, t_max = bounds
         open_ = {t for t in candidates if t_min <= t <= t_max}
-        if g.n == 0:
+        if n == 0 or not open_:
             return open_
-        n, m, degree = g.n, t_max - t_min + 1, g.n * (g.n - 1) // 2
+        m, degree = t_max - t_min + 1, n * (n - 1) // 2
         primes = certificate_primes(coefficient_bound(g))
-        if min(primes) <= m or any(
-            len({lam % p for lam in self.lam_nodes}) <= degree for p in primes
-        ):
+        if min(primes) <= max(m, degree):
             raise BadPrime(
-                f"certificate primes must exceed {m} and keep {degree + 1} "
-                f"lam nodes distinct: {primes}"
+                f"certificate primes must exceed {max(m, degree)}: {primes}"
             )
-        # lam = 0 turns row 0 into a unit row, so the sweep starts at the top
-        lams = np.array(self.lam_nodes[::-1], dtype=np.int64)
+        # lam = 0 turns row 0 into a unit row, so the sweep starts at the
+        # top; a t still open after the top node is almost always a zero,
+        # which needs every node anyway
+        found = _probe(g, t_min, t_max) & open_
+        open_ -= found
+        lams = np.arange(degree, -1, -1, dtype=np.int64)
         block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
-        found: set[int] = set()
-        dets = 0
+        dets = m  # the probe's
         cell_weights = _cell_weights(g, m)
-        for index, p in enumerate(primes):
+        start = 1  # the probe took the top node mod the first prime
+        for p in primes:
             weights = cell_weights % p
             inv = _x_inverse(t_min, m, p)
-            start = 0
             while open_ and start < len(lams):
-                # pass 1 tries the top node alone: a t still open after it
-                # is almost always a zero, which needs every node anyway
-                width = block if index or start else 1
-                chunk = lams[start : start + width]
+                chunk = lams[start : start + block]
                 coeffs = _coefficient_residues(weights, chunk, inv, p)
                 dets += len(chunk) * m
-                hits = {t for t in open_ if coeffs[:, t - t_min].any()}
+                hits = {t for t in open_ if coeffs[t - t_min].any()}
                 found |= hits
                 open_ -= hits
                 start += len(chunk)
+            start = 0
         if trace is not None:
             trace.counts["grid_dets"] += dets
         return found
@@ -423,9 +408,9 @@ def _congruence(g: ColoredBipartiteGraph, d: _PairDigraph) -> Tuple[int, int]:
         stack = [rows[0]]
         while stack:
             v = stack.pop()
-            for w, d in adj[v]:
+            for w, step in adj[v]:
                 if pot[w] is None:
-                    pot[w] = pot[v] + d
+                    pot[w] = pot[v] + step
                     stack.append(w)
     modulus = 0
     for r in range(n):
@@ -442,26 +427,21 @@ def _in_class(lo: int, hi: int, modulus: int, residue: int) -> set[int]:
     return set(range(lo + (residue - lo) % modulus, hi + 1, modulus))
 
 
-def _probe(
-    g: ColoredBipartiteGraph, t_min: int, t_max: int, trace: SolveTrace
-) -> set[int]:
+def _probe(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> set[int]:
     """The t whose c_t is nonzero at the top lam node mod the first prime.
 
     t_min, t_max are red_count_bounds(g). A nonzero coefficient needs a
     perfect matching with t red edges on any graph, multigraphs included,
-    so every returned t is achievable; a zero proves nothing. The probe
-    runs only when its m determinants fit one batched elimination, else it
-    certifies nothing.
+    so every returned t is achievable; a zero proves nothing. It is both
+    the root certificate of _certify and the first step of the brace
+    grid's pass 1, and evaluates m = t_max - t_min + 1 determinants.
     """
     n, m = g.n, t_max - t_min + 1
-    if m * n * n > _GRID_BLOCK_ENTRIES:
-        return set()
     p = certificate_primes(1)[0]
     top = np.array([n * (n - 1) // 2], dtype=np.int64)
     inv = _x_inverse(t_min, m, p)
     coeffs = _coefficient_residues(_cell_weights(g, m) % p, top, inv, p)
-    trace.counts["grid_dets"] += m
-    return {t_min + int(s) for s in np.flatnonzero(coeffs[0])}
+    return {t_min + int(s) for s in np.flatnonzero(coeffs[:, 0])}
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +505,8 @@ def _certify(
     achievable, and every achievable t is a candidate: an in-bound t of
     the congruence class. When the endpoints and the probe's hits cover
     every candidate, the candidates are the achievable set; the block
-    names the certificate that was needed last.
+    names the certificate that was needed last. The probe runs only when
+    its m determinants fit one batched elimination.
     """
     t_min, t_max = red_count_bounds(g)  # not None: d has a perfect matching
     proved = {t_min, t_max}
@@ -534,9 +515,11 @@ def _certify(
     if not candidates <= proved:
         method = "congruence"
         candidates &= _in_class(t_min, t_max, *_congruence(g, d))
-    if not candidates <= proved:
+    m = t_max - t_min + 1
+    if not candidates <= proved and m * g.n * g.n <= _GRID_BLOCK_ENTRIES:
         method = "probe"
-        proved |= _probe(g, t_min, t_max, trace)
+        proved |= _probe(g, t_min, t_max)
+        trace.counts["grid_dets"] += m
     if not candidates <= proved:
         return None, candidates
     settled = trace.settle("certified", method, g.n, frozenset(candidates))
@@ -766,9 +749,7 @@ def _brace_witness(
     for r in range(n):
         first = inv[:, :, r]  # row r's cofactors are det * first
         weights = reduce_mod(basis * det, p)
-        coeffs = reduce_mod(
-            reduce_mod(weights[:, :, None] * first, p).sum(axis=1), p
-        ).tolist()  # coeffs[rho][c]
+        coeffs = _apply_v_inverse(weights, first, p).tolist()  # [rho][c]
         alive = first.all(axis=0).tolist()  # taken columns read 0
         pick = next(
             (

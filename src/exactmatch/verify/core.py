@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..algebra import IntPolynomial, P_ZERO, is_probable_prime, perm_sign
-from ..errors import BadFamily, BadPrime, CapExceeded, UnsupportedSize
+from ..errors import BadFamily, BadParams, BadPrime, CapExceeded, UnsupportedSize
 from ..graphs import BLUE, RED, ColoredBipartiteGraph
 from ..matching import Matching
 
@@ -131,7 +131,8 @@ def minor_pt(
     dr, dc = set(del_rows), set(del_cols)
     rows = [r for r in range(g.n) if r not in dr]
     cols = [c for c in range(g.n) if c not in dc]
-    assert len(rows) == len(cols), "minor must be square"
+    if len(rows) != len(cols):
+        raise BadParams(f"minor must be square: {len(rows)} x {len(cols)}")
     k = len(rows)
     col_pos = {c: p for p, c in enumerate(cols)}
 

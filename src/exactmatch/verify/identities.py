@@ -29,6 +29,7 @@ from ..errors import (
     BadParams,
     EdgeNotFound,
     EmptyFamily,
+    InvariantError,
     UnsupportedSize,
 )
 from ..graphs import BLUE, RED, ColoredBipartiteGraph
@@ -55,7 +56,8 @@ def _exact_quotient(
     ok, prim, scal = poly_divides(d, p)
     if not ok:
         return None
-    assert prim is not None and scal is not None
+    if prim is None or scal is None:
+        raise InvariantError("exact division returned no quotient")
     return prim * scal.numerator, scal.denominator
 
 
@@ -76,7 +78,8 @@ def poly_order(d: IntPolynomial, p: IntPolynomial) -> int:
         ok, prim, _ = poly_divides(d, cur)
         if not ok:
             return order
-        assert prim is not None and not prim.is_zero
+        if prim is None or prim.is_zero:
+            raise InvariantError(f"{d} divides {cur} with no nonzero quotient")
         order += 1
         # content is irrelevant for divisibility by a monic linear form
         cur = prim
@@ -190,8 +193,10 @@ def check_replacement_det(
     itself recovers det m, and replacing by any other column gives zero.
     """
     n = len(m)
-    assert all(len(row) == n for row in m), "matrix must be square"
-    assert len(v) == n and 0 <= c < n
+    if any(len(row) != n for row in m):
+        raise BadParams("matrix must be square")
+    if len(v) != n or not 0 <= c < n:
+        raise BadParams(f"need {n} entries and a column in 0..{n - 1}")
 
     u = cofactor_column(m, c)
 
@@ -476,7 +481,8 @@ def check_gen_vandermonde(fam: SupportFamily) -> GenVandermondeReport:
 
     e0 = fam.exponents[0]
     gap_det = fam.gap_determinant()
-    assert not gap_det.is_zero, "gap determinant of distinct bases is nonzero"
+    if gap_det.is_zero:
+        raise InvariantError("gap determinant of distinct bases is zero")
     base = poly_product(fam.mu(i) ** e0 for i in range(m)) * gap_det
 
     f_last = functionals[m - 1]
@@ -521,7 +527,8 @@ def check_gen_vandermonde(fam: SupportFamily) -> GenVandermondeReport:
 def _sb2(params: Dict) -> bool:
     alpha, c = int(params["alpha"]), int(params["c"])
     w = params["w"]
-    assert c >= 1
+    if c < 1:
+        raise BadParams(f"need c >= 1, got {c}")
     mu_c = linear_form(alpha) ** c
 
     def operator(u: IntPolynomial, v: IntPolynomial) -> IntPolynomial:
@@ -541,7 +548,8 @@ def _sb2(params: Dict) -> bool:
 def _db2(params: Dict) -> bool:
     alpha, beta, c = int(params["alpha"]), int(params["beta"]), int(params["c"])
     h = params["h"]
-    assert alpha != beta and c >= 1
+    if alpha == beta or c < 1:
+        raise BadParams(f"need alpha != beta and c >= 1: {alpha}, {beta}, {c}")
     mua_c = linear_form(alpha) ** c
     mub_c = linear_form(beta) ** c
 
@@ -567,7 +575,8 @@ def _sb3(params: Dict) -> bool:
     alpha = int(params["alpha"])
     c0, c1, c2 = (int(x) for x in params["c"])
     w, s = params["w"], params["s"]
-    assert c0 < c1 < c2
+    if not c0 < c1 < c2:
+        raise BadParams(f"need c0 < c1 < c2, got {c0}, {c1}, {c2}")
     mu = linear_form(alpha)
     d1, d2 = c1 - c0, c2 - c0
 
@@ -595,7 +604,8 @@ def _db3(params: Dict) -> bool:
     a1, a2, a3 = (int(x) for x in params["alphas"])
     c = int(params["c"])
     a, b = params["a"], params["b"]
-    assert len({a1, a2, a3}) == 3 and c >= 1
+    if len({a1, a2, a3}) != 3 or c < 1:
+        raise BadParams(f"need distinct alphas and c >= 1: {a1, a2, a3}, {c}")
     m1, m2, m3 = (linear_form(x) ** c for x in (a1, a2, a3))
 
     def operator(u1, u2, u3) -> IntPolynomial:
@@ -664,7 +674,8 @@ def row_initial_form(fam: PermutationFamily, r: int) -> Tuple[int, int]:
     """
     if not fam.members:
         raise EmptyFamily("family has no members")
-    assert 0 <= r < fam.n
+    if not 0 <= r < fam.n:
+        raise BadParams(f"row {r} outside 0..{fam.n - 1}")
 
     k_min = min(sigma[r] for sigma in fam.members)
     minimizers = [sigma for sigma in fam.members if sigma[r] == k_min]
@@ -679,11 +690,10 @@ def row_initial_form(fam: PermutationFamily, r: int) -> Tuple[int, int]:
             if i != r:
                 prod *= (i - r) ** j
         by_closed_form += prod
-    assert by_shift == by_closed_form, "initial-form computations disagree"
-
-    if len(minimizers) == 1:
-        assert by_shift != 0, "unique minimizer must give a nonzero coefficient"
-        assert not subset_poly(fam).is_zero
+    if by_shift != by_closed_form:
+        raise InvariantError(f"initial forms {by_shift} != {by_closed_form}")
+    if len(minimizers) == 1 and (by_shift == 0 or subset_poly(fam).is_zero):
+        raise InvariantError("unique minimizer gave a zero coefficient")
     return k_min, by_shift
 
 
@@ -703,14 +713,15 @@ def parallelogram_check(
 ) -> str:
     """Fourth-vertex test: P1 + P3 - P2 as a candidate permutation matrix.
 
-    All three inputs must lie on one weight level t.  If the combination
-    is a permutation matrix, its weight is asserted to equal t and
-    "SameFiber" is returned; otherwise "NotPermutation".
+    All three inputs must lie on one weight level t (BadParams otherwise).
+    If the combination is a permutation matrix, its weight is checked to
+    equal t (InvariantError otherwise) and "SameFiber" is returned;
+    otherwise "NotPermutation".
     """
     n = len(sigma1)
     t = _red_count(sigma1, weights)
-    assert _red_count(sigma2, weights) == t, "inputs must share one level"
-    assert _red_count(sigma3, weights) == t, "inputs must share one level"
+    if _red_count(sigma2, weights) != t or _red_count(sigma3, weights) != t:
+        raise BadParams("inputs must share one level")
 
     entries = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -726,7 +737,8 @@ def parallelogram_check(
         image.append(ones[0])
     if sorted(image) != list(range(n)):
         return "NotPermutation"
-    assert _red_count(image, weights) == t, "combination left the level"
+    if _red_count(image, weights) != t:
+        raise InvariantError("combination left the level")
     return "SameFiber"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..algebra import IntPolynomial, P_ONE, P_ZERO, poly_product
-from ..errors import BadParams
+from ..errors import BadParams, InvariantError
 from ..graphs import RED, ColoredBipartiteGraph, band_cyclic, band_path, with_coloring
 from .core import PermutationFamily, enumerate_pms, subset_poly
 from .identities import fiber_family, linear_form
@@ -55,8 +55,8 @@ def width2_branch_check(
         if sigma[0] == 0:
             branch0.append(tuple(sigma[j + 1] - 1 for j in range(m - 1)))
         else:
-            assert sigma[0] == 1, "path row 0 only reaches columns 0 and 1"
-            assert sigma[1] == 0, "sigma(0) = 1 forces sigma(1) = 0"
+            if sigma[:2] != (1, 0):  # row 0 reaches columns 0 and 1 only
+                raise InvariantError(f"{sigma} leaves the path band")
             branch1.append(tuple(sigma[j + 2] - 2 for j in range(m - 2)))
 
     lhs = subset_poly(fiber)
@@ -231,7 +231,8 @@ def transfer_xy(eta: TernaryWord, a: int) -> TransferVectors:
     and odd totals are polynomials in t whose coefficients recover the
     per-charge sums.
     """
-    assert a in (0, 2)
+    if a not in (0, 2):
+        raise BadParams(f"transfer offset must be 0 or 2, got {a}")
     t_var = IntPolynomial.of(0, 1)
     n_e, c_e = P_ONE, P_ZERO
     n_o, c_o = P_ZERO, P_ZERO

@@ -348,11 +348,11 @@ def _stack(mats, n):
     return np.array(mats, dtype=np.int64).reshape(len(mats), n, n)
 
 
-def _hard_mats(rng, n, p):
-    """60 n x n residue matrices mod p: uniform, near p, sparse, singular."""
+def _hard_mats(rng, n, p, count=60):
+    """count n x n residue matrices mod p: uniform, near p, sparse, singular."""
     near = lambda: p - 1 - rng.randrange(4)  # noqa: E731
     mats = []
-    for b in range(60):
+    for b in range(count):
         kind = b % 5
         if kind == 0:  # uniform residues
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
@@ -376,9 +376,11 @@ def _hard_mats(rng, n, p):
     return mats
 
 
-@pytest.mark.parametrize("n", range(0, 8))
+@pytest.mark.parametrize("n", [*range(0, 8), 9])
 def test_det_mod_batch_matches_det_mod(n):
-    mats = _hard_mats(random.Random(4100 + n), n, P31)
+    # n = 9 stacks the brace grid's largest batch: 37 lam nodes x 10 x nodes
+    count = 370 if n == 9 else 60
+    mats = _hard_mats(random.Random(4100 + n), n, P31, count)
     stack = _stack(mats, n)
     got = det_mod_batch(stack, P31)
     assert (stack == _stack(mats, n)).all()  # the input is left alone

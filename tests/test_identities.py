@@ -2,12 +2,16 @@
 bad-locus operators, initial forms, fiber geometry."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exactmatch
 from exactmatch.algebra import IntPolynomial, P_ONE, P_ZERO
 from exactmatch.errors import (
     BadFamily,
@@ -337,6 +341,30 @@ def test_row_initial_empty_family():
         row_initial_form(PermutationFamily.make(2, []), 0)
 
 
+_ROW_OUTSIDE = """
+from exactmatch.errors import BadParams
+from exactmatch.graphs import knn, with_coloring
+from exactmatch.verify.identities import fiber_family, row_initial_form
+try:
+    print(row_initial_form(fiber_family(with_coloring(knn(3), "diag"), 1), -1))
+except BadParams:
+    print("BadParams")
+"""
+
+
+def test_row_initial_rejects_a_row_outside_under_optimize():
+    # python -O strips assert statements; an assert here once let row -1
+    # through and returned (0, -23)
+    src = os.path.dirname(os.path.dirname(exactmatch.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ROW_OUTSIDE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["BadParams"]
+
+
 def test_fiber_family_matches_table():
     g = with_coloring(knn(3), red="diag")
     tab = fiber_table(g)
@@ -369,7 +397,7 @@ def test_parallelogram_not_permutation():
 
 
 def test_parallelogram_rejects_mixed_levels():
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadParams):
         parallelogram_check((0, 1, 2), (1, 0, 2), (0, 1, 2), W3_DIAG)
 
 

@@ -31,7 +31,6 @@ from exactmatch.solver import (
     SolverOptions,
     SolveTrace,
     bench,
-    build_matrix_at,
     coefficient_bound,
     extract_witness,
     feasible_red_counts,
@@ -56,19 +55,6 @@ def k44_diag():
 # grid layer
 
 
-def test_build_matrix_at():
-    g = with_coloring(knn(2), red=[(0, 0)])
-    m = build_matrix_at(g, 1, 5)
-    # (0,0) red: x * (lam+0)^0 = 5; (1,1): (lam+1)^1 = 2
-    assert m.to_rows() == [[5, 1], [1, 2]]
-
-
-def test_build_matrix_multigraph_weight():
-    g = ColoredBipartiteGraph.make(1, [(0, 0, 0), (0, 0, 1)], multi=True)
-    m = build_matrix_at(g, 0, 7)
-    assert m.to_rows() == [[8]]  # blue + red*x = 1 + 7
-
-
 def test_grid_shape():
     grid = EvaluationGrid.for_size(4)
     assert grid.lam_nodes == tuple(range(7))
@@ -78,32 +64,33 @@ def test_grid_shape():
 def test_hand_built_grid_must_cover_the_degree_bounds():
     g = k44_diag()  # T = {0, 1, 2, 4}
     full = EvaluationGrid.for_size(4)
-    coeffs = [-10878, 60846, -71556, 0, 21600]
     assert full.nonvanishing_targets(g, set(range(5))) == {0, 1, 2, 4}
-    assert full.x_coefficients(g, 3) == coeffs
-    # any order of enough distinct nodes gives the same answers
-    turned = EvaluationGrid(full.lam_nodes[::-1], full.x_nodes[::-1])
-    assert turned.nonvanishing_targets(g, set(range(5))) == {0, 1, 2, 4}
-    assert turned.x_coefficients(g, 3) == coeffs
-    short = [
-        EvaluationGrid((0,), tuple(range(5))),  # said {1, 2, 4}
-        EvaluationGrid((0,) * 7, tuple(range(5))),
-    ]
-    for grid in short:
+    assert full.x_coefficients(g, 3) == [-10878, 60846, -71556, 0, 21600]
+    for n in (3, 5):  # a grid of another size never evaluates g
         with pytest.raises(BadParams):
-            grid.nonvanishing_targets(g, set(range(5)))
+            EvaluationGrid.for_size(n).nonvanishing_targets(g, set(range(5)))
         with pytest.raises(BadParams):
-            grid.x_coefficients(g, 3)
-    for x_nodes in [(0, 1), (0, 1, 2, 3, 3)]:  # (0, 1) said [-10878, 10890, 0, 0, 0]
-        with pytest.raises(BadParams):
-            EvaluationGrid(full.lam_nodes, x_nodes).x_coefficients(g, 3)
+            EvaluationGrid.for_size(n).x_coefficients(g, 3)
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_pt_polynomial_matches_symbolic(seed):
-    n = 2 + seed % 4
-    g = random_graph(n, 0.7, 0.4, seed=8000 + seed)
-    for t in range(n + 1):
+PT_POLYNOMIAL_CASES = [
+    pytest.param(random_graph(2 + seed % 4, 0.7, 0.4, seed=8000 + seed),
+                 id=str(seed))
+    for seed in range(25)
+] + [
+    # cell (0, 0) red: its entry is x * (lam + 0)^0 = x
+    pytest.param(with_coloring(knn(2), red=[(0, 0)]), id="knn2-red00"),
+    # a blue and a red record in one cell weigh in as 1 + x
+    pytest.param(
+        ColoredBipartiteGraph.make(1, [(0, 0, 0), (0, 0, 1)], multi=True),
+        id="multigraph-cell",
+    ),
+]
+
+
+@pytest.mark.parametrize("g", PT_POLYNOMIAL_CASES)
+def test_pt_polynomial_matches_symbolic(g):
+    for t in range(g.n + 1):
         assert pt_polynomial(g, t) == symbolic_pt(g, t)
 
 
@@ -303,20 +290,13 @@ def test_grid_primes_must_keep_the_lam_nodes_apart(monkeypatch):
     # knn(4) all blue: c_0 = 12 at every lam, m = 1, lam-degree 6
     g = knn(4)
     full = EvaluationGrid.for_size(4)
-    turned = EvaluationGrid(full.lam_nodes[::-1], full.x_nodes)
-    assert turned.nonvanishing_targets(g, {0}) == {0}
-    p = certificate_primes(1)[0]
-    for lams in [(p, 1, 2, 3, 4, 5, 0), (0, 1, 2, 3, 4, 5, 2 * p)]:
-        with pytest.raises(BadPrime):  # two nodes meet mod p
-            EvaluationGrid(lams, full.x_nodes).nonvanishing_targets(g, {0})
-    # 5 <= 6: both orders raise (the turned grid once checked against 0)
+    assert full.nonvanishing_targets(g, {0}) == {0}
+    # 5 <= 6: two lam nodes meet mod 5
     monkeypatch.setattr(solver, "certificate_primes", lambda bound: (5,))
-    for grid in (full, turned):
-        with pytest.raises(BadPrime):
-            grid.nonvanishing_targets(g, {0})
+    with pytest.raises(BadPrime):
+        full.nonvanishing_targets(g, {0})
     monkeypatch.setattr(solver, "certificate_primes", lambda bound: (7,))
     assert full.nonvanishing_targets(g, {0}) == {0}
-    assert turned.nonvanishing_targets(g, {0}) == {0}
 
 
 def test_grid_dets_count_the_modular_determinants():
@@ -743,9 +723,7 @@ def test_certificates_never_contradict_the_dp_oracle(g):
         t_min, t_max, *solver._congruence(g, _elementary(g))
     )
     assert want <= in_class  # NO: outside the bounds or off the class
-    trace = SolveTrace()
-    assert solver._probe(g, t_min, t_max, trace) <= want  # YES: the probe
-    assert trace.counts["grid_dets"] == t_max - t_min + 1
+    assert solver._probe(g, t_min, t_max) <= want  # YES: the probe
     for t in range(-1, g.n + 2):
         assert solve(g, t).decision == (t in want)
 
@@ -845,12 +823,12 @@ def test_multi_block_root_reaches_the_recursion():
 
 
 def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
-    # with no probe hits and modulus 1 the root and every brace grid see
-    # every in-bound target, so the recursion and the grid's zero path
-    # decide what the certificates settled before
+    # with no root certificates and modulus 1 the root and every brace grid
+    # see every in-bound target, so the recursion and the grid's zero path
+    # decide what the certificates settled before; the grid keeps its probe
     graphs = [p.values[0] for p in CONGRUENCE_CASES + RESIDUAL_HOLES]
     before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
-    monkeypatch.setattr(solver, "_probe", lambda g, t_min, t_max, trace: set())
+    monkeypatch.setattr(solver, "_certify", lambda g, d, trace: (None, None))
     monkeypatch.setattr(solver, "_congruence", lambda g, d: (1, 0))
     zeros = 0
     for g, decisions in zip(graphs, before):

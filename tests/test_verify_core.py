@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactmatch.algebra import IntPolynomial, P_ZERO, poly_eval
-from exactmatch.errors import BadFamily, BadPrime, CapExceeded, UnsupportedSize
+from exactmatch.errors import (
+    BadFamily, BadParams, BadPrime, CapExceeded, UnsupportedSize,
+)
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -163,7 +165,7 @@ def test_minor_pt_is_signed_inside_minor():
 
 
 def test_minor_pt_rejects_unbalanced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadParams):
         minor_pt(knn(3), (0,), (), 0)
 
 

@@ -150,7 +150,7 @@ def test_transfer_adjacent_pair_blocks_zero_crossings():
 
 
 def test_transfer_xy_rejects_other_offsets():
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadParams):
         transfer_xy(TernaryWord.make([1]), 1)
 
 
