@@ -21,11 +21,12 @@ that reconstruction is what achievable_sets_compose audits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .errors import InvariantError, OracleCap
-from .graphs import BLUE, ColoredBipartiteGraph, EdgeRecord
+from .graphs import BLUE, ColoredBipartiteGraph, EdgeRecord, _run
 from .matching import TightSetCertificate, _split_certificate
 
 Origin = Tuple[Optional[int], ...]
@@ -92,7 +93,7 @@ def decompose(g: ColoredBipartiteGraph) -> DecompositionNode:
 
     Raises NotMatchingCovered unless g is matching-covered.
     """
-    return _decompose(g, _identity_meta(g))
+    return _run(_decompose(g, _identity_meta(g)))
 
 
 def _identity_meta(
@@ -105,43 +106,22 @@ def _identity_meta(
     )
 
 
-def _decompose(g, meta) -> DecompositionNode:
-    """Post-order over an explicit stack, so depth is not bounded by the
-    interpreter's recursion limit: a split is built once both blocks are.
-    Each graph is checked and split from its one D(G, M).
-
-    todo holds ("block", graph, meta) entries still to decide and
-    ("split", graph, parts) entries waiting on their two finished blocks,
-    which sit on top of done (b-side below a-side).
+def _decompose(g, meta):
+    """The induction as a generator step (graphs._run), so depth is not
+    bounded by the interpreter's recursion limit: a brace is a leaf;
+    otherwise the b-side block is decomposed, then the a-side block, and
+    the two join under a split. Each graph is checked and split from its
+    one D(G, M).
     """
-    todo: list = [("block", g, meta)]
-    done: list[DecompositionNode] = []
-    while todo:
-        kind, graph, data = todo.pop()
-        if kind == "split":
-            cert, crossing, lmap, rmap = data
-            a_node = done.pop()
-            b_node = done.pop()
-            left_has_bstar = b_node.graph.n <= a_node.graph.n
-            left, right = (
-                (b_node, a_node) if left_has_bstar else (a_node, b_node)
-            )
-            done.append(
-                Split(graph, cert, crossing, left, right, left_has_bstar,
-                      lmap, rmap)
-            )
-            continue
-        cert = _split_certificate(graph)
-        if cert is None:  # a brace
-            done.append(Leaf(graph, BraceBlock(graph, *data)))
-            continue
-        bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(
-            graph, data, cert
-        )
-        todo.append(("split", graph, (cert, crossing, lmap, rmap)))
-        todo.append(("block", apart, ameta))
-        todo.append(("block", bpart, bmeta))
-    return done.pop()
+    cert = _split_certificate(g)
+    if cert is None:  # a brace
+        return Leaf(g, BraceBlock(g, *meta))
+    bpart, bmeta, lmap, apart, ameta, rmap, crossing = _split(g, meta, cert)
+    b_node = yield _decompose(bpart, bmeta)
+    a_node = yield _decompose(apart, ameta)
+    left_has_bstar = b_node.graph.n <= a_node.graph.n
+    left, right = (b_node, a_node) if left_has_bstar else (a_node, b_node)
+    return Split(g, cert, crossing, left, right, left_has_bstar, lmap, rmap)
 
 
 def _split(g, meta, cert):
@@ -248,37 +228,32 @@ def split_count(node: DecompositionNode) -> int:
 def to_dot(node: DecompositionNode) -> str:
     """Graphviz rendering of the tree shape.
 
-    Nodes are numbered in preorder; the edge into a node is written after
-    that node's whole subtree.
+    Nodes are numbered in preorder, each label before its subtree; the
+    edge into a child is written after the child's whole subtree.
     """
     lines = ["digraph decomposition {", "  node [shape=box];"]
-    counter = 0
-    stack: list = [(node, None)]  # (node, parent name) or (None, edge line)
-    while stack:
-        nd, tag = stack.pop()
-        if nd is None:
-            lines.append(tag)
-            continue
-        name = f"v{counter}"
-        counter += 1
-        if tag is not None:
-            stack.append((None, f"  {tag} -> {name};"))
-        if isinstance(nd, Leaf):
-            kind = "multi" if nd.block.has_parallel_cells else "simple"
-            lines.append(
-                f'  {name} [label="brace n={nd.graph.n} ({kind})"];'
-            )
-        else:
-            a1, b1 = nd.certificate.rows_a1, nd.certificate.cols_b1
-            lines.append(
-                f'  {name} [label="split n={nd.graph.n}\\n'
-                f"|A1|={len(a1)} |B1|={len(b1)} "
-                f'crossing={len(nd.crossing)}"];'
-            )
-            stack.append((nd.right, name))
-            stack.append((nd.left, name))
+    _run(_dot(node, lines, itertools.count()))
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot(nd: DecompositionNode, lines: list[str], numbers):
+    """Append nd's subtree to lines as a generator step; returns its name."""
+    name = f"v{next(numbers)}"
+    if isinstance(nd, Leaf):
+        kind = "multi" if nd.block.has_parallel_cells else "simple"
+        lines.append(f'  {name} [label="brace n={nd.graph.n} ({kind})"];')
+        return name
+    a1, b1 = nd.certificate.rows_a1, nd.certificate.cols_b1
+    lines.append(
+        f'  {name} [label="split n={nd.graph.n}\\n'
+        f"|A1|={len(a1)} |B1|={len(b1)} "
+        f'crossing={len(nd.crossing)}"];'
+    )
+    for child in (nd.left, nd.right):
+        child_name = yield _dot(child, lines, numbers)
+        lines.append(f"  {name} -> {child_name};")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +281,13 @@ def achievable_sets_compose(g: ColoredBipartiteGraph, cap: int = 8) -> bool:
     def direct(graph: ColoredBipartiteGraph) -> set[frozenset[EdgeRecord]]:
         return {frozenset(m.as_edges()) for m in enumerate_pms(graph)}
 
-    def reconstruct(node: DecompositionNode) -> set[frozenset[EdgeRecord]]:
+    def reconstruct(node: DecompositionNode):
+        """node's matching set as a generator step (graphs._run)."""
         nonlocal ok
         if isinstance(node, Leaf):
             return direct(node.graph)
-        b_pms = reconstruct(node.b_side)
-        a_pms = reconstruct(node.a_side)
+        b_pms = yield reconstruct(node.b_side)
+        a_pms = yield reconstruct(node.a_side)
         bstar = node.b_side.graph.n - 1  # contracted column index
         astar = node.a_side.graph.n - 1  # contracted row index
         out: set[frozenset[EdgeRecord]] = set()
@@ -343,7 +319,7 @@ def achievable_sets_compose(g: ColoredBipartiteGraph, cap: int = 8) -> bool:
             ok = False
         return out
 
-    root_set = reconstruct(tree)
+    root_set = _run(reconstruct(tree))
     if {sum(1 for rec in m if rec[2] != BLUE) for m in root_set} != red_count_set(g):
         ok = False
     return ok

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Generator, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     BadColor,
@@ -491,3 +491,26 @@ def gen_family(
     else:
         raise BadParams(f"unknown family {family!r} (choose from {FAMILIES})")
     return with_coloring(g, red=red, red_prob=red_prob, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# recursion driver
+
+
+def _run(step: Generator):
+    """Run a recursion written as generator steps on an explicit stack, so
+    its depth is not bounded by the interpreter's recursion limit: a step
+    yields a child step and is sent that child's return value.
+    """
+    stack, value = [step], None
+    while True:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as finished:
+            stack.pop()
+            if not stack:
+                return finished.value
+            value = finished.value
+        else:
+            stack.append(child)
+            value = None

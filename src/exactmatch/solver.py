@@ -39,8 +39,9 @@ two independent induced subgraphs, so
 
 where the left set depends only on a and the right only on b, so each is
 evaluated once per distinct row or column. feasible_red_counts recurses on
-this (memoized by the subgraph's records), and each brace's grid is asked
-only for the t its congruence class allows (below).
+this (memoized by the subgraph's records) as generator steps on an
+explicit stack, and each brace's grid is asked only for the t its
+congruence class allows (below).
 
 Certificates first: when no witness is wanted, solve lets the root call
 settle the whole achievable set before the recursion, from exact
@@ -109,7 +110,7 @@ from .algebra import (
 from .errors import (
     BadParams, BadPrime, InvariantError, NoPerfectMatching, ZeroDivisor,
 )
-from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord
+from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord, _run
 from .matching import _elementary, _PairDigraph, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
@@ -465,11 +466,10 @@ class SolveTrace:
     hits, braces decided on the grid, tight cuts split, n <= 2 pieces
     enumerated, roots settled by certificates (certified), the modular
     determinants the grid and the probe evaluated (grid_dets, summed over
-    primes, lam and x nodes) and the deepest nesting of
-    feasible_red_counts calls, memo hits included (depth; the root call
-    counts as 1). level is the nesting of the call running now.
-    certify_root lets a root call (level 1) try the bounds, congruence
-    and probe certificates before the recursion; only solve sets it.
+    primes, lam and x nodes) and the deepest nesting of subproblems, memo
+    hits included (depth; the root counts as 1). certify_root lets the
+    root subproblem try the bounds, congruence and probe certificates
+    before the recursion; only solve sets it.
     brace_keys holds the memo keys of the subproblems the grid settled as
     braces, where witness extraction can take the cofactor chain.
     """
@@ -486,7 +486,6 @@ class SolveTrace:
             0,
         )
     )
-    level: int = 0
     certify_root: bool = False
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
@@ -545,28 +544,29 @@ def feasible_red_counts(
     """
     if trace is None:
         trace = SolveTrace()
-    trace.level += 1
-    if trace.level > trace.counts["depth"]:
-        trace.counts["depth"] = trace.level
-    try:
-        key = _memo_key(g)
-        if key in trace.memo:
-            trace.counts["memo_hits"] += 1
-            return trace.memo[key]
-        trace.counts["subproblems"] += 1
-        result = trace.memo[key] = _feasible(g, trace)
-        return result
-    finally:
-        trace.level -= 1
+    return _run(_subproblem(g, trace, 1))
 
 
-def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
+def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
+    """One subproblem at nesting level (root: 1): memo, then _feasible."""
+    if level > trace.counts["depth"]:
+        trace.counts["depth"] = level
+    key = _memo_key(g)
+    if key in trace.memo:
+        trace.counts["memo_hits"] += 1
+        return trace.memo[key]
+    trace.counts["subproblems"] += 1
+    result = trace.memo[key] = yield from _feasible(g, trace, level)
+    return result
+
+
+def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     n = g.n
     d = _elementary(g)  # the one D(G, M) of this subproblem
     if d is None:
         return frozenset()  # no perfect matching
     candidates = None  # the grid's targets if g is a brace; a root narrows them
-    if trace.certify_root and trace.level == 1:
+    if trace.certify_root and level == 1:
         settled, candidates = _certify(g, d, trace)
         if settled is not None:
             return settled
@@ -575,7 +575,7 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
     if len(d.blocks) > 1:  # the elementary blocks, induced on g itself
         acc = {0}
         for rows, cols in d.blocks:
-            part = feasible_red_counts(g.induced(rows, cols), trace)
+            part = yield _subproblem(g.induced(rows, cols), trace, level + 1)
             acc = {a + b for a in acc for b in part}
         return frozenset(acc)
 
@@ -615,13 +615,13 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace) -> frozenset:
         lpart = lefts.get(a)
         if lpart is None:
             left = g.induced([r for r in a1s if r != a], b1s)
-            lpart = lefts[a] = feasible_red_counts(left, trace)
+            lpart = lefts[a] = yield _subproblem(left, trace, level + 1)
         if not lpart:
             continue
         rpart = rights.get(b)
         if rpart is None:
             right = g.induced(a2, [c for c in b2 if c != b])
-            rpart = rights[b] = feasible_red_counts(right, trace)
+            rpart = rights[b] = yield _subproblem(right, trace, level + 1)
         rho = 1 if k == RED else 0
         out |= {rho + x + y for x in lpart for y in rpart}
     return frozenset(out)

@@ -529,6 +529,36 @@ def test_witness_depth_is_not_bounded_by_recursion_limit():
     assert proc.stdout.split() == ["True", "2", "160", "80"]
 
 
+_DEEP_CUTS = """
+import sys
+from exactmatch.graphs import RED, band_path, with_coloring
+from exactmatch.solver import SolverOptions, feasible_red_counts, solve
+g = with_coloring(band_path(400), "bernoulli", seed=3)
+sys.setrecursionlimit(200)
+feasible = sorted(feasible_red_counts(g))
+t = feasible[len(feasible) // 2]
+rep = solve(g, t, SolverOptions(want_witness=True))
+print(len(feasible), t, rep.decision, rep.counts["depth"],
+      rep.counts["subproblems"], len(rep.witness),
+      sum(1 for _, _, k in rep.witness if k == RED))
+"""
+
+
+def test_decision_depth_is_not_bounded_by_recursion_limit():
+    # band_path(400) nests 201 subproblems deep through its tight cuts; the
+    # decision and the witness run at a recursion limit of 200
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_CUTS], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == [
+        "221", "202", "True", "201", "796", "400", "202",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # solve reports
 
@@ -606,19 +636,21 @@ def test_solve_report_ignores_witness_subproblems():
 # Read off solve(g, 0) at the commit before subproblems were induced from
 # the input graph and each crossing child was evaluated once per row/column,
 # when solve always ran the recursion: the recursion must keep its
-# subproblems, leaves and their order.
+# subproblems, leaves and their order. depth and memo_hits were read off
+# feasible_red_counts when the recursion still nested Python calls, before
+# it ran on an explicit stack; memo hits depend on the evaluation order.
 PINNED_TRACES = {
     "band_path7": (
         lambda: with_coloring(band_path(7), red="bernoulli", seed=3),
         {"subproblems": 10, "braces": 0, "tight_cuts": 4, "enumerated": 3,
-         "grid_dets": 0},
+         "grid_dets": 0, "depth": 5, "memo_hits": 13},
         [(1, (0,), "enumeration"), (1, (1,), "enumeration"),
          (2, (0, 1), "enumeration")],
     ),
     "random12-d0.3": (
         lambda: random_graph(12, 0.3, 0.5, seed=13, require_pm=True),
         {"subproblems": 147, "braces": 5, "tight_cuts": 60, "enumerated": 11,
-         "grid_dets": 31},
+         "grid_dets": 31, "depth": 7, "memo_hits": 353},
         [(10, (4, 5, 6, 7, 8, 9), "pure-ASNC"), (1, (0,), "enumeration"),
          (1, (1,), "enumeration"), (2, (1, 2), "enumeration"),
          (2, (1, 2), "enumeration"), (2, (0, 1), "enumeration"),
@@ -642,25 +674,17 @@ def test_solve_trace_matches_pinned_recursion(name):
     assert [(b.n, b.feasible_t, b.method) for b in rep.blocks] == blocks
 
 
-def test_depth_is_the_deepest_nesting_of_the_recursion(monkeypatch):
-    g = random_graph(12, 0.3, 0.5, seed=13, require_pm=True)
-    inner = solver.feasible_red_counts
-    level = deepest = 0
-
-    def nested(graph, trace=None):
-        nonlocal level, deepest
-        level += 1
-        deepest = max(deepest, level)
-        try:
-            return inner(graph, trace)
-        finally:
-            level -= 1
-
-    monkeypatch.setattr(solver, "feasible_red_counts", nested)
-    rep = SolveTrace()
-    solver.feasible_red_counts(g, rep)
-    assert rep.counts["depth"] == deepest > 2
+def test_depth_is_the_deepest_nesting_of_the_recursion():
+    # the root counts as 1 and each elementary block nests one below it,
+    # memo hits included: the second K2,2 block repeats the first
     assert solve(knn(3), 0).counts["depth"] == 1
+    k22 = [(r, c, RED if r == c else BLUE) for r in range(2) for c in range(2)]
+    g = ColoredBipartiteGraph.make(
+        4, k22 + [(2 + r, 2 + c, k) for r, c, k in k22])
+    rep = SolveTrace()
+    assert feasible_red_counts(g, rep) == {0, 2, 4}
+    assert rep.counts["depth"] == 2
+    assert (rep.counts["subproblems"], rep.counts["memo_hits"]) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
