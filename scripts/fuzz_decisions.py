@@ -6,17 +6,19 @@ twice: the recursion's achievable set, one feasible_red_counts call per
 instance, and solve(g, t).decision for every t in -1..n+1, which the root
 certificates (bounds, congruence, probe) settle before any recursion.
 Every YES target of an instance with n <= WITNESS_ALL_N (one drawn YES
-target above that) then goes through solve(..., want_witness=True), and
-each witness is checked against the graph. The run stops at --budget
+target above that) then goes through solve(..., want_witness=True): each
+witness is checked against the graph, and the report's blocks and counts
+against those of solve(g, t) without a witness. The run stops at --budget
 seconds or --max-instances. One draw in GAP_SHARE is a dense graph
 gap-colored (red iff row and column lie on opposite halves), so every red
 count is even and the odd targets inside its bounds are zeros the grid must
 certify. One draw in MULTI_SHARE (gap draws take precedence) is a node
 graph of decompose(g) for a matching-covered random g: the blocks below
 its root are multigraphs, with a parallel cell wherever crossing records of
-both colors meet. Any disagreement or bad witness prints the instance in
-wire format (a make() call for a multigraph, which EBG cannot carry) and
-aborts, so the output is a ready-made regression fixture.
+both colors meet. Any disagreement, bad witness or report mismatch
+prints the instance in wire format (a make() call for a multigraph, which
+EBG cannot carry) and aborts, so the output is a ready-made regression
+fixture.
 
     python3 scripts/fuzz_decisions.py --budget 60 --max-n 14
 """
@@ -127,8 +129,10 @@ def main(argv=None) -> int:
         want = red_count_set_dp(g)
         got = feasible_red_counts(g)
         instances += 1
+        reports = {}
         for t in range(-1, g.n + 2):
-            decided = solve(g, t).decision
+            reports[t] = solve(g, t)
+            decided = reports[t].decision
             decisions += 1
             if (t in got) != (t in want) or decided != (t in want):
                 print(
@@ -141,10 +145,18 @@ def main(argv=None) -> int:
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
         for t in targets:
-            witness = solve(g, t, SolverOptions(want_witness=True)).witness
+            report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
-            if not witness_ok(g, t, witness):
-                print(f"BAD WITNESS at t={t}: {witness}")
+            if not witness_ok(g, t, report.witness):
+                print(f"BAD WITNESS at t={t}: {report.witness}")
+                sys.stdout.write(wire(g))
+                return 1
+            plain = reports[t]
+            if (report.blocks, report.counts) != (plain.blocks, plain.counts):
+                print(
+                    f"REPORT MISMATCH at t={t}: witnessed {report.blocks} "
+                    f"{report.counts}, plain {plain.blocks} {plain.counts}"
+                )
                 sys.stdout.write(wire(g))
                 return 1
     print(

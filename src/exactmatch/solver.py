@@ -43,10 +43,10 @@ this (memoized by the subgraph's records) as generator steps on an
 explicit stack, and each brace's grid is asked only for the t its
 congruence class allows (below).
 
-Certificates first: when no witness is wanted, solve lets the root call
-settle the whole achievable set before the recursion, from exact
-certificates that need no zero proof. They run inside _feasible on the
-root's one D(G, M), right after it is built:
+Certificates first: solve lets the root call settle the whole achievable
+set before the recursion, from exact certificates that need no zero
+proof, with or without a witness. They run once per solve, inside
+_feasible on the root's one D(G, M), right after it is built:
 
   * bounds: red_count_bounds gives [t_min, t_max], both attained;
   * congruence: on each elementary block, potentials along a spanning
@@ -57,24 +57,30 @@ root's one D(G, M), right after it is built:
   * probe: c_t at the top lam node mod the first certificate prime, one
     batched elimination when it fits _GRID_BLOCK_ENTRIES. A nonzero
     residue needs a matching with t red edges on any graph; a zero
-    proves nothing. The same _probe opens every brace grid's sweep.
+    proves nothing. The same _probe opens every brace grid's sweep. When
+    a witness is wanted, the root's probe is one inverse_det_mod_batch at
+    one more x node instead (_chain_start), whose inverse the witness
+    reuses.
 
 If the endpoints and the probe's hits cover every in-bound t of the class,
 those t are the achievable set; otherwise the recursion runs unchanged, and
 a root that is a brace hands those in-class candidates to its grid.
-Witnesses: extract_witness reduces one row at a time, as a loop. A graph
-the recursion settled on the grid as a brace goes down a cofactor chain
+Witnesses: extract_witness reduces one row at a time, as a loop. The
+root of solve, when the probe's guard holds, and any graph the recursion
+settled on the grid as a brace, go down a cofactor chain
 (_brace_witness): M(lam*, x) at the probe's node, inverted once modulo
-the first certificate prime at the x nodes its bounds need, gives every
+the first certificate prime at the x nodes its bounds need (the root's
+from its probe, a brace's when the witness reaches it), gives every
 record's cofactor along a row; the first record whose coefficient for the
-target left is nonzero is taken, and a rank-one downdate of the inverse
-gives the next row's cofactors. A nonzero coefficient is a certificate,
-so each step is exact, and a certified start c_t(lam*) != 0 mod p keeps a
-qualifying record in every row (the matrix-inverse self-reduction of
-Rabin and Vazirani, deterministic here). When the start is not certified
-or a cofactor vanishes at an x node, the chain gives up and row 0 is
-forced onto the first record whose residual graph keeps the residual
-target in feasible_red_counts. The witness is checked against the graph.
+target left is nonzero is taken, and a rank-one downdate of the inverse's
+trailing block gives the next row's cofactors. A nonzero coefficient is a
+certificate on any graph, so each step is exact, and a certified start
+c_t(lam*) != 0 mod p keeps a qualifying record in every row (the
+matrix-inverse self-reduction of Rabin and Vazirani, deterministic here).
+When the start is not certified or a cofactor vanishes at an x node, the
+chain gives up and row 0 is forced onto the first record whose residual
+graph keeps the residual target in feasible_red_counts, which runs no
+certificates. The witness is checked against the graph.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
@@ -92,7 +98,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -445,6 +451,44 @@ def _probe(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> set[int]:
     return {t_min + int(s) for s in np.flatnonzero(coeffs[:, 0])}
 
 
+class _ChainStart(NamedTuple):
+    """M(lam*, x) mod p at the probe's node and x = 1..m + 1, inverted.
+
+    det[x - 1] and inv[x - 1] are the determinant and the inverse of
+    A(x) = M(lam*, x) (an all-zero inverse where det is 0). m + 1 nodes
+    cover the x-powers t_min - 1 .. t_max, which every cofactor along a
+    row carries, so det gives the probe's residues and inv opens the
+    cofactor chain of _brace_witness.
+    """
+
+    t_min: int
+    p: int
+    inv: np.ndarray
+    det: np.ndarray
+
+    def probe(self) -> set[int]:
+        """The t whose c_t(lam*) is nonzero mod p: what _probe returns."""
+        nodes = len(self.det)
+        inv = _x_inverse(self.t_min - 1, nodes, self.p)[1:]  # x^t_min ..
+        coeffs = _apply_v_inverse(inv, self.det, self.p)
+        return {self.t_min + int(s) for s in np.flatnonzero(coeffs)}
+
+
+def _chain_start(
+    g: ColoredBipartiteGraph, t_min: int, t_max: int
+) -> _ChainStart:
+    """One inverse_det_mod_batch of M(lam*, x), lam* = n(n-1)/2, at
+    x = 1..t_max - t_min + 2, modulo the first certificate prime; t_min,
+    t_max are red_count_bounds(g)."""
+    n, nodes = g.n, t_max - t_min + 2
+    p = certificate_primes(1)[0]
+    top = np.array([n * (n - 1) // 2], dtype=np.int64)
+    weights = _cell_weights(g, nodes) % p
+    mats = reduce_mod(_lam_powers(top, n, p) * weights, p)
+    inv, det = inverse_det_mod_batch(mats, p)
+    return _ChainStart(t_min, p, inv, det)
+
+
 # ---------------------------------------------------------------------------
 # sound feasibility recursion
 
@@ -468,14 +512,19 @@ class SolveTrace:
     determinants the grid and the probe evaluated (grid_dets, summed over
     primes, lam and x nodes) and the deepest nesting of subproblems, memo
     hits included (depth; the root counts as 1). certify_root lets the
-    root subproblem try the bounds, congruence and probe certificates
-    before the recursion; only solve sets it.
+    next subproblem, the root, try the bounds, congruence and probe
+    certificates before the recursion, once: the residual subproblems of
+    a witness never run them. Only solve sets it.
+    Witness extraction takes the cofactor chain where it has a start:
+    chain_starts, None unless solve wants a witness, then maps the root's
+    memo key to the _ChainStart _certify made when the probe fit;
     brace_keys holds the memo keys of the subproblems the grid settled as
-    braces, where witness extraction can take the cofactor chain.
+    braces, whose start is made when the witness reaches them.
     """
 
     memo: dict = field(default_factory=dict)
     brace_keys: set = field(default_factory=set)
+    chain_starts: Optional[dict] = None
     blocks: list[BlockReport] = field(default_factory=list)
     counts: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(
@@ -505,7 +554,11 @@ def _certify(
     the congruence class. When the endpoints and the probe's hits cover
     every candidate, the candidates are the achievable set; the block
     names the certificate that was needed last. The probe runs only when
-    its m determinants fit one batched elimination.
+    its m determinants fit one batched elimination. When a witness is
+    wanted (trace.chain_starts) and they fit, g's _ChainStart is made
+    whether or not the probe is needed, and gives the probe's residues:
+    the witness then starts its cofactor chain from it. The report counts
+    the probe's m determinants either way.
     """
     t_min, t_max = red_count_bounds(g)  # not None: d has a perfect matching
     proved = {t_min, t_max}
@@ -515,9 +568,14 @@ def _certify(
         method = "congruence"
         candidates &= _in_class(t_min, t_max, *_congruence(g, d))
     m = t_max - t_min + 1
-    if not candidates <= proved and m * g.n * g.n <= _GRID_BLOCK_ENTRIES:
+    fits = m * g.n * g.n <= _GRID_BLOCK_ENTRIES
+    start = None
+    if fits and trace.chain_starts is not None:
+        start = _chain_start(g, t_min, t_max)
+        trace.chain_starts[_memo_key(g)] = start
+    if not candidates <= proved and fits:
         method = "probe"
-        proved |= _probe(g, t_min, t_max)
+        proved |= _probe(g, t_min, t_max) if start is None else start.probe()
         trace.counts["grid_dets"] += m
     if not candidates <= proved:
         return None, candidates
@@ -562,11 +620,13 @@ def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
 
 def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     n = g.n
+    # the root of solve, once: a witness's residual subproblems never certify
+    certify, trace.certify_root = trace.certify_root, False
     d = _elementary(g)  # the one D(G, M) of this subproblem
     if d is None:
         return frozenset()  # no perfect matching
     candidates = None  # the grid's targets if g is a brace; a root narrows them
-    if trace.certify_root and level == 1:
+    if certify:
         settled, candidates = _certify(g, d, trace)
         if settled is not None:
             return settled
@@ -638,12 +698,14 @@ def extract_witness(
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching with exactly t red edges, or None.
 
-    Self-reduction, one row at a time. A graph the recursion settled as a
-    brace goes down the cofactor chain of _brace_witness, which finishes
-    the matching from one certified coefficient; otherwise, or when the
-    chain gives up, row 0 is forced onto each of its records in turn and
-    the first whose residual graph still reaches the residual target is
-    kept. The result is checked against g before it is returned.
+    Self-reduction, one row at a time. A graph with a chain start (the
+    root of solve, when its probe fit, or a brace the recursion settled
+    on the grid) goes down the cofactor chain of _brace_witness,
+    which finishes the matching from one certified coefficient;
+    otherwise, or when the chain gives up, row 0 is forced onto each of
+    its records in turn and the first whose residual graph still reaches
+    the residual target is kept. The result is checked against g before
+    it is returned.
     """
     if trace is None:
         trace = SolveTrace()
@@ -675,14 +737,15 @@ def _witness(
 ) -> list[EdgeRecord]:
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
-    rows and cols map the current g's labels to the input's; a brace the
-    recursion settled hands the rest of the matching to _brace_witness.
+    rows and cols map the current g's labels to the input's; a g with a
+    chain start hands the rest of the matching to _brace_witness.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
     while g.n:
-        if _memo_key(g) in trace.brace_keys:
-            chain = _brace_witness(g, t)
+        start = _start_of(g, trace)
+        if start is not None:
+            chain = _brace_witness(g, t, start)
             if chain is not None:
                 return out + [(rows[r], cols[c], k) for r, c, k in chain]
         for c in g.row_adj[0]:
@@ -700,14 +763,26 @@ def _witness(
     return out
 
 
-def _brace_witness(
-    g: ColoredBipartiteGraph, t: int
-) -> Optional[list[EdgeRecord]]:
-    """A perfect matching of the brace g with t red records, or None.
+def _start_of(
+    g: ColoredBipartiteGraph, trace: SolveTrace
+) -> Optional[_ChainStart]:
+    """The root's chain start from _certify, a new one for a brace the
+    grid settled, or None: where the row-forcing loop must go on."""
+    key = _memo_key(g)
+    if trace.chain_starts and key in trace.chain_starts:
+        return trace.chain_starts[key]
+    if key in trace.brace_keys:
+        return _chain_start(g, *red_count_bounds(g))
+    return None
 
-    Cofactor self-reduction at the probe's node lam* = n(n-1)/2 modulo the
-    first certificate prime p. A(x) = M(lam*, x) is inverted once at
-    x = 1..m, m = t_max - t_min + 2 (inverse_det_mod_batch). At row r, what
+
+def _brace_witness(
+    g: ColoredBipartiteGraph, t: int, start: _ChainStart
+) -> Optional[list[EdgeRecord]]:
+    """A perfect matching of g with t red records, or None.
+
+    Cofactor self-reduction from start, g's _ChainStart: A(x) = M(lam*, x)
+    inverted modulo p at x = 1..m, m = t_max - t_min + 2. At row r, what
     is left of A is the minor on rows r.. and the columns not yet taken;
     with B its inverse, its cofactor along row r at column c is det *
     B[c, r]. A record (r, c) of red count rho completes every perfect
@@ -716,48 +791,47 @@ def _brace_witness(
     far) and the m x nodes give its coefficients through _x_inverse. A
     nonzero residue of the coefficient of x^(t - forced - rho) is a sum
     over the minor's perfect matchings with that many red records, so one
-    exists and the record is safe to take. By Laplace expansion along row
-    r, the coefficient of det for the target left is the sum of those
-    record terms, and the cofactor of the record taken is the next det: a
-    nonzero c_t(lam*) mod p carries the chain to the last row with no
-    second certificate. The first record whose coefficient is nonzero and
-    whose cofactor is nonzero at every x node (the next A(x) stays
-    invertible) is taken, and B is downdated by the rank-one deletion
-    formula B - B[:, r] B[c, :] / B[c, r], which zeroes row c and column r
-    and leaves the inverse of the minor. Returns None, for the row-forcing
-    fallback, when some A(x) is singular or no record of a row qualifies
+    exists and the record is safe to take, on any graph. By Laplace
+    expansion along row r, the coefficient of det for the target left is
+    the sum of those record terms, and the cofactor of the record taken
+    is the next det: a nonzero c_t(lam*) mod p carries the chain to the
+    last row with no second certificate. The first record whose
+    coefficient is nonzero and whose cofactor is nonzero at every x node
+    (the next A(x) stays invertible) is taken. B keeps the columns taken
+    so far in its leading rows: the taken column's row of B is swapped
+    into position r, and only the trailing block, rows and columns r + 1..,
+    is downdated by the rank-one deletion formula B - B[:, r] B[c, :] /
+    B[c, r], which leaves the inverse of the minor there. start is not
+    modified. Returns None, for the row-forcing fallback, when t is out
+    of bounds, some A(x) is singular or no record of a row qualifies
     (c_t(lam*) = 0 mod p, or only cofactors that vanish at some node); a
     returned matching is always a witness.
     """
-    n = g.n
-    t_min, t_max = red_count_bounds(g)  # not None: a brace has a matching
-    if not t_min <= t <= t_max:
-        return None
-    m = t_max - t_min + 2
-    p = certificate_primes(1)[0]
-    top = np.array([n * (n - 1) // 2], dtype=np.int64)
-    mats = reduce_mod(_lam_powers(top, n, p) * (_cell_weights(g, m) % p), p)
-    inv, det = inverse_det_mod_batch(mats, p)
-    if not det.all():
+    t_min, p, inv, det = start
+    m = len(det)
+    if not t_min <= t <= t_min + m - 2 or not det.all():
         return None
     # det holds x^forced * det A(x) (up to sign), so the cofactors it gives
     # carry the x-powers t_min - 1 .. t_max and a record of red count rho
     # needs the coefficient of x^(t - rho) at every row: two rows of V^-1
     basis = _x_inverse(t_min - 1, m, p)[[t - t_min + 1, t - t_min]]
     x = np.arange(1, m + 1, dtype=np.int64)
+    inv = inv.copy()
+    pos = list(range(g.n))  # column label -> its row of inv
+    label = list(range(g.n))  # row of inv -> column label
     out: list[EdgeRecord] = []
-    for r in range(n):
-        first = inv[:, :, r]  # row r's cofactors are det * first
+    for r in range(g.n):
+        first = inv[:, r:, r]  # row r's cofactors are det * first
         weights = reduce_mod(basis * det, p)
-        coeffs = _apply_v_inverse(weights, first, p).tolist()  # [rho][c]
-        alive = first.all(axis=0).tolist()  # taken columns read 0
+        coeffs = _apply_v_inverse(weights, first, p).tolist()  # [rho][pos - r]
+        alive = first.all(axis=0).tolist()
         pick = next(
             (
                 (c, k)
                 for c in g.row_adj[r]
-                if alive[c]
+                if pos[c] >= r and alive[pos[c] - r]
                 for k in g.cells[r, c]
-                if coeffs[_rho(k)][c]
+                if coeffs[_rho(k)][pos[c] - r]
             ),
             None,
         )
@@ -765,9 +839,17 @@ def _brace_witness(
             return None
         c, k = pick
         out.append((r, c, k))
-        pivot = first[:, c]
-        row = reduce_mod(inv[:, c] * inverses_mod(pivot, p)[:, None], p)
-        inv = reduce_mod(inv + (p - first)[:, :, None] * row[:, None], p)
+        q = pos[c]
+        inv[:, [r, q]] = inv[:, [q, r]]
+        label[r], label[q] = c, label[r]
+        pos[c], pos[label[q]] = r, q
+        pivot = inv[:, r, r]
+        scale = inverses_mod(pivot, p)[:, None]
+        row = reduce_mod(inv[:, r, r + 1 :] * scale, p)
+        lead = p - inv[:, r + 1 :, r]
+        inv[:, r + 1 :, r + 1 :] = reduce_mod(
+            inv[:, r + 1 :, r + 1 :] + lead[:, :, None] * row[:, None], p
+        )
         det = reduce_mod(det * pivot, p)
         if _rho(k):
             det = reduce_mod(det * x, p)
@@ -823,12 +905,15 @@ def solve(
     """Decide whether some perfect matching has exactly t red edges.
 
     The decision is one run of feasible_red_counts; blocks and counts are
-    its trace, taken before any witness extraction adds subproblems.
-    Without a witness the root first tries the certificates (_certify);
-    a witness needs the recursion's memo, so it skips them. Out-of-range
-    targets are legal and decide to NO.
+    its trace, taken before any witness extraction adds subproblems. The
+    root first tries the certificates (_certify), with or without a
+    witness, so both give the same blocks and counts. With a witness the
+    probe's elimination is also the start of the root's cofactor chain.
+    Out-of-range targets are legal and decide to NO.
     """
-    trace = SolveTrace(certify_root=not opts.want_witness)
+    trace = SolveTrace(
+        certify_root=True, chain_starts={} if opts.want_witness else None
+    )
     t0 = time.perf_counter()
     decision = t in feasible_red_counts(g, trace)
     t1 = time.perf_counter()

@@ -434,13 +434,20 @@ def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
             assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
 
 
+def _chain(g, t):
+    """_brace_witness from a fresh start, as the witness of a brace does."""
+    return solver._brace_witness(
+        g, t, solver._chain_start(g, *red_count_bounds(g))
+    )
+
+
 def test_brace_witness_finishes_every_target_at_the_real_prime():
     for g in _random_braces(30, 14100) + [k44_diag(), biwheel(6)]:
         for t in sorted(red_count_set_dp(g)):
-            assert _is_witness(g, t, solver._brace_witness(g, t))
+            assert _is_witness(g, t, _chain(g, t))
         t_min, t_max = red_count_bounds(g)
-        assert solver._brace_witness(g, t_min - 1) is None
-        assert solver._brace_witness(g, t_max + 1) is None
+        assert _chain(g, t_min - 1) is None
+        assert _chain(g, t_max + 1) is None
 
 
 @pytest.mark.parametrize("p", [31, 37, 41])
@@ -451,7 +458,7 @@ def test_brace_witness_under_small_primes_is_right_or_gives_up(p, monkeypatch):
     outcomes = {"witness": 0, "none": 0}
     for g in _random_braces(40, 14300):
         for t in sorted(red_count_set_dp(g)):
-            wit = solver._brace_witness(g, t)
+            wit = _chain(g, t)
             if wit is None:
                 outcomes["none"] += 1
             else:
@@ -473,7 +480,7 @@ def test_brace_witness_leaves_the_recursion_alone():
 
 
 def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
-    monkeypatch.setattr(solver, "_brace_witness", lambda g, t: None)
+    monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
     graphs = _random_braces(10, 14700) + [
         k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
     ]
@@ -481,6 +488,111 @@ def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
         for t in sorted(red_count_set_dp(g)):
             rep = solve(g, t, SolverOptions(want_witness=True))
             assert rep.decision and _is_witness(g, t, rep.witness)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(k44_diag(), id="k44-diag"),
+        pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3), id="band7"),
+    ],
+)
+def test_certificates_run_once_per_solve(g, monkeypatch):
+    # the chain gives up, so the witness forces rows through residual
+    # subproblems; none of them may run the root certificates again
+    monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
+    calls = []
+    certify = solver._certify
+
+    def counted(*args):
+        calls.append(args[0].n)
+        return certify(*args)
+
+    monkeypatch.setattr(solver, "_certify", counted)
+    for t in range(-1, g.n + 2):
+        for want_witness in (False, True):
+            calls.clear()
+            rep = solve(g, t, SolverOptions(want_witness=want_witness))
+            assert calls == [g.n]
+            assert rep.witness is None or _is_witness(g, t, rep.witness)
+
+
+def _non_braces(count, seed):
+    out = []
+    for s in range(seed, seed + 4 * count):
+        g = random_graph(10 + s % 3, 0.4, 0.5, seed=s, require_pm=True)
+        if not is_brace(g):
+            out.append(g)
+    assert len(out) >= count
+    return out[:count]
+
+
+CHAIN_FROM_ROOT = (
+    [pytest.param(with_coloring(band_path(32), "bernoulli", seed=s),
+                  id=f"band32-{s}") for s in (1, 2)]
+    + [pytest.param(with_coloring(biwheel(16), "bernoulli", seed=s),
+                    id=f"biwheel16-{s}") for s in (1, 2)]
+    + [pytest.param(g, id=f"nonbrace-n{g.n}-{i}")
+       for i, g in enumerate(_non_braces(6, 15000))]
+)
+
+
+@pytest.mark.parametrize("g", CHAIN_FROM_ROOT)
+def test_witness_chains_from_the_root_certificate(g, monkeypatch):
+    # within the probe's guard the root's witness comes from the probe's
+    # own elimination: every t the probe certified needs no subproblem
+    # beyond the decision's, so no row is forced
+    builds = []
+    build = solver._elementary
+    monkeypatch.setattr(
+        solver, "_elementary", lambda graph: builds.append(graph) or build(graph)
+    )
+    want = red_count_set_dp(g)
+    if g.n > 16:
+        assert feasible_red_counts(g) == want
+    t_min, t_max = red_count_bounds(g)
+    assert (t_max - t_min + 1) * g.n * g.n <= solver._GRID_BLOCK_ENTRIES
+    probed = solver._probe(g, t_min, t_max)
+    assert probed
+    for t in range(-1, g.n + 2):
+        builds.clear()
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert rep.decision == (t in want)
+        if rep.decision:
+            assert _is_witness(g, t, rep.witness)
+        if t in probed:
+            assert len(builds) == rep.counts["subproblems"]
+
+
+@pytest.mark.parametrize("p", [31, 37])
+def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
+    # the probe and the chain work mod the first certificate prime: a
+    # small one makes the chain give up often, and the row-forcing
+    # fallback must then finish the witness; the real primes after it
+    # keep the grid's zero proofs exact
+    real = solver.certificate_primes
+    monkeypatch.setattr(solver, "certificate_primes", lambda bound: (p,) + real(bound))
+    outcomes = {"chain": 0, "fallback": 0}
+    chain = solver._brace_witness
+
+    def counted(g, t, start):
+        wit = chain(g, t, start)
+        outcomes["chain" if wit is not None else "fallback"] += 1
+        return wit
+
+    monkeypatch.setattr(solver, "_brace_witness", counted)
+    graphs = [g for g in _random_braces(20, 15200) if g.n <= 8] + [
+        k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
+    ] + [random_graph(n, 0.5, 0.5, seed=15300 + n, require_pm=True)
+         for n in range(4, 9)]
+    for g in graphs:
+        want = red_count_set_dp(g)
+        for t in range(-1, g.n + 2):
+            rep = solve(g, t, SolverOptions(want_witness=True))
+            assert rep.decision == (t in want)
+            if rep.decision:
+                assert _is_witness(g, t, rep.witness)
+    assert outcomes["chain"] >= 10 and outcomes["fallback"] >= 1
 
 
 @pytest.mark.parametrize(
@@ -493,7 +605,9 @@ def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
     ],
 )
 def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
-    monkeypatch.setattr(solver, "_brace_witness", lambda g, t: list(wrong))
+    monkeypatch.setattr(
+        solver, "_brace_witness", lambda g, t, start: list(wrong)
+    )
     with pytest.raises(InvariantError):
         solve(k44_diag(), 2, SolverOptions(want_witness=True))
 
@@ -585,9 +699,10 @@ def test_solve_json_schema():
     assert d["schema"] == "exactmatch/3"
     assert d["decision"] == "YES"
     assert d["blocks"][0]["feasible_t"] == [0, 1, 2, 4]
+    # the root's probe (5 determinants) leaves 3 open; the grid takes 35
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0, "certified": 0, "grid_dets": 35, "depth": 1,
+        "enumerated": 0, "certified": 0, "grid_dets": 40, "depth": 1,
     }
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
@@ -622,14 +737,15 @@ def test_solve_report_traces_the_recursion():
     assert again.blocks == rep.blocks and again.counts == rep.counts
 
 
-def test_solve_report_ignores_witness_subproblems():
+def test_solve_report_ignores_witness_subproblems(monkeypatch):
+    # the chain gives up, so the witness forces rows through new subproblems
+    monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
     g = with_coloring(band_path(7), red="bernoulli", seed=3)
     t = min(red_count_set(g))
-    plain = SolveTrace()
-    feasible_red_counts(g, plain)
+    plain = solve(g, t)
     with_wit = solve(g, t, SolverOptions(want_witness=True))
     assert with_wit.witness is not None
-    assert list(with_wit.blocks) == plain.blocks
+    assert with_wit.blocks == plain.blocks
     assert with_wit.counts == plain.counts
 
 
@@ -786,12 +902,9 @@ def test_certified_report_names_its_method(g, method):
     assert rep.to_json_dict()["blocks"][0]["method"] == method
 
 
-def test_witness_and_bare_recursion_skip_the_certificates():
+def test_bare_recursion_skips_the_certificates():
     g = with_coloring(knn(3), red=[(0, 0), (1, 1)])
     assert solve(g, 1).blocks[0].method == "probe"
-    rep = solve(g, 1, SolverOptions(want_witness=True))
-    assert rep.counts["certified"] == 0
-    assert [b.method for b in rep.blocks] == ["pure-ASNC"]
     trace = SolveTrace()
     feasible_red_counts(g, trace)
     assert trace.counts["certified"] == 0
@@ -870,6 +983,33 @@ def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
                 for b in rep.blocks
             )
     assert zeros >= 10
+
+
+def _no_witness(rep):
+    d = rep.to_json_dict()
+    d.pop("witness", None)
+    d.pop("timings")
+    return d
+
+
+PARITY_CASES = (
+    CERTIFICATE_CASES + CONGRUENCE_CASES + RESIDUAL_HOLES
+    + [pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3),
+                    id="band7")]
+    + [pytest.param(random_graph(2 + s % 9, 0.6, 0.5, seed=15400 + s),
+                    id=f"random-{s}") for s in range(18)]
+)
+
+
+@pytest.mark.parametrize("g", PARITY_CASES)
+def test_witness_keeps_the_decision_report(g):
+    # both paths run the same certificates: the report of a witnessed
+    # solve is the decision's, the probe's m determinants included
+    for t in range(-1, g.n + 2):
+        plain = solve(g, t)
+        witnessed = solve(g, t, SolverOptions(want_witness=True))
+        assert _no_witness(witnessed) == _no_witness(plain)
+        assert (witnessed.witness is not None) == plain.decision
 
 
 def test_solve_decisions_match_enumeration_batch():
