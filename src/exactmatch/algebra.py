@@ -9,18 +9,21 @@ Interpolation is Lagrange over the rationals with a single common-denominator
 clearance at the end; a non-integer result is an error, not a float.
 
 The modular section works in F_p for primes p below 2^31. Residues stay in
-[0, p), so a product of two is below 2^62 and a sum of two products fits
-numpy int64; there is no floating point and no randomness. det_mod_batch
-runs division-free Gaussian elimination on a whole (B, n, n) stack at once:
-each step picks the first nonzero pivot per matrix and swaps it up with
-its sign (_pivot), then updates row_i <- piv * row_i + (p - lead) * row_k
-with one reduction, which scales the determinant by piv per updated row.
-inverse_det_mod_batch takes the same pivot step and update as an in-place
-Gauss-Jordan and returns every inverse with its determinant. Both clear
-their accumulated scales with one batch of modular inverses (Montgomery's
-trick, inverses_mod). A zero residue is only a residue: callers that conclude
-an integer is zero must first multiply enough primes to exceed a bound
-on its size (certificate_primes).
+[0, p), so a product of two is below 2^62 and a sum or difference of two
+products fits numpy int64; there is no floating point and no randomness.
+det_mod_batch runs division-free Gaussian elimination on a whole (B, n, n)
+stack at once: each step picks the first nonzero pivot per matrix and swaps
+it up with its sign (_pivot, a single comparison when no matrix needs a
+swap), writes it to a pivot table, and updates row_i <- piv * row_i -
+lead * row_k with one reduction, which scales the determinant by piv per
+updated row. inverse_det_mod_batch takes the same pivot step and update as
+an in-place Gauss-Jordan and returns every inverse with its determinant.
+Neither tracks its scale inside the loop: after it, doubling scans of the
+pivot table (_prefix_products) give the products of the pivots, and one
+batch of modular inverses (Montgomery's trick, inverses_mod) clears them. A
+zero residue is only a residue: callers that conclude an integer is zero
+must first multiply enough primes to exceed a bound on its size
+(certificate_primes).
 """
 
 from __future__ import annotations
@@ -466,10 +469,11 @@ def certificate_primes(bound: int) -> Tuple[int, ...]:
 
 
 def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p for a nonnegative int64 array (a new array).
+    """a mod p for an int64 array (a new array), in [0, p) whatever a's sign.
 
     a - (a // p) * p: numpy divides by a scalar far faster than it takes a
-    remainder.
+    remainder, and its floor division rounds down, so a negative entry
+    lands in [0, p) too.
     """
     return a - a // p * p
 
@@ -482,8 +486,11 @@ def _pivot(
     The pivot row is the first at or below c with a nonzero entry in
     column c. A swap flips negate; a matrix with no such row is cleared
     from alive. Returns the row each matrix swapped with row c, or None
-    when none swapped.
+    when none swapped: when every entry (c, c) is nonzero, that one
+    comparison is the whole step.
     """
+    if a[:, c, c].all():
+        return None
     idx = np.arange(a.shape[0])
     nonzero = a[:, c:, c] != 0
     offset = nonzero.argmax(axis=1)
@@ -499,15 +506,36 @@ def _pivot(
     return other
 
 
+def _prefix_products(table: np.ndarray, p: int) -> np.ndarray:
+    """Inclusive products mod p down axis 0 of a (k, B) table (a new one).
+
+    Doubling: after the pass of span s, row i holds the product of rows
+    i - 2s + 1 .. i, so ceil(log2 k) passes over the whole table do the
+    work of k - 1 row-by-row products.
+    """
+    out = table.copy()
+    span = 1
+    while span < len(out):
+        out[span:] = reduce_mod(out[span:] * out[:-span], p)
+        span *= 2
+    return out
+
+
 def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a (B, n, n) int64 stack with entries in [0, p).
 
     Division-free elimination, all B matrices in step. Each step brings the
-    pivot of the leading column to the top (_pivot), then replaces the
-    trailing block by piv * row_i + (p - lead_i) * top row, reduced once:
-    both terms are below 2^62, so the sum fits int64. A matrix with no
-    pivot in some column has determinant 0. The stack is not modified.
-    Returns B residues in [0, p).
+    pivot of the leading column to the top (_pivot), writes it to a pivot
+    table, and replaces the trailing block by piv * row_i - lead_i * top
+    row, reduced once: both products are below 2^62, so the difference
+    fits int64. Step k multiplies each of the n - 1 - k rows it updates by
+    piv_k, so the block it leaves is P_(k+1) = piv_0 ... piv_k times the
+    exact one: the true pivots are piv_k / P_k and det = P_n / (P_0 ...
+    P_(n-1)), with the last 1 x 1 block as piv_(n-1) and P_0 = 1. That
+    scale is cleared once after the loop, from two doubling scans of the
+    table and one batch of modular inverses. A matrix with no pivot in some
+    column has determinant 0. The stack is not modified. Returns B
+    residues in [0, p).
     """
     batch, n = mats.shape[0], mats.shape[1]
     if n == 0:
@@ -515,22 +543,18 @@ def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
     a = mats.copy()
     negate = np.zeros(batch, dtype=bool)
     alive = np.ones(batch, dtype=bool)
-    # prefix is the product of the pivots so far; scale gains one prefix per
-    # step, so it ends as prod_k piv_k^(n-1-k), the factor by which the row
-    # updates multiplied the determinant.
-    prefix = np.ones(batch, dtype=np.int64)
-    scale = np.ones(batch, dtype=np.int64)
-    for _ in range(n - 1):
+    pivots = np.ones((n + 1, batch), dtype=np.int64)  # row k + 1: piv_k
+    for k in range(n - 1):
         _pivot(a, 0, negate, alive)
-        piv = a[:, 0, 0]
-        trailing = piv[:, None, None] * a[:, 1:, 1:]
-        trailing += (p - a[:, 1:, 0])[:, :, None] * a[:, None, 0, 1:]
-        a = reduce_mod(trailing, p)
-        prefix = reduce_mod(prefix * piv, p)
-        scale = reduce_mod(scale * prefix, p)
-    alive &= a[:, 0, 0] != 0
-    det = reduce_mod(prefix * a[:, 0, 0], p)
-    det = reduce_mod(det * inverses_mod(scale, p), p)
+        pivots[k + 1] = a[:, 0, 0]
+        a = reduce_mod(
+            a[:, :1, :1] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:], p
+        )
+    pivots[n] = a[:, 0, 0]
+    alive &= pivots[n] != 0
+    prefix = _prefix_products(pivots, p)  # P_0 .. P_n
+    lower = _prefix_products(prefix[:n], p)[-1]
+    det = reduce_mod(prefix[n] * inverses_mod(lower, p), p)
     det[negate] = reduce_mod(p - det[negate], p)
     det[~alive] = 0
     return det
@@ -563,52 +587,57 @@ def inverse_det_mod_batch(
     """Inverses and determinants mod p of a (B, k, k) int64 stack.
 
     Entries lie in [0, p). In-place division-free Gauss-Jordan, all B
-    matrices in step. Column c brings its pivot up to row c (_pivot),
-    stores the inverse's column c in its place (the pivot row gets P_c,
-    the product of the earlier pivots, and the others 0), and replaces
-    every other row by piv * row + (p - lead) * pivot row, reduced once as
-    in det_mod_batch. Row r then holds row r of A^-1 times s_r = P_k / P_r,
-    so one inverse of P_k per matrix clears every row; det A is the
-    product of piv_c / P_c with the swaps' sign. The row swaps come back
-    out as column swaps in reverse order. Returns (inv, det): a singular
-    matrix has det 0 and an all-zero inverse. The stack is not modified.
+    matrices in step. Column c brings its pivot up to row c (_pivot) and
+    writes it to a pivot table, stores the inverse's column c in its place
+    (1 in the pivot row, 0 in the others), and replaces every other row by
+    piv * row - lead * pivot row, reduced once as in det_mod_batch. With
+    P_c = piv_0 ... piv_(c-1), entry (r, c) then holds A^-1[r, c] times
+    P_k / (P_r P_c): row r carries the pivots of the steps that updated
+    it, P_k / P_r, and column c, seeded with 1 rather than the P_c its
+    pivot row had gained by then, a further 1 / P_c. After the loop, two
+    doubling scans of the pivot table give the P_c and their product, one
+    batch of modular inverses gives 1 / P_k and det A = P_k / (P_0 ...
+    P_(k-1)) (with the swaps' sign), and one outer product of the P_c
+    clears every entry. The row swaps come back out as column swaps in
+    reverse order. Returns (inv, det): a singular matrix has det 0 and an
+    all-zero inverse. The stack is not modified.
     """
     batch, k = mats.shape[0], mats.shape[1]
+    if k == 0:
+        return mats.copy(), np.ones(batch, dtype=np.int64)
     a = mats.copy()
     idx = np.arange(batch)
     negate = np.zeros(batch, dtype=bool)
     alive = np.ones(batch, dtype=bool)
-    prefix = np.ones((batch, k + 1), dtype=np.int64)  # P_0 .. P_k
+    pivots = np.ones((k + 1, batch), dtype=np.int64)  # row c + 1: piv_c
     swaps = []  # (c, the row each matrix swapped with row c)
     for c in range(k):
         other = _pivot(a, c, negate, alive)
         if other is not None:
             swaps.append((c, other))
-        piv = a[:, c, c].copy()
-        lead = p - a[:, :, c]
-        row = a[:, c].copy()
-        row[:, c] = prefix[:, c]
+        pivots[c + 1] = a[:, c, c]
+        piv = pivots[c + 1, :, None, None]
+        lead = a[:, :, c : c + 1].copy()
+        row = a[:, c : c + 1].copy()
+        row[:, 0, c] = 1
         a[:, :, c] = 0
-        a = reduce_mod(
-            piv[:, None, None] * a + lead[:, :, None] * row[:, None], p
-        )
-        a[:, c] = row
-        prefix[:, c + 1] = reduce_mod(prefix[:, c] * piv, p)
-    # det = P_k / (P_0 ... P_(k-1)) and 1 / s_r = P_r / P_k: one inverse
-    # of P_k and of the product of the others per matrix
-    lower = np.ones(batch, dtype=np.int64)
-    for c in range(k):
-        lower = reduce_mod(lower * prefix[:, c], p)
+        a = reduce_mod(piv * a - lead * row, p)
+        a[:, c : c + 1] = row
+    prefix = _prefix_products(pivots, p)  # P_0 .. P_k
+    lower = _prefix_products(prefix[:k], p)[-1]
     top_inv, lower_inv = inverses_mod(
-        np.concatenate([prefix[:, k], lower]), p
+        np.concatenate([prefix[k], lower]), p
     ).reshape(2, batch)
-    unscale = reduce_mod(prefix[:, :k] * top_inv[:, None], p)  # 1 / s_r
-    inv = reduce_mod(a * unscale[:, :, None], p)
+    scale = prefix[:k].T  # (B, k): P_r by row, P_c by column
+    unscale = reduce_mod(scale * top_inv[:, None], p)  # P_r / P_k
+    inv = reduce_mod(
+        reduce_mod(a * unscale[:, :, None], p) * scale[:, None, :], p
+    )
     for c, other in reversed(swaps):
         col = inv[:, :, c].copy()
         inv[:, :, c] = inv[idx, :, other]
         inv[idx, :, other] = col
-    det = reduce_mod(prefix[:, k] * lower_inv, p)
+    det = reduce_mod(prefix[k] * lower_inv, p)
     det[negate] = reduce_mod(p - det[negate], p)
     det[~alive] = 0
     inv[~alive] = 0

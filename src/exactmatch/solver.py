@@ -55,7 +55,8 @@ _feasible on the root's one D(G, M), right after it is built:
     congruent to sum p(col) - sum p(row) modulo the gcd of the g_b
     (equal when it is 0), and that class is exact (_congruence);
   * probe: c_t at the top lam node mod the first certificate prime, one
-    batched elimination when it fits _GRID_BLOCK_ENTRIES. A nonzero
+    batched elimination when it fits _GRID_BLOCK_ENTRIES; its table of
+    (lam* + i)^j is cached per (n, p) (_top_powers). A nonzero
     residue needs a matching with t red edges on any graph; a zero
     proves nothing. The same _probe opens every brace grid's sweep. When
     a witness is wanted, the root's probe is one inverse_det_mod_batch at
@@ -116,7 +117,7 @@ from .algebra import (
 from .errors import (
     BadParams, BadPrime, InvariantError, NoPerfectMatching, ZeroDivisor,
 )
-from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord, _run
+from .graphs import RED, ColoredBipartiteGraph, EdgeRecord, _run
 from .matching import _elementary, _PairDigraph, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
@@ -137,26 +138,37 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
     """
     rows = [0] * g.n
     cols = [0] * g.n
-    for (i, j), ks in g.cells.items():
-        a = len(ks) * (1 + i) ** j
+    mult = _color_counts(g).sum(axis=0)
+    rr, cc = np.nonzero(mult)
+    for i, j, k in zip(rr.tolist(), cc.tolist(), mult[rr, cc].tolist()):
+        a = k * (1 + i) ** j
         rows[i] += a
         cols[j] += a
     return min(math.prod(rows), math.prod(cols))
 
 
 # Most int64 matrix entries one batched elimination holds, whatever n and
-# the number of nodes: it caps the grid's working memory.
+# the number of nodes: it caps the grid's working memory. The probe's guard
+# in _certify counts its m matrices against it; _chain_start stacks m + 1,
+# one more than that guard counts.
 _GRID_BLOCK_ENTRIES = 1 << 15
+
+
+def _color_counts(g: ColoredBipartiteGraph) -> np.ndarray:
+    """counts[k, i, j]: g's records of color k (BLUE 0, RED 1) in cell (i, j).
+
+    Shape (2, n, n), int64, one integer bincount over g.edges. A simple
+    graph's cell holds one record; a multigraph's at most one per color.
+    """
+    n = g.n
+    flat = [(k * n + r) * n + c for r, c, k in g.edges]
+    counts = np.bincount(flat, minlength=2 * n * n)
+    return counts.astype(np.int64, copy=False).reshape(2, n, n)
 
 
 def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
     """blue + red * x for every cell at x = 1..m, shape (m, n, n)."""
-    blue = np.zeros((g.n, g.n), dtype=np.int64)
-    red = np.zeros((g.n, g.n), dtype=np.int64)
-    for (i, j), ks in g.cells.items():
-        reds = sum(1 for k in ks if k == RED)
-        red[i, j] = reds
-        blue[i, j] = len(ks) - reds
+    blue, red = _color_counts(g)
     x = np.arange(1, m + 1, dtype=np.int64)
     return blue + red * x[:, None, None]
 
@@ -187,6 +199,18 @@ def _lam_powers(lams: np.ndarray, n: int, p: int) -> np.ndarray:
     return powers
 
 
+@functools.lru_cache(maxsize=None)
+def _top_powers(n: int, p: int) -> np.ndarray:
+    """_lam_powers at the top lam node lam* = n(n-1)/2 alone, (1, n, n).
+
+    The probe and every chain start evaluate M there. Read-only, since the
+    cache hands it to every caller.
+    """
+    powers = _lam_powers(np.array([n * (n - 1) // 2], dtype=np.int64), n, p)
+    powers.setflags(write=False)
+    return powers
+
+
 def _apply_v_inverse(
     inv: np.ndarray, values: np.ndarray, p: int
 ) -> np.ndarray:
@@ -201,26 +225,27 @@ def _apply_v_inverse(
 
 
 def _coefficient_residues(
-    weights: np.ndarray, lams: np.ndarray, inv: np.ndarray, p: int
+    weights: np.ndarray, powers: np.ndarray, inv: np.ndarray, p: int
 ) -> np.ndarray:
-    """c_(t_min + s)(lam) mod p, one row per s, one column per lam in lams.
+    """c_(t_min + s)(lam) mod p, one row per s, one column per lam node.
 
-    weights[x - 1] is the cell weight matrix blue + red * x mod p for
-    x = 1..m, and inv is _x_inverse for the same t_min, m and p. The
-    matrices at every (x, lam) go through det_mod_batch in blocks of at
-    most _GRID_BLOCK_ENTRIES entries.
+    weights is _cell_weights at x = 1..m (small counts: each product with
+    a power is reduced here), powers the (L, n, n) table of (lam + i)^j
+    mod p at L lam nodes (_lam_powers, or _top_powers for the top node
+    alone), and inv is _x_inverse for the same t_min, m and p.
+    The matrices at every (x, lam) go through det_mod_batch, a run of x
+    nodes at a time: at most _GRID_BLOCK_ENTRIES entries per block unless
+    one x node's L matrices alone exceed it.
     """
-    m, n = weights.shape[0], weights.shape[1]
-    powers = _lam_powers(lams, n, p)
-    x_of = np.repeat(np.arange(m), len(lams))
-    lam_of = np.tile(np.arange(len(lams)), m)
-    dets = np.empty(len(x_of), dtype=np.int64)
-    per = max(1, _GRID_BLOCK_ENTRIES // (n * n))
-    for lo in range(0, len(dets), per):
-        hi = lo + per
-        mats = reduce_mod(powers[lam_of[lo:hi]] * weights[x_of[lo:hi]], p)
-        dets[lo:hi] = det_mod_batch(mats, p)
-    return _apply_v_inverse(inv, dets.reshape(m, len(lams)), p)
+    m, (lams, n) = weights.shape[0], powers.shape[:2]
+    dets = np.empty((m, lams), dtype=np.int64)
+    per = max(1, _GRID_BLOCK_ENTRIES // (lams * n * n))
+    for lo in range(0, m, per):
+        mats = reduce_mod(powers * weights[lo : lo + per, None], p)
+        dets[lo : lo + per] = det_mod_batch(
+            mats.reshape(-1, n, n), p
+        ).reshape(-1, lams)
+    return _apply_v_inverse(inv, dets, p)
 
 
 @dataclass(frozen=True)
@@ -315,14 +340,14 @@ class EvaluationGrid:
         lams = np.arange(degree, -1, -1, dtype=np.int64)
         block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
         dets = m  # the probe's
-        cell_weights = _cell_weights(g, m)
+        weights = _cell_weights(g, m)
         start = 1  # the probe took the top node mod the first prime
         for p in primes:
-            weights = cell_weights % p
             inv = _x_inverse(t_min, m, p)
             while open_ and start < len(lams):
                 chunk = lams[start : start + block]
-                coeffs = _coefficient_residues(weights, chunk, inv, p)
+                powers = _lam_powers(chunk, n, p)
+                coeffs = _coefficient_residues(weights, powers, inv, p)
                 dets += len(chunk) * m
                 hits = {t for t in open_ if coeffs[t - t_min].any()}
                 found |= hits
@@ -367,20 +392,17 @@ def red_count_bounds(
     a sentinel cost, so an optimum touching the sentinel means no perfect
     matching at all.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return (0, 0)
-    lo = np.full((n, n), _NO_EDGE, dtype=np.int64)
-    hi = np.full((n, n), _NO_EDGE, dtype=np.int64)
-    for (i, j), ks in g.cells.items():
-        lo[i, j] = 0 if BLUE in ks else 1
-        hi[i, j] = 0 if RED in ks else 1
+    blue, red = _color_counts(g) > 0
+    lo = np.where(blue, 0, np.where(red, 1, _NO_EDGE))
+    hi = np.where(red, 0, np.where(blue, 1, _NO_EDGE))
     rows, cols = linear_sum_assignment(lo)
     t_min = int(lo[rows, cols].sum())
     if t_min >= _NO_EDGE:
         return None
     rows, cols = linear_sum_assignment(hi)
-    t_max = n - int(hi[rows, cols].sum())
+    t_max = g.n - int(hi[rows, cols].sum())
     return t_min, t_max
 
 
@@ -443,11 +465,11 @@ def _probe(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> set[int]:
     the root certificate of _certify and the first step of the brace
     grid's pass 1, and evaluates m = t_max - t_min + 1 determinants.
     """
-    n, m = g.n, t_max - t_min + 1
+    m = t_max - t_min + 1
     p = certificate_primes(1)[0]
-    top = np.array([n * (n - 1) // 2], dtype=np.int64)
-    inv = _x_inverse(t_min, m, p)
-    coeffs = _coefficient_residues(_cell_weights(g, m) % p, top, inv, p)
+    coeffs = _coefficient_residues(
+        _cell_weights(g, m), _top_powers(g.n, p), _x_inverse(t_min, m, p), p
+    )
     return {t_min + int(s) for s in np.flatnonzero(coeffs[:, 0])}
 
 
@@ -480,11 +502,9 @@ def _chain_start(
     """One inverse_det_mod_batch of M(lam*, x), lam* = n(n-1)/2, at
     x = 1..t_max - t_min + 2, modulo the first certificate prime; t_min,
     t_max are red_count_bounds(g)."""
-    n, nodes = g.n, t_max - t_min + 2
     p = certificate_primes(1)[0]
-    top = np.array([n * (n - 1) // 2], dtype=np.int64)
-    weights = _cell_weights(g, nodes) % p
-    mats = reduce_mod(_lam_powers(top, n, p) * weights, p)
+    weights = _cell_weights(g, t_max - t_min + 2)
+    mats = reduce_mod(_top_powers(g.n, p) * weights, p)
     inv, det = inverse_det_mod_batch(mats, p)
     return _ChainStart(t_min, p, inv, det)
 
@@ -840,7 +860,8 @@ def _brace_witness(
         c, k = pick
         out.append((r, c, k))
         q = pos[c]
-        inv[:, [r, q]] = inv[:, [q, r]]
+        if q != r:
+            inv[:, [r, q]] = inv[:, [q, r]]
         label[r], label[q] = c, label[r]
         pos[c], pos[label[q]] = r, q
         pivot = inv[:, r, r]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from exactmatch import algebra
 from exactmatch.algebra import (
     MODULUS_CEILING,
     IntMatrix,
@@ -460,6 +461,92 @@ def test_inverse_det_mod_batch_small_cases():
     inv, det = inverse_det_mod_batch(_stack(mats, 4), 37)
     assert det.tolist() == [perm_sign(perm) % 37 for perm in perms]
     assert (inv == _stack(mats, 4).transpose(0, 2, 1)).all()
+
+
+def _lu_mod(rng, n, p, swap_at=None, zero_at=None):
+    """L P U mod p: L unit lower and U upper triangular with a nonzero
+    diagonal, P the swap of rows swap_at and swap_at + 1 (or none).
+
+    Elimination without swaps meets the pivots of U, so it never swaps
+    unless P is given: then the pivot of column swap_at is 0 and row
+    swap_at + 1 holds a nonzero one. zero_at puts a 0 on U's diagonal, so
+    column zero_at of what is left has no pivot at all.
+    """
+    lower = [[int(i == j) if j >= i else rng.randrange(p) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randrange(1, p) if i == j else rng.randrange(p) * (j > i)
+              for j in range(n)] for i in range(n)]
+    if zero_at is not None:
+        upper[zero_at][zero_at] = 0
+    if swap_at is not None:  # L P: swap two columns of L
+        for row in lower:
+            row[swap_at], row[swap_at + 1] = row[swap_at + 1], row[swap_at]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(n)) % p
+             for j in range(n)] for i in range(n)]
+
+
+def _zero_pivots(monkeypatch):
+    """Per _pivot call, how many matrices have a zero at (c, c) on entry."""
+    calls = []
+    pivot = algebra._pivot
+
+    def spy(a, c, negate, alive):
+        calls.append(int((a[:, c, c] == 0).sum()))
+        return pivot(a, c, negate, alive)
+
+    monkeypatch.setattr(algebra, "_pivot", spy)
+    return calls
+
+
+def _check_kernels(mats, n, p):
+    """Both kernels against _det_mod and _exact_inverse_mod."""
+    stack = _stack(mats, n)
+    det = det_mod_batch(stack, p)
+    inv, det_gj = inverse_det_mod_batch(stack, p)
+    want = [_det_mod([list(r) for r in rows], p) for rows in mats]
+    assert det.tolist() == want and det_gj.tolist() == want
+    for rows, b, d in zip(mats, inv.tolist(), want):
+        assert b == (_exact_inverse_mod(rows, p) if d else [[0] * n] * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+@pytest.mark.parametrize("p", [P31, 37])
+def test_kernels_take_the_fast_exit_when_nothing_swaps(n, p, monkeypatch):
+    mats = [_lu_mod(random.Random(4500 + n), n, p) for _ in range(12)]
+    calls = _zero_pivots(monkeypatch)
+    _check_kernels(mats, n, p)
+    # det_mod_batch steps n - 1 columns, inverse_det_mod_batch all n
+    assert calls == [0] * (n - 1) + [0] * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+@pytest.mark.parametrize("p", [P31, 37])
+def test_kernels_swap_one_matrix_at_the_last_column(n, p, monkeypatch):
+    # column n - 2 is the last with a row below it to swap with
+    rng = random.Random(4600 + n)
+    mats = [_lu_mod(rng, n, p) for _ in range(7)]
+    mats.insert(3, _lu_mod(rng, n, p, swap_at=n - 2))
+    calls = _zero_pivots(monkeypatch)
+    _check_kernels(mats, n, p)
+    last = [0] * (n - 2) + [1]
+    assert calls == last + last + [0]
+
+
+@pytest.mark.parametrize("n", [4, 7, 9])
+@pytest.mark.parametrize("p", [P31, 37])
+def test_kernels_survive_a_pivot_that_vanishes_mid_elimination(
+    n, p, monkeypatch
+):
+    # at column j one matrix swaps and one has no pivot left: det 0
+    rng, j = random.Random(4700 + n), n // 2 - 1
+    mats = [_lu_mod(rng, n, p) for _ in range(5)]
+    mats[1] = _lu_mod(rng, n, p, swap_at=j)
+    mats[3] = _lu_mod(rng, n, p, zero_at=j)
+    calls = _zero_pivots(monkeypatch)
+    _check_kernels(mats, n, p)
+    assert calls[: j + 1] == [0] * j + [2]  # det_mod_batch
+    assert calls[n - 1 : n + j] == [0] * j + [2]  # inverse_det_mod_batch
+    assert det_mod_batch(_stack(mats, n), p)[3] == 0
 
 
 def test_inverses_mod():

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from exactmatch import solver
@@ -266,6 +267,66 @@ def test_coefficient_bound_is_row_or_column_sum_product():
     # A = [[1, 1], [1, 2]] for knn(2): rows 2 * 3 = 6, columns 2 * 3 = 6
     assert coefficient_bound(knn(2)) == 6
     assert coefficient_bound(ColoredBipartiteGraph.make(0, [])) == 1
+
+
+def _multigraph(n, seed, density=0.6):
+    rng = random.Random(seed)
+    edges = [(i, j, k) for i in range(n) for j in range(n) for k in (BLUE, RED)
+             if rng.random() < density]
+    return ColoredBipartiteGraph.make(n, edges, multi=True)
+
+
+COUNT_CASES = (
+    [pytest.param(_multigraph(n, 13100 + n), id=f"multi-n{n}")
+     for n in range(0, 8)]
+    + [pytest.param(random_graph(n, 0.6, 0.5, seed=13200 + n), id=f"simple-n{n}")
+       for n in range(1, 8)]
+    + [p for p in CERTIFICATE_CASES if p.values[0].multi]
+)
+
+
+def test_count_cases_hold_cells_of_both_colors():
+    graphs = [p.values[0] for p in COUNT_CASES]
+    assert sum(len(ks) == 2 for g in graphs for ks in g.cells.values()) >= 50
+
+
+@pytest.mark.parametrize("g", COUNT_CASES)
+def test_color_counts_and_their_readers_match_a_per_cell_loop(g):
+    n = g.n
+    blue = [[0] * n for _ in range(n)]
+    red = [[0] * n for _ in range(n)]
+    rows, cols = [0] * n, [0] * n
+    for (i, j), ks in g.cells.items():
+        blue[i][j], red[i][j] = ks.count(BLUE), ks.count(RED)
+        rows[i] += len(ks) * (1 + i) ** j
+        cols[j] += len(ks) * (1 + i) ** j
+    counts = solver._color_counts(g)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [blue, red]
+    weights = solver._cell_weights(g, 4)
+    assert weights.dtype == np.int64
+    assert weights.tolist() == [
+        [[sum(x if k == RED else 1 for k in g.cells.get((i, j), ()))
+          for j in range(n)] for i in range(n)]
+        for x in range(1, 5)
+    ]
+    assert coefficient_bound(g) == min(math.prod(rows), math.prod(cols))
+    achievable = red_count_set_dp(g)
+    bounds = red_count_bounds(g)
+    assert bounds == ((min(achievable), max(achievable)) if achievable else None)
+
+
+@pytest.mark.parametrize("p", [certificate_primes(1)[0], 37])
+def test_top_powers_are_the_read_only_top_row_of_lam_powers(p):
+    for n in range(0, 13):
+        top = solver._top_powers(n, p)
+        lam = np.array([n * (n - 1) // 2], dtype=np.int64)
+        assert top.shape == (1, n, n)
+        assert (top == solver._lam_powers(lam, n, p)).all()
+        assert solver._top_powers(n, p) is top  # one table per (n, p)
+        assert not top.flags.writeable
+        with pytest.raises(ValueError):
+            top[...] = 0
 
 
 def test_prime_at_or_below_degree_raises_bad_prime(monkeypatch):
