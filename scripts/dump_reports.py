@@ -17,12 +17,20 @@ trees and comparing the outputs:
     python3 scripts/dump_reports.py --seed 5 > new.jsonl
     (cd ../parent && python3 scripts/dump_reports.py --seed 5) > old.jsonl
     cmp old.jsonl new.jsonl
+
+A change that may move counts but no decision is checked with --compare,
+which matches the two dumps by query, prints how many reports differ in
+each field (each counter of "counts" on its own) and exits 1 if a query is
+in only one dump or any decision, block list or witness differs:
+
+    python3 scripts/dump_reports.py --compare old.jsonl new.jsonl
 """
 
 import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
@@ -97,11 +105,49 @@ def dump(queries, out) -> int:
     return lines
 
 
+# fields whose change is a different answer, not a different count
+GUARDED = ("decision", "blocks", "witness")
+
+
+def load(path: str) -> dict:
+    """query (as sorted JSON) -> report, for one dump."""
+    with open(path) as f:
+        lines = (json.loads(line) for line in f if line.strip())
+        return {json.dumps(d["query"], sort_keys=True): d["report"]
+                for d in lines}
+
+
+def compare(old_path: str, new_path: str, out) -> int:
+    """Per-field counts of differing reports; 1 on a guarded difference."""
+    old, new = load(old_path), load(new_path)
+    only = set(old) ^ set(new)
+    diffs: Counter = Counter()
+    for key in set(old) & set(new):
+        a, b = old[key], new[key]
+        for name in sorted(set(a) | set(b)):
+            if name == "counts":
+                counts_a, counts_b = a.get(name, {}), b.get(name, {})
+                for count in sorted(set(counts_a) | set(counts_b)):
+                    if counts_a.get(count) != counts_b.get(count):
+                        diffs[f"counts.{count}"] += 1
+            elif a.get(name) != b.get(name):
+                diffs[name] += 1
+    out.write(f"{len(set(old) & set(new))} reports compared, "
+              f"{len(only)} queries in one dump only\n")
+    for name in sorted(set(diffs) | set(GUARDED)):
+        out.write(f"{name}: {diffs[name]} differ\n")
+    return 1 if only or any(diffs[name] for name in GUARDED) else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=5,
                     help="perfbench workload seed (default 5)")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two dumps instead of writing one")
     ns = ap.parse_args(argv)
+    if ns.compare:
+        return compare(*ns.compare, sys.stdout)
     lines = dump(perfbench_queries(ns.seed), sys.stdout)
     lines += dump(battery_queries(), sys.stdout)
     print(f"{lines} reports", file=sys.stderr)

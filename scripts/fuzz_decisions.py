@@ -4,7 +4,7 @@
 Draws random colored instances and checks each against the DP oracle
 twice: the recursion's achievable set, one feasible_red_counts call per
 instance, and solve(g, t).decision for every t in -1..n+1, which the root
-certificates (bounds, congruence, probe) settle before any recursion.
+certificates (bounds, probe, congruence) settle before any D(G, M) is built.
 Every YES target of an instance with n <= WITNESS_ALL_N (one drawn YES
 target above that) then goes through solve(..., want_witness=True): each
 witness is checked against the graph, and the report's blocks and counts
@@ -15,7 +15,10 @@ count is even and the odd targets inside its bounds are zeros the grid must
 certify. One draw in MULTI_SHARE (gap draws take precedence) is a node
 graph of decompose(g) for a matching-covered random g: the blocks below
 its root are multigraphs, with a parallel cell wherever crossing records of
-both colors meet. Any disagreement, bad witness or report mismatch
+both colors meet. One draw in DIAG_SHARE (the two above take precedence) is
+K_n,n with a red diagonal: its hole at n - 1 is zero at every probe and lies
+in the class of its records, so the root builds D(G, M) and asks the brace
+grid for it. Any disagreement, bad witness or report mismatch
 prints the instance in wire format (a make() call for a multigraph, which
 EBG cannot carry) and aborts, so the output is a ready-made regression
 fixture.
@@ -35,8 +38,10 @@ from exactmatch.graphs import (
     BLUE,
     RED,
     ColoredBipartiteGraph,
+    knn,
     random_graph,
     serialize_ebg,
+    with_coloring,
 )
 from exactmatch.matching import is_matching_covered
 from exactmatch.solver import SolverOptions, feasible_red_counts, solve
@@ -51,6 +56,7 @@ MAX_N = 14
 WITNESS_ALL_N = 10
 GAP_SHARE = 4
 MULTI_SHARE = 3
+DIAG_SHARE = 5
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -119,6 +125,8 @@ def main(argv=None) -> int:
             )
         elif instances % MULTI_SHARE == MULTI_SHARE - 1:
             g = decomposition_node(rng, n)
+        elif instances % DIAG_SHARE == DIAG_SHARE - 1:
+            g = with_coloring(knn(n), red="diag")
         else:
             g = random_graph(
                 n,

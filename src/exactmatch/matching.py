@@ -36,9 +36,10 @@ for a brace. Every public question is a view:
     is still checked by certificate_ok before it is returned.
 
 is_brace and find_tight_set are both views of _split_certificate (None for
-a brace, else the certificate). The solver's recursion (its root
-certificates included) and the tight-cut decomposition build one D per
-graph and ask it every structural question about that graph.
+a brace, else the certificate). The solver's recursion and the tight-cut
+decomposition build at most one D per graph and ask it every structural
+question about that graph; a solver root that its certificates settle
+from the records alone builds none.
 
 Which perfect matching M is used does not change any of these answers.
 The matching search and the SCC pass are iterative, so the depth of an

@@ -24,10 +24,11 @@ some perfect matching has t red edges, and the grid decides that exactly:
     then every coefficient is divisible by their product; once that product
     exceeds C, c_t = 0.
 
-Every other graph is reduced first. One D(G, M) per subproblem
-(matching._elementary) gives either no perfect matching, or the elementary
-blocks -- the SCCs of D, which are the connected pieces of the
-allowed-edge graph -- or, for a single block, a brace or a tight cut.
+Every other graph is reduced first. At most one D(G, M) per subproblem
+(matching._elementary; a root its certificates settle builds none) gives
+either no perfect matching, or the elementary blocks -- the SCCs of D,
+which are the connected pieces of the allowed-edge graph -- or, for a
+single block, a brace or a tight cut.
 Blocks multiply independently (sumset), and each is induced from the
 subproblem's own graph: a cell inside one SCC is an arc of it, so it is
 allowed, and a single block is its own allowed-edge graph. At a tight cut
@@ -43,29 +44,36 @@ this (memoized by the subgraph's records) as generator steps on an
 explicit stack, and each brace's grid is asked only for the t its
 congruence class allows (below).
 
-Certificates first: solve lets the root call settle the whole achievable
-set before the recursion, from exact certificates that need no zero
-proof, with or without a witness. They run once per solve, inside
-_feasible on the root's one D(G, M), right after it is built:
+Certificates before structure: solve lets the root call settle the whole
+achievable set before the recursion, from exact certificates that need no
+zero proof, with or without a witness. They run once per solve, at the
+top of the root's _feasible, in this order, and read g's records alone
+(_certify), so a root they settle never builds D(G, M):
 
-  * bounds: red_count_bounds gives [t_min, t_max], both attained;
-  * congruence: on each elementary block, potentials along a spanning
-    tree with p(col) - p(row) = red(e) leave a discrepancy on every other
-    record; with g_b their gcd, every perfect matching has red count
-    congruent to sum p(col) - sum p(row) modulo the gcd of the g_b
-    (equal when it is 0), and that class is exact (_congruence);
-  * probe: c_t at the top lam node mod the first certificate prime, one
-    batched elimination when it fits _GRID_BLOCK_ENTRIES; its table of
-    (lam* + i)^j is cached per (n, p) (_top_powers). A nonzero
-    residue needs a matching with t red edges on any graph; a zero
-    proves nothing. The same _probe opens every brace grid's sweep. When
-    a witness is wanted, the root's probe is one inverse_det_mod_batch at
-    one more x node instead (_chain_start), whose inverse the witness
-    reuses.
+  * bounds: red_count_bounds gives [t_min, t_max], both attained; None
+    means no perfect matching, and the root returns the empty set;
+  * probe, when a t lies between the bounds: c_t at the top lam node mod
+    the first certificate prime, one batched elimination when it fits
+    _GRID_BLOCK_ENTRIES; its table of (lam* + i)^j is cached per (n, p)
+    (_top_powers). A nonzero residue needs a matching with t red edges
+    on any graph; a zero proves nothing. The same _probe opens every
+    brace grid's sweep. When a witness is wanted, the root's probe is one
+    inverse_det_mod_batch at one more x node instead (_chain_start),
+    whose inverse the witness reuses;
+  * congruence, when an in-bound t is still unproved: potentials along a
+    spanning tree of each connected component of g's records, with
+    p(col) - p(row) = red(e), leave a discrepancy on every other record;
+    every perfect matching has red count congruent to sum p(col) - sum
+    p(row) modulo the gcd of the discrepancies (equal when it is 0)
+    (_congruence). The class holds on every graph.
 
 If the endpoints and the probe's hits cover every in-bound t of the class,
-those t are the achievable set; otherwise the recursion runs unchanged, and
-a root that is a brace hands those in-class candidates to its grid.
+those t are the achievable set. Otherwise the root builds its one D(G, M)
+and, when D has more than one elementary block, narrows the class to the
+blocks' exact one (_congruence over the allowed records; with one block
+every record is allowed and the two classes are equal), which may settle
+it still. What stays open goes to the recursion on that same D, and a
+root that is a brace hands those in-class candidates to its grid.
 Witnesses: extract_witness reduces one row at a time, as a loop. The
 root of solve, when the probe's guard holds, and any graph the recursion
 settled on the grid as a brace, go down a cofactor chain
@@ -89,7 +97,9 @@ memo and records each leaf settled, in the order it was first evaluated
 "congruence" or "probe"; a simple brace on the grid is "pure-ASNC", a
 piece with n <= 2 is "enumeration"), plus counts of subproblems, memo
 hits, braces, tight cuts, enumerated pieces, certified roots, the modular
-determinants of the grid and the probe, and the recursion depth.
+determinants of the grid and the probe, and the recursion depth. The
+probe runs before the congruence, so a root the congruence settles still
+counts the probe's m determinants when a t lies between its bounds.
 """
 
 from __future__ import annotations
@@ -118,7 +128,7 @@ from .errors import (
     BadParams, BadPrime, InvariantError, NoPerfectMatching, ZeroDivisor,
 )
 from .graphs import RED, ColoredBipartiteGraph, EdgeRecord, _run
-from .matching import _elementary, _PairDigraph, is_brace
+from .matching import _elementary, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
@@ -410,31 +420,39 @@ def red_count_bounds(
 # congruence and probe certificates
 
 
-def _congruence(g: ColoredBipartiteGraph, d: _PairDigraph) -> Tuple[int, int]:
-    """(modulus, residue) with red(M) = residue (mod modulus) for every PM.
+def _congruence(n: int, records) -> Tuple[int, int]:
+    """(modulus, residue) with red(M) = residue (mod modulus) for every
+    perfect matching M that uses only records.
 
-    d is g's D(G, M) (_elementary(g)). Each of its elementary blocks is
-    connected by its allowed records, so a spanning walk gives potentials
-    with p(col) - p(row) = red(e) on its tree records; every record of a
-    block then has red(e) = p(col) - p(row) + d(e). A perfect matching
+    records are (row, col, color) on n rows and n columns. In each
+    connected component of the graph they span, a spanning walk gives
+    potentials with p(col) - p(row) = red(e) on its tree records; every
+    record then has red(e) = p(col) - p(row) + d(e). A perfect matching
     covers every vertex once, so red(M) = sum p(col) - sum p(row) + sum
     of d over M, and modulus = gcd of all d makes the last term vanish
-    (equality when modulus = 0). The gcd is exact: differences of perfect
-    matchings generate the lattice of balanced integer edge vectors of a
-    matching-covered bipartite graph (Lovasz), whose red values are the
-    multiples of the block's gcd, and blocks combine by sumset. Linear in
-    the records.
+    (equality when modulus = 0). Linear in the records.
+
+    Given g.edges, the class holds for every perfect matching of g on any
+    graph. Given the allowed records of g's D(G, M) (d.allowed()), whose
+    components are the elementary blocks, it is exact: differences of
+    perfect matchings generate the lattice of balanced integer edge
+    vectors of a matching-covered bipartite graph (Lovasz), whose red
+    values are the multiples of the block's gcd, and blocks combine by
+    sumset. The two agree when g is one block, since then every record is
+    allowed; otherwise the records' modulus divides the blocks' (their
+    cycles include the blocks').
     """
-    n = g.n
     adj: list[list[Tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for r, c, k in d.allowed():  # rows 0..n-1, columns n..2n-1
+    for r, c, k in records:  # rows 0..n-1, columns n..2n-1
         rho = 1 if k == RED else 0
         adj[r].append((n + c, rho))
         adj[n + c].append((r, -rho))
     pot: list[Optional[int]] = [None] * (2 * n)
-    for rows, _ in d.blocks:
-        pot[rows[0]] = 0
-        stack = [rows[0]]
+    for root in range(2 * n):
+        if pot[root] is not None:
+            continue
+        pot[root] = 0
+        stack = [root]
         while stack:
             v = stack.pop()
             for w, step in adj[v]:
@@ -532,8 +550,8 @@ class SolveTrace:
     determinants the grid and the probe evaluated (grid_dets, summed over
     primes, lam and x nodes) and the deepest nesting of subproblems, memo
     hits included (depth; the root counts as 1). certify_root lets the
-    next subproblem, the root, try the bounds, congruence and probe
-    certificates before the recursion, once: the residual subproblems of
+    next subproblem, the root, try the bounds, probe and congruence
+    certificates before D(G, M), once: the residual subproblems of
     a witness never run them. Only solve sets it.
     Witness extraction takes the cofactor chain where it has a start:
     chain_starts, None unless solve wants a witness, then maps the root's
@@ -565,42 +583,58 @@ class SolveTrace:
 
 
 def _certify(
-    g: ColoredBipartiteGraph, d: _PairDigraph, trace: SolveTrace
-) -> Tuple[Optional[frozenset], set[int]]:
-    """(g's achievable set, or None if still open; the candidates).
+    g: ColoredBipartiteGraph, trace: SolveTrace
+) -> Optional[Tuple[set[int], set[int]]]:
+    """None if g has no perfect matching, else (proved, candidates).
 
-    d is g's D(G, M). The bounds are attained, so t_min and t_max are
-    achievable, and every achievable t is a candidate: an in-bound t of
-    the congruence class. When the endpoints and the probe's hits cover
-    every candidate, the candidates are the achievable set; the block
-    names the certificate that was needed last. The probe runs only when
-    its m determinants fit one batched elimination. When a witness is
-    wanted (trace.chain_starts) and they fit, g's _ChainStart is made
-    whether or not the probe is needed, and gives the probe's residues:
-    the witness then starts its cofactor chain from it. The report counts
-    the probe's m determinants either way.
+    Every certificate here reads g's records alone, so none builds
+    D(G, M). red_count_bounds runs first; its bounds are attained, so
+    t_min and t_max are proved, and every in-bound t is a candidate. When
+    an interior t remains and its m determinants fit one batched
+    elimination, the probe runs and proves the t with a nonzero residue;
+    the report counts its m determinants. When a witness is wanted
+    (trace.chain_starts) and they fit, g's _ChainStart is made whether or
+    not the probe is needed, and gives the probe's residues: the witness
+    then starts its cofactor chain from it. When candidates are still
+    unproved, the congruence over g's records drops those off its class,
+    which holds on every graph. A root whose candidates are all proved is
+    settled (_certified); what is left open, _feasible narrows by the
+    blocks' exact class once it has built D.
     """
-    t_min, t_max = red_count_bounds(g)  # not None: d has a perfect matching
+    bounds = red_count_bounds(g)
+    if bounds is None:
+        return None
+    t_min, t_max = bounds
     proved = {t_min, t_max}
     candidates = set(range(t_min, t_max + 1))
-    method = "bounds"
-    if not candidates <= proved:
-        method = "congruence"
-        candidates &= _in_class(t_min, t_max, *_congruence(g, d))
     m = t_max - t_min + 1
     fits = m * g.n * g.n <= _GRID_BLOCK_ENTRIES
     start = None
     if fits and trace.chain_starts is not None:
         start = _chain_start(g, t_min, t_max)
         trace.chain_starts[_memo_key(g)] = start
-    if not candidates <= proved and fits:
-        method = "probe"
+    if m > 2 and fits:
         proved |= _probe(g, t_min, t_max) if start is None else start.probe()
         trace.counts["grid_dets"] += m
     if not candidates <= proved:
-        return None, candidates
-    settled = trace.settle("certified", method, g.n, frozenset(candidates))
-    return settled, candidates
+        candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
+    return proved, candidates
+
+
+def _certified(n: int, result: set[int], trace: SolveTrace) -> frozenset:
+    """Settle a root whose candidates, result, are all proved.
+
+    result holds both bounds. The block names the certificate needed
+    last: "bounds" when no t lies between them, "probe" when the result
+    has an interior t (only the probe proves one), else "congruence".
+    """
+    t_min, t_max = min(result), max(result)
+    method = (
+        "bounds" if t_max - t_min < 2
+        else "probe" if len(result) > 2
+        else "congruence"
+    )
+    return trace.settle("certified", method, n, frozenset(result))
 
 
 def _memo_key(g: ColoredBipartiteGraph) -> tuple:
@@ -639,17 +673,36 @@ def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
 
 
 def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
+    """g's achievable set, as a generator step of the recursion.
+
+    The root of solve runs its certificates first (_certify), before
+    any structure: a root they settle, or one the bounds find without a
+    perfect matching, returns without building D(G, M). Every other
+    subproblem builds its one D (_elementary). A root still open narrows
+    its candidates by the blocks' exact class when D has several blocks
+    (with one, the records' class already is that class). Then D's
+    elementary blocks multiply by sumset, a brace goes to the grid with
+    the t of its class (the root's narrowed candidates, or the class of
+    its own records), and a tight cut recurses on its crossing records.
+    """
     n = g.n
     # the root of solve, once: a witness's residual subproblems never certify
     certify, trace.certify_root = trace.certify_root, False
+    candidates = None  # the grid's targets if g is a brace; a root narrows them
+    if certify:  # certificates before structure: none of them needs D
+        found = _certify(g, trace)
+        if found is None:
+            return frozenset()  # no perfect matching
+        proved, candidates = found
+        if candidates <= proved:
+            return _certified(n, candidates, trace)
     d = _elementary(g)  # the one D(G, M) of this subproblem
     if d is None:
         return frozenset()  # no perfect matching
-    candidates = None  # the grid's targets if g is a brace; a root narrows them
-    if certify:
-        settled, candidates = _certify(g, d, trace)
-        if settled is not None:
-            return settled
+    if certify and len(d.blocks) > 1:  # one block: the records' class is exact
+        candidates &= _in_class(0, n, *_congruence(n, d.allowed()))
+        if candidates <= proved:
+            return _certified(n, candidates, trace)
     if n == 0:
         return frozenset({0})
     if len(d.blocks) > 1:  # the elementary blocks, induced on g itself
@@ -674,7 +727,7 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     if cert is None:  # the grid applies the bounds; the class drops holes
         grid = EvaluationGrid.for_size(n)
         if candidates is None:
-            candidates = _in_class(0, n, *_congruence(g, d))
+            candidates = _in_class(0, n, *_congruence(n, g.edges))
         result = frozenset(grid.nonvanishing_targets(g, candidates, trace))
         trace.brace_keys.add(_memo_key(g))
         return trace.settle("braces", "pure-ASNC", n, result)
@@ -927,9 +980,10 @@ def solve(
 
     The decision is one run of feasible_red_counts; blocks and counts are
     its trace, taken before any witness extraction adds subproblems. The
-    root first tries the certificates (_certify), with or without a
-    witness, so both give the same blocks and counts. With a witness the
-    probe's elimination is also the start of the root's cofactor chain.
+    root first tries the certificates (_certify), before D(G, M), with
+    or without a witness, so both give the same blocks and counts. With a
+    witness the probe's elimination is also the start of the root's
+    cofactor chain.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(

@@ -602,7 +602,8 @@ CHAIN_FROM_ROOT = (
 def test_witness_chains_from_the_root_certificate(g, monkeypatch):
     # within the probe's guard the root's witness comes from the probe's
     # own elimination: every t the probe certified needs no subproblem
-    # beyond the decision's, so no row is forced
+    # beyond the decision's, so no row is forced. Every root here is
+    # certified before D(G, M), so nothing builds one
     builds = []
     build = solver._elementary
     monkeypatch.setattr(
@@ -622,7 +623,8 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
         if rep.decision:
             assert _is_witness(g, t, rep.witness)
         if t in probed:
-            assert len(builds) == rep.counts["subproblems"]
+            assert rep.counts["certified"] == 1
+            assert len(builds) == rep.counts["subproblems"] - 1 == 0
 
 
 @pytest.mark.parametrize("p", [31, 37])
@@ -897,7 +899,7 @@ def test_congruence_cases_cover_blocks_multigraphs_and_classes():
     graphs = [p.values[0] for p in CONGRUENCE_CASES]
     assert sum(len(_elementary(g).blocks) > 1 for g in graphs) >= 10
     assert any(g.multi and len(ks) > 1 for g in graphs for ks in g.cells.values())
-    moduli = [solver._congruence(g, _elementary(g))[0] for g in graphs]
+    moduli = [solver._congruence(g.n, _elementary(g).allowed())[0] for g in graphs]
     assert {0, 1, 2} <= set(moduli)
 
 
@@ -906,7 +908,7 @@ def test_congruence_is_the_gcd_of_achievable_differences(g):
     want = red_count_set_dp(g)
     if g.n <= 8:
         assert want == red_count_set(g)
-    modulus, residue = solver._congruence(g, _elementary(g))
+    modulus, residue = solver._congruence(g.n, _elementary(g).allowed())
     low = min(want)
     assert modulus == math.gcd(*(t - low for t in want))
     if modulus:
@@ -921,12 +923,61 @@ def test_certificates_never_contradict_the_dp_oracle(g):
     t_min, t_max = red_count_bounds(g)
     assert {t_min, t_max} <= want  # YES: the endpoints are attained
     in_class = solver._in_class(
-        t_min, t_max, *solver._congruence(g, _elementary(g))
+        t_min, t_max, *solver._congruence(g.n, _elementary(g).allowed())
     )
     assert want <= in_class  # NO: outside the bounds or off the class
     assert solver._probe(g, t_min, t_max) <= want  # YES: the probe
     for t in range(-1, g.n + 2):
         assert solve(g, t).decision == (t in want)
+
+
+@pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)
+def test_records_congruence_holds_on_every_graph(g):
+    # the class from g's own records holds for every perfect matching; it
+    # can only be coarser than the blocks' exact class, and is that class
+    # when D(G, M) has one block
+    want = red_count_set_dp(g)
+    d = _elementary(g)
+    modulus, residue = solver._congruence(g.n, g.edges)
+    exact, exact_residue = solver._congruence(g.n, d.allowed())
+    assert want <= solver._in_class(min(want), max(want), modulus, residue)
+    if modulus:
+        assert exact % modulus == 0
+        assert (exact_residue - residue) % modulus == 0
+    else:
+        assert (exact, exact_residue) == (0, residue)
+    if len(d.blocks) == 1:
+        assert (modulus, residue) == (exact, exact_residue)
+
+
+def _no_pair_digraph(graph):
+    raise AssertionError("a certified root built D(G, M)")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(knn(3), id="all-blue"),  # bounds
+        pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), id="k33-two"),
+        pytest.param(with_coloring(knn(2), red=[(0, 1), (1, 0)]),
+                     id="k22-antidiag"),  # probe, then the records' class
+        pytest.param(_dense_gap_brace(8, 12508), id="gap-brace"),
+        pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), id="no-pm"),
+        pytest.param(ColoredBipartiteGraph.make(0, []), id="n0"),
+    ],
+)
+def test_certified_roots_never_build_a_pair_digraph(g, monkeypatch):
+    # the bounds, the probe and the congruence over g's records read g
+    # alone: a root they settle, or one without a perfect matching, never
+    # calls _elementary, with or without a witness
+    want = red_count_set_dp(g)
+    monkeypatch.setattr(solver, "_elementary", _no_pair_digraph)
+    for t in range(-1, g.n + 2):
+        for want_witness in (False, True):
+            rep = solve(g, t, SolverOptions(want_witness=want_witness))
+            assert rep.decision == (t in want)
+            assert rep.counts["certified"] == (red_count_bounds(g) is not None)
+            assert rep.witness is None or _is_witness(g, t, rep.witness)
 
 
 def test_certificates_settle_most_roots_and_leave_the_holes_open():
@@ -979,20 +1030,40 @@ def _multi_block_root():
     return ColoredBipartiteGraph.make(5, list(k33.edges) + k22 + [(0, 3, BLUE)])
 
 
+def _coarse_records_root():
+    # two K22 blocks with red anti-diagonals (T = {0, 2, 4}) and two records
+    # from the first block's rows to the second's columns that no perfect
+    # matching uses: their cycle has an odd red value, so the records'
+    # class is mod 1 while the blocks' is mod 2, and only D drops 1 and 3
+    def k22(o):
+        return [(o + r, o + c, RED if r != c else BLUE)
+                for r in range(2) for c in range(2)]
+    return ColoredBipartiteGraph.make(
+        4, k22(0) + k22(2) + [(0, 2, RED), (1, 3, BLUE)]
+    )
+
+
 @pytest.mark.parametrize(
-    "g",
+    "g, root_builds_d",
     [
-        pytest.param(with_coloring(knn(3), red="diag"), id="k33-diag"),
-        pytest.param(k44_diag(), id="k44-diag"),
-        pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), id="probe"),
-        pytest.param(knn(3), id="bounds"),
-        pytest.param(_multi_block_root(), id="multi-block"),
-        pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3), id="band7"),
-        pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), id="no-pm"),
-        pytest.param(ColoredBipartiteGraph.make(0, []), id="n0"),
+        pytest.param(with_coloring(knn(3), red="diag"), True, id="k33-diag"),
+        pytest.param(k44_diag(), True, id="k44-diag"),
+        pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), False,
+                     id="probe"),
+        pytest.param(knn(3), False, id="bounds"),
+        pytest.param(_multi_block_root(), True, id="multi-block"),
+        pytest.param(_coarse_records_root(), True, id="coarse-records"),
+        pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3),
+                     False, id="band7"),
+        pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), False,
+                     id="no-pm"),
+        pytest.param(ColoredBipartiteGraph.make(0, []), False, id="n0"),
     ],
 )
-def test_one_pair_digraph_per_subproblem(g, monkeypatch):
+def test_one_pair_digraph_per_subproblem(g, root_builds_d, monkeypatch):
+    # a root the bounds, the probe or the records' congruence settle (or
+    # the bounds find without a perfect matching) never builds D; every
+    # other subproblem builds exactly one
     builds = []
     build = solver._elementary
 
@@ -1004,12 +1075,37 @@ def test_one_pair_digraph_per_subproblem(g, monkeypatch):
     for t in range(-1, g.n + 2):
         builds.clear()
         rep = solve(g, t)
-        assert len(builds) == rep.counts["subproblems"]
+        assert len(builds) == rep.counts["subproblems"] - 1 + root_builds_d
     builds.clear()
     trace = SolveTrace()
     for t in range(-1, g.n + 2):
         extract_witness(g, t, trace)
     assert len(builds) == trace.counts["subproblems"] >= 1
+
+
+def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
+    g = _coarse_records_root()
+    d = _elementary(g)
+    assert len(d.blocks) == 2 and len(d.allowed()) < len(g.edges)
+    assert solver._congruence(g.n, g.edges) == (1, 0)
+    assert solver._congruence(g.n, d.allowed()) == (2, 0)
+    want = red_count_set_dp(g)
+    assert want == {0, 2, 4}
+    builds = []
+    build = solver._elementary
+    monkeypatch.setattr(
+        solver, "_elementary", lambda graph: builds.append(graph) or build(graph)
+    )
+    for t in range(-1, g.n + 2):
+        for want_witness in (False, True):
+            builds.clear()
+            rep = solve(g, t, SolverOptions(want_witness=want_witness))
+            assert rep.decision == (t in want)
+            assert [b.method for b in rep.blocks] == ["probe"]
+            assert rep.blocks[0].feasible_t == (0, 2, 4)
+            assert rep.counts["certified"] == rep.counts["subproblems"] == 1
+            assert len(builds) == 1
+            assert rep.witness is None or _is_witness(g, t, rep.witness)
 
 
 def test_multi_block_root_reaches_the_recursion():
@@ -1026,8 +1122,11 @@ def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
     # decide what the certificates settled before; the grid keeps its probe
     graphs = [p.values[0] for p in CONGRUENCE_CASES + RESIDUAL_HOLES]
     before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
-    monkeypatch.setattr(solver, "_certify", lambda g, d, trace: (None, None))
-    monkeypatch.setattr(solver, "_congruence", lambda g, d: (1, 0))
+    # (nothing proved, every t a candidate)
+    monkeypatch.setattr(
+        solver, "_certify", lambda g, trace: (set(), set(range(g.n + 1)))
+    )
+    monkeypatch.setattr(solver, "_congruence", lambda n, records: (1, 0))
     zeros = 0
     for g, decisions in zip(graphs, before):
         want = red_count_set_dp(g)
