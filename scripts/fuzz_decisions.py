@@ -1,27 +1,30 @@
 #!/usr/bin/env python3
 """Fuzz the solver against the column-subset DP oracle under a time budget.
 
-Draws random colored instances and checks each against the DP oracle
-twice: the recursion's achievable set, one feasible_red_counts call per
-instance, and solve(g, t).decision for every t in -1..n+1, which the root
-certificates (bounds, probe, congruence) settle before any D(G, M) is built.
-Every YES target of an instance with n <= WITNESS_ALL_N (one drawn YES
-target above that) then goes through solve(..., want_witness=True): each
-witness is checked against the graph, and the report's blocks and counts
-against those of solve(g, t) without a witness. The run stops at --budget
-seconds or --max-instances. One draw in GAP_SHARE is a dense graph
-gap-colored (red iff row and column lie on opposite halves), so every red
-count is even and the odd targets inside its bounds are zeros the grid must
-certify. One draw in MULTI_SHARE (gap draws take precedence) is a node
-graph of decompose(g) for a matching-covered random g: the blocks below
-its root are multigraphs, with a parallel cell wherever crossing records of
-both colors meet. One draw in DIAG_SHARE (the two above take precedence) is
-K_n,n with a red diagonal: its hole at n - 1 is zero at every probe and lies
-in the class of its records, so the root builds D(G, M) and asks the brace
-grid for it. Any disagreement, bad witness or report mismatch
-prints the instance in wire format (a make() call for a multigraph, which
-EBG cannot carry) and aborts, so the output is a ready-made regression
-fixture.
+Draws random colored instances and checks each against an oracle (the DP
+oracle, or a closed form for the diagonal draw below) twice: the
+recursion's achievable set, one feasible_red_counts call per instance, and
+solve(g, t).decision for every t in -1..n+1, which the root certificates
+(bounds, probe, congruence) settle before any D(G, M) is built. Every YES
+target of an instance with n <= WITNESS_ALL_N (one drawn YES target above
+that) then goes through solve(..., want_witness=True): each witness is
+checked against the graph, and the report's blocks and counts against those
+of solve(g, t) without a witness. The run stops at --budget seconds or
+--max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red
+iff row and column lie on opposite halves), so every red count is even and
+the odd targets inside its bounds are zeros the grid must certify. One draw
+in MULTI_SHARE (gap draws take precedence) is a node graph of decompose(g)
+for a matching-covered random g: the blocks below its root are multigraphs,
+with a parallel cell wherever crossing records of both colors meet. One
+draw in DIAG_SHARE (the two above take precedence) is K_n,n with a red
+diagonal: its hole at n - 1 is zero at every lam node and lies in the class
+of its records, so the root builds D(G, M) and the brace grid sweeps every
+node for it, under every certificate prime. Its achievable set has a closed
+form, so it needs no DP oracle and its n reaches DIAG_PAST sizes past
+--max-n (up to 16 at --max-n 14). Any disagreement, bad witness or report
+mismatch prints the instance in wire format (a make() call for a
+multigraph, which EBG cannot carry) and aborts, so the output is a
+ready-made regression fixture.
 
     python3 scripts/fuzz_decisions.py --budget 60 --max-n 14
 """
@@ -57,6 +60,9 @@ WITNESS_ALL_N = 10
 GAP_SHARE = 4
 MULTI_SHARE = 3
 DIAG_SHARE = 5
+# The diagonal draw's closed form costs nothing, so its size may pass
+# --max-n (and MAX_N) by this much.
+DIAG_PAST = 2
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -65,6 +71,13 @@ def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
         g.n,
         [(r, c, RED if (r < half) != (c < half) else BLUE) for r, c, _ in g.edges],
     )
+
+
+def diagonal_red_counts(g: ColoredBipartiteGraph) -> set[int]:
+    """The achievable set of K_n,n with a red diagonal, n >= 1: a
+    permutation with k fixed points has k red records, and every k in
+    0..n occurs except n - 1."""
+    return set(range(g.n + 1)) - {g.n - 1}
 
 
 def decomposition_node(rng: random.Random, n: int) -> ColoredBipartiteGraph:
@@ -115,9 +128,10 @@ def main(argv=None) -> int:
 
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
-    instances = decisions = witnesses = 0
+    instances = decisions = witnesses = past = 0
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
+        oracle = red_count_set_dp
         if instances % GAP_SHARE == GAP_SHARE - 1:
             g = gap_colored(
                 random_graph(n, rng.choice((0.7, 0.9, 1.0)), 0.5,
@@ -126,7 +140,9 @@ def main(argv=None) -> int:
         elif instances % MULTI_SHARE == MULTI_SHARE - 1:
             g = decomposition_node(rng, n)
         elif instances % DIAG_SHARE == DIAG_SHARE - 1:
+            n = rng.randint(2, ns.max_n + DIAG_PAST)
             g = with_coloring(knn(n), red="diag")
+            oracle = diagonal_red_counts
         else:
             g = random_graph(
                 n,
@@ -134,9 +150,10 @@ def main(argv=None) -> int:
                 red_prob=rng.choice((0.1, 0.3, 0.5, 0.8)),
                 seed=rng.randrange(1 << 30),
             )
-        want = red_count_set_dp(g)
+        want = oracle(g)
         got = feasible_red_counts(g)
         instances += 1
+        past += g.n > ns.max_n
         reports = {}
         for t in range(-1, g.n + 2):
             reports[t] = solve(g, t)
@@ -145,7 +162,7 @@ def main(argv=None) -> int:
             if (t in got) != (t in want) or decided != (t in want):
                 print(
                     f"DISAGREEMENT at t={t}: recursion={t in got} "
-                    f"solve={decided} dp-oracle={t in want}"
+                    f"solve={decided} oracle={t in want}"
                 )
                 sys.stdout.write(wire(g))
                 return 1
@@ -168,8 +185,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(wire(g))
                 return 1
     print(
-        f"ok: {instances} instances, {decisions} decisions, "
-        f"{witnesses} witnesses, 0 disagreements"
+        f"ok: {instances} instances ({past} past --max-n), "
+        f"{decisions} decisions, {witnesses} witnesses, 0 disagreements"
     )
     return 0
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Generator, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     BadColor,
     BadParams,
@@ -47,7 +49,8 @@ class ColoredBipartiteGraph:
     Invariant: edges are valid records sorted by (row, col, color); make
     sorts them, and induced and matching.allowed_edges keep a monotonically
     relabeled subsequence. The cells, row_adj and col_adj views are each
-    one pass that relies on it, with no set and no sort.
+    one pass that relies on it, with no set and no sort; color_table is
+    one scatter over the records.
     """
 
     n: int
@@ -87,6 +90,17 @@ class ColoredBipartiteGraph:
         for r, c, k in self.edges:
             out[r, c] = out.get((r, c), ()) + (k,)
         return out
+
+    @cached_property
+    def color_table(self) -> np.ndarray:
+        """table[k, i, j]: does cell (i, j) hold a record of color k
+        (BLUE 0, RED 1)? Shape (2, n, n), bool: make allows one record per
+        color in a cell. Read-only, since every reader shares it."""
+        n = self.n
+        table = np.zeros((2, n, n), dtype=bool)
+        table.flat[[(k * n + r) * n + c for r, c, k in self.edges]] = True
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def row_adj(self) -> Tuple[Tuple[int, ...], ...]:

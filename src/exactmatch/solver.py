@@ -16,7 +16,9 @@ some perfect matching has t red edges, and the grid decides that exactly:
     c_t at any lam node certifies t. Every reader of these residues (the
     probe, the grid, the witness chain) runs det_mod_batch or
     inverse_det_mod_batch at x = 1..m and applies V^-1 the same way
-    (_apply_v_inverse);
+    (_apply_v_inverse). The top lam node lam* = n(n-1)/2 is evaluated
+    for the probe and the witness in one place (_top_node), and the grid
+    takes it as the first chunk of its own sweep;
   * every lam-coefficient of c_t is at most C = coefficient_bound(g), the
     smaller of the row-sum and column-sum products of A_ij =
     mult_ij * (1 + i)^j, which bounds perm(A). If c_t vanishes at all
@@ -53,13 +55,13 @@ top of the root's _feasible, in this order, and read g's records alone
   * bounds: red_count_bounds gives [t_min, t_max], both attained; None
     means no perfect matching, and the root returns the empty set;
   * probe, when a t lies between the bounds: c_t at the top lam node mod
-    the first certificate prime, one batched elimination when it fits
-    _GRID_BLOCK_ENTRIES; its table of (lam* + i)^j is cached per (n, p)
-    (_top_powers). A nonzero residue needs a matching with t red edges
-    on any graph; a zero proves nothing. The same _probe opens every
-    brace grid's sweep. When a witness is wanted, the root's probe is one
-    inverse_det_mod_batch at one more x node instead (_chain_start),
-    whose inverse the witness reuses;
+    the first certificate prime (_TopNode.hits), one batched elimination
+    when it fits _GRID_BLOCK_ENTRIES; its table of (lam* + i)^j is cached
+    per (n, p) (_top_powers). A nonzero residue needs a matching with t
+    red edges on any graph; a zero proves nothing. When a witness is
+    wanted, the root's _top_node is one inverse_det_mod_batch at one more
+    x node instead, whose extra coefficient c_(t_min - 1) is exactly zero
+    and whose inverse the witness reuses;
   * congruence, when an in-bound t is still unproved: potentials along a
     spanning tree of each connected component of g's records, with
     p(col) - p(row) = red(e), leave a discrepancy on every other record;
@@ -77,19 +79,20 @@ root that is a brace hands those in-class candidates to its grid.
 Witnesses: extract_witness reduces one row at a time, as a loop. The
 root of solve, when the probe's guard holds, and any graph the recursion
 settled on the grid as a brace, go down a cofactor chain
-(_brace_witness): M(lam*, x) at the probe's node, inverted once modulo
-the first certificate prime at the x nodes its bounds need (the root's
-from its probe, a brace's when the witness reaches it), gives every
-record's cofactor along a row; the first record whose coefficient for the
-target left is nonzero is taken, and a rank-one downdate of the inverse's
-trailing block gives the next row's cofactors. A nonzero coefficient is a
-certificate on any graph, so each step is exact, and a certified start
-c_t(lam*) != 0 mod p keeps a qualifying record in every row (the
-matrix-inverse self-reduction of Rabin and Vazirani, deterministic here).
-When the start is not certified or a cofactor vanishes at an x node, the
-chain gives up and row 0 is forced onto the first record whose residual
-graph keeps the residual target in feasible_red_counts, which runs no
-certificates. The witness is checked against the graph.
+(_brace_witness): M(lam*, x), inverted once modulo the first certificate
+prime at the x nodes its bounds need (an inverted _top_node: the root's
+from _certify, a brace's when the witness reaches it), gives every
+record's cofactor along a row; the first record whose coefficient for
+the target left is nonzero is taken, and a rank-one downdate of the
+inverse's trailing block gives the next row's cofactors. A nonzero
+coefficient is a certificate on any graph, so each step is exact, and a
+certified start c_t(lam*) != 0 mod p keeps a qualifying record in every
+row (the matrix-inverse self-reduction of Rabin and Vazirani,
+deterministic here). When the start is not certified or a cofactor
+vanishes at an x node, the chain gives up and row 0 is forced onto the
+first record whose residual graph keeps the residual target in
+feasible_red_counts, which runs no certificates. The witness is checked
+against the graph.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
@@ -148,7 +151,7 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
     """
     rows = [0] * g.n
     cols = [0] * g.n
-    mult = _color_counts(g).sum(axis=0)
+    mult = g.color_table.sum(axis=0)
     rr, cc = np.nonzero(mult)
     for i, j, k in zip(rr.tolist(), cc.tolist(), mult[rr, cc].tolist()):
         a = k * (1 + i) ** j
@@ -158,27 +161,15 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
 
 
 # Most int64 matrix entries one batched elimination holds, whatever n and
-# the number of nodes: it caps the grid's working memory. The probe's guard
-# in _certify counts its m matrices against it; _chain_start stacks m + 1,
-# one more than that guard counts.
+# the number of nodes: it caps the grid's working memory. The root's guard
+# in _certify counts the top node's m matrices against it; a witness's
+# _top_node stacks m + 1, one more than that guard counts.
 _GRID_BLOCK_ENTRIES = 1 << 15
 
 
-def _color_counts(g: ColoredBipartiteGraph) -> np.ndarray:
-    """counts[k, i, j]: g's records of color k (BLUE 0, RED 1) in cell (i, j).
-
-    Shape (2, n, n), int64, one integer bincount over g.edges. A simple
-    graph's cell holds one record; a multigraph's at most one per color.
-    """
-    n = g.n
-    flat = [(k * n + r) * n + c for r, c, k in g.edges]
-    counts = np.bincount(flat, minlength=2 * n * n)
-    return counts.astype(np.int64, copy=False).reshape(2, n, n)
-
-
 def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
-    """blue + red * x for every cell at x = 1..m, shape (m, n, n)."""
-    blue, red = _color_counts(g)
+    """blue + red * x for every cell at x = 1..m, shape (m, n, n), int64."""
+    blue, red = g.color_table
     x = np.arange(1, m + 1, dtype=np.int64)
     return blue + red * x[:, None, None]
 
@@ -213,8 +204,8 @@ def _lam_powers(lams: np.ndarray, n: int, p: int) -> np.ndarray:
 def _top_powers(n: int, p: int) -> np.ndarray:
     """_lam_powers at the top lam node lam* = n(n-1)/2 alone, (1, n, n).
 
-    The probe and every chain start evaluate M there. Read-only, since the
-    cache hands it to every caller.
+    _top_node evaluates M there. Read-only, since the cache hands it to
+    every caller.
     """
     powers = _lam_powers(np.array([n * (n - 1) // 2], dtype=np.int64), n, p)
     powers.setflags(write=False)
@@ -241,8 +232,8 @@ def _coefficient_residues(
 
     weights is _cell_weights at x = 1..m (small counts: each product with
     a power is reduced here), powers the (L, n, n) table of (lam + i)^j
-    mod p at L lam nodes (_lam_powers, or _top_powers for the top node
-    alone), and inv is _x_inverse for the same t_min, m and p.
+    mod p at L lam nodes (_lam_powers), and inv is _x_inverse for the same
+    t_min, m and p.
     The matrices at every (x, lam) go through det_mod_batch, a run of x
     nodes at a time: at most _GRID_BLOCK_ENTRIES entries per block unless
     one x node's L matrices alone exceed it.
@@ -316,13 +307,13 @@ class EvaluationGrid:
 
         c_t = 0 outside red_count_bounds(g), and the x nodes are sized to
         those bounds, never to the candidates. A nonzero residue of c_t at
-        any lam node mod any prime certifies t. Pass 1 works mod the first
-        prime: it opens with _probe at the top lam node, then sweeps the
-        other nodes in chunks of as many as one batched elimination holds,
-        and stops once every candidate is certified; pass 2 runs the other
-        certificate primes over all lam nodes for the candidates still
-        open. A t still open after that is zero mod every prime at every
-        node, so c_t is divisible by their product, which exceeds
+        any lam node mod any prime certifies t. Each prime sweeps the lam
+        nodes from the top down, in chunks of as many as one batched
+        elimination holds, and stops once every candidate is certified;
+        the first prime's first chunk is the top node alone, the one
+        _top_node evaluates, since a nonzero c_t is almost always nonzero
+        there. A t still open after every prime is zero mod each of them at
+        every node, so c_t is divisible by their product, which exceeds
         coefficient_bound(g): c_t = 0. trace, when given, counts the
         modular determinants in grid_dets.
         """
@@ -345,25 +336,23 @@ class EvaluationGrid:
         # lam = 0 turns row 0 into a unit row, so the sweep starts at the
         # top; a t still open after the top node is almost always a zero,
         # which needs every node anyway
-        found = _probe(g, t_min, t_max) & open_
-        open_ -= found
         lams = np.arange(degree, -1, -1, dtype=np.int64)
         block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
-        dets = m  # the probe's
+        dets = 0
+        found: set[int] = set()
         weights = _cell_weights(g, m)
-        start = 1  # the probe took the top node mod the first prime
         for p in primes:
             inv = _x_inverse(t_min, m, p)
+            start, size = 0, (1 if p == primes[0] else block)
             while open_ and start < len(lams):
-                chunk = lams[start : start + block]
+                chunk = lams[start : start + size]
                 powers = _lam_powers(chunk, n, p)
                 coeffs = _coefficient_residues(weights, powers, inv, p)
                 dets += len(chunk) * m
                 hits = {t for t in open_ if coeffs[t - t_min].any()}
                 found |= hits
                 open_ -= hits
-                start += len(chunk)
-            start = 0
+                start, size = start + len(chunk), block
         if trace is not None:
             trace.counts["grid_dets"] += dets
         return found
@@ -404,7 +393,7 @@ def red_count_bounds(
     """
     if g.n == 0:
         return (0, 0)
-    blue, red = _color_counts(g) > 0
+    blue, red = g.color_table
     lo = np.where(blue, 0, np.where(red, 1, _NO_EDGE))
     hi = np.where(red, 0, np.where(blue, 1, _NO_EDGE))
     rows, cols = linear_sum_assignment(lo)
@@ -474,57 +463,49 @@ def _in_class(lo: int, hi: int, modulus: int, residue: int) -> set[int]:
     return set(range(lo + (residue - lo) % modulus, hi + 1, modulus))
 
 
-def _probe(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> set[int]:
-    """The t whose c_t is nonzero at the top lam node mod the first prime.
+class _TopNode(NamedTuple):
+    """M(lam*, x) mod p at the top lam node and the x nodes 1..len(det).
 
-    t_min, t_max are red_count_bounds(g). A nonzero coefficient needs a
-    perfect matching with t red edges on any graph, multigraphs included,
-    so every returned t is achievable; a zero proves nothing. It is both
-    the root certificate of _certify and the first step of the brace
-    grid's pass 1, and evaluates m = t_max - t_min + 1 determinants.
-    """
-    m = t_max - t_min + 1
-    p = certificate_primes(1)[0]
-    coeffs = _coefficient_residues(
-        _cell_weights(g, m), _top_powers(g.n, p), _x_inverse(t_min, m, p), p
-    )
-    return {t_min + int(s) for s in np.flatnonzero(coeffs[:, 0])}
-
-
-class _ChainStart(NamedTuple):
-    """M(lam*, x) mod p at the probe's node and x = 1..m + 1, inverted.
-
-    det[x - 1] and inv[x - 1] are the determinant and the inverse of
-    A(x) = M(lam*, x) (an all-zero inverse where det is 0). m + 1 nodes
-    cover the x-powers t_min - 1 .. t_max, which every cofactor along a
-    row carries, so det gives the probe's residues and inv opens the
-    cofactor chain of _brace_witness.
+    det[x - 1] is det A(x), A(x) = M(lam*, x); inv[x - 1] is A(x)^-1 (an
+    all-zero inverse where det is 0), or inv is None when no chain reads
+    it. The nodes cover the x-powers t_lo .. t_max: t_lo = t_min without
+    an inverse, t_min - 1 with one, which every cofactor along a row
+    carries (_brace_witness). c_(t_min - 1) = 0 exactly, so both give the
+    same hits.
     """
 
-    t_min: int
+    t_lo: int
     p: int
-    inv: np.ndarray
     det: np.ndarray
+    inv: Optional[np.ndarray]
 
-    def probe(self) -> set[int]:
-        """The t whose c_t(lam*) is nonzero mod p: what _probe returns."""
-        nodes = len(self.det)
-        inv = _x_inverse(self.t_min - 1, nodes, self.p)[1:]  # x^t_min ..
+    def hits(self) -> set[int]:
+        """The t whose c_t(lam*) is nonzero mod p.
+
+        A nonzero coefficient needs a perfect matching with t red edges on
+        any graph, multigraphs included, so every t here is achievable; a
+        zero proves nothing.
+        """
+        inv = _x_inverse(self.t_lo, len(self.det), self.p)
         coeffs = _apply_v_inverse(inv, self.det, self.p)
-        return {self.t_min + int(s) for s in np.flatnonzero(coeffs)}
+        return {self.t_lo + int(s) for s in np.flatnonzero(coeffs)}
 
 
-def _chain_start(
-    g: ColoredBipartiteGraph, t_min: int, t_max: int
-) -> _ChainStart:
-    """One inverse_det_mod_batch of M(lam*, x), lam* = n(n-1)/2, at
-    x = 1..t_max - t_min + 2, modulo the first certificate prime; t_min,
-    t_max are red_count_bounds(g)."""
+def _top_node(
+    g: ColoredBipartiteGraph, t_min: int, t_max: int, invert: bool = False
+) -> _TopNode:
+    """M(lam*, x), lam* = n(n-1)/2, modulo the first certificate prime, at
+    x = 1..m (det_mod_batch), or with invert at x = 1..m + 1, one
+    inverse_det_mod_batch whose inverse starts a witness chain;
+    m = t_max - t_min + 1, and t_min, t_max are red_count_bounds(g)."""
     p = certificate_primes(1)[0]
-    weights = _cell_weights(g, t_max - t_min + 2)
+    t_lo = t_min - 1 if invert else t_min
+    weights = _cell_weights(g, t_max - t_lo + 1)
     mats = reduce_mod(_top_powers(g.n, p) * weights, p)
-    inv, det = inverse_det_mod_batch(mats, p)
-    return _ChainStart(t_min, p, inv, det)
+    if invert:
+        inv, det = inverse_det_mod_batch(mats, p)
+        return _TopNode(t_lo, p, det, inv)
+    return _TopNode(t_lo, p, det_mod_batch(mats, p), None)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +536,7 @@ class SolveTrace:
     a witness never run them. Only solve sets it.
     Witness extraction takes the cofactor chain where it has a start:
     chain_starts, None unless solve wants a witness, then maps the root's
-    memo key to the _ChainStart _certify made when the probe fit;
+    memo key to the inverted _top_node _certify made when it fit;
     brace_keys holds the memo keys of the subproblems the grid settled as
     braces, whose start is made when the witness reaches them.
     """
@@ -590,12 +571,12 @@ def _certify(
     Every certificate here reads g's records alone, so none builds
     D(G, M). red_count_bounds runs first; its bounds are attained, so
     t_min and t_max are proved, and every in-bound t is a candidate. When
-    an interior t remains and its m determinants fit one batched
-    elimination, the probe runs and proves the t with a nonzero residue;
-    the report counts its m determinants. When a witness is wanted
-    (trace.chain_starts) and they fit, g's _ChainStart is made whether or
-    not the probe is needed, and gives the probe's residues: the witness
-    then starts its cofactor chain from it. When candidates are still
+    the top node's m determinants fit one batched elimination, g's one
+    _top_node is made if an interior t remains or a witness is wanted
+    (trace.chain_starts). With an interior t its hits are the probe,
+    which proves those t, and the report counts m determinants. With a
+    witness it is inverted at one more x node and kept, and the witness
+    starts its cofactor chain from it. When candidates are still
     unproved, the congruence over g's records drops those off its class,
     which holds on every graph. A root whose candidates are all proved is
     settled (_certified); what is left open, _feasible narrows by the
@@ -609,13 +590,14 @@ def _certify(
     candidates = set(range(t_min, t_max + 1))
     m = t_max - t_min + 1
     fits = m * g.n * g.n <= _GRID_BLOCK_ENTRIES
-    start = None
-    if fits and trace.chain_starts is not None:
-        start = _chain_start(g, t_min, t_max)
-        trace.chain_starts[_memo_key(g)] = start
-    if m > 2 and fits:
-        proved |= _probe(g, t_min, t_max) if start is None else start.probe()
-        trace.counts["grid_dets"] += m
+    witness = trace.chain_starts is not None
+    if fits and (m > 2 or witness):
+        top = _top_node(g, t_min, t_max, invert=witness)
+        if witness:
+            trace.chain_starts[_memo_key(g)] = top
+        if m > 2:
+            proved |= top.hits()
+            trace.counts["grid_dets"] += m
     if not candidates <= proved:
         candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
     return proved, candidates
@@ -772,8 +754,8 @@ def extract_witness(
     """A perfect matching with exactly t red edges, or None.
 
     Self-reduction, one row at a time. A graph with a chain start (the
-    root of solve, when its probe fit, or a brace the recursion settled
-    on the grid) goes down the cofactor chain of _brace_witness,
+    root of solve, when its top node fit, or a brace the recursion
+    settled on the grid) goes down the cofactor chain of _brace_witness,
     which finishes the matching from one certified coefficient;
     otherwise, or when the chain gives up, row 0 is forced onto each of
     its records in turn and the first whose residual graph still reaches
@@ -838,56 +820,57 @@ def _witness(
 
 def _start_of(
     g: ColoredBipartiteGraph, trace: SolveTrace
-) -> Optional[_ChainStart]:
-    """The root's chain start from _certify, a new one for a brace the
-    grid settled, or None: where the row-forcing loop must go on."""
+) -> Optional[_TopNode]:
+    """g's chain start, an inverted _top_node: the root's from _certify, a
+    new one for a brace the grid settled, or None where the row-forcing
+    loop must go on."""
     key = _memo_key(g)
     if trace.chain_starts and key in trace.chain_starts:
         return trace.chain_starts[key]
     if key in trace.brace_keys:
-        return _chain_start(g, *red_count_bounds(g))
+        return _top_node(g, *red_count_bounds(g), invert=True)
     return None
 
 
 def _brace_witness(
-    g: ColoredBipartiteGraph, t: int, start: _ChainStart
+    g: ColoredBipartiteGraph, t: int, start: _TopNode
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching of g with t red records, or None.
 
-    Cofactor self-reduction from start, g's _ChainStart: A(x) = M(lam*, x)
-    inverted modulo p at x = 1..m, m = t_max - t_min + 2. At row r, what
-    is left of A is the minor on rows r.. and the columns not yet taken;
-    with B its inverse, its cofactor along row r at column c is det *
-    B[c, r]. A record (r, c) of red count rho completes every perfect
-    matching of that cofactor's minor, so their red counts lie in
-    t_min - 1 - forced .. t_max - forced (forced: red records taken so
-    far) and the m x nodes give its coefficients through _x_inverse. A
-    nonzero residue of the coefficient of x^(t - forced - rho) is a sum
-    over the minor's perfect matchings with that many red records, so one
-    exists and the record is safe to take, on any graph. By Laplace
-    expansion along row r, the coefficient of det for the target left is
-    the sum of those record terms, and the cofactor of the record taken
-    is the next det: a nonzero c_t(lam*) mod p carries the chain to the
-    last row with no second certificate. The first record whose
-    coefficient is nonzero and whose cofactor is nonzero at every x node
-    (the next A(x) stays invertible) is taken. B keeps the columns taken
-    so far in its leading rows: the taken column's row of B is swapped
-    into position r, and only the trailing block, rows and columns r + 1..,
-    is downdated by the rank-one deletion formula B - B[:, r] B[c, :] /
-    B[c, r], which leaves the inverse of the minor there. start is not
-    modified. Returns None, for the row-forcing fallback, when t is out
-    of bounds, some A(x) is singular or no record of a row qualifies
+    Cofactor self-reduction from start, g's inverted _top_node: A(x) =
+    M(lam*, x) inverted modulo p at x = 1..m, m = t_max - t_lo + 1, t_lo =
+    t_min - 1. At row r, what is left of A is the minor on rows r.. and
+    the columns not yet taken; with B its inverse, its cofactor along row
+    r at column c is det * B[c, r]. A record (r, c) of red count rho
+    completes every perfect matching of that cofactor's minor, so their
+    red counts lie in t_lo - forced .. t_max - forced (forced: red records
+    taken so far) and the m x nodes give its coefficients through
+    _x_inverse. A nonzero residue of the coefficient of x^(t - forced -
+    rho) is a sum over the minor's perfect matchings with that many red
+    records, so one exists and the record is safe to take, on any graph.
+    By Laplace expansion along row r, the coefficient of det for the
+    target left is the sum of those record terms, and the cofactor of the
+    record taken is the next det: a nonzero c_t(lam*) mod p carries the
+    chain to the last row with no second certificate. The first record
+    whose coefficient is nonzero and whose cofactor is nonzero at every x
+    node (the next A(x) stays invertible) is taken. B keeps the columns
+    taken so far in its leading rows: the taken column's row of B is
+    swapped into position r, and only the trailing block, rows and columns
+    r + 1.., is downdated by the rank-one deletion formula B - B[:, r]
+    B[c, :] / B[c, r], which leaves the inverse of the minor there. start
+    is not modified. Returns None, for the row-forcing fallback, when t is
+    out of bounds, some A(x) is singular or no record of a row qualifies
     (c_t(lam*) = 0 mod p, or only cofactors that vanish at some node); a
     returned matching is always a witness.
     """
-    t_min, p, inv, det = start
+    t_lo, p, det, inv = start
     m = len(det)
-    if not t_min <= t <= t_min + m - 2 or not det.all():
+    if not t_lo < t < t_lo + m or not det.all():
         return None
     # det holds x^forced * det A(x) (up to sign), so the cofactors it gives
-    # carry the x-powers t_min - 1 .. t_max and a record of red count rho
-    # needs the coefficient of x^(t - rho) at every row: two rows of V^-1
-    basis = _x_inverse(t_min - 1, m, p)[[t - t_min + 1, t - t_min]]
+    # carry the x-powers t_lo .. t_max and a record of red count rho needs
+    # the coefficient of x^(t - rho) at every row: two rows of V^-1
+    basis = _x_inverse(t_lo, m, p)[[t - t_lo, t - t_lo - 1]]
     x = np.arange(1, m + 1, dtype=np.int64)
     inv = inv.copy()
     pos = list(range(g.n))  # column label -> its row of inv
@@ -982,8 +965,8 @@ def solve(
     its trace, taken before any witness extraction adds subproblems. The
     root first tries the certificates (_certify), before D(G, M), with
     or without a witness, so both give the same blocks and counts. With a
-    witness the probe's elimination is also the start of the root's
-    cofactor chain.
+    witness the root's _top_node is inverted, and its elimination is both
+    the probe and the start of the root's cofactor chain.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(

@@ -1,5 +1,6 @@
 """Solver pipeline: grid nonvanishing, feasibility recursion, witnesses."""
 
+import functools
 import math
 import os
 import random
@@ -291,7 +292,7 @@ def test_count_cases_hold_cells_of_both_colors():
 
 
 @pytest.mark.parametrize("g", COUNT_CASES)
-def test_color_counts_and_their_readers_match_a_per_cell_loop(g):
+def test_color_counts_and_their_readers_match_a_per_cell_loop(g, monkeypatch):
     n = g.n
     blue = [[0] * n for _ in range(n)]
     red = [[0] * n for _ in range(n)]
@@ -300,9 +301,13 @@ def test_color_counts_and_their_readers_match_a_per_cell_loop(g):
         blue[i][j], red[i][j] = ks.count(BLUE), ks.count(RED)
         rows[i] += len(ks) * (1 + i) ** j
         cols[j] += len(ks) * (1 + i) ** j
-    counts = solver._color_counts(g)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == [blue, red]
+    table = g.color_table
+    assert table.dtype == bool
+    assert table.astype(int).tolist() == [blue, red]
+    assert g.color_table is table  # one table per graph
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[...] = False
     weights = solver._cell_weights(g, 4)
     assert weights.dtype == np.int64
     assert weights.tolist() == [
@@ -314,6 +319,21 @@ def test_color_counts_and_their_readers_match_a_per_cell_loop(g):
     achievable = red_count_set_dp(g)
     bounds = red_count_bounds(g)
     assert bounds == ((min(achievable), max(achievable)) if achievable else None)
+
+    # the bounds, the top node, the grid and coefficient_bound all read
+    # color_table: a certified solve builds it once, and a second solve of
+    # the same graph not at all
+    builds = []
+    view = ColoredBipartiteGraph.color_table
+    counted = functools.cached_property(
+        lambda graph: builds.append(graph) or view.func(graph)
+    )
+    counted.__set_name__(ColoredBipartiteGraph, "color_table")
+    monkeypatch.setattr(ColoredBipartiteGraph, "color_table", counted)
+    fresh = ColoredBipartiteGraph.make(g.n, g.edges, g.multi)
+    for _ in range(2):
+        assert solve(fresh, g.n // 2).counts["certified"] == 1
+        assert builds == ([fresh] if g.n else [])  # n = 0 reads no table
 
 
 @pytest.mark.parametrize("p", [certificate_primes(1)[0], 37])
@@ -498,7 +518,7 @@ def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
 def _chain(g, t):
     """_brace_witness from a fresh start, as the witness of a brace does."""
     return solver._brace_witness(
-        g, t, solver._chain_start(g, *red_count_bounds(g))
+        g, t, solver._top_node(g, *red_count_bounds(g), invert=True)
     )
 
 
@@ -614,7 +634,7 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
         assert feasible_red_counts(g) == want
     t_min, t_max = red_count_bounds(g)
     assert (t_max - t_min + 1) * g.n * g.n <= solver._GRID_BLOCK_ENTRIES
-    probed = solver._probe(g, t_min, t_max)
+    probed = solver._top_node(g, t_min, t_max).hits()
     assert probed
     for t in range(-1, g.n + 2):
         builds.clear()
@@ -918,7 +938,7 @@ def test_congruence_is_the_gcd_of_achievable_differences(g):
 
 
 @pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)
-def test_certificates_never_contradict_the_dp_oracle(g):
+def test_certificates_never_contradict_the_dp_oracle(g, monkeypatch):
     want = red_count_set_dp(g)
     t_min, t_max = red_count_bounds(g)
     assert {t_min, t_max} <= want  # YES: the endpoints are attained
@@ -926,9 +946,20 @@ def test_certificates_never_contradict_the_dp_oracle(g):
         t_min, t_max, *solver._congruence(g.n, _elementary(g).allowed())
     )
     assert want <= in_class  # NO: outside the bounds or off the class
-    assert solver._probe(g, t_min, t_max) <= want  # YES: the probe
     for t in range(-1, g.n + 2):
         assert solve(g, t).decision == (t in want)
+    # YES: the probe, alike from both top-node kernels; the inverted one's
+    # extra coefficient c_(t_min - 1) is exactly zero, also at a small
+    # first prime, where accidental zeros are common
+    real = solver.certificate_primes
+    for small in [False] + [True] * (g.n <= 8):
+        if small:
+            monkeypatch.setattr(
+                solver, "certificate_primes", lambda bound: (37,) + real(bound)
+            )
+        hits = solver._top_node(g, t_min, t_max).hits()
+        assert solver._top_node(g, t_min, t_max, invert=True).hits() == hits
+        assert hits <= want
 
 
 @pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)

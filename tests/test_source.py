@@ -75,3 +75,34 @@ def test_no_function_reaches_itself_outside_verify():
             if start in seen:
                 found.append(f"{path.relative_to(PACKAGE)}:{start}")
     assert found == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import statement names, anywhere in tree, relative
+    ones with their leading dots ("from . import verify" gives ".verify")."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found.add(base)
+            if not node.module:
+                found.update(base + alias.name for alias in node.names)
+    return found
+
+
+def test_the_solve_path_imports_no_oracle():
+    # oracles stay in verify/ and out of the solve path, at module level
+    # and inside functions alike; cli.py and decomposition's audit may
+    # import them
+    found = []
+    for name in ("graphs", "matching", "algebra", "solver"):
+        path = PACKAGE / f"{name}.py"
+        for module in _imported_modules(ast.parse(path.read_text())):
+            parts = module.lstrip(".").split(".")
+            if module.startswith("exactmatch.verify") or (
+                module.startswith(".") and parts[0] == "verify"
+            ):
+                found.append(f"{name}.py: {module}")
+    assert found == []
