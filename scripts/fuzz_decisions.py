@@ -5,11 +5,15 @@ Draws random colored instances and checks each against an oracle (the DP
 oracle, or a closed form for the diagonal draw below) twice: the
 recursion's achievable set, one feasible_red_counts call per instance, and
 solve(g, t).decision for every t in -1..n+1, which the root certificates
-(bounds, probe, congruence) settle before any D(G, M) is built. Every YES
-target of an instance with n <= WITNESS_ALL_N (one drawn YES target above
-that) then goes through solve(..., want_witness=True): each witness is
-checked against the graph, and the report's blocks and counts against those
-of solve(g, t) without a witness. The run stops at --budget seconds or
+(bounds, exchange, probe, congruence) settle before any D(G, M) is built.
+Every t the exchange's reach proves is checked against the oracle too.
+Every YES target of an instance with n <= WITNESS_ALL_N (one drawn YES
+target above that) then goes through solve(..., want_witness=True): each
+witness is checked against the graph, and the report's blocks and counts
+against those of solve(g, t) without a witness. The final line counts the
+instances whose root the exchange settled and the witnesses whose target
+lay in its reach (the switched matching); the other witnesses came from
+the cofactor chain or from row forcing. The run stops at --budget seconds or
 --max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red
 iff row and column lie on opposite halves), so every red count is even and
 the odd targets inside its bounds are zeros the grid must certify. One draw
@@ -47,7 +51,13 @@ from exactmatch.graphs import (
     with_coloring,
 )
 from exactmatch.matching import is_matching_covered
-from exactmatch.solver import SolverOptions, feasible_red_counts, solve
+from exactmatch.solver import (
+    SolverOptions,
+    _assignments,
+    _exchange,
+    feasible_red_counts,
+    solve,
+)
 from exactmatch.verify.core import red_count_set_dp
 
 
@@ -129,6 +139,7 @@ def main(argv=None) -> int:
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
+    settled = switched = 0  # by the exchange: roots, witnesses
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         oracle = red_count_set_dp
@@ -154,6 +165,15 @@ def main(argv=None) -> int:
         got = feasible_red_counts(g)
         instances += 1
         past += g.n > ns.max_n
+        found = _assignments(g)
+        reach = _exchange(*found).reach() if found is not None else 0
+        outside = [
+            t for t in range(g.n + 1) if reach >> t & 1 and t not in want
+        ]
+        if outside:
+            print(f"EXCHANGE REACH OUTSIDE THE ORACLE at t={outside}")
+            sys.stdout.write(wire(g))
+            return 1
         reports = {}
         for t in range(-1, g.n + 2):
             reports[t] = solve(g, t)
@@ -166,12 +186,17 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
+        root = reports[-1]  # every t's report has the same blocks
+        settled += bool(root.counts["certified"]) and (
+            root.blocks[0].method == "exchange"
+        )
         targets = sorted(want)
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
         for t in targets:
             report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
+            switched += bool(reach >> t & 1)
             if not witness_ok(g, t, report.witness):
                 print(f"BAD WITNESS at t={t}: {report.witness}")
                 sys.stdout.write(wire(g))
@@ -185,8 +210,9 @@ def main(argv=None) -> int:
                 sys.stdout.write(wire(g))
                 return 1
     print(
-        f"ok: {instances} instances ({past} past --max-n), "
-        f"{decisions} decisions, {witnesses} witnesses, 0 disagreements"
+        f"ok: {instances} instances ({past} past --max-n, {settled} settled "
+        f"by the exchange), {decisions} decisions, {witnesses} witnesses "
+        f"({switched} from the exchange), 0 disagreements"
     )
     return 0
 

@@ -52,57 +52,73 @@ zero proof, with or without a witness. They run once per solve, at the
 top of the root's _feasible, in this order, and read g's records alone
 (_certify), so a root they settle never builds D(G, M):
 
-  * bounds: red_count_bounds gives [t_min, t_max], both attained; None
-    means no perfect matching, and the root returns the empty set;
-  * probe, when a t lies between the bounds: c_t at the top lam node mod
-    the first certificate prime (_TopNode.hits), one batched elimination
-    when it fits _GRID_BLOCK_ENTRIES; its table of (lam* + i)^j is cached
-    per (n, p) (_top_powers). A nonzero residue needs a matching with t
-    red edges on any graph; a zero proves nothing. When a witness is
-    wanted, the root's _top_node is one inverse_det_mod_batch at one more
+  * bounds: _assignments solves two assignment problems, for a min-red and
+    a max-red perfect matching M_lo and M_hi; their red counts are the
+    bounds [t_min, t_max], both attained (red_count_bounds). None means no
+    perfect matching, and the root returns the empty set;
+  * exchange: M_lo and M_hi differ in disjoint alternating cycles, each
+    with a red gain delta >= 0 (a row that takes one cell in both, blue
+    in M_lo and red in M_hi, is a cycle with delta 1), and switching any
+    subset of them gives another perfect matching, so t_min plus every
+    subset sum of the deltas is achievable (_Exchange, linear in n;
+    Berge's cycles, Karzanov's exchange argument);
+  * probe, only when an in-bound t is still unproved: c_t at the top lam
+    node mod the first certificate prime (_TopNode.hits), one batched
+    elimination when it fits _GRID_BLOCK_ENTRIES; its table of (lam* +
+    i)^j is cached per (n, p) (_top_powers). A nonzero residue needs a
+    matching with t red edges on any graph; a zero proves nothing. When a
+    witness is wanted for an in-bound target outside the exchange's
+    reach, the root's _top_node is one inverse_det_mod_batch at one more
     x node instead, whose extra coefficient c_(t_min - 1) is exactly zero
     and whose inverse the witness reuses;
-  * congruence, when an in-bound t is still unproved: potentials along a
-    spanning tree of each connected component of g's records, with
-    p(col) - p(row) = red(e), leave a discrepancy on every other record;
-    every perfect matching has red count congruent to sum p(col) - sum
-    p(row) modulo the gcd of the discrepancies (equal when it is 0)
-    (_congruence). The class holds on every graph.
+  * congruence, when an in-bound t is still unproved and the gcd of the
+    deltas is not 1: potentials along a spanning tree of each connected
+    component of g's records, with p(col) - p(row) = red(e), leave a
+    discrepancy on every other record; every perfect matching has red
+    count congruent to sum p(col) - sum p(row) modulo the gcd of the
+    discrepancies (equal when it is 0) (_congruence). The class holds on
+    every graph, and its modulus divides every delta, so with gcd 1 it
+    could drop no t.
 
-If the endpoints and the probe's hits cover every in-bound t of the class,
-those t are the achievable set. Otherwise the root builds its one D(G, M)
-and, when D has more than one elementary block, narrows the class to the
-blocks' exact one (_congruence over the allowed records; with one block
-every record is allowed and the two classes are equal), which may settle
-it still. What stays open goes to the recursion on that same D, and a
-root that is a brace hands those in-class candidates to its grid.
-Witnesses: extract_witness reduces one row at a time, as a loop. The
-root of solve, when the probe's guard holds, and any graph the recursion
-settled on the grid as a brace, go down a cofactor chain
-(_brace_witness): M(lam*, x), inverted once modulo the first certificate
-prime at the x nodes its bounds need (an inverted _top_node: the root's
-from _certify, a brace's when the witness reaches it), gives every
-record's cofactor along a row; the first record whose coefficient for
-the target left is nonzero is taken, and a rank-one downdate of the
-inverse's trailing block gives the next row's cofactors. A nonzero
-coefficient is a certificate on any graph, so each step is exact, and a
-certified start c_t(lam*) != 0 mod p keeps a qualifying record in every
-row (the matrix-inverse self-reduction of Rabin and Vazirani,
-deterministic here). When the start is not certified or a cofactor
-vanishes at an x node, the chain gives up and row 0 is forced onto the
-first record whose residual graph keeps the residual target in
+If the exchange's reach, the probe's hits and the class cover every
+in-bound t of the class, those t are the achievable set. Otherwise the
+root builds its one D(G, M) and, when D has more than one elementary
+block, narrows the class to the blocks' exact one (_congruence over the
+allowed records; with one block every record is allowed and the two
+classes are equal), which may settle it still. What stays open goes to
+the recursion on that same D, and a root that is a brace hands those
+in-class candidates to its grid.
+Witnesses: extract_witness reduces one row at a time, as a loop. When the
+target is in the exchange's reach, the root's witness is the switched
+matching itself: M_lo with the cycles switched whose deltas sum to t -
+t_min, no determinant at all. Otherwise the root, when the probe's guard
+holds, and any graph the recursion settled on the grid as a brace, go
+down a cofactor chain (_brace_witness): M(lam*, x), inverted once modulo
+the first certificate prime at the x nodes its bounds need (an inverted
+_top_node: the root's from _certify, a brace's when the witness reaches
+it), gives every record's cofactor along a row; the first record whose
+coefficient for the target left is nonzero is taken, and a rank-one
+downdate of the inverse's trailing block gives the next row's cofactors.
+A nonzero coefficient is a certificate on any graph, so each step is
+exact, and a certified start c_t(lam*) != 0 mod p keeps a qualifying
+record in every row (the matrix-inverse self-reduction of Rabin and
+Vazirani, deterministic here). When the start is not certified or a
+cofactor vanishes at an x node, the chain gives up and row 0 is forced
+onto the first record whose residual graph keeps the residual target in
 feasible_red_counts, which runs no certificates. The witness is checked
 against the graph.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
-(a root settled by certificates names the one needed last: "bounds",
-"congruence" or "probe"; a simple brace on the grid is "pure-ASNC", a
-piece with n <= 2 is "enumeration"), plus counts of subproblems, memo
-hits, braces, tight cuts, enumerated pieces, certified roots, the modular
-determinants of the grid and the probe, and the recursion depth. The
-probe runs before the congruence, so a root the congruence settles still
-counts the probe's m determinants when a t lies between its bounds.
+(a root settled by certificates names the one needed last: "bounds" when
+no t lies between them, "exchange" or "probe", whichever proved a t
+between them last, else "congruence"; a simple brace on the grid is
+"pure-ASNC", a piece with n <= 2 is "enumeration"), plus counts of
+subproblems, memo hits, braces, tight cuts, enumerated pieces, certified
+roots, the modular determinants of the grid and the probe, and the
+recursion depth. The probe runs before the congruence, so a root the
+congruence settles still counts the probe's m determinants when the
+exchange left a t between its bounds unproved.
 """
 
 from __future__ import annotations
@@ -130,7 +146,7 @@ from .algebra import (
 from .errors import (
     BadParams, BadPrime, InvariantError, NoPerfectMatching, ZeroDivisor,
 )
-from .graphs import RED, ColoredBipartiteGraph, EdgeRecord, _run
+from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord, _run
 from .matching import _elementary, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
@@ -386,27 +402,141 @@ def red_count_bounds(
 ) -> Optional[Tuple[int, int]]:
     """Exact (min, max) red count over perfect matchings, or None if no PM.
 
+    The red counts of the two optimal matchings of _assignments.
+    """
+    found = _assignments(g)
+    if found is None:
+        return None
+    _, lo_reds, _, hi_reds = found
+    return sum(lo_reds), sum(hi_reds)
+
+
+# Assignment costs by cell code, blue + 2 * red (0: no record, 1: blue,
+# 2: red, 3: both): red-only cells cost 1 for the min-red matching,
+# blue-only cells for the max-red one, and a non-cell a sentinel
+_LO_COST = np.array([_NO_EDGE, 0, 1, 0])
+_HI_COST = np.array([_NO_EDGE, 1, 0, 0])
+
+
+def _assignments(g: ColoredBipartiteGraph) -> Optional[tuple]:
+    """A min-red and a max-red perfect matching of g, or None if it has none.
+
     Two assignment problems: minimize the number of red-only cells used,
-    and minimize blue-only cells (equivalently maximize red). Non-cells get
-    a sentinel cost, so an optimum touching the sentinel means no perfect
-    matching at all.
+    and minimize blue-only cells (equivalently maximize red). An optimum
+    touching a non-cell's sentinel means no perfect matching at all.
+    Returns (lo_cols, lo_reds, hi_cols, hi_reds), lists indexed by row:
+    the column of each row in the min-red matching and whether its record
+    there is red, then the same for the max-red one. A cell with records
+    of both colors is blue in the first and red in the second.
     """
     if g.n == 0:
-        return (0, 0)
+        return [], [], [], []
     blue, red = g.color_table
-    lo = np.where(blue, 0, np.where(red, 1, _NO_EDGE))
-    hi = np.where(red, 0, np.where(blue, 1, _NO_EDGE))
-    rows, cols = linear_sum_assignment(lo)
-    t_min = int(lo[rows, cols].sum())
-    if t_min >= _NO_EDGE:
+    code = blue + 2 * red
+    rows, lo_cols = linear_sum_assignment(_LO_COST[code])
+    lo_codes = code[rows, lo_cols].tolist()
+    if 0 in lo_codes:
         return None
-    rows, cols = linear_sum_assignment(hi)
-    t_max = g.n - int(hi[rows, cols].sum())
-    return t_min, t_max
+    _, hi_cols = linear_sum_assignment(_HI_COST[code])
+    hi_codes = code[rows, hi_cols].tolist()
+    return (
+        lo_cols.tolist(), [c == 2 for c in lo_codes],
+        hi_cols.tolist(), [c >= 2 for c in hi_codes],
+    )
 
 
 # ---------------------------------------------------------------------------
-# congruence and probe certificates
+# exchange, congruence and probe certificates
+
+
+class _Exchange(NamedTuple):
+    """The alternating cycles of a min-red and a max-red perfect matching.
+
+    lo_cols, lo_reds, hi_cols and hi_reds are _assignments(g). M_lo and
+    M_hi differ in disjoint alternating cycles (Berge), and switching any
+    subset of them in M_lo gives another perfect matching (the exchange
+    argument of Karzanov's exact matching on complete bipartite graphs).
+    The red gain delta of a cycle, red(M_hi) - red(M_lo) on its rows, is
+    never negative, since M_lo has the fewest red records; a row whose two
+    records share a cell and differ in color is a cycle with delta 1.
+    cycles holds the rows of each cycle with delta > 0, deltas their
+    gains, which sum to t_max - t_min. Every t_min + a subset sum of
+    deltas is the red count of a perfect matching, exactly, on any graph.
+    """
+
+    t_min: int
+    lo_cols: list[int]
+    lo_reds: list[int]
+    hi_cols: list[int]
+    hi_reds: list[int]
+    cycles: list[list[int]]
+    deltas: list[int]
+
+    @property
+    def t_max(self) -> int:
+        return self.t_min + sum(self.deltas)
+
+    def _sums(self) -> list[int]:
+        """Bit s of entry i is set when s is a subset sum of deltas[:i]."""
+        sums = [1]
+        for d in self.deltas:
+            sums.append(sums[-1] | sums[-1] << d)
+        return sums
+
+    def reach(self) -> int:
+        """Bit t is set for every t the exchange proves achievable."""
+        return self._sums()[-1] << self.t_min
+
+    def witness(self, t: int) -> Optional[list[EdgeRecord]]:
+        """M_lo with the cycles switched whose deltas sum to t - t_min, or
+        None when t is outside the reach."""
+        sums, s = self._sums(), t - self.t_min
+        if s < 0 or not sums[-1] >> s & 1:
+            return None
+        switched = [False] * len(self.lo_cols)
+        for i in reversed(range(len(self.deltas))):
+            if not sums[i] >> s & 1:  # s needs cycle i
+                s -= self.deltas[i]
+                for r in self.cycles[i]:
+                    switched[r] = True
+        return [
+            (r, self.hi_cols[r], RED if self.hi_reds[r] else BLUE)
+            if switched[r]
+            else (r, self.lo_cols[r], RED if self.lo_reds[r] else BLUE)
+            for r in range(len(switched))
+        ]
+
+
+def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
+    """The cycles of M_lo and M_hi, given as _assignments lists, and their
+    red gains; a negative gain raises InvariantError. Linear in n."""
+    n = len(lo_cols)
+    row_of = [0] * n  # column -> its row in M_lo
+    for r, c in enumerate(lo_cols):
+        row_of[c] = r
+    seen = [False] * n
+    cycles: list[list[int]] = []
+    deltas: list[int] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle, delta, r = [], 0, start
+        while not seen[r]:  # from row r, M_hi's column leads to M_lo's row
+            seen[r] = True
+            cycle.append(r)
+            delta += hi_reds[r] - lo_reds[r]
+            r = row_of[hi_cols[r]]
+        if delta < 0:
+            raise InvariantError(
+                f"alternating cycle {cycle} has red gain {delta} < 0: the "
+                f"assignment optima are not a min-red and a max-red matching"
+            )
+        if delta:
+            cycles.append(cycle)
+            deltas.append(delta)
+    return _Exchange(
+        sum(lo_reds), lo_cols, lo_reds, hi_cols, hi_reds, cycles, deltas
+    )
 
 
 def _congruence(n: int, records) -> Tuple[int, int]:
@@ -531,19 +661,20 @@ class SolveTrace:
     determinants the grid and the probe evaluated (grid_dets, summed over
     primes, lam and x nodes) and the deepest nesting of subproblems, memo
     hits included (depth; the root counts as 1). certify_root lets the
-    next subproblem, the root, try the bounds, probe and congruence
-    certificates before D(G, M), once: the residual subproblems of
-    a witness never run them. Only solve sets it.
-    Witness extraction takes the cofactor chain where it has a start:
-    chain_starts, None unless solve wants a witness, then maps the root's
-    memo key to the inverted _top_node _certify made when it fit;
-    brace_keys holds the memo keys of the subproblems the grid settled as
-    braces, whose start is made when the witness reaches them.
+    next subproblem, the root, try the bounds, exchange, probe and
+    congruence certificates before D(G, M), once: the residual
+    subproblems of a witness never run them. Only solve sets it.
+    target is the witness's target, None unless solve wants a witness.
+    Witness extraction starts where it has a start: chain_starts maps the
+    root's memo key to the _Exchange when target is in its reach, else to
+    the inverted _top_node _certify made when it fit; brace_keys holds the
+    memo keys of the subproblems the grid settled as braces, whose start
+    is made when the witness reaches them.
     """
 
     memo: dict = field(default_factory=dict)
     brace_keys: set = field(default_factory=set)
-    chain_starts: Optional[dict] = None
+    chain_starts: dict = field(default_factory=dict)
     blocks: list[BlockReport] = field(default_factory=list)
     counts: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(
@@ -555,6 +686,7 @@ class SolveTrace:
         )
     )
     certify_root: bool = False
+    target: Optional[int] = None
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
         """Record a leaf decided without a split; returns its result."""
@@ -565,58 +697,59 @@ class SolveTrace:
 
 def _certify(
     g: ColoredBipartiteGraph, trace: SolveTrace
-) -> Optional[Tuple[set[int], set[int]]]:
-    """None if g has no perfect matching, else (proved, candidates).
+) -> Optional[Tuple[set[int], set[int], str]]:
+    """None if g has no perfect matching, else (proved, candidates, method).
 
     Every certificate here reads g's records alone, so none builds
-    D(G, M). red_count_bounds runs first; its bounds are attained, so
-    t_min and t_max are proved, and every in-bound t is a candidate. When
-    the top node's m determinants fit one batched elimination, g's one
-    _top_node is made if an interior t remains or a witness is wanted
-    (trace.chain_starts). With an interior t its hits are the probe,
-    which proves those t, and the report counts m determinants. With a
-    witness it is inverted at one more x node and kept, and the witness
-    starts its cofactor chain from it. When candidates are still
-    unproved, the congruence over g's records drops those off its class,
-    which holds on every graph. A root whose candidates are all proved is
-    settled (_certified); what is left open, _feasible narrows by the
-    blocks' exact class once it has built D.
+    D(G, M). The two assignment optima come first: their red counts are
+    the attained bounds, every in-bound t is a candidate, and their
+    _Exchange proves its reach. Only when an in-bound t is still unproved
+    is g's one _top_node made, when its m determinants fit one batched
+    elimination: its hits are the probe, which proves those t, and the
+    report counts m determinants. It is inverted at one more x node, and
+    kept for the witness's cofactor chain, only when the witness's target
+    (trace.target) is in bounds and outside the reach; a target in the
+    reach keeps the _Exchange instead, whose switched matching is the
+    witness. When candidates are still unproved, the congruence over g's
+    records drops those off its class, which holds on every graph; its
+    modulus divides every cycle's gain, so it runs only when their gcd is
+    not 1. A root whose candidates are all proved is settled as one block
+    named after method; what is left open, _feasible narrows by the
+    blocks' exact class once it has built D. method names the certificate
+    needed last: "bounds" when no t lies between the bounds, else the
+    last of "exchange" and "probe" that proved a t between them, or
+    "congruence" when neither did (every such t is off the class).
     """
-    bounds = red_count_bounds(g)
-    if bounds is None:
+    found = _assignments(g)
+    if found is None:
         return None
-    t_min, t_max = bounds
-    proved = {t_min, t_max}
+    exchange = _exchange(*found)
+    t_min, t_max = exchange.t_min, exchange.t_max
     candidates = set(range(t_min, t_max + 1))
-    m = t_max - t_min + 1
-    fits = m * g.n * g.n <= _GRID_BLOCK_ENTRIES
-    witness = trace.chain_starts is not None
-    if fits and (m > 2 or witness):
-        top = _top_node(g, t_min, t_max, invert=witness)
-        if witness:
-            trace.chain_starts[_memo_key(g)] = top
-        if m > 2:
-            proved |= top.hits()
-            trace.counts["grid_dets"] += m
-    if not candidates <= proved:
-        candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
-    return proved, candidates
-
-
-def _certified(n: int, result: set[int], trace: SolveTrace) -> frozenset:
-    """Settle a root whose candidates, result, are all proved.
-
-    result holds both bounds. The block names the certificate needed
-    last: "bounds" when no t lies between them, "probe" when the result
-    has an interior t (only the probe proves one), else "congruence".
-    """
-    t_min, t_max = min(result), max(result)
+    reach = exchange.reach()
+    proved = {t for t in candidates if reach >> t & 1}
     method = (
         "bounds" if t_max - t_min < 2
-        else "probe" if len(result) > 2
+        else "exchange" if proved - {t_min, t_max}
         else "congruence"
     )
-    return trace.settle("certified", method, n, frozenset(result))
+    key, target = _memo_key(g), trace.target
+    if target in proved:
+        trace.chain_starts[key] = exchange
+    m = t_max - t_min + 1
+    if not candidates <= proved and m * g.n * g.n <= _GRID_BLOCK_ENTRIES:
+        invert = target in candidates and target not in proved
+        top = _top_node(g, t_min, t_max, invert=invert)
+        if invert:
+            trace.chain_starts[key] = top
+        hits = top.hits()
+        if hits - {t_min, t_max}:
+            method = "probe"
+        proved |= hits
+        trace.counts["grid_dets"] += m
+    if not candidates <= proved and math.gcd(*exchange.deltas) != 1:
+        candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
+    return proved, candidates, method
 
 
 def _memo_key(g: ColoredBipartiteGraph) -> tuple:
@@ -675,16 +808,16 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
         found = _certify(g, trace)
         if found is None:
             return frozenset()  # no perfect matching
-        proved, candidates = found
+        proved, candidates, method = found
         if candidates <= proved:
-            return _certified(n, candidates, trace)
+            return trace.settle("certified", method, n, frozenset(candidates))
     d = _elementary(g)  # the one D(G, M) of this subproblem
     if d is None:
         return frozenset()  # no perfect matching
     if certify and len(d.blocks) > 1:  # one block: the records' class is exact
         candidates &= _in_class(0, n, *_congruence(n, d.allowed()))
         if candidates <= proved:
-            return _certified(n, candidates, trace)
+            return trace.settle("certified", method, n, frozenset(candidates))
     if n == 0:
         return frozenset({0})
     if len(d.blocks) > 1:  # the elementary blocks, induced on g itself
@@ -753,14 +886,15 @@ def extract_witness(
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching with exactly t red edges, or None.
 
-    Self-reduction, one row at a time. A graph with a chain start (the
-    root of solve, when its top node fit, or a brace the recursion
-    settled on the grid) goes down the cofactor chain of _brace_witness,
-    which finishes the matching from one certified coefficient;
-    otherwise, or when the chain gives up, row 0 is forced onto each of
-    its records in turn and the first whose residual graph still reaches
-    the residual target is kept. The result is checked against g before
-    it is returned.
+    Self-reduction, one row at a time. The root of solve, when t is in
+    its exchange's reach, is finished by the switched matching. A graph
+    with a chain start (the root of solve otherwise, when its top node
+    fit, or a brace the recursion settled on the grid) goes down the
+    cofactor chain of _brace_witness, which finishes the matching from
+    one certified coefficient; otherwise, or when the chain gives up,
+    row 0 is forced onto each of its records in turn and the first whose
+    residual graph still reaches the residual target is kept. The result
+    is checked against g before it is returned.
     """
     if trace is None:
         trace = SolveTrace()
@@ -793,14 +927,18 @@ def _witness(
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
     rows and cols map the current g's labels to the input's; a g with a
-    chain start hands the rest of the matching to _brace_witness.
+    start hands the rest of the matching to it: the root's _Exchange
+    switches its cycles, an inverted _top_node goes down _brace_witness.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
     while g.n:
         start = _start_of(g, trace)
         if start is not None:
-            chain = _brace_witness(g, t, start)
+            chain = (
+                start.witness(t) if isinstance(start, _Exchange)
+                else _brace_witness(g, t, start)
+            )
             if chain is not None:
                 return out + [(rows[r], cols[c], k) for r, c, k in chain]
         for c in g.row_adj[0]:
@@ -820,12 +958,12 @@ def _witness(
 
 def _start_of(
     g: ColoredBipartiteGraph, trace: SolveTrace
-) -> Optional[_TopNode]:
-    """g's chain start, an inverted _top_node: the root's from _certify, a
-    new one for a brace the grid settled, or None where the row-forcing
-    loop must go on."""
+) -> Optional[_Exchange | _TopNode]:
+    """g's witness start: the root's from _certify (its _Exchange or an
+    inverted _top_node), a new inverted _top_node for a brace the grid
+    settled, or None where the row-forcing loop must go on."""
     key = _memo_key(g)
-    if trace.chain_starts and key in trace.chain_starts:
+    if key in trace.chain_starts:
         return trace.chain_starts[key]
     if key in trace.brace_keys:
         return _top_node(g, *red_count_bounds(g), invert=True)
@@ -965,12 +1103,14 @@ def solve(
     its trace, taken before any witness extraction adds subproblems. The
     root first tries the certificates (_certify), before D(G, M), with
     or without a witness, so both give the same blocks and counts. With a
-    witness the root's _top_node is inverted, and its elimination is both
-    the probe and the start of the root's cofactor chain.
+    witness the trace learns t: a t in the exchange's reach takes its
+    switched matching, and otherwise the root's _top_node is inverted, so
+    its elimination is both the probe and the start of the root's
+    cofactor chain.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(
-        certify_root=True, chain_starts={} if opts.want_witness else None
+        certify_root=True, target=t if opts.want_witness else None
     )
     t0 = time.perf_counter()
     decision = t in feasible_red_counts(g, trace)

@@ -678,18 +678,30 @@ def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
     assert outcomes["chain"] >= 10 and outcomes["fallback"] >= 1
 
 
-@pytest.mark.parametrize(
-    "wrong",
-    [
-        [(r, r, RED) for r in range(4)],  # four red records, not two
-        [(0, 0, BLUE), (1, 1, RED), (2, 2, RED), (3, 3, BLUE)],  # not in g
-        [(0, 0, RED), (1, 0, BLUE), (2, 2, RED), (3, 1, BLUE)],  # column 0 twice
-        [(0, 0, RED), (1, 1, RED)],  # rows 2 and 3 unmatched
-    ],
-)
+WRONG_WITNESSES = [
+    [(r, r, RED) for r in range(4)],  # four red records, not the target's
+    [(0, 0, BLUE), (1, 1, RED), (2, 2, RED), (3, 3, BLUE)],  # not in g
+    [(0, 0, RED), (1, 0, BLUE), (2, 2, RED), (3, 1, BLUE)],  # column 0 twice
+    [(0, 0, RED), (1, 1, RED)],  # rows 2 and 3 unmatched
+]
+
+
+@pytest.mark.parametrize("wrong", WRONG_WITNESSES)
 def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
+    # t = 1 lies outside the exchange's reach {0, 2, 4}, so the witness
+    # goes down the cofactor chain
     monkeypatch.setattr(
         solver, "_brace_witness", lambda g, t, start: list(wrong)
+    )
+    with pytest.raises(InvariantError):
+        solve(k44_diag(), 1, SolverOptions(want_witness=True))
+
+
+@pytest.mark.parametrize("wrong", WRONG_WITNESSES)
+def test_a_wrong_exchange_witness_raises_invariant_error(wrong, monkeypatch):
+    # t = 2 is in the exchange's reach: its switched matching is the witness
+    monkeypatch.setattr(
+        solver._Exchange, "witness", lambda self, t: list(wrong)
     )
     with pytest.raises(InvariantError):
         solve(k44_diag(), 2, SolverOptions(want_witness=True))
@@ -698,7 +710,9 @@ def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
 _MANY_BLOCKS = """
 import sys
 from exactmatch.graphs import BLUE, RED, ColoredBipartiteGraph
-from exactmatch.solver import SolverOptions, solve
+from exactmatch.solver import (
+    SolverOptions, SolveTrace, extract_witness, feasible_red_counts, solve,
+)
 # 80 disjoint K_2,2 blocks, red sets {0, 2}, {0, 1} and {1, 2} in turn
 reds = [{(0, 0), (1, 1)}, {(0, 0)}, {(0, 0), (0, 1), (1, 0)}]
 edges = [
@@ -707,15 +721,22 @@ edges = [
 ]
 g = ColoredBipartiteGraph.make(160, edges)
 sys.setrecursionlimit(120)
+trace = SolveTrace()
+decision = 80 in feasible_red_counts(g, trace)
+depth = trace.counts["depth"]
+witness = extract_witness(g, 80, trace)
 rep = solve(g, 80, SolverOptions(want_witness=True))
-print(rep.decision, rep.counts["depth"], len(rep.witness),
-      sum(1 for _, _, k in rep.witness if k == RED))
+for wit in (witness, rep.witness):
+    print(len(wit), sum(1 for _, _, k in wit if k == RED))
+print(decision, depth, rep.decision, rep.counts["depth"],
+      rep.counts["subproblems"], rep.blocks[0].method)
 """
 
 
 def test_witness_depth_is_not_bounded_by_recursion_limit():
-    # the decision nests 2 deep; the row-forcing self-reduction takes 160
-    # rows, one loop step each
+    # without certificates the decision nests 2 deep and the row-forcing
+    # self-reduction takes 160 rows, one loop step each; solve settles the
+    # root by the exchange, one subproblem, and switches its cycles
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -723,27 +744,36 @@ def test_witness_depth_is_not_bounded_by_recursion_limit():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["True", "2", "160", "80"]
+    assert proc.stdout.split() == [
+        "160", "80", "160", "80", "True", "2", "True", "1", "1", "exchange",
+    ]
 
 
 _DEEP_CUTS = """
 import sys
 from exactmatch.graphs import RED, band_path, with_coloring
-from exactmatch.solver import SolverOptions, feasible_red_counts, solve
+from exactmatch.solver import (
+    SolverOptions, SolveTrace, extract_witness, feasible_red_counts, solve,
+)
 g = with_coloring(band_path(400), "bernoulli", seed=3)
 sys.setrecursionlimit(200)
-feasible = sorted(feasible_red_counts(g))
+trace = SolveTrace()
+feasible = sorted(feasible_red_counts(g, trace))
+depth, subproblems = trace.counts["depth"], trace.counts["subproblems"]
 t = feasible[len(feasible) // 2]
+witness = extract_witness(g, t, trace)
 rep = solve(g, t, SolverOptions(want_witness=True))
-print(len(feasible), t, rep.decision, rep.counts["depth"],
-      rep.counts["subproblems"], len(rep.witness),
-      sum(1 for _, _, k in rep.witness if k == RED))
+for wit in (witness, rep.witness):
+    print(len(wit), sum(1 for _, _, k in wit if k == RED))
+print(len(feasible), t, depth, subproblems, rep.decision,
+      rep.counts["depth"], rep.counts["subproblems"], rep.blocks[0].method)
 """
 
 
 def test_decision_depth_is_not_bounded_by_recursion_limit():
-    # band_path(400) nests 201 subproblems deep through its tight cuts; the
-    # decision and the witness run at a recursion limit of 200
+    # without certificates band_path(400) nests 201 subproblems deep
+    # through its tight cuts; the decision and the witness run at a
+    # recursion limit of 200. solve settles the root by the exchange
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -752,7 +782,8 @@ def test_decision_depth_is_not_bounded_by_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
-        "221", "202", "True", "201", "796", "400", "202",
+        "400", "202", "400", "202",
+        "221", "202", "201", "796", "True", "1", "1", "exchange",
     ]
 
 
@@ -981,6 +1012,123 @@ def test_records_congruence_holds_on_every_graph(g):
         assert (modulus, residue) == (exact, exact_residue)
 
 
+def _both_colors_diagonal(n):
+    # K_n,n whose diagonal cells hold a blue and a red record: every row's
+    # two optima share a cell and differ in color, a cycle with gain 1
+    edges = [(r, c, BLUE) for r in range(n) for c in range(n)]
+    return ColoredBipartiteGraph.make(
+        n, edges + [(r, r, RED) for r in range(n)], multi=True
+    )
+
+
+def _two_blocks_one_red():
+    # two disjoint K_2,2 blocks with one red record each
+    return ColoredBipartiteGraph.make(4, [
+        (o + r, o + c, RED if r == c == 0 else BLUE)
+        for o in (0, 2) for r in range(2) for c in range(2)
+    ])
+
+
+def _exchange_of(g):
+    return solver._exchange(*solver._assignments(g))
+
+
+EXCHANGE_RANDOM = [
+    pytest.param(
+        random_graph(2 + s % 7, (0.3, 0.5, 0.7, 0.9)[s % 4],
+                     (0.2, 0.5, 0.8)[s % 3], seed=16000 + s, require_pm=True),
+        id=f"random-{s}",
+    )
+    for s in range(40)
+]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [p for p in CONGRUENCE_CASES + RESIDUAL_HOLES if p.values[0].n <= 8]
+    + EXCHANGE_RANDOM
+    + [pytest.param(_both_colors_diagonal(n), id=f"multi-diag{n}")
+       for n in (1, 4)]
+    + [pytest.param(_two_blocks_one_red(), id="two-k22")],
+)
+def test_exchange_reach_is_achievable_and_switches_to_witnesses(g):
+    # every t of the reach is in the DP oracle's set, and the switched
+    # matching for it is a perfect matching of g with t red records
+    want = red_count_set_dp(g)
+    ex = _exchange_of(g)
+    assert (ex.t_min, ex.t_max) == red_count_bounds(g)
+    assert all(d > 0 for d in ex.deltas)
+    rows = [r for cycle in ex.cycles for r in cycle]
+    assert len(rows) == len(set(rows))  # disjoint cycles
+    reach = ex.reach()
+    proved = {t for t in range(g.n + 1) if reach >> t & 1}
+    assert reach >> (g.n + 1) == 0 and {ex.t_min, ex.t_max} <= proved
+    assert proved <= want
+    for t in range(-1, g.n + 2):
+        wit = ex.witness(t)
+        if t in proved:
+            assert _is_witness(g, t, wit)
+        else:
+            assert wit is None
+
+
+def test_exchange_counts_a_cell_of_both_colors_as_a_cycle():
+    g = _both_colors_diagonal(3)
+    assert g.multi and all(len(g.cells[r, r]) == 2 for r in range(3))
+    ex = _exchange_of(g)
+    assert (ex.cycles, ex.deltas) == ([[0], [1], [2]], [1, 1, 1])
+    assert ex.witness(2) == [(0, 0, RED), (1, 1, RED), (2, 2, BLUE)]
+    rep = solve(g, 2, SolverOptions(want_witness=True))
+    assert [b.method for b in rep.blocks] == ["exchange"]
+    assert rep.counts["grid_dets"] == 0 and _is_witness(g, 2, rep.witness)
+
+
+def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
+    monkeypatch,
+):
+    # k44_diag: reach {0, 2, 4}, so 1 and 3 need the probe, and a witness
+    # for either inverts it (3 is a hole, which only the grid proves)
+    made = []
+    top = solver._top_node
+
+    def counted(g, t_min, t_max, invert=False):
+        made.append(invert)
+        return top(g, t_min, t_max, invert)
+
+    monkeypatch.setattr(solver, "_top_node", counted)
+    for t, want_witness, inverted in [
+        (1, False, [False]), (1, True, [True]),
+        (2, True, [False]), (3, True, [True]), (5, True, [False]),
+    ]:
+        made.clear()
+        solve(k44_diag(), t, SolverOptions(want_witness=want_witness))
+        assert made == inverted
+    made.clear()
+    solve(_both_colors_diagonal(3), 1, SolverOptions(want_witness=True))
+    assert made == []  # the reach proves every in-bound t
+
+
+def test_a_negative_gain_raises_invariant_error():
+    # the optima handed over in the wrong order: M_hi's cycle loses red
+    lo_cols, lo_reds, hi_cols, hi_reds = solver._assignments(k44_diag())
+    solver._exchange(lo_cols, lo_reds, hi_cols, hi_reds)
+    with pytest.raises(InvariantError):
+        solver._exchange(hi_cols, hi_reds, lo_cols, lo_reds)
+
+
+@pytest.mark.parametrize(
+    "g", CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
+)
+def test_congruence_modulus_divides_every_gain(g):
+    # each gain is the red difference of two perfect matchings, so both
+    # classes' moduli divide the gcd of the gains: with gcd 1 the records'
+    # congruence cannot drop a t, and _certify skips it
+    gains = math.gcd(*_exchange_of(g).deltas)
+    for records in (g.edges, _elementary(g).allowed()):
+        modulus, _ = solver._congruence(g.n, records)
+        assert gains % modulus == 0 if modulus else gains == 0
+
+
 def _no_pair_digraph(graph):
     raise AssertionError("a certified root built D(G, M)")
 
@@ -1018,7 +1166,10 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
         method = rep.blocks[0].method if rep.counts["certified"] else "recursion"
         methods[method] = methods.get(method, 0) + 1
     assert methods["recursion"] >= len(RESIDUAL_HOLES)
-    assert all(methods.get(m, 0) >= 5 for m in ("bounds", "congruence", "probe"))
+    assert all(
+        methods.get(m, 0) >= 5
+        for m in ("bounds", "exchange", "congruence", "probe")
+    )
 
 
 @pytest.mark.parametrize(
@@ -1033,7 +1184,9 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
             with_coloring(knn(3), red=[(0, 0), (1, 1)]), "probe", id="k33-two"
         ),  # T = {0, 1, 2}
         pytest.param(k44_diag(), "pure-ASNC", id="k44-diag"),  # 3 is a hole
-    ],
+        pytest.param(_both_colors_diagonal(3), "exchange", id="multi-diag"),
+        pytest.param(_two_blocks_one_red(), "exchange", id="two-k22"),
+    ],  # T = {0, 1, 2, 3} and {0, 1, 2}: the cycles' gains are all 1
 )
 def test_certified_report_names_its_method(g, method):
     rep = solve(g, 0)
@@ -1155,7 +1308,8 @@ def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
     before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
     # (nothing proved, every t a candidate)
     monkeypatch.setattr(
-        solver, "_certify", lambda g, trace: (set(), set(range(g.n + 1)))
+        solver, "_certify",
+        lambda g, trace: (set(), set(range(g.n + 1)), "bounds"),
     )
     monkeypatch.setattr(solver, "_congruence", lambda n, records: (1, 0))
     zeros = 0
