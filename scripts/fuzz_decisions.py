@@ -5,15 +5,19 @@ Draws random colored instances and checks each against an oracle (the DP
 oracle, or a closed form for the diagonal draw below) twice: the
 recursion's achievable set, one feasible_red_counts call per instance, and
 solve(g, t).decision for every t in -1..n+1, which the root certificates
-(bounds, exchange, probe, congruence) settle before any D(G, M) is built.
-Every t the exchange's reach proves is checked against the oracle too.
-Every YES target of an instance with n <= WITNESS_ALL_N (one drawn YES
-target above that) then goes through solve(..., want_witness=True): each
-witness is checked against the graph, and the report's blocks and counts
-against those of solve(g, t) without a witness. The final line counts the
-instances whose root the exchange settled and the witnesses whose target
-lay in its reach (the switched matching); the other witnesses came from
-the cofactor chain or from row forcing. The run stops at --budget seconds or
+(bounds, exchange, congruence, probe) decide before any D(G, M) is built
+whenever they can. A root the certificates settled reports one block with
+the red counts they proved: each must lie in the oracle's set, and t among
+them exactly when the answer is YES. Every t the exchange's reach proves is
+checked against the oracle too. Every YES target of an instance with n <=
+WITNESS_ALL_N (one drawn YES target above that) then goes through
+solve(..., want_witness=True): each witness is checked against the graph,
+and the report's blocks and counts against those of solve(g, t) without a
+witness. The final line counts, over every (graph, t), the roots each
+certificate settled and those left to the recursion, and the witnesses
+whose target lay in the exchange's reach (the switched matching); the
+other witnesses came from the cofactor chain or from row forcing. The run
+stops at --budget seconds or
 --max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red
 iff row and column lie on opposite halves), so every red count is even and
 the odd targets inside its bounds are zeros the grid must certify. One draw
@@ -37,6 +41,7 @@ import argparse
 import random
 import sys
 import time
+from collections import Counter
 
 sys.path.insert(0, "src")
 
@@ -139,7 +144,8 @@ def main(argv=None) -> int:
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
-    settled = switched = 0  # by the exchange: roots, witnesses
+    switched = 0  # witnesses from the exchange's switched matching
+    settled: Counter = Counter()  # (graph, t) roots by the certificate
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         oracle = red_count_set_dp
@@ -176,8 +182,8 @@ def main(argv=None) -> int:
             return 1
         reports = {}
         for t in range(-1, g.n + 2):
-            reports[t] = solve(g, t)
-            decided = reports[t].decision
+            report = reports[t] = solve(g, t)
+            decided = report.decision
             decisions += 1
             if (t in got) != (t in want) or decided != (t in want):
                 print(
@@ -186,10 +192,19 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
-        root = reports[-1]  # every t's report has the same blocks
-        settled += bool(root.counts["certified"]) and (
-            root.blocks[0].method == "exchange"
-        )
+            if not report.counts["certified"]:
+                settled["recursion"] += 1
+                continue
+            root = report.blocks[0]
+            settled[root.method] += 1
+            proved = set(root.feasible_t)
+            if not proved <= want or (t in proved) != decided:
+                print(
+                    f"CERTIFIED ROOT OUTSIDE THE ORACLE at t={t}: "
+                    f"{root.method} proved {sorted(proved)}"
+                )
+                sys.stdout.write(wire(g))
+                return 1
         targets = sorted(want)
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
@@ -209,10 +224,14 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
+    roots = ", ".join(
+        f"{settled[name]} {name}"
+        for name in ("bounds", "exchange", "congruence", "probe", "recursion")
+    )
     print(
-        f"ok: {instances} instances ({past} past --max-n, {settled} settled "
-        f"by the exchange), {decisions} decisions, {witnesses} witnesses "
-        f"({switched} from the exchange), 0 disagreements"
+        f"ok: {instances} instances ({past} past --max-n), {decisions} "
+        f"decisions (roots: {roots}), {witnesses} witnesses ({switched} "
+        f"from the exchange), 0 disagreements"
     )
     return 0
 

@@ -46,48 +46,54 @@ this (memoized by the subgraph's records) as generator steps on an
 explicit stack, and each brace's grid is asked only for the t its
 congruence class allows (below).
 
-Certificates before structure: solve lets the root call settle the whole
-achievable set before the recursion, from exact certificates that need no
-zero proof, with or without a witness. They run once per solve, at the
-top of the root's _feasible, in this order, and read g's records alone
-(_certify), so a root they settle never builds D(G, M):
+Certificates before structure: solve asks one question, whether some
+perfect matching has exactly t red edges, and the root call answers it
+before the recursion whenever exact certificates that need no zero proof
+decide t, with or without a witness. They run once per solve, at the top
+of the root's _feasible, in this order, and read g's records alone
+(_certify), so a root they decide never builds D(G, M); the first that
+decides t ends them:
 
   * bounds: _assignments solves two assignment problems, for a min-red and
     a max-red perfect matching M_lo and M_hi; their red counts are the
     bounds [t_min, t_max], both attained (red_count_bounds). None means no
-    perfect matching, and the root returns the empty set;
+    perfect matching, and the root returns the empty set; t outside the
+    bounds is NO, and t_min or t_max is YES;
   * exchange: M_lo and M_hi differ in disjoint alternating cycles, each
     with a red gain delta >= 0 (a row that takes one cell in both, blue
     in M_lo and red in M_hi, is a cycle with delta 1), and switching any
     subset of them gives another perfect matching, so t_min plus every
     subset sum of the deltas is achievable (_Exchange, linear in n;
-    Berge's cycles, Karzanov's exchange argument);
-  * probe, only when an in-bound t is still unproved: c_t at the top lam
-    node mod the first certificate prime (_TopNode.hits), one batched
-    elimination when it fits _GRID_BLOCK_ENTRIES; its table of (lam* +
-    i)^j is cached per (n, p) (_top_powers). A nonzero residue needs a
-    matching with t red edges on any graph; a zero proves nothing. When a
-    witness is wanted for an in-bound target outside the exchange's
-    reach, the root's _top_node is one inverse_det_mod_batch at one more
+    Berge's cycles, Karzanov's exchange argument); t in this reach is YES;
+  * congruence, only when it can decide t: potentials along a spanning
+    tree of each connected component of g's records, with p(col) - p(row)
+    = red(e), leave a discrepancy on every other record; every perfect
+    matching has red count congruent to sum p(col) - sum p(row) modulo the
+    gcd of the discrepancies (equal when it is 0) (_congruence). The class
+    holds on every graph, its modulus divides every delta and t_min is in
+    it, so it runs here only when t != t_min modulo the deltas' gcd; t off
+    the class is NO;
+  * probe: c_t at the top lam node mod the first certificate prime
+    (_TopNode.hits), one batched elimination when it fits
+    _GRID_BLOCK_ENTRIES; its table of (lam* + i)^j is cached per (n, p)
+    (_top_powers). A nonzero residue needs a matching with t red edges on
+    any graph, so it is YES; a zero proves nothing. When a witness is
+    wanted, the root's _top_node is one inverse_det_mod_batch at one more
     x node instead, whose extra coefficient c_(t_min - 1) is exactly zero
-    and whose inverse the witness reuses;
-  * congruence, when an in-bound t is still unproved and the gcd of the
-    deltas is not 1: potentials along a spanning tree of each connected
-    component of g's records, with p(col) - p(row) = red(e), leave a
-    discrepancy on every other record; every perfect matching has red
-    count congruent to sum p(col) - sum p(row) modulo the gcd of the
-    discrepancies (equal when it is 0) (_congruence). The class holds on
-    every graph, and its modulus divides every delta, so with gcd 1 it
-    could drop no t.
+    and whose inverse the witness reuses.
 
-If the exchange's reach, the probe's hits and the class cover every
-in-bound t of the class, those t are the achievable set. Otherwise the
-root builds its one D(G, M) and, when D has more than one elementary
-block, narrows the class to the blocks' exact one (_congruence over the
-allowed records; with one block every record is allowed and the two
-classes are equal), which may settle it still. What stays open goes to
-the recursion on that same D, and a root that is a brace hands those
-in-class candidates to its grid.
+A decided root's result is the set its certificates proved, which holds t
+exactly when the answer is YES; feasible_red_counts, which runs no
+certificates, still gives the whole achievable set. A t still open after
+all four goes on as before: the congruence runs now if it has not (when
+the deltas' gcd is not 1), to narrow the in-bound candidates, and the root
+builds its one D(G, M). When D has more than one elementary block, it
+narrows the class to the blocks' exact one (_congruence over the allowed
+records; with one block every record is allowed and the two classes are
+equal), and if the reach, the probe's hits and that class cover every
+in-bound t of the class, those t are the achievable set. What stays open
+goes to the recursion on that same D, and a root that is a brace hands
+those in-class candidates to its grid.
 Witnesses: extract_witness reduces one row at a time, as a loop. When the
 target is in the exchange's reach, the root's witness is the switched
 matching itself: M_lo with the cycles switched whose deltas sum to t -
@@ -110,15 +116,16 @@ against the graph.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
-(a root settled by certificates names the one needed last: "bounds" when
-no t lies between them, "exchange" or "probe", whichever proved a t
-between them last, else "congruence"; a simple brace on the grid is
+(a root decided by certificates is one block named after the one that
+decided t, "bounds", "exchange", "congruence" or "probe", with the red
+counts they proved; a root the blocks' class settles after D names the
+certificate needed last, "exchange" or "probe", whichever proved a t
+between the bounds last, else "congruence"; a simple brace on the grid is
 "pure-ASNC", a piece with n <= 2 is "enumeration"), plus counts of
 subproblems, memo hits, braces, tight cuts, enumerated pieces, certified
 roots, the modular determinants of the grid and the probe, and the
-recursion depth. The probe runs before the congruence, so a root the
-congruence settles still counts the probe's m determinants when the
-exchange left a t between its bounds unproved.
+recursion depth. The probe runs only when t is still open after the
+bounds, the exchange and the congruence.
 """
 
 from __future__ import annotations
@@ -644,6 +651,15 @@ def _top_node(
 
 @dataclass(frozen=True)
 class BlockReport:
+    """One settled leaf: its size, red counts and the method that settled it.
+
+    feasible_t is the leaf's whole achievable set, except for a root the
+    certificates decided for its target (method "bounds", "exchange",
+    "congruence" or "probe", with certified counted), where it is the red
+    counts those certificates proved: all achievable, and the target is
+    among them exactly when the answer is YES.
+    """
+
     n: int
     feasible_t: Tuple[int, ...]
     method: str
@@ -660,11 +676,16 @@ class SolveTrace:
     enumerated, roots settled by certificates (certified), the modular
     determinants the grid and the probe evaluated (grid_dets, summed over
     primes, lam and x nodes) and the deepest nesting of subproblems, memo
-    hits included (depth; the root counts as 1). certify_root lets the
-    next subproblem, the root, try the bounds, exchange, probe and
-    congruence certificates before D(G, M), once: the residual
-    subproblems of a witness never run them. Only solve sets it.
-    target is the witness's target, None unless solve wants a witness.
+    hits included (depth; the root counts as 1). target is the t that
+    solve asks: while it is set, the next subproblem, the root, runs the
+    bounds, exchange, congruence and probe certificates before D(G, M)
+    until they decide it (_certify), and clears it, so the residual
+    subproblems of a witness never run them; None (the default, and the
+    bare feasible_red_counts) runs none. A root decided for its target
+    keeps in memo, under its key, only the red counts its certificates
+    proved, which only extract_witness's guard reads, for the same t.
+    want_witness is set when solve wants one: the root then inverts its top
+    node, so the probe's elimination also starts the cofactor chain.
     Witness extraction starts where it has a start: chain_starts maps the
     root's memo key to the _Exchange when target is in its reach, else to
     the inverted _top_node _certify made when it fit; brace_keys holds the
@@ -685,8 +706,8 @@ class SolveTrace:
             0,
         )
     )
-    certify_root: bool = False
     target: Optional[int] = None
+    want_witness: bool = False
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
         """Record a leaf decided without a split; returns its result."""
@@ -701,53 +722,75 @@ def _certify(
     """None if g has no perfect matching, else (proved, candidates, method).
 
     Every certificate here reads g's records alone, so none builds
-    D(G, M). The two assignment optima come first: their red counts are
-    the attained bounds, every in-bound t is a candidate, and their
-    _Exchange proves its reach. Only when an in-bound t is still unproved
-    is g's one _top_node made, when its m determinants fit one batched
-    elimination: its hits are the probe, which proves those t, and the
-    report counts m determinants. It is inverted at one more x node, and
-    kept for the witness's cofactor chain, only when the witness's target
-    (trace.target) is in bounds and outside the reach; a target in the
-    reach keeps the _Exchange instead, whose switched matching is the
-    witness. When candidates are still unproved, the congruence over g's
-    records drops those off its class, which holds on every graph; its
-    modulus divides every cycle's gain, so it runs only when their gcd is
-    not 1. A root whose candidates are all proved is settled as one block
-    named after method; what is left open, _feasible narrows by the
-    blocks' exact class once it has built D. method names the certificate
-    needed last: "bounds" when no t lies between the bounds, else the
-    last of "exchange" and "probe" that proved a t between them, or
-    "congruence" when neither did (every such t is off the class).
+    D(G, M), and each returns as soon as it decides the target t =
+    trace.target, in this order:
+
+      * bounds: the red counts of the two assignment optima are the
+        attained bounds, so t outside [t_min, t_max] is NO and t_min or
+        t_max is YES;
+      * exchange: t in their _Exchange's reach is YES;
+      * congruence: g's records put every perfect matching in one class,
+        which holds on every graph; t off it is NO. Its modulus divides
+        every cycle's gain, and t_min is in the class, so it runs here only
+        when t != t_min modulo the gains' gcd, the one case it can drop t;
+      * probe: when its m determinants fit one batched elimination, g's
+        one _top_node; a t among its hits is YES, and the report counts m
+        determinants.
+
+    The certificate that decided t is method, and proved is every red
+    count the certificates run so far proved: the exchange's reach, and
+    the probe's hits when it ran. A decided root returns proved as its
+    candidates too, so _feasible settles it as one block whose set holds
+    t exactly when the answer is YES.
+
+    A t still open after all four keeps every in-bound t of the records'
+    class as a candidate (the congruence runs now when the gcd of the
+    gains is not 1 and it has not run yet), and _feasible narrows them by
+    the blocks' exact class once it has built D; what is then all proved
+    is settled under the certificate needed last: the last of "exchange"
+    and "probe" that proved a t between the bounds, or "congruence" when
+    neither did.
+
+    With a witness (trace.want_witness), a t in the reach keeps the _Exchange
+    as the root's chain start, whose switched matching is the witness;
+    the _top_node of an open t is inverted at one more x node and kept for
+    the cofactor chain instead.
     """
     found = _assignments(g)
     if found is None:
         return None
     exchange = _exchange(*found)
     t_min, t_max = exchange.t_min, exchange.t_max
-    candidates = set(range(t_min, t_max + 1))
     reach = exchange.reach()
-    proved = {t for t in candidates if reach >> t & 1}
-    method = (
-        "bounds" if t_max - t_min < 2
-        else "exchange" if proved - {t_min, t_max}
-        else "congruence"
-    )
-    key, target = _memo_key(g), trace.target
-    if target in proved:
+    proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
+    t, key = trace.target, _memo_key(g)
+    if trace.want_witness and t in proved:
         trace.chain_starts[key] = exchange
+    if not t_min < t < t_max:
+        return proved, proved, "bounds"
+    if t in proved:
+        return proved, proved, "exchange"
+    candidates = set(range(t_min, t_max + 1))
+    gains = math.gcd(*exchange.deltas)
+    classed = gains != 1 and (t - t_min) % gains != 0
+    if classed:
+        candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
+        if t not in candidates:
+            return proved, proved, "congruence"
+    method = "exchange" if proved - {t_min, t_max} else "congruence"
     m = t_max - t_min + 1
-    if not candidates <= proved and m * g.n * g.n <= _GRID_BLOCK_ENTRIES:
-        invert = target in candidates and target not in proved
-        top = _top_node(g, t_min, t_max, invert=invert)
-        if invert:
+    if m * g.n * g.n <= _GRID_BLOCK_ENTRIES:
+        top = _top_node(g, t_min, t_max, invert=trace.want_witness)
+        if trace.want_witness:
             trace.chain_starts[key] = top
         hits = top.hits()
-        if hits - {t_min, t_max}:
-            method = "probe"
         proved |= hits
         trace.counts["grid_dets"] += m
-    if not candidates <= proved and math.gcd(*exchange.deltas) != 1:
+        if t in hits:
+            return proved, proved, "probe"
+        if hits - {t_min, t_max}:
+            method = "probe"
+    if not classed and gains != 1:
         candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
     return proved, candidates, method
 
@@ -761,6 +804,11 @@ def feasible_red_counts(
     trace: Optional[SolveTrace] = None,
 ) -> frozenset:
     """The exact set of achievable red counts over perfect matchings.
+
+    A trace whose target is set (solve's) lets the root stop once its
+    certificates decide that target; its result is then the red counts
+    they proved. With no trace, or the default one, every subproblem
+    builds D(G, M) and the set is exact.
 
     Elementary blocks multiply independently (sumset); a matching-covered
     graph is decided by the brace grid test or recursively through its
@@ -791,8 +839,9 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     """g's achievable set, as a generator step of the recursion.
 
     The root of solve runs its certificates first (_certify), before
-    any structure: a root they settle, or one the bounds find without a
-    perfect matching, returns without building D(G, M). Every other
+    any structure: a root they decide for its target, or one the bounds
+    find without a perfect matching, returns without building D(G, M);
+    its result is then what they proved. Every other
     subproblem builds its one D (_elementary). A root still open narrows
     its candidates by the blocks' exact class when D has several blocks
     (with one, the records' class already is that class). Then D's
@@ -802,10 +851,11 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     """
     n = g.n
     # the root of solve, once: a witness's residual subproblems never certify
-    certify, trace.certify_root = trace.certify_root, False
+    certify = trace.target is not None
     candidates = None  # the grid's targets if g is a brace; a root narrows them
     if certify:  # certificates before structure: none of them needs D
         found = _certify(g, trace)
+        trace.target = None
         if found is None:
             return frozenset()  # no perfect matching
         proved, candidates, method = found
@@ -1072,7 +1122,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/3",
+            "schema": "exactmatch/4",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -1099,19 +1149,20 @@ def solve(
 ) -> SolveReport:
     """Decide whether some perfect matching has exactly t red edges.
 
-    The decision is one run of feasible_red_counts; blocks and counts are
-    its trace, taken before any witness extraction adds subproblems. The
-    root first tries the certificates (_certify), before D(G, M), with
-    or without a witness, so both give the same blocks and counts. With a
-    witness the trace learns t: a t in the exchange's reach takes its
-    switched matching, and otherwise the root's _top_node is inverted, so
-    its elimination is both the probe and the start of the root's
-    cofactor chain.
+    The decision is one run of feasible_red_counts with t handed to the
+    root (SolveTrace.target); blocks and counts are its trace, taken
+    before any witness extraction adds subproblems. The root first tries
+    the certificates (_certify), before D(G, M), and stops at the first
+    that decides t: then its result is the set they proved, not the whole
+    achievable set (feasible_red_counts gives that). Only a t they leave
+    open reaches D, the recursion and the grid. It runs alike with or
+    without a witness, so both give the same blocks and counts. With a
+    witness, a t in the exchange's reach takes its switched matching, and
+    otherwise the root's _top_node is inverted, so its elimination is both
+    the probe and the start of the root's cofactor chain.
     Out-of-range targets are legal and decide to NO.
     """
-    trace = SolveTrace(
-        certify_root=True, target=t if opts.want_witness else None
-    )
+    trace = SolveTrace(target=t, want_witness=opts.want_witness)
     t0 = time.perf_counter()
     decision = t in feasible_red_counts(g, trace)
     t1 = time.perf_counter()

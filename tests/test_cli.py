@@ -56,22 +56,36 @@ def test_solve_witness_lines(fixtures_dir, capsys):
 
 
 def test_solve_json_report(fixtures_dir, capsys):
+    # t = 1: the root's probe decides it and proves {0, 1, 2, 4}
     code, out, _ = run(
         capsys, "solve", "--input", str(fixtures_dir / "k44_red_diag.ebg"),
-        "--target", "2", "--json", "--witness",
+        "--target", "1", "--json", "--witness",
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/3"
+    assert doc["schema"] == "exactmatch/4"
     assert doc["decision"] == "YES"
-    assert doc["n"] == 4 and doc["t"] == 2
+    assert doc["n"] == 4 and doc["t"] == 1
+    assert doc["blocks"] == [
+        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "probe"}
+    ]
+    assert doc["counts"]["certified"] == 1 and doc["counts"]["braces"] == 0
+    assert len(doc["witness"]) == 4
+    assert set(doc["timings"]) == {"decide_ms", "witness_ms"}
+    # the hole t = 3: no certificate decides it, so the brace grid does
+    code, out, _ = run(
+        capsys, "solve", "--input", str(fixtures_dir / "k44_red_diag.ebg"),
+        "--target", "3", "--json", "--witness",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["schema"] == "exactmatch/4"
+    assert doc["decision"] == "NO" and "witness" not in doc
     assert doc["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
     ]
     assert doc["counts"]["braces"] == 1
-    assert len(doc["witness"]) == 4
-    assert set(doc["timings"]) == {"decide_ms", "witness_ms"}
 
 
 def test_solve_json_deterministic_apart_from_timings(fixtures_dir, capsys):

@@ -800,26 +800,45 @@ def test_solve_k44_yes_and_no():
 
 
 def test_solve_report_blocks_k44():
-    rep = solve(k44_diag(), 2)
+    # the hole t = 3 is the one target no root certificate decides, so it
+    # reaches the grid, which settles the brace's whole achievable set
+    rep = solve(k44_diag(), 3)
     assert len(rep.blocks) == 1
     blk = rep.blocks[0]
     assert blk.n == 4
     assert blk.feasible_t == (0, 1, 2, 4)
     assert blk.method == "pure-ASNC"
+    assert feasible_red_counts(k44_diag()) == {0, 1, 2, 4}
 
 
 def test_solve_json_schema():
-    d = solve(k44_diag(), 2, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/3"
+    # t = 1 lies outside the exchange's reach {0, 2, 4}: the root's probe
+    # (5 determinants) decides it, proving {0, 1, 2, 4}, and its inverse
+    # starts the witness
+    d = solve(k44_diag(), 1, SolverOptions(want_witness=True)).to_json_dict()
+    assert d["schema"] == "exactmatch/4"
     assert d["decision"] == "YES"
-    assert d["blocks"][0]["feasible_t"] == [0, 1, 2, 4]
-    # the root's probe (5 determinants) leaves 3 open; the grid takes 35
+    assert d["blocks"] == [
+        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "probe"}
+    ]
+    assert d["counts"] == {
+        "subproblems": 1, "memo_hits": 0, "braces": 0, "tight_cuts": 0,
+        "enumerated": 0, "certified": 1, "grid_dets": 5, "depth": 1,
+    }
+    assert len(d["witness"]) == 4
+    assert all(len(rec) == 3 for rec in d["witness"])
+    assert set(d["timings"]) == {"decide_ms", "witness_ms"}
+    # the root's probe leaves the hole t = 3 open; the grid takes 35
+    d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
+    assert d["schema"] == "exactmatch/4"
+    assert d["decision"] == "NO" and "witness" not in d
+    assert d["blocks"] == [
+        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
+    ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
         "enumerated": 0, "certified": 0, "grid_dets": 40, "depth": 1,
     }
-    assert all(len(rec) == 3 for rec in d["witness"])
-    assert set(d["timings"]) == {"decide_ms", "witness_ms"}
 
 
 def test_solve_no_pm_graph():
@@ -1087,7 +1106,8 @@ def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
     monkeypatch,
 ):
     # k44_diag: reach {0, 2, 4}, so 1 and 3 need the probe, and a witness
-    # for either inverts it (3 is a hole, which only the grid proves)
+    # for either inverts it (3 is a hole, which only the grid proves); a t
+    # the bounds or the reach decide makes no top node at all
     made = []
     top = solver._top_node
 
@@ -1097,8 +1117,9 @@ def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
 
     monkeypatch.setattr(solver, "_top_node", counted)
     for t, want_witness, inverted in [
-        (1, False, [False]), (1, True, [True]),
-        (2, True, [False]), (3, True, [True]), (5, True, [False]),
+        (1, False, [False]), (1, True, [True]), (3, False, [False]),
+        (3, True, [True]), (2, False, []), (2, True, []), (0, True, []),
+        (4, True, []), (-1, True, []), (5, True, []),
     ]:
         made.clear()
         solve(k44_diag(), t, SolverOptions(want_witness=want_witness))
@@ -1160,36 +1181,50 @@ def test_certified_roots_never_build_a_pair_digraph(g, monkeypatch):
 
 
 def test_certificates_settle_most_roots_and_leave_the_holes_open():
+    # every target of every case: each certificate decides some, most are
+    # decided before D(G, M), and the holes go on to the recursion
     methods = {}
     for param in CONGRUENCE_CASES + RESIDUAL_HOLES:
-        rep = solve(param.values[0], 0)
-        method = rep.blocks[0].method if rep.counts["certified"] else "recursion"
-        methods[method] = methods.get(method, 0) + 1
+        g = param.values[0]
+        for t in range(-1, g.n + 2):
+            rep = solve(g, t)
+            method = (
+                rep.blocks[0].method if rep.counts["certified"] else "recursion"
+            )
+            methods[method] = methods.get(method, 0) + 1
     assert methods["recursion"] >= len(RESIDUAL_HOLES)
+    assert methods["recursion"] * 2 < sum(methods.values())
     assert all(
         methods.get(m, 0) >= 5
         for m in ("bounds", "exchange", "congruence", "probe")
     )
+    for g, hole in [(with_coloring(knn(3), red="diag"), 2), (k44_diag(), 3)]:
+        rep = solve(g, hole)
+        assert not rep.decision and rep.counts["certified"] == 0
+        assert [b.method for b in rep.blocks] == ["pure-ASNC"]
 
 
 @pytest.mark.parametrize(
-    "g, method",
+    "g, t, method",
     [
-        pytest.param(knn(3), "bounds", id="all-blue"),  # T = {0}
+        pytest.param(knn(3), 0, "bounds", id="all-blue"),  # T = {0}
         pytest.param(
-            with_coloring(knn(2), red=[(0, 1), (1, 0)]), "congruence",
+            with_coloring(knn(2), red=[(0, 1), (1, 0)]), 1, "congruence",
             id="k22-antidiag",
-        ),  # T = {0, 2}
+        ),  # T = {0, 2}: 1 is off the class
         pytest.param(
-            with_coloring(knn(3), red=[(0, 0), (1, 1)]), "probe", id="k33-two"
-        ),  # T = {0, 1, 2}
-        pytest.param(k44_diag(), "pure-ASNC", id="k44-diag"),  # 3 is a hole
-        pytest.param(_both_colors_diagonal(3), "exchange", id="multi-diag"),
-        pytest.param(_two_blocks_one_red(), "exchange", id="two-k22"),
+            with_coloring(knn(3), red=[(0, 0), (1, 1)]), 1, "probe",
+            id="k33-two",
+        ),  # T = {0, 1, 2}, reach {0, 2}
+        pytest.param(k44_diag(), 3, "pure-ASNC", id="k44-diag"),  # a hole
+        pytest.param(_both_colors_diagonal(3), 1, "exchange", id="multi-diag"),
+        pytest.param(_two_blocks_one_red(), 1, "exchange", id="two-k22"),
     ],  # T = {0, 1, 2, 3} and {0, 1, 2}: the cycles' gains are all 1
 )
-def test_certified_report_names_its_method(g, method):
-    rep = solve(g, 0)
+def test_certified_report_names_its_method(g, t, method):
+    # each t lies strictly between the bounds, so the bounds alone do not
+    # decide it, and at each the certificates run prove the whole set
+    rep = solve(g, t)
     assert [b.method for b in rep.blocks] == [method]
     assert rep.blocks[0].n == g.n
     assert rep.blocks[0].feasible_t == tuple(sorted(red_count_set(g)))
@@ -1204,6 +1239,103 @@ def test_bare_recursion_skips_the_certificates():
     trace = SolveTrace()
     feasible_red_counts(g, trace)
     assert trace.counts["certified"] == 0
+
+
+TARGET_CASES = CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
+
+
+def _deciding_certificate(g, t):
+    """The root certificate that decides t on g, in _certify's order (the
+    congruence only when t != t_min modulo the gains' gcd), or None when
+    t stays open after all four; g has a perfect matching."""
+    ex = _exchange_of(g)
+    if not ex.t_min < t < ex.t_max:
+        return "bounds"
+    if ex.reach() >> t & 1:
+        return "exchange"
+    in_class = solver._in_class(
+        ex.t_min, ex.t_max, *solver._congruence(g.n, g.edges)
+    )
+    if (t - ex.t_min) % math.gcd(*ex.deltas) and t not in in_class:
+        return "congruence"
+    if t in solver._top_node(g, ex.t_min, ex.t_max).hits():
+        return "probe"
+    return None
+
+
+@pytest.mark.parametrize("g", TARGET_CASES)
+def test_root_decides_its_target_from_what_it_proved(g):
+    # every decision is the DP oracle's; a root the certificates decide is
+    # one block named after the certificate that decided t, whose red
+    # counts are all achievable and hold t exactly when the answer is YES;
+    # feasible_red_counts still gives the whole set
+    want = red_count_set_dp(g)
+    assert feasible_red_counts(g) == want
+    for t in range(-1, g.n + 2):
+        rep = solve(g, t)
+        assert rep.decision == (t in want)
+        method = _deciding_certificate(g, t)
+        if method is not None:
+            assert rep.counts["certified"] == rep.counts["subproblems"] == 1
+            assert [b.method for b in rep.blocks] == [method]
+        if rep.counts["certified"]:
+            [root] = rep.blocks
+            assert root.n == g.n
+            assert set(root.feasible_t) <= want
+            assert (t in root.feasible_t) == rep.decision
+
+
+@pytest.mark.parametrize("g", TARGET_CASES)
+def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
+    # no top node is made for a t out of bounds, in the exchange's reach or
+    # off the records' class, and the records' congruence runs before the
+    # probe only when t != t_min modulo the gains' gcd, the one case where
+    # it can drop t (every n here fits the probe's guard)
+    calls = []
+    top, congruence = solver._top_node, solver._congruence
+
+    def counted_top(*args, **kwargs):
+        calls.append("probe")
+        return top(*args, **kwargs)
+
+    def counted_congruence(n, records):
+        calls.append("congruence")
+        return congruence(n, records)
+
+    ex = _exchange_of(g)
+    gains = math.gcd(*ex.deltas)
+    methods = [_deciding_certificate(g, t) for t in range(-1, g.n + 2)]
+    monkeypatch.setattr(solver, "_top_node", counted_top)
+    monkeypatch.setattr(solver, "_congruence", counted_congruence)
+    for t, method in zip(range(-1, g.n + 2), methods):
+        calls.clear()
+        solve(g, t)
+        if method in ("bounds", "exchange"):
+            assert calls == []
+        elif method == "congruence":
+            assert calls == ["congruence"]
+        elif (t - ex.t_min) % gains:
+            assert calls[:2] == ["congruence", "probe"]
+        else:
+            assert calls[0] == "probe"
+
+
+@pytest.mark.parametrize("g", TARGET_CASES)
+def test_witnessed_decided_root_never_builds_a_pair_digraph(g, monkeypatch):
+    # the witness of a root its certificates decide comes from the
+    # exchange's switched matching or the inverted probe's cofactor chain:
+    # neither the decision nor the witness calls _elementary
+    builds = []
+    build = solver._elementary
+    methods = [_deciding_certificate(g, t) for t in range(-1, g.n + 2)]
+    monkeypatch.setattr(
+        solver, "_elementary", lambda graph: builds.append(graph) or build(graph)
+    )
+    for t, method in zip(range(-1, g.n + 2), methods):
+        builds.clear()
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert rep.witness is None or _is_witness(g, t, rep.witness)
+        assert (builds == []) == (method is not None)
 
 
 def _multi_block_root():
@@ -1228,26 +1360,27 @@ def _coarse_records_root():
 
 
 @pytest.mark.parametrize(
-    "g, root_builds_d",
-    [
-        pytest.param(with_coloring(knn(3), red="diag"), True, id="k33-diag"),
-        pytest.param(k44_diag(), True, id="k44-diag"),
-        pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), False,
+    "g, open_targets",
+    [  # the t no root certificate decides: the holes, and coarse-records'
+        # odd t, which only the blocks' class drops
+        pytest.param(with_coloring(knn(3), red="diag"), {2}, id="k33-diag"),
+        pytest.param(k44_diag(), {3}, id="k44-diag"),
+        pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), set(),
                      id="probe"),
-        pytest.param(knn(3), False, id="bounds"),
-        pytest.param(_multi_block_root(), True, id="multi-block"),
-        pytest.param(_coarse_records_root(), True, id="coarse-records"),
+        pytest.param(knn(3), set(), id="bounds"),
+        pytest.param(_multi_block_root(), {4}, id="multi-block"),
+        pytest.param(_coarse_records_root(), {1, 3}, id="coarse-records"),
         pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3),
-                     False, id="band7"),
-        pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), False,
+                     set(), id="band7"),
+        pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), set(),
                      id="no-pm"),
-        pytest.param(ColoredBipartiteGraph.make(0, []), False, id="n0"),
+        pytest.param(ColoredBipartiteGraph.make(0, []), set(), id="n0"),
     ],
 )
-def test_one_pair_digraph_per_subproblem(g, root_builds_d, monkeypatch):
-    # a root the bounds, the probe or the records' congruence settle (or
-    # the bounds find without a perfect matching) never builds D; every
-    # other subproblem builds exactly one
+def test_one_pair_digraph_per_subproblem(g, open_targets, monkeypatch):
+    # a root the bounds, the exchange, the records' congruence or the probe
+    # decide for its target (or the bounds find without a perfect matching)
+    # never builds D; every other subproblem builds exactly one
     builds = []
     build = solver._elementary
 
@@ -1259,6 +1392,7 @@ def test_one_pair_digraph_per_subproblem(g, root_builds_d, monkeypatch):
     for t in range(-1, g.n + 2):
         builds.clear()
         rep = solve(g, t)
+        root_builds_d = t in open_targets
         assert len(builds) == rep.counts["subproblems"] - 1 + root_builds_d
     builds.clear()
     trace = SolveTrace()
@@ -1280,22 +1414,31 @@ def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
     monkeypatch.setattr(
         solver, "_elementary", lambda graph: builds.append(graph) or build(graph)
     )
+    # the odd t are in bounds, outside the reach, in the records' class and
+    # no probe hit: D is built, and the blocks' class drops them, proving
+    # the rest; every other t the certificates decide before D
     for t in range(-1, g.n + 2):
         for want_witness in (False, True):
             builds.clear()
             rep = solve(g, t, SolverOptions(want_witness=want_witness))
             assert rep.decision == (t in want)
-            assert [b.method for b in rep.blocks] == ["probe"]
-            assert rep.blocks[0].feasible_t == (0, 2, 4)
             assert rep.counts["certified"] == rep.counts["subproblems"] == 1
-            assert len(builds) == 1
             assert rep.witness is None or _is_witness(g, t, rep.witness)
+            if t in (1, 3):
+                assert [b.method for b in rep.blocks] == ["probe"]
+                assert rep.blocks[0].feasible_t == (0, 2, 4)
+                assert len(builds) == 1
+            else:
+                assert set(rep.blocks[0].feasible_t) <= want
+                assert builds == []
 
 
 def test_multi_block_root_reaches_the_recursion():
     g = _multi_block_root()
     assert len(_elementary(g).blocks) == 2
-    rep = solve(g, 2)
+    # 4 is the hole: every other t the root's certificates decide
+    rep = solve(g, 4)
+    assert not rep.decision
     assert rep.counts["certified"] == 0 and rep.counts["subproblems"] == 3
     assert [b.method for b in rep.blocks] == ["pure-ASNC", "enumeration"]
 
