@@ -4,20 +4,22 @@
 Draws random colored instances and checks each against an oracle (the DP
 oracle, or a closed form for the diagonal draw below) twice: the
 recursion's achievable set, one feasible_red_counts call per instance, and
-solve(g, t).decision for every t in -1..n+1, which the root certificates
-(bounds, exchange, congruence, probe) decide before any D(G, M) is built
-whenever they can. A root the certificates settled reports one block with
-the red counts they proved: each must lie in the oracle's set, and t among
-them exactly when the answer is YES. Every t the exchange's reach proves is
-checked against the oracle too. Every YES target of an instance with n <=
-WITNESS_ALL_N (one drawn YES target above that) then goes through
-solve(..., want_witness=True): each witness is checked against the graph,
-and the report's blocks and counts against those of solve(g, t) without a
-witness. The final line counts, over every (graph, t), the roots each
-certificate settled and those left to the recursion, and the witnesses
-whose target lay in the exchange's reach (the switched matching); the
-other witnesses came from the cofactor chain or from row forcing. The run
-stops at --budget seconds or
+solve(g, t).decision for every t in -1..n+1. Every subproblem's
+certificates (bounds, exchange, congruence, probe) run before any D(G, M)
+is built, the root's for t alone. A root the certificates decided is the
+report's one subproblem and one certified block, with the red counts they
+proved: each must lie in the oracle's set, and t among them exactly when
+the answer is YES. Every t the exchange's reach proves is checked against
+the oracle too. Every YES target of an instance with n <= WITNESS_ALL_N
+(one drawn YES target above that) then goes through solve(...,
+want_witness=True): each witness is checked against the graph, and the
+report's blocks and counts against those of solve(g, t) without a
+witness. The final line counts, over every (graph, t), the certified
+blocks by the certificate that settled them (roots and subproblems below
+them), the roots left open, and the witnesses whose target lay in the
+exchange's reach (the switched matching); the other witnesses came from
+the cofactor chain or from row forcing. The run stops at --budget seconds
+or
 --max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red
 iff row and column lie on opposite halves), so every red count is even and
 the odd targets inside its bounds are zeros the grid must certify. One draw
@@ -78,6 +80,8 @@ DIAG_SHARE = 5
 # The diagonal draw's closed form costs nothing, so its size may pass
 # --max-n (and MAX_N) by this much.
 DIAG_PAST = 2
+# The methods of a block its certificates settled.
+CERTIFICATES = ("bounds", "exchange", "congruence", "probe")
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -145,7 +149,7 @@ def main(argv=None) -> int:
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
     switched = 0  # witnesses from the exchange's switched matching
-    settled: Counter = Counter()  # (graph, t) roots by the certificate
+    settled: Counter = Counter()  # certified blocks by method, open roots
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         oracle = red_count_set_dp
@@ -192,11 +196,17 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
-            if not report.counts["certified"]:
-                settled["recursion"] += 1
+            counts = report.counts
+            settled.update(
+                b.method for b in report.blocks if b.method in CERTIFICATES
+            )
+            if counts["subproblems"] == 1 and not report.blocks:
+                settled["roots without a perfect matching"] += 1
+                continue
+            if not counts["subproblems"] == counts["certified"] == 1:
+                settled["open roots"] += 1
                 continue
             root = report.blocks[0]
-            settled[root.method] += 1
             proved = set(root.feasible_t)
             if not proved <= want or (t in proved) != decided:
                 print(
@@ -224,14 +234,14 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
-    roots = ", ".join(
-        f"{settled[name]} {name}"
-        for name in ("bounds", "exchange", "congruence", "probe", "recursion")
-    )
+    blocks = ", ".join(f"{settled[name]} {name}" for name in CERTIFICATES)
     print(
         f"ok: {instances} instances ({past} past --max-n), {decisions} "
-        f"decisions (roots: {roots}), {witnesses} witnesses ({switched} "
-        f"from the exchange), 0 disagreements"
+        f"decisions (certified blocks: {blocks}; "
+        f"{settled['open roots']} open roots, "
+        f"{settled['roots without a perfect matching']} without a perfect "
+        f"matching), {witnesses} witnesses "
+        f"({switched} from the exchange), 0 disagreements"
     )
     return 0
 

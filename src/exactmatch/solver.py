@@ -18,7 +18,8 @@ some perfect matching has t red edges, and the grid decides that exactly:
     inverse_det_mod_batch at x = 1..m and applies V^-1 the same way
     (_apply_v_inverse). The top lam node lam* = n(n-1)/2 is evaluated
     for the probe and the witness in one place (_top_node), and the grid
-    takes it as the first chunk of its own sweep;
+    takes it as the first chunk of its own sweep unless the recursion's
+    probe already did;
   * every lam-coefficient of c_t is at most C = coefficient_bound(g), the
     smaller of the row-sum and column-sum products of A_ij =
     mult_ij * (1 + i)^j, which bounds perm(A). If c_t vanishes at all
@@ -27,10 +28,10 @@ some perfect matching has t red edges, and the grid decides that exactly:
     exceeds C, c_t = 0.
 
 Every other graph is reduced first. At most one D(G, M) per subproblem
-(matching._elementary; a root its certificates settle builds none) gives
-either no perfect matching, or the elementary blocks -- the SCCs of D,
-which are the connected pieces of the allowed-edge graph -- or, for a
-single block, a brace or a tight cut.
+(matching._elementary; a subproblem its certificates settle builds none)
+gives the elementary blocks -- the SCCs of D, which are the connected
+pieces of the allowed-edge graph -- or, for a single block, a brace or a
+tight cut.
 Blocks multiply independently (sumset), and each is induced from the
 subproblem's own graph: a cell inside one SCC is an arc of it, so it is
 allowed, and a single block is its own allowed-edge graph. At a tight cut
@@ -44,88 +45,83 @@ where the left set depends only on a and the right only on b, so each is
 evaluated once per distinct row or column. feasible_red_counts recurses on
 this (memoized by the subgraph's records) as generator steps on an
 explicit stack, and each brace's grid is asked only for the t its
-congruence class allows (below).
+certificates left open (below).
 
-Certificates before structure: solve asks one question, whether some
-perfect matching has exactly t red edges, and the root call answers it
-before the recursion whenever exact certificates that need no zero proof
-decide t, with or without a witness. They run once per solve, at the top
-of the root's _feasible, in this order, and read g's records alone
-(_certify), so a root they decide never builds D(G, M); the first that
-decides t ends them:
+Certificates before structure, in every subproblem: exact certificates
+that need no zero proof run at the top of every _feasible and read g's
+records alone (_certify), so a subproblem they decide never builds
+D(G, M). solve asks one question, whether some perfect matching has
+exactly t red edges, so the root wants {t} alone, with or without a
+witness; every other subproblem wants every t between its bounds, since
+its parent needs its whole set. They run in this order and stop once
+each wanted t is proved or refuted:
 
   * bounds: _assignments solves two assignment problems, for a min-red and
     a max-red perfect matching M_lo and M_hi; their red counts are the
     bounds [t_min, t_max], both attained (red_count_bounds). None means no
-    perfect matching, and the root returns the empty set; t outside the
-    bounds is NO, and t_min or t_max is YES;
+    perfect matching, and the subproblem returns the empty set; a t
+    outside the bounds is NO, and t_min and t_max are YES;
   * exchange: M_lo and M_hi differ in disjoint alternating cycles, each
     with a red gain delta >= 0 (a row that takes one cell in both, blue
     in M_lo and red in M_hi, is a cycle with delta 1), and switching any
     subset of them gives another perfect matching, so t_min plus every
     subset sum of the deltas is achievable (_Exchange, linear in n;
-    Berge's cycles, Karzanov's exchange argument); t in this reach is YES;
-  * congruence, only when it can decide t: potentials along a spanning
-    tree of each connected component of g's records, with p(col) - p(row)
-    = red(e), leave a discrepancy on every other record; every perfect
-    matching has red count congruent to sum p(col) - sum p(row) modulo the
-    gcd of the discrepancies (equal when it is 0) (_congruence). The class
-    holds on every graph, its modulus divides every delta and t_min is in
-    it, so it runs here only when t != t_min modulo the deltas' gcd; t off
-    the class is NO;
+    Berge's cycles, Karzanov's exchange argument); a t in this reach is
+    YES;
+  * congruence, only when it can drop a wanted t: potentials along a
+    spanning tree of each connected component of g's records, with
+    p(col) - p(row) = red(e), leave a discrepancy on every other record;
+    every perfect matching has red count congruent to sum p(col) -
+    sum p(row) modulo the gcd of the discrepancies (equal when it is 0)
+    (_congruence). The class holds on every graph, its modulus divides
+    every delta and t_min is in it, so it runs only when some wanted t
+    still open is not t_min modulo the deltas' gcd; a t off the class is
+    NO;
   * probe: c_t at the top lam node mod the first certificate prime
     (_TopNode.hits), one batched elimination when it fits
-    _GRID_BLOCK_ENTRIES; its table of (lam* + i)^j is cached per (n, p)
-    (_top_powers). A nonzero residue needs a matching with t red edges on
-    any graph, so it is YES; a zero proves nothing. When a witness is
-    wanted, the root's _top_node is one inverse_det_mod_batch at one more
-    x node instead, whose extra coefficient c_(t_min - 1) is exactly zero
-    and whose inverse the witness reuses.
+    _GRID_BLOCK_ENTRIES (_fits); its table of (lam* + i)^j is cached per
+    (n, p) (_top_powers). A nonzero residue needs a matching with t red
+    edges on any graph, so it is YES; a zero proves nothing, and a brace's
+    grid starts below that node mod that prime. When a witness is wanted,
+    the root's _top_node is one inverse_det_mod_batch at one more x node
+    instead, whose extra coefficient c_(t_min - 1) is exactly zero and
+    whose inverse the witness reuses.
 
-A decided root's result is the set its certificates proved, which holds t
-exactly when the answer is YES; feasible_red_counts, which runs no
-certificates, still gives the whole achievable set. A t still open after
-all four goes on as before: the congruence runs now if it has not (when
-the deltas' gcd is not 1), to narrow the in-bound candidates, and the root
-builds its one D(G, M). When D has more than one elementary block, it
-narrows the class to the blocks' exact one (_congruence over the allowed
-records; with one block every record is allowed and the two classes are
-equal), and if the reach, the probe's hits and that class cover every
-in-bound t of the class, those t are the achievable set. What stays open
-goes to the recursion on that same D, and a root that is a brace hands
-those in-class candidates to its grid.
-Witnesses: extract_witness reduces one row at a time, as a loop. When the
-target is in the exchange's reach, the root's witness is the switched
-matching itself: M_lo with the cycles switched whose deltas sum to t -
-t_min, no determinant at all. Otherwise the root, when the probe's guard
-holds, and any graph the recursion settled on the grid as a brace, go
-down a cofactor chain (_brace_witness): M(lam*, x), inverted once modulo
-the first certificate prime at the x nodes its bounds need (an inverted
-_top_node: the root's from _certify, a brace's when the witness reaches
-it), gives every record's cofactor along a row; the first record whose
-coefficient for the target left is nonzero is taken, and a rank-one
-downdate of the inverse's trailing block gives the next row's cofactors.
-A nonzero coefficient is a certificate on any graph, so each step is
-exact, and a certified start c_t(lam*) != 0 mod p keeps a qualifying
-record in every row (the matrix-inverse self-reduction of Rabin and
-Vazirani, deterministic here). When the start is not certified or a
-cofactor vanishes at an x node, the chain gives up and row 0 is forced
-onto the first record whose residual graph keeps the residual target in
-feasible_red_counts, which runs no certificates. The witness is checked
-against the graph.
+A decided subproblem's result is the set its certificates proved: its
+whole achievable set below the root, and at the root a set that holds t
+exactly when the answer is YES. A subproblem with a wanted t still open
+builds its one D(G, M): several elementary blocks are each certified as
+subproblems of their own and multiply by sumset, a tight cut recurses,
+and a brace hands the t still open to its grid.
+Witnesses: extract_witness reduces one row at a time, as a loop. Each
+graph it reaches has a start when t is in its exchange's reach (the
+switched matching: M_lo with the cycles switched whose deltas sum to t -
+t_min, no determinant at all) or its top node fits the probe's guard:
+then it goes down a cofactor chain (_brace_witness): M(lam*, x), inverted
+once modulo the first certificate prime at the x nodes its bounds need
+(an inverted _top_node: the root's from _certify, any other's made when
+the witness reaches it, _start_of), gives every record's cofactor along a
+row; the first record whose coefficient for the target left is nonzero is
+taken, and a rank-one downdate of the inverse's trailing block gives the
+next row's cofactors. A nonzero coefficient is a certificate on any
+graph, so each step is exact, and a certified start c_t(lam*) != 0 mod p
+keeps a qualifying record in every row (the matrix-inverse self-reduction
+of Rabin and Vazirani, deterministic here). When the start is not
+certified or a cofactor vanishes at an x node, the chain gives up and row
+0 is forced onto the first record whose residual graph keeps the residual
+target in feasible_red_counts, whose subproblems settle their whole sets.
+The witness is checked against the graph.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
-(a root decided by certificates is one block named after the one that
-decided t, "bounds", "exchange", "congruence" or "probe", with the red
-counts they proved; a root the blocks' class settles after D names the
-certificate needed last, "exchange" or "probe", whichever proved a t
-between the bounds last, else "congruence"; a simple brace on the grid is
+(a subproblem decided by certificates is one block named after the one
+that decided its last wanted t, "bounds", "exchange", "congruence" or
+"probe", with the red counts they proved; a simple brace on the grid is
 "pure-ASNC", a piece with n <= 2 is "enumeration"), plus counts of
 subproblems, memo hits, braces, tight cuts, enumerated pieces, certified
-roots, the modular determinants of the grid and the probe, and the
-recursion depth. The probe runs only when t is still open after the
-bounds, the exchange and the congruence.
+subproblems, the modular determinants of the grids and the probes, and
+the recursion depth. A probe runs only when a wanted t is still open
+after the bounds, the exchange and the congruence.
 """
 
 from __future__ import annotations
@@ -184,10 +180,15 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
 
 
 # Most int64 matrix entries one batched elimination holds, whatever n and
-# the number of nodes: it caps the grid's working memory. The root's guard
-# in _certify counts the top node's m matrices against it; a witness's
+# the number of nodes: it caps the grid's working memory. The probe's guard
+# (_fits) counts the top node's m matrices against it; a witness's
 # _top_node stacks m + 1, one more than that guard counts.
 _GRID_BLOCK_ENTRIES = 1 << 15
+
+
+def _fits(n: int, m: int) -> bool:
+    """Does a top node's stack of m n x n matrices fit one elimination?"""
+    return m * n * n <= _GRID_BLOCK_ENTRIES
 
 
 def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
@@ -337,8 +338,13 @@ class EvaluationGrid:
         _top_node evaluates, since a nonzero c_t is almost always nonzero
         there. A t still open after every prime is zero mod each of them at
         every node, so c_t is divisible by their product, which exceeds
-        coefficient_bound(g): c_t = 0. trace, when given, counts the
-        modular determinants in grid_dets.
+        coefficient_bound(g): c_t = 0.
+
+        trace, when given, is the recursion's: it counts the modular
+        determinants in grid_dets, and g is a brace whose probe (_certify)
+        evaluated the top node mod the first prime whenever it fit one
+        elimination (_fits) and hands over only the t it missed, which are
+        zero there. The first prime then starts below the top node.
         """
         n = g.n
         if n != self.n:
@@ -361,12 +367,15 @@ class EvaluationGrid:
         # which needs every node anyway
         lams = np.arange(degree, -1, -1, dtype=np.int64)
         block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
+        probed = trace is not None and _fits(n, m)
         dets = 0
         found: set[int] = set()
         weights = _cell_weights(g, m)
         for p in primes:
             inv = _x_inverse(t_min, m, p)
-            start, size = 0, (1 if p == primes[0] else block)
+            start, size = 0, block
+            if p == primes[0]:
+                start, size = (1, block) if probed else (0, 1)
             while open_ and start < len(lams):
                 chunk = lams[start : start + size]
                 powers = _lam_powers(chunk, n, p)
@@ -653,10 +662,10 @@ def _top_node(
 class BlockReport:
     """One settled leaf: its size, red counts and the method that settled it.
 
-    feasible_t is the leaf's whole achievable set, except for a root the
-    certificates decided for its target (method "bounds", "exchange",
-    "congruence" or "probe", with certified counted), where it is the red
-    counts those certificates proved: all achievable, and the target is
+    feasible_t is the leaf's whole achievable set, except at the root of
+    solve, which settles only its target: there it is the red counts its
+    certificates (method "bounds", "exchange", "congruence" or "probe")
+    and, on a brace, its grid proved, all achievable, with the target
     among them exactly when the answer is YES.
     """
 
@@ -673,28 +682,24 @@ class SolveTrace:
     leaves the recursion settled, one per subproblem, in the order they
     were first evaluated. counts tallies memo misses (subproblems), memo
     hits, braces decided on the grid, tight cuts split, n <= 2 pieces
-    enumerated, roots settled by certificates (certified), the modular
-    determinants the grid and the probe evaluated (grid_dets, summed over
-    primes, lam and x nodes) and the deepest nesting of subproblems, memo
-    hits included (depth; the root counts as 1). target is the t that
-    solve asks: while it is set, the next subproblem, the root, runs the
-    bounds, exchange, congruence and probe certificates before D(G, M)
-    until they decide it (_certify), and clears it, so the residual
-    subproblems of a witness never run them; None (the default, and the
-    bare feasible_red_counts) runs none. A root decided for its target
-    keeps in memo, under its key, only the red counts its certificates
-    proved, which only extract_witness's guard reads, for the same t.
-    want_witness is set when solve wants one: the root then inverts its top
-    node, so the probe's elimination also starts the cofactor chain.
-    Witness extraction starts where it has a start: chain_starts maps the
-    root's memo key to the _Exchange when target is in its reach, else to
-    the inverted _top_node _certify made when it fit; brace_keys holds the
-    memo keys of the subproblems the grid settled as braces, whose start
-    is made when the witness reaches them.
+    enumerated, subproblems settled by their certificates (certified), the
+    modular determinants the grid and the probes evaluated (grid_dets,
+    summed over primes, lam and x nodes) and the deepest nesting of
+    subproblems, memo hits included (depth; the root counts as 1).
+    target is the t that solve asks; the next subproblem, the root, takes
+    it (and clears it), so its certificates stop once t is decided, and
+    the root keeps in memo, under its key, only the red counts it proved,
+    which only extract_witness's guard reads, for the same t. Every other
+    subproblem, and every subproblem of a trace without a target, settles
+    its whole set. want_witness is set when solve wants one: the root then
+    inverts its top node, so its probe's elimination also starts the
+    cofactor chain. chain_starts maps the root's memo key to the start its
+    _certify kept: its _Exchange when target is in the reach, else that
+    inverted _top_node; every other graph the witness reaches gets its
+    start on demand (_start_of).
     """
 
     memo: dict = field(default_factory=dict)
-    brace_keys: set = field(default_factory=set)
     chain_starts: dict = field(default_factory=dict)
     blocks: list[BlockReport] = field(default_factory=list)
     counts: dict[str, int] = field(
@@ -717,44 +722,39 @@ class SolveTrace:
 
 
 def _certify(
-    g: ColoredBipartiteGraph, trace: SolveTrace
-) -> Optional[Tuple[set[int], set[int], str]]:
-    """None if g has no perfect matching, else (proved, candidates, method).
+    g: ColoredBipartiteGraph, trace: SolveTrace, t: Optional[int]
+) -> Optional[Tuple[set[int], set[int], Optional[str]]]:
+    """None if g has no perfect matching, else (proved, open, method).
 
-    Every certificate here reads g's records alone, so none builds
-    D(G, M), and each returns as soon as it decides the target t =
-    trace.target, in this order:
+    The wanted set is {t}, or every t between g's bounds when t is None
+    (every subproblem but the root of solve). Every certificate here reads
+    g's records alone, so none builds D(G, M), and they stop as soon as
+    each wanted t is proved or refuted, in this order:
 
       * bounds: the red counts of the two assignment optima are the
-        attained bounds, so t outside [t_min, t_max] is NO and t_min or
-        t_max is YES;
-      * exchange: t in their _Exchange's reach is YES;
+        attained bounds, so a t outside [t_min, t_max] is NO and t_min and
+        t_max are YES;
+      * exchange: every t in their _Exchange's reach is YES;
       * congruence: g's records put every perfect matching in one class,
-        which holds on every graph; t off it is NO. Its modulus divides
-        every cycle's gain, and t_min is in the class, so it runs here only
-        when t != t_min modulo the gains' gcd, the one case it can drop t;
-      * probe: when its m determinants fit one batched elimination, g's
-        one _top_node; a t among its hits is YES, and the report counts m
-        determinants.
+        which holds on every graph; a t off it is NO. Its modulus divides
+        every cycle's gain, and t_min is in the class, so it runs only when
+        some wanted t still open is not t_min modulo the gains' gcd, the
+        one case it can drop a t;
+      * probe: when its m determinants fit one batched elimination
+        (_fits), g's one _top_node; every t among its hits is YES, and the
+        report counts m determinants.
 
-    The certificate that decided t is method, and proved is every red
-    count the certificates run so far proved: the exchange's reach, and
-    the probe's hits when it ran. A decided root returns proved as its
-    candidates too, so _feasible settles it as one block whose set holds
-    t exactly when the answer is YES.
+    proved is every red count the certificates run so far proved: the
+    exchange's reach, and the probe's hits when it ran. open is the wanted
+    t neither proved nor refuted; when it is empty, method names the
+    certificate that decided the last of them, and _feasible settles g as
+    one block of proved (with t None, g's whole achievable set). Otherwise
+    method is None and _feasible goes on to D with open.
 
-    A t still open after all four keeps every in-bound t of the records'
-    class as a candidate (the congruence runs now when the gcd of the
-    gains is not 1 and it has not run yet), and _feasible narrows them by
-    the blocks' exact class once it has built D; what is then all proved
-    is settled under the certificate needed last: the last of "exchange"
-    and "probe" that proved a t between the bounds, or "congruence" when
-    neither did.
-
-    With a witness (trace.want_witness), a t in the reach keeps the _Exchange
-    as the root's chain start, whose switched matching is the witness;
-    the _top_node of an open t is inverted at one more x node and kept for
-    the cofactor chain instead.
+    The root of solve with a witness (trace.want_witness) keeps its start:
+    the _Exchange when t is in the reach, whose switched matching is the
+    witness, else its _top_node, inverted at one more x node for the
+    cofactor chain.
     """
     found = _assignments(g)
     if found is None:
@@ -763,36 +763,34 @@ def _certify(
     t_min, t_max = exchange.t_min, exchange.t_max
     reach = exchange.reach()
     proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    t, key = trace.target, _memo_key(g)
-    if trace.want_witness and t in proved:
-        trace.chain_starts[key] = exchange
-    if not t_min < t < t_max:
-        return proved, proved, "bounds"
-    if t in proved:
-        return proved, proved, "exchange"
-    candidates = set(range(t_min, t_max + 1))
+    keep = t is not None and trace.want_witness  # the root of solve's start
+    if keep and t in proved:
+        trace.chain_starts[_memo_key(g)] = exchange
+    open_ = set(range(t_min + 1, t_max))
+    if t is not None:
+        open_ &= {t}
+    if not open_:
+        return proved, open_, "bounds"
+    open_ -= proved
+    if not open_:
+        return proved, open_, "exchange"
     gains = math.gcd(*exchange.deltas)
-    classed = gains != 1 and (t - t_min) % gains != 0
-    if classed:
-        candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
-        if t not in candidates:
-            return proved, proved, "congruence"
-    method = "exchange" if proved - {t_min, t_max} else "congruence"
+    if any((s - t_min) % gains for s in open_):
+        open_ &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
+        if not open_:
+            return proved, open_, "congruence"
     m = t_max - t_min + 1
-    if m * g.n * g.n <= _GRID_BLOCK_ENTRIES:
-        top = _top_node(g, t_min, t_max, invert=trace.want_witness)
-        if trace.want_witness:
-            trace.chain_starts[key] = top
+    if _fits(g.n, m):
+        top = _top_node(g, t_min, t_max, invert=keep)
+        if keep:
+            trace.chain_starts[_memo_key(g)] = top
         hits = top.hits()
         proved |= hits
+        open_ -= hits
         trace.counts["grid_dets"] += m
-        if t in hits:
-            return proved, proved, "probe"
-        if hits - {t_min, t_max}:
-            method = "probe"
-    if not classed and gains != 1:
-        candidates &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
-    return proved, candidates, method
+        if not open_:
+            return proved, open_, "probe"
+    return proved, open_, None
 
 
 def _memo_key(g: ColoredBipartiteGraph) -> tuple:
@@ -805,10 +803,11 @@ def feasible_red_counts(
 ) -> frozenset:
     """The exact set of achievable red counts over perfect matchings.
 
-    A trace whose target is set (solve's) lets the root stop once its
-    certificates decide that target; its result is then the red counts
-    they proved. With no trace, or the default one, every subproblem
-    builds D(G, M) and the set is exact.
+    Every subproblem runs its certificates first (_certify) and settles
+    there when they decide its whole set. A trace whose target is set
+    (solve's) lets the root stop once they decide that target; its result
+    is then the red counts it proved, which hold the target exactly when
+    the answer is YES.
 
     Elementary blocks multiply independently (sumset); a matching-covered
     graph is decided by the brace grid test or recursively through its
@@ -838,38 +837,26 @@ def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
 def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     """g's achievable set, as a generator step of the recursion.
 
-    The root of solve runs its certificates first (_certify), before
-    any structure: a root they decide for its target, or one the bounds
-    find without a perfect matching, returns without building D(G, M);
-    its result is then what they proved. Every other
-    subproblem builds its one D (_elementary). A root still open narrows
-    its candidates by the blocks' exact class when D has several blocks
-    (with one, the records' class already is that class). Then D's
-    elementary blocks multiply by sumset, a brace goes to the grid with
-    the t of its class (the root's narrowed candidates, or the class of
-    its own records), and a tight cut recurses on its crossing records.
+    Every subproblem runs its certificates first (_certify), before any
+    structure: one they decide, or one the bounds find without a perfect
+    matching, returns without building D(G, M), its result what they
+    proved. The root of solve asks them for its target alone; every other
+    subproblem for its whole set, since its parent needs every red count
+    it has. A subproblem they leave open builds its one D (_elementary):
+    its elementary blocks multiply by sumset, each certified as its own
+    subproblem; a brace hands the grid the t still open, its result what
+    the certificates and the grid proved; a tight cut recurses on its
+    crossing records.
     """
     n = g.n
-    # the root of solve, once: a witness's residual subproblems never certify
-    certify = trace.target is not None
-    candidates = None  # the grid's targets if g is a brace; a root narrows them
-    if certify:  # certificates before structure: none of them needs D
-        found = _certify(g, trace)
-        trace.target = None
-        if found is None:
-            return frozenset()  # no perfect matching
-        proved, candidates, method = found
-        if candidates <= proved:
-            return trace.settle("certified", method, n, frozenset(candidates))
-    d = _elementary(g)  # the one D(G, M) of this subproblem
-    if d is None:
+    t, trace.target = trace.target, None  # the root of solve's, taken once
+    found = _certify(g, trace, t)
+    if found is None:
         return frozenset()  # no perfect matching
-    if certify and len(d.blocks) > 1:  # one block: the records' class is exact
-        candidates &= _in_class(0, n, *_congruence(n, d.allowed()))
-        if candidates <= proved:
-            return trace.settle("certified", method, n, frozenset(candidates))
-    if n == 0:
-        return frozenset({0})
+    proved, open_, method = found
+    if not open_:
+        return trace.settle("certified", method, n, frozenset(proved))
+    d = _elementary(g)  # the one D(G, M) of a subproblem left open
     if len(d.blocks) > 1:  # the elementary blocks, induced on g itself
         acc = {0}
         for rows, cols in d.blocks:
@@ -889,13 +876,10 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
         return trace.settle("enumerated", "enumeration", n, result)
 
     cert = d.split_certificate()  # None: g is a brace
-    if cert is None:  # the grid applies the bounds; the class drops holes
+    if cert is None:  # the grid proves or refutes what is still open
         grid = EvaluationGrid.for_size(n)
-        if candidates is None:
-            candidates = _in_class(0, n, *_congruence(n, g.edges))
-        result = frozenset(grid.nonvanishing_targets(g, candidates, trace))
-        trace.brace_keys.add(_memo_key(g))
-        return trace.settle("braces", "pure-ASNC", n, result)
+        result = proved | grid.nonvanishing_targets(g, open_, trace)
+        return trace.settle("braces", "pure-ASNC", n, frozenset(result))
 
     # T(G[A1 - a, B1]) depends only on a and T(G[A2, B2 - b]) only on b:
     # each is evaluated once, in the order the crossing records first ask
@@ -936,15 +920,15 @@ def extract_witness(
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching with exactly t red edges, or None.
 
-    Self-reduction, one row at a time. The root of solve, when t is in
-    its exchange's reach, is finished by the switched matching. A graph
-    with a chain start (the root of solve otherwise, when its top node
-    fit, or a brace the recursion settled on the grid) goes down the
-    cofactor chain of _brace_witness, which finishes the matching from
-    one certified coefficient; otherwise, or when the chain gives up,
-    row 0 is forced onto each of its records in turn and the first whose
-    residual graph still reaches the residual target is kept. The result
-    is checked against g before it is returned.
+    Self-reduction, one row at a time. Each graph it reaches is finished
+    from its start when it has one: the switched matching of its exchange
+    when t is in the reach, else the cofactor chain of _brace_witness from
+    its inverted top node when that fits, which finishes the matching from
+    one certified coefficient (the root of solve reuses the start its
+    certificates kept; _start_of makes the others). Otherwise, or when the
+    chain gives up, row 0 is forced onto each of its records in turn and
+    the first whose residual graph still reaches the residual target is
+    kept. The result is checked against g before it is returned.
     """
     if trace is None:
         trace = SolveTrace()
@@ -977,13 +961,13 @@ def _witness(
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
     rows and cols map the current g's labels to the input's; a g with a
-    start hands the rest of the matching to it: the root's _Exchange
-    switches its cycles, an inverted _top_node goes down _brace_witness.
+    start hands the rest of the matching to it: an _Exchange switches its
+    cycles, an inverted _top_node goes down _brace_witness.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
     while g.n:
-        start = _start_of(g, trace)
+        start = trace.chain_starts.get(_memo_key(g)) or _start_of(g, t)
         if start is not None:
             chain = (
                 start.witness(t) if isinstance(start, _Exchange)
@@ -1007,16 +991,18 @@ def _witness(
 
 
 def _start_of(
-    g: ColoredBipartiteGraph, trace: SolveTrace
+    g: ColoredBipartiteGraph, t: int
 ) -> Optional[_Exchange | _TopNode]:
-    """g's witness start: the root's from _certify (its _Exchange or an
-    inverted _top_node), a new inverted _top_node for a brace the grid
-    settled, or None where the row-forcing loop must go on."""
-    key = _memo_key(g)
-    if key in trace.chain_starts:
-        return trace.chain_starts[key]
-    if key in trace.brace_keys:
-        return _top_node(g, *red_count_bounds(g), invert=True)
+    """g's witness start, made on demand for a g with a perfect matching:
+    its _Exchange when t is in the reach, else its inverted _top_node when
+    that fits one elimination, else None, where the row-forcing loop must
+    go on."""
+    exchange = _exchange(*_assignments(g))
+    if exchange.reach() >> t & 1:
+        return exchange
+    t_min, t_max = exchange.t_min, exchange.t_max
+    if _fits(g.n, t_max - t_min + 1):
+        return _top_node(g, t_min, t_max, invert=True)
     return None
 
 
@@ -1122,7 +1108,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/4",
+            "schema": "exactmatch/5",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -1155,11 +1141,12 @@ def solve(
     the certificates (_certify), before D(G, M), and stops at the first
     that decides t: then its result is the set they proved, not the whole
     achievable set (feasible_red_counts gives that). Only a t they leave
-    open reaches D, the recursion and the grid. It runs alike with or
-    without a witness, so both give the same blocks and counts. With a
-    witness, a t in the exchange's reach takes its switched matching, and
-    otherwise the root's _top_node is inverted, so its elimination is both
-    the probe and the start of the root's cofactor chain.
+    open reaches D, where every subproblem below the root certifies its
+    own whole set first, and the grid. It runs alike with or without a
+    witness, so both give the same blocks and counts. With a witness, a t
+    in the exchange's reach takes its switched matching, and otherwise the
+    root's _top_node is inverted, so its elimination is both the probe and
+    the start of the root's cofactor chain.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(target=t, want_witness=opts.want_witness)

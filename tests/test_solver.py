@@ -380,12 +380,12 @@ def test_grid_primes_must_keep_the_lam_nodes_apart(monkeypatch):
     assert full.nonvanishing_targets(g, {0}) == {0}
 
 
-def test_grid_dets_count_the_modular_determinants():
+def test_grid_dets_count_the_modular_determinants(monkeypatch):
     g = k44_diag()
-    # t = 3 is identically zero: the one prime (C < 2^31) sweeps all 7 lam
-    # nodes at the 5 x nodes, after the root probe's 5 determinants (one lam
-    # node, 5 x nodes) left t = 3 open
-    assert solve(g, 3).counts["grid_dets"] == 7 * 5 + 5
+    # t = 3 is identically zero: the root probe's 5 determinants (one lam
+    # node, 5 x nodes) left it open, and the one prime (C < 2^31) sweeps the
+    # other 6 lam nodes at the 5 x nodes
+    assert solve(g, 3).counts["grid_dets"] == 6 * 5 + 5
     gap = _dense_gap_brace(8, 12500 + 8)
     grid = EvaluationGrid.for_size(gap.n)
     first, again = SolveTrace(), SolveTrace()
@@ -394,8 +394,23 @@ def test_grid_dets_count_the_modular_determinants():
     assert first.counts == again.counts
     primes = solver.certificate_primes(coefficient_bound(gap))
     t_min, t_max = red_count_bounds(gap)
-    # odd targets are zeros: every prime sweeps all 29 lam nodes
-    assert first.counts["grid_dets"] == len(primes) * 29 * (t_max - t_min + 1)
+    # odd targets are zeros: every prime sweeps all 29 lam nodes but the
+    # top node mod the first prime, which a trace (the recursion's) says
+    # its probe took; without one, the first prime starts there
+    m = t_max - t_min + 1
+    assert first.counts["grid_dets"] == (len(primes) * 29 - 1) * m
+    # the first prime's first chunk: the top node alone, or with a trace
+    # every node below it at once (one block holds all 28)
+    chunks = []
+    powers = solver._lam_powers
+    monkeypatch.setattr(
+        solver, "_lam_powers",
+        lambda lams, n, p: chunks.append((p, lams.tolist())) or powers(lams, n, p),
+    )
+    for trace, head in ((None, [28]), (SolveTrace(), list(range(27, -1, -1)))):
+        chunks.clear()
+        assert grid.nonvanishing_targets(gap, {1}, trace) == set()
+        assert chunks[0] == (primes[0], head)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +564,15 @@ def test_brace_witness_under_small_primes_is_right_or_gives_up(p, monkeypatch):
 
 
 def test_brace_witness_leaves_the_recursion_alone():
-    # on a brace the decision settled, the chain adds no subproblem
+    # on a brace the decision settled, the start made on demand (its
+    # exchange, or its inverted top node for the chain) finishes every
+    # witness: the witness adds no subproblem
     for g in _random_braces(10, 14500) + [k44_diag()]:
         trace = SolveTrace()
         feasible = feasible_red_counts(g, trace)
-        assert solver._memo_key(g) in trace.brace_keys
         subproblems = trace.counts["subproblems"]
         for t in sorted(feasible):
+            assert solver._start_of(g, t) is not None
             assert _is_witness(g, t, extract_witness(g, t, trace))
         assert trace.counts["subproblems"] == subproblems == len(trace.memo)
 
@@ -580,21 +597,25 @@ def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
 )
 def test_certificates_run_once_per_solve(g, monkeypatch):
     # the chain gives up, so the witness forces rows through residual
-    # subproblems; none of them may run the root certificates again
+    # subproblems: each subproblem runs its certificates once, and only
+    # the root, once per solve, asks them for solve's target
     monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
     calls = []
     certify = solver._certify
 
-    def counted(*args):
-        calls.append(args[0].n)
-        return certify(*args)
+    def counted(graph, trace, target):
+        calls.append((solver._memo_key(graph), target))
+        return certify(graph, trace, target)
 
     monkeypatch.setattr(solver, "_certify", counted)
     for t in range(-1, g.n + 2):
         for want_witness in (False, True):
             calls.clear()
             rep = solve(g, t, SolverOptions(want_witness=want_witness))
-            assert calls == [g.n]
+            assert calls[0] == (solver._memo_key(g), t)
+            assert all(target is None for _, target in calls[1:])
+            keys = [key for key, _ in calls]
+            assert len(keys) == len(set(keys)) >= rep.counts["subproblems"]
             assert rep.witness is None or _is_witness(g, t, rep.witness)
 
 
@@ -707,12 +728,43 @@ def test_a_wrong_exchange_witness_raises_invariant_error(wrong, monkeypatch):
         solve(k44_diag(), 2, SolverOptions(want_witness=True))
 
 
+def _certify_nothing(g, trace, t):
+    """_certify that proves nothing: only a graph without a perfect matching
+    is settled (by its bounds), and every t of 0..n stays open."""
+    if red_count_bounds(g) is None:
+        return None
+    return set(), set(range(g.n + 1)), None
+
+
+def _no_certificates(monkeypatch):
+    """Every subproblem's certificates prove nothing and no probe fits, so
+    the recursion, and each grid's sweep from the top node, run as they did
+    before any certificate."""
+    monkeypatch.setattr(solver, "_certify", _certify_nothing)
+    monkeypatch.setattr(solver, "_fits", lambda n, m: False)
+
+
+# the same for the subprocess scripts below, which also give the witness
+# no start, so it forces every row
+_NO_CERTIFICATES = """
+from exactmatch import solver
+def _certify_nothing(g, trace, t):
+    if solver.red_count_bounds(g) is None:
+        return None
+    return set(), set(range(g.n + 1)), None
+solver._certify = _certify_nothing
+solver._fits = lambda n, m: False
+solver._start_of = lambda g, t: None
+"""
+
+
 _MANY_BLOCKS = """
 import sys
 from exactmatch.graphs import BLUE, RED, ColoredBipartiteGraph
 from exactmatch.solver import (
     SolverOptions, SolveTrace, extract_witness, feasible_red_counts, solve,
 )
+""" + _NO_CERTIFICATES + """
 # 80 disjoint K_2,2 blocks, red sets {0, 2}, {0, 1} and {1, 2} in turn
 reds = [{(0, 0), (1, 1)}, {(0, 0)}, {(0, 0), (0, 1), (1, 0)}]
 edges = [
@@ -734,9 +786,9 @@ print(decision, depth, rep.decision, rep.counts["depth"],
 
 
 def test_witness_depth_is_not_bounded_by_recursion_limit():
-    # without certificates the decision nests 2 deep and the row-forcing
-    # self-reduction takes 160 rows, one loop step each; solve settles the
-    # root by the exchange, one subproblem, and switches its cycles
+    # without certificates or starts the decision nests 2 deep and the
+    # row-forcing self-reduction takes 160 rows, one loop step each, also
+    # under solve
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -745,7 +797,7 @@ def test_witness_depth_is_not_bounded_by_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
-        "160", "80", "160", "80", "True", "2", "True", "1", "1", "exchange",
+        "160", "80", "160", "80", "True", "2", "True", "2", "4", "enumeration",
     ]
 
 
@@ -755,6 +807,7 @@ from exactmatch.graphs import RED, band_path, with_coloring
 from exactmatch.solver import (
     SolverOptions, SolveTrace, extract_witness, feasible_red_counts, solve,
 )
+""" + _NO_CERTIFICATES + """
 g = with_coloring(band_path(400), "bernoulli", seed=3)
 sys.setrecursionlimit(200)
 trace = SolveTrace()
@@ -772,8 +825,8 @@ print(len(feasible), t, depth, subproblems, rep.decision,
 
 def test_decision_depth_is_not_bounded_by_recursion_limit():
     # without certificates band_path(400) nests 201 subproblems deep
-    # through its tight cuts; the decision and the witness run at a
-    # recursion limit of 200. solve settles the root by the exchange
+    # through its tight cuts; the decision and the witness (400 forced
+    # rows) run at a recursion limit of 200, also under solve
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -783,7 +836,7 @@ def test_decision_depth_is_not_bounded_by_recursion_limit():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
         "400", "202", "400", "202",
-        "221", "202", "201", "796", "True", "1", "1", "exchange",
+        "221", "202", "201", "796", "True", "201", "796", "enumeration",
     ]
 
 
@@ -816,7 +869,7 @@ def test_solve_json_schema():
     # (5 determinants) decides it, proving {0, 1, 2, 4}, and its inverse
     # starts the witness
     d = solve(k44_diag(), 1, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/4"
+    assert d["schema"] == "exactmatch/5"
     assert d["decision"] == "YES"
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "probe"}
@@ -828,16 +881,17 @@ def test_solve_json_schema():
     assert len(d["witness"]) == 4
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
-    # the root's probe leaves the hole t = 3 open; the grid takes 35
+    # the root's probe leaves the hole t = 3 open; the grid sweeps the 6
+    # other lam nodes (30 determinants)
     d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/4"
+    assert d["schema"] == "exactmatch/5"
     assert d["decision"] == "NO" and "witness" not in d
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
     ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0, "certified": 0, "grid_dets": 40, "depth": 1,
+        "enumerated": 0, "certified": 0, "grid_dets": 35, "depth": 1,
     }
 
 
@@ -854,17 +908,23 @@ def test_solve_out_of_range_t():
 
 
 def test_solve_report_traces_the_recursion():
-    g = with_coloring(band_path(7), red="bernoulli", seed=3)
-    want = red_count_set(g)
-    for t in range(8):
+    # every subproblem certifies first: here every leaf is a subproblem
+    # its certificates settled, each of the four settles some, and the
+    # tight cuts above them are where a t was left open
+    g = random_graph(14, 0.2, 0.5, seed=22, require_pm=True)
+    want = red_count_set_dp(g)
+    for t in range(-1, g.n + 2):
         assert solve(g, t).decision == (t in want)
     rep = SolveTrace()
     assert feasible_red_counts(g, rep) == want
-    assert rep.blocks
-    assert all(b.method in ("pure-ASNC", "enumeration") for b in rep.blocks)
-    assert rep.counts["tight_cuts"] > 0
-    assert rep.counts["braces"] + rep.counts["enumerated"] == len(rep.blocks)
-    assert rep.counts["subproblems"] == len(rep.memo)
+    assert {b.method for b in rep.blocks} == {
+        "bounds", "exchange", "congruence", "probe",
+    }
+    counts = rep.counts
+    assert counts["tight_cuts"] > 0
+    assert counts["braces"] + counts["enumerated"] + counts["certified"] == (
+        len(rep.blocks))
+    assert counts["subproblems"] == len(rep.memo)
     again = SolveTrace()
     feasible_red_counts(g, again)
     assert again.blocks == rep.blocks and again.counts == rep.counts
@@ -884,10 +944,11 @@ def test_solve_report_ignores_witness_subproblems(monkeypatch):
 
 # Read off solve(g, 0) at the commit before subproblems were induced from
 # the input graph and each crossing child was evaluated once per row/column,
-# when solve always ran the recursion: the recursion must keep its
-# subproblems, leaves and their order. depth and memo_hits were read off
-# feasible_red_counts when the recursion still nested Python calls, before
-# it ran on an explicit stack; memo hits depend on the evaluation order.
+# when solve always ran the recursion: with no certificates the recursion
+# must keep its subproblems, leaves and their order. depth and memo_hits
+# were read off feasible_red_counts when the recursion still nested Python
+# calls, before it ran on an explicit stack; memo hits depend on the
+# evaluation order.
 PINNED_TRACES = {
     "band_path7": (
         lambda: with_coloring(band_path(7), red="bernoulli", seed=3),
@@ -915,7 +976,8 @@ PINNED_TRACES = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
-def test_solve_trace_matches_pinned_recursion(name):
+def test_solve_trace_matches_pinned_recursion(name, monkeypatch):
+    _no_certificates(monkeypatch)
     make, counts, blocks = PINNED_TRACES[name]
     rep = SolveTrace()
     feasible_red_counts(make(), rep)
@@ -923,13 +985,17 @@ def test_solve_trace_matches_pinned_recursion(name):
     assert [(b.n, b.feasible_t, b.method) for b in rep.blocks] == blocks
 
 
-def test_depth_is_the_deepest_nesting_of_the_recursion():
+def test_depth_is_the_deepest_nesting_of_the_recursion(monkeypatch):
     # the root counts as 1 and each elementary block nests one below it,
-    # memo hits included: the second K2,2 block repeats the first
+    # memo hits included: the second K2,2 block repeats the first. The
+    # root's congruence settles the pair, so the blocks nest only when the
+    # certificates prove nothing
     assert solve(knn(3), 0).counts["depth"] == 1
     k22 = [(r, c, RED if r == c else BLUE) for r in range(2) for c in range(2)]
     g = ColoredBipartiteGraph.make(
         4, k22 + [(2 + r, 2 + c, k) for r, c, k in k22])
+    assert solve(g, 1).counts["depth"] == 1
+    _no_certificates(monkeypatch)
     rep = SolveTrace()
     assert feasible_red_counts(g, rep) == {0, 2, 4}
     assert rep.counts["depth"] == 2
@@ -1188,9 +1254,8 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
         g = param.values[0]
         for t in range(-1, g.n + 2):
             rep = solve(g, t)
-            method = (
-                rep.blocks[0].method if rep.counts["certified"] else "recursion"
-            )
+            root_certified = rep.counts["subproblems"] == rep.counts["certified"]
+            method = rep.blocks[0].method if root_certified else "recursion"
             methods[method] = methods.get(method, 0) + 1
     assert methods["recursion"] >= len(RESIDUAL_HOLES)
     assert methods["recursion"] * 2 < sum(methods.values())
@@ -1233,12 +1298,47 @@ def test_certified_report_names_its_method(g, t, method):
     assert rep.to_json_dict()["blocks"][0]["method"] == method
 
 
-def test_bare_recursion_skips_the_certificates():
+def test_a_trace_without_a_target_certifies_the_whole_set():
+    # feasible_red_counts has one mode: its root certifies as every
+    # subproblem does, for every t between the bounds
     g = with_coloring(knn(3), red=[(0, 0), (1, 1)])
     assert solve(g, 1).blocks[0].method == "probe"
     trace = SolveTrace()
-    feasible_red_counts(g, trace)
-    assert trace.counts["certified"] == 0
+    assert feasible_red_counts(g, trace) == {0, 1, 2}
+    assert trace.counts["certified"] == trace.counts["subproblems"] == 1
+    assert trace.blocks == [BlockReport(3, (0, 1, 2), "probe")]
+
+
+@pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)
+def test_subproblem_certificates_settle_whole_sets(g, monkeypatch):
+    # a subproblem below the root of solve wants every t between its
+    # bounds: what its certificates settle is its whole achievable set, and
+    # what they leave open is in bounds and unproved
+    settled = []
+    certify = solver._certify
+
+    def counted(graph, trace, t):
+        found = certify(graph, trace, t)
+        settled.append((graph, t, found))
+        return found
+
+    monkeypatch.setattr(solver, "_certify", counted)
+    for t in range(-1, g.n + 2):
+        settled.clear()
+        solve(g, t)
+        for graph, target, found in settled[1:]:
+            assert target is None
+            if found is None:
+                assert red_count_bounds(graph) is None
+                continue
+            proved, open_, method = found
+            want = red_count_set_dp(graph)
+            if open_:
+                t_min, t_max = red_count_bounds(graph)
+                assert method is None and proved <= want
+                assert open_ <= set(range(t_min + 1, t_max)) - proved
+            else:
+                assert proved == want and method is not None
 
 
 TARGET_CASES = CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
@@ -1266,9 +1366,10 @@ def _deciding_certificate(g, t):
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_root_decides_its_target_from_what_it_proved(g):
     # every decision is the DP oracle's; a root the certificates decide is
-    # one block named after the certificate that decided t, whose red
-    # counts are all achievable and hold t exactly when the answer is YES;
-    # feasible_red_counts still gives the whole set
+    # one block named after the certificate that decided t; a root that is
+    # its own one block (certified, a brace on the grid or enumerated)
+    # lists red counts that are all achievable and hold t exactly when the
+    # answer is YES; feasible_red_counts still gives the whole set
     want = red_count_set_dp(g)
     assert feasible_red_counts(g) == want
     for t in range(-1, g.n + 2):
@@ -1278,7 +1379,7 @@ def test_root_decides_its_target_from_what_it_proved(g):
         if method is not None:
             assert rep.counts["certified"] == rep.counts["subproblems"] == 1
             assert [b.method for b in rep.blocks] == [method]
-        if rep.counts["certified"]:
+        if rep.counts["subproblems"] == 1 and rep.blocks:  # the root alone
             [root] = rep.blocks
             assert root.n == g.n
             assert set(root.feasible_t) <= want
@@ -1378,27 +1479,36 @@ def _coarse_records_root():
     ],
 )
 def test_one_pair_digraph_per_subproblem(g, open_targets, monkeypatch):
-    # a root the bounds, the exchange, the records' congruence or the probe
-    # decide for its target (or the bounds find without a perfect matching)
-    # never builds D; every other subproblem builds exactly one
-    builds = []
-    build = solver._elementary
+    # every subproblem runs its certificates first: one they decide (or
+    # find without a perfect matching) never builds D, and each one they
+    # leave open builds exactly one; the root is open only at open_targets
+    builds, opened = [], []
+    build, certify = solver._elementary, solver._certify
 
-    def counted(graph):
-        builds.append(graph.n)
+    def counted_build(graph):
+        builds.append(graph)
         return build(graph)
 
-    monkeypatch.setattr(solver, "_elementary", counted)
+    def counted_certify(graph, trace, t):
+        found = certify(graph, trace, t)
+        if found is not None and found[1]:
+            opened.append(graph)
+        return found
+
+    monkeypatch.setattr(solver, "_elementary", counted_build)
+    monkeypatch.setattr(solver, "_certify", counted_certify)
     for t in range(-1, g.n + 2):
         builds.clear()
-        rep = solve(g, t)
-        root_builds_d = t in open_targets
-        assert len(builds) == rep.counts["subproblems"] - 1 + root_builds_d
+        opened.clear()
+        solve(g, t)
+        assert builds == opened
+        assert (builds[:1] == [g]) == (t in open_targets)
     builds.clear()
+    opened.clear()
     trace = SolveTrace()
     for t in range(-1, g.n + 2):
         extract_witness(g, t, trace)
-    assert len(builds) == trace.counts["subproblems"] >= 1
+    assert builds == opened
 
 
 def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
@@ -1415,20 +1525,23 @@ def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
         solver, "_elementary", lambda graph: builds.append(graph) or build(graph)
     )
     # the odd t are in bounds, outside the reach, in the records' class and
-    # no probe hit: D is built, and the blocks' class drops them, proving
-    # the rest; every other t the certificates decide before D
+    # no probe hit: D is built, and its two equal K2,2 blocks (one a memo
+    # hit) each certify their own class, which drops the odd t; every other
+    # t the root's certificates decide before D
     for t in range(-1, g.n + 2):
         for want_witness in (False, True):
             builds.clear()
             rep = solve(g, t, SolverOptions(want_witness=want_witness))
             assert rep.decision == (t in want)
-            assert rep.counts["certified"] == rep.counts["subproblems"] == 1
             assert rep.witness is None or _is_witness(g, t, rep.witness)
             if t in (1, 3):
-                assert [b.method for b in rep.blocks] == ["probe"]
-                assert rep.blocks[0].feasible_t == (0, 2, 4)
-                assert len(builds) == 1
+                assert [b.method for b in rep.blocks] == ["congruence"]
+                assert rep.blocks[0].feasible_t == (0, 2)
+                assert (rep.counts["subproblems"], rep.counts["certified"],
+                        rep.counts["memo_hits"]) == (2, 1, 1)
+                assert builds == [g]
             else:
+                assert rep.counts["certified"] == rep.counts["subproblems"] == 1
                 assert set(rep.blocks[0].feasible_t) <= want
                 assert builds == []
 
@@ -1436,24 +1549,93 @@ def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
 def test_multi_block_root_reaches_the_recursion():
     g = _multi_block_root()
     assert len(_elementary(g).blocks) == 2
-    # 4 is the hole: every other t the root's certificates decide
+    # 4 is the hole: every other t the root's certificates decide. Its
+    # blocks certify as subproblems: the K3,3's own hole 2 goes on to the
+    # grid, and the K2,2's class settles it
     rep = solve(g, 4)
     assert not rep.decision
-    assert rep.counts["certified"] == 0 and rep.counts["subproblems"] == 3
-    assert [b.method for b in rep.blocks] == ["pure-ASNC", "enumeration"]
+    assert rep.counts["certified"] == 1 and rep.counts["subproblems"] == 3
+    assert [(b.method, b.feasible_t) for b in rep.blocks] == [
+        ("pure-ASNC", (0, 1, 3)), ("congruence", (0, 2)),
+    ]
+
+
+# Sparse random roots whose hole t the root's certificates leave open on a
+# D(G, M) of several elementary blocks, found by scanning random_graph(n,
+# d, 0.5, seed, require_pm=True) at n = 8..16: (n, d, seed, hole,
+# subproblems when only the root certified, subproblems now). Each block
+# now certifies its own set, so no count may rise.
+MULTI_BLOCK_HOLES = [
+    (8, 0.25, 54, 4, 10, 8), (9, 0.2, 55, 4, 10, 8), (9, 0.3, 51, 6, 10, 7),
+    (10, 0.25, 39, 6, 18, 10), (10, 0.3, 44, 7, 19, 15),
+    (11, 0.2, 31, 8, 12, 7), (12, 0.2, 40, 3, 20, 15),
+    (12, 0.25, 47, 7, 26, 11), (12, 0.3, 11, 3, 23, 13),
+    (14, 0.2, 22, 3, 57, 28), (15, 0.2, 31, 3, 16, 12),
+    (16, 0.2, 3, 9, 21, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "n, density, seed, hole, before, now",
+    [pytest.param(*case, id=f"n{case[0]}-d{case[1]}-{case[2]}")
+     for case in MULTI_BLOCK_HOLES],
+)
+def test_multi_block_holes_decide_with_fewer_subproblems(
+    n, density, seed, hole, before, now,
+):
+    g = random_graph(n, density, 0.5, seed=seed, require_pm=True)
+    want = red_count_set_dp(g)
+    assert len(_elementary(g).blocks) > 1 and hole not in want
+    t_min, t_max = red_count_bounds(g)
+    assert t_min < hole < t_max
+    for t in range(-1, n + 2):
+        assert solve(g, t).decision == (t in want)
+    rep = solve(g, hole)
+    assert rep.counts["subproblems"] == now <= before
+    assert 0 < rep.counts["certified"] < now  # the root stayed open
+
+
+_SPARSE_ROOT = """
+from exactmatch.graphs import RED, random_graph
+from exactmatch.solver import SolverOptions, red_count_bounds, solve
+g = random_graph(36, 0.17, 0.5, seed=7, require_pm=True)
+t_min, t_max = red_count_bounds(g)
+t = (t_min + t_max) // 2 + 1
+rep = solve(g, t, SolverOptions(want_witness=True))
+wit = rep.witness
+print(rep.decision, rep.counts["subproblems"], len(wit),
+      sorted(r for r, _, _ in wit) == list(range(36)),
+      sorted(c for _, c, _ in wit) == list(range(36)),
+      all(rec in g.edges for rec in wit),
+      sum(1 for _, _, k in wit if k == RED) == t)
+"""
+
+
+def test_sparse_root_past_the_probe_guard_finishes():
+    # the root's probe does not fit, and the tight cuts below it used to
+    # run for minutes: every subproblem now certifies, and the witnessed
+    # solve decides YES in a few dozen subproblems. A subprocess with a
+    # timeout makes a regression fail instead of hang
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPARSE_ROOT], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    decision, subproblems, *checks = proc.stdout.split()
+    assert decision == "True" and int(subproblems) <= 64
+    assert checks == ["36", "True", "True", "True", "True"]
 
 
 def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
-    # with no root certificates and modulus 1 the root and every brace grid
-    # see every in-bound target, so the recursion and the grid's zero path
-    # decide what the certificates settled before; the grid keeps its probe
+    # with no certificates and modulus 1 every subproblem and every brace
+    # grid see every in-bound target, so the recursion and the grid's zero
+    # path decide what the certificates settled before; with no probe the
+    # grid takes the top node first itself
     graphs = [p.values[0] for p in CONGRUENCE_CASES + RESIDUAL_HOLES]
     before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
-    # (nothing proved, every t a candidate)
-    monkeypatch.setattr(
-        solver, "_certify",
-        lambda g, trace: (set(), set(range(g.n + 1)), "bounds"),
-    )
+    _no_certificates(monkeypatch)
     monkeypatch.setattr(solver, "_congruence", lambda n, records: (1, 0))
     zeros = 0
     for g, decisions in zip(graphs, before):
