@@ -5,24 +5,25 @@ Draws random colored instances and checks each against an oracle (the DP
 oracle, or a closed form for the diagonal draw below) twice: the
 recursion's achievable set, one feasible_red_counts call per instance, and
 solve(g, t).decision for every t in -1..n+1. Every subproblem's
-certificates (bounds, exchange, congruence, probe) run before any D(G, M)
-is built, the root's for t alone. A root the certificates decided is the
-report's one subproblem and one certified block, with the red counts they
-proved: each must lie in the oracle's set, and t among them exactly when
-the answer is YES. Every t the exchange's reach proves is checked against
-the oracle too. Every YES target of an instance with n <= WITNESS_ALL_N
-(one drawn YES target above that) then goes through solve(...,
+certificates (bounds, exchange, congruence, chord, probe) run before any
+D(G, M) is built, the root's for t alone. A root the certificates decided
+is the report's one subproblem and one certified block, with the red
+counts they proved: each must lie in the oracle's set, and t among them
+exactly when the answer is YES. Every t the exchange's reach proves, with
+its cycles switched whole or closed along a chord, is checked against the
+oracle too. Every YES target of an instance with n <= WITNESS_ALL_N (one
+drawn YES target above that) then goes through solve(...,
 want_witness=True): each witness is checked against the graph, and the
 report's blocks and counts against those of solve(g, t) without a
 witness. The final line counts, over every (graph, t), the certified
 blocks by the certificate that settled them (roots and subproblems below
 them), the roots left open, and the witnesses whose target lay in the
-exchange's reach (the switched matching); the other witnesses came from
-the cofactor chain or from row forcing. The run stops at --budget seconds
-or
---max-instances. One draw in GAP_SHARE is a dense graph gap-colored (red
-iff row and column lie on opposite halves), so every red count is even and
-the odd targets inside its bounds are zeros the grid must certify. One draw
+exchange's reach with whole cycles switched, or only with a chord (both
+switched matchings); the other witnesses came from the cofactor chain or
+from row forcing. The run stops at --budget seconds or --max-instances.
+One draw in GAP_SHARE is a dense graph gap-colored (red iff row and column
+lie on opposite halves), so every red count is even and the odd targets
+inside its bounds are zeros the grid must certify. One draw
 in MULTI_SHARE (gap draws take precedence) is a node graph of decompose(g)
 for a matching-covered random g: the blocks below its root are multigraphs,
 with a parallel cell wherever crossing records of both colors meet. One
@@ -61,6 +62,7 @@ from exactmatch.matching import is_matching_covered
 from exactmatch.solver import (
     SolverOptions,
     _assignments,
+    _chords,
     _exchange,
     feasible_red_counts,
     solve,
@@ -81,7 +83,7 @@ DIAG_SHARE = 5
 # --max-n (and MAX_N) by this much.
 DIAG_PAST = 2
 # The methods of a block its certificates settled.
-CERTIFICATES = ("bounds", "exchange", "congruence", "probe")
+CERTIFICATES = ("bounds", "exchange", "congruence", "chord", "probe")
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -148,7 +150,7 @@ def main(argv=None) -> int:
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
-    switched = 0  # witnesses from the exchange's switched matching
+    switched = chorded = 0  # witnesses from whole cycles, from a chord
     settled: Counter = Counter()  # certified blocks by method, open roots
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
@@ -176,12 +178,16 @@ def main(argv=None) -> int:
         instances += 1
         past += g.n > ns.max_n
         found = _assignments(g)
-        reach = _exchange(*found).reach() if found is not None else 0
+        reach = chord_reach = 0
+        if found is not None:
+            exchange = _exchange(*found)
+            reach, chord_reach = exchange.reach(), _chords(g, exchange).reach()
         outside = [
-            t for t in range(g.n + 1) if reach >> t & 1 and t not in want
+            t for t in range(g.n + 1)
+            if (reach | chord_reach) >> t & 1 and t not in want
         ]
         if outside:
-            print(f"EXCHANGE REACH OUTSIDE THE ORACLE at t={outside}")
+            print(f"EXCHANGE OR CHORD REACH OUTSIDE THE ORACLE at t={outside}")
             sys.stdout.write(wire(g))
             return 1
         reports = {}
@@ -222,6 +228,7 @@ def main(argv=None) -> int:
             report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
             switched += bool(reach >> t & 1)
+            chorded += bool((chord_reach & ~reach) >> t & 1)
             if not witness_ok(g, t, report.witness):
                 print(f"BAD WITNESS at t={t}: {report.witness}")
                 sys.stdout.write(wire(g))
@@ -241,7 +248,8 @@ def main(argv=None) -> int:
         f"{settled['open roots']} open roots, "
         f"{settled['roots without a perfect matching']} without a perfect "
         f"matching), {witnesses} witnesses "
-        f"({switched} from the exchange), 0 disagreements"
+        f"({switched} from whole exchange cycles, {chorded} from a chord), "
+        f"0 disagreements"
     )
     return 0
 

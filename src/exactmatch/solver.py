@@ -77,6 +77,12 @@ each wanted t is proved or refuted:
     every delta and t_min is in it, so it runs only when some wanted t
     still open is not t_min modulo the deltas' gcd; a t off the class is
     NO;
+  * chord: a record of g joining two rows of one cycle (delta >= 2)
+    closes a shorter alternating cycle inside it, whose switched matching
+    has an exact red count between t_min and t_min + delta (_chords, one
+    pass over g's records). Each cycle stays, switches, or
+    takes one of its chords, independently of the others, so every sum of
+    one choice per cycle is achievable; a t in this larger reach is YES;
   * probe: c_t at the top lam node mod the first certificate prime
     (_TopNode.hits), one batched elimination when it fits
     _GRID_BLOCK_ENTRIES (_fits); its table of (lam* + i)^j is cached per
@@ -94,9 +100,10 @@ builds its one D(G, M): several elementary blocks are each certified as
 subproblems of their own and multiply by sumset, a tight cut recurses,
 and a brace hands the t still open to its grid.
 Witnesses: extract_witness reduces one row at a time, as a loop. Each
-graph it reaches has a start when t is in its exchange's reach (the
-switched matching: M_lo with the cycles switched whose deltas sum to t -
-t_min, no determinant at all) or its top node fits the probe's guard:
+graph it reaches has a start when t is in its exchange's reach, chords
+included (the switched matching: M_lo with each cycle switched whole or
+closed along one chord, their gains summing to t - t_min, no determinant
+at all), or its top node fits the probe's guard:
 then it goes down a cofactor chain (_brace_witness): M(lam*, x), inverted
 once modulo the first certificate prime at the x nodes its bounds need
 (an inverted _top_node: the root's from _certify, any other's made when
@@ -115,13 +122,14 @@ The witness is checked against the graph.
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
 (a subproblem decided by certificates is one block named after the one
-that decided its last wanted t, "bounds", "exchange", "congruence" or
-"probe", with the red counts they proved; a simple brace on the grid is
-"pure-ASNC", a piece with n <= 2 is "enumeration"), plus counts of
+that decided its last wanted t, "bounds", "exchange", "congruence",
+"chord" or "probe", with the red counts they proved; a simple brace on
+the grid is "pure-ASNC", a piece with n <= 2 is "enumeration"), plus
+counts of
 subproblems, memo hits, braces, tight cuts, enumerated pieces, certified
 subproblems, the modular determinants of the grids and the probes, and
 the recursion depth. A probe runs only when a wanted t is still open
-after the bounds, the exchange and the congruence.
+after the bounds, the exchange, the congruence and the chords.
 """
 
 from __future__ import annotations
@@ -372,6 +380,8 @@ class EvaluationGrid:
         found: set[int] = set()
         weights = _cell_weights(g, m)
         for p in primes:
+            if not open_:
+                break
             inv = _x_inverse(t_min, m, p)
             start, size = 0, block
             if p == primes[0]:
@@ -476,8 +486,13 @@ class _Exchange(NamedTuple):
     never negative, since M_lo has the fewest red records; a row whose two
     records share a cell and differ in color is a cycle with delta 1.
     cycles holds the rows of each cycle with delta > 0, deltas their
-    gains, which sum to t_max - t_min. Every t_min + a subset sum of
-    deltas is the red count of a perfect matching, exactly, on any graph.
+    gains, which sum to t_max - t_min. chords is empty, or, once _chords
+    has run, one dict per cycle mapping each gain strictly between 0 and
+    its delta to a chord (a, b, k) that reaches it: the record (r_a, c_b,
+    k), a and b positions on the cycle as _chords writes them. Each cycle
+    then stays, switches, or takes one of its chords, independently of the
+    others, so every t_min + a sum of one choice per cycle is the red
+    count of a perfect matching, exactly, on any graph.
     """
 
     t_min: int
@@ -487,16 +502,25 @@ class _Exchange(NamedTuple):
     hi_reds: list[int]
     cycles: list[list[int]]
     deltas: list[int]
+    chords: Tuple[dict, ...] = ()
 
     @property
     def t_max(self) -> int:
         return self.t_min + sum(self.deltas)
 
+    def _gains(self, i: int):
+        """Cycle i's choices: stay (0), switch (delta), then its chords."""
+        return (0, self.deltas[i], *(self.chords[i] if self.chords else ()))
+
     def _sums(self) -> list[int]:
-        """Bit s of entry i is set when s is a subset sum of deltas[:i]."""
+        """Bit s of entry i is set when s is a sum of one choice per cycle
+        of cycles[:i]."""
         sums = [1]
-        for d in self.deltas:
-            sums.append(sums[-1] | sums[-1] << d)
+        for i in range(len(self.deltas)):
+            acc = 0
+            for gain in self._gains(i):
+                acc |= sums[-1] << gain
+            sums.append(acc)
         return sums
 
     def reach(self) -> int:
@@ -504,23 +528,35 @@ class _Exchange(NamedTuple):
         return self._sums()[-1] << self.t_min
 
     def witness(self, t: int) -> Optional[list[EdgeRecord]]:
-        """M_lo with the cycles switched whose deltas sum to t - t_min, or
-        None when t is outside the reach."""
+        """M_lo with each cycle switched or closed along a chord, so that
+        their gains sum to t - t_min, or None when t is outside the reach."""
         sums, s = self._sums(), t - self.t_min
         if s < 0 or not sums[-1] >> s & 1:
             return None
-        switched = [False] * len(self.lo_cols)
-        for i in reversed(range(len(self.deltas))):
-            if not sums[i] >> s & 1:  # s needs cycle i
-                s -= self.deltas[i]
-                for r in self.cycles[i]:
-                    switched[r] = True
-        return [
-            (r, self.hi_cols[r], RED if self.hi_reds[r] else BLUE)
-            if switched[r]
-            else (r, self.lo_cols[r], RED if self.lo_reds[r] else BLUE)
-            for r in range(len(switched))
+        out = [
+            (r, c, RED if red else BLUE)
+            for r, (c, red) in enumerate(zip(self.lo_cols, self.lo_reds))
         ]
+        for i in reversed(range(len(self.deltas))):
+            gain = next(
+                g for g in self._gains(i) if g <= s and sums[i] >> s - g & 1
+            )
+            s -= gain
+            cycle = self.cycles[i]
+            if gain == self.deltas[i]:
+                switched = cycle
+            elif gain:  # rows b .. a - 1 switch and r_a takes c_b
+                a, b, k = self.chords[i][gain]
+                size = len(cycle)
+                switched = [
+                    cycle[(b + u) % size] for u in range((a - b) % size)
+                ]
+                out[cycle[a]] = (cycle[a], self.lo_cols[cycle[b]], k)
+            else:
+                switched = ()
+            for r in switched:
+                out[r] = (r, self.hi_cols[r], RED if self.hi_reds[r] else BLUE)
+        return out
 
 
 def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
@@ -553,6 +589,63 @@ def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
     return _Exchange(
         sum(lo_reds), lo_cols, lo_reds, hi_cols, hi_reds, cycles, deltas
     )
+
+
+def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
+    """exchange with the chords of every cycle whose gain is at least 2.
+
+    Write a cycle as rows r_0 .. r_(L-1), where r_l takes c_l in M_lo and
+    c_(l+1) in M_hi (indices mod L; _exchange's order). A record (r_a, c_b,
+    k) of g whose column's M_lo row r_b is on the same cycle closes a
+    shorter alternating cycle: r_a takes c_b, the rows r_b .. r_(a-1)
+    switch to M_hi, and the rest of the cycle keeps M_lo. (Closing it from
+    M_hi instead, with r_(a+1) .. r_(b-1) reverted to M_lo, gives the same
+    matching.) Its gain is the switched rows' gains plus rho(k) minus
+    lo_red(r_a), the exact red count of a perfect matching that differs
+    from M_lo on this cycle alone, so it lies in 0..delta (M_lo has the
+    fewest red records, M_hi the most); a gain outside raises
+    InvariantError. A cycle of gain 0 or 1 admits no gain strictly inside,
+    so it is skipped. The first record in g's order that reaches a gain is
+    its chord (a, b, k). One pass over g's records, linear in them;
+    multigraph cells count once per color.
+    """
+    lo_reds, hi_reds = exchange.lo_reds, exchange.hi_reds
+    deltas = exchange.deltas
+    n = g.n
+    cid = [-1] * n  # row -> its cycle, when that cycle's gain is >= 2
+    pos = [0] * n  # row -> its l on that cycle
+    before = [0] * n  # row r_l -> the gains of r_0 .. r_(l-1)
+    for i, (cycle, delta) in enumerate(zip(exchange.cycles, deltas)):
+        if delta < 2:
+            continue
+        s = 0
+        for l, r in enumerate(cycle):
+            cid[r], pos[r], before[r] = i, l, s
+            s += hi_reds[r] - lo_reds[r]
+    owner = [0] * n  # column -> its row in M_lo
+    for r, c in enumerate(exchange.lo_cols):
+        owner[c] = r
+    chords: list[dict] = [{} for _ in deltas]
+    for r, c, k in g.edges:
+        i = cid[r]
+        b = owner[c]
+        if i < 0 or cid[b] != i:
+            continue
+        delta = deltas[i]
+        # rows b .. a - 1 switch, wrapping past r_(L-1) when b > a; the
+        # color k is rho(k), BLUE 0 and RED 1
+        gain = before[r] - before[b] + k - lo_reds[r]
+        if pos[b] > pos[r]:
+            gain += delta
+        if 0 < gain < delta:
+            chords[i].setdefault(gain, (pos[r], pos[b], k))
+        elif not 0 <= gain <= delta:
+            raise InvariantError(
+                f"record {(r, c, k)} closes a cycle of red gain {gain} "
+                f"outside 0..{delta}: the assignment optima are not a "
+                f"min-red and a max-red matching"
+            )
+    return exchange._replace(chords=tuple(chords))
 
 
 def _congruence(n: int, records) -> Tuple[int, int]:
@@ -664,9 +757,9 @@ class BlockReport:
 
     feasible_t is the leaf's whole achievable set, except at the root of
     solve, which settles only its target: there it is the red counts its
-    certificates (method "bounds", "exchange", "congruence" or "probe")
-    and, on a brace, its grid proved, all achievable, with the target
-    among them exactly when the answer is YES.
+    certificates (method "bounds", "exchange", "congruence", "chord" or
+    "probe") and, on a brace, its grid proved, all achievable, with the
+    target among them exactly when the answer is YES.
     """
 
     n: int
@@ -694,9 +787,9 @@ class SolveTrace:
     its whole set. want_witness is set when solve wants one: the root then
     inverts its top node, so its probe's elimination also starts the
     cofactor chain. chain_starts maps the root's memo key to the start its
-    _certify kept: its _Exchange when target is in the reach, else that
-    inverted _top_node; every other graph the witness reaches gets its
-    start on demand (_start_of).
+    _certify kept: its _Exchange when target is in the reach (with its
+    chords when only they reach it), else that inverted _top_node; every
+    other graph the witness reaches gets its start on demand (_start_of).
     """
 
     memo: dict = field(default_factory=dict)
@@ -740,21 +833,25 @@ def _certify(
         every cycle's gain, and t_min is in the class, so it runs only when
         some wanted t still open is not t_min modulo the gains' gcd, the
         one case it can drop a t;
+      * chord: the exchange's reach with its cycles' chords (_chords);
+        every t in it is YES. It runs after the congruence, so a t the
+        class refutes never pays for it;
       * probe: when its m determinants fit one batched elimination
         (_fits), g's one _top_node; every t among its hits is YES, and the
         report counts m determinants.
 
     proved is every red count the certificates run so far proved: the
-    exchange's reach, and the probe's hits when it ran. open is the wanted
-    t neither proved nor refuted; when it is empty, method names the
+    exchange's reach (with its chords once they ran), and the probe's hits
+    when it ran. open is the wanted t neither proved nor refuted; when it
+    is empty, method names the
     certificate that decided the last of them, and _feasible settles g as
     one block of proved (with t None, g's whole achievable set). Otherwise
     method is None and _feasible goes on to D with open.
 
     The root of solve with a witness (trace.want_witness) keeps its start:
-    the _Exchange when t is in the reach, whose switched matching is the
-    witness, else its _top_node, inverted at one more x node for the
-    cofactor chain.
+    the _Exchange when t is in the reach, chords included, whose switched
+    matching is the witness, else its _top_node, inverted at one more x
+    node for the cofactor chain.
     """
     found = _assignments(g)
     if found is None:
@@ -779,6 +876,16 @@ def _certify(
         open_ &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
         if not open_:
             return proved, open_, "congruence"
+    # gains of 1 alone reach every t in bounds, so some cycle here has a
+    # gain of at least 2, the ones _chords reads
+    exchange = _chords(g, exchange)
+    reach = exchange.reach()
+    proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
+    if keep and t in proved:
+        trace.chain_starts[_memo_key(g)] = exchange
+    open_ -= proved
+    if not open_:
+        return proved, open_, "chord"
     m = t_max - t_min + 1
     if _fits(g.n, m):
         top = _top_node(g, t_min, t_max, invert=keep)
@@ -922,8 +1029,9 @@ def extract_witness(
 
     Self-reduction, one row at a time. Each graph it reaches is finished
     from its start when it has one: the switched matching of its exchange
-    when t is in the reach, else the cofactor chain of _brace_witness from
-    its inverted top node when that fits, which finishes the matching from
+    when t is in the reach, chords included, else the cofactor chain of
+    _brace_witness from its inverted top node when that fits, which
+    finishes the matching from
     one certified coefficient (the root of solve reuses the start its
     certificates kept; _start_of makes the others). Otherwise, or when the
     chain gives up, row 0 is forced onto each of its records in turn and
@@ -962,7 +1070,8 @@ def _witness(
 
     rows and cols map the current g's labels to the input's; a g with a
     start hands the rest of the matching to it: an _Exchange switches its
-    cycles, an inverted _top_node goes down _brace_witness.
+    cycles or closes them along chords, an inverted _top_node goes down
+    _brace_witness.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
@@ -994,10 +1103,12 @@ def _start_of(
     g: ColoredBipartiteGraph, t: int
 ) -> Optional[_Exchange | _TopNode]:
     """g's witness start, made on demand for a g with a perfect matching:
-    its _Exchange when t is in the reach, else its inverted _top_node when
-    that fits one elimination, else None, where the row-forcing loop must
-    go on."""
+    its _Exchange when t is in the reach, with its chords (_chords) when
+    only they reach t, else its inverted _top_node when that fits one
+    elimination, else None, where the row-forcing loop must go on."""
     exchange = _exchange(*_assignments(g))
+    if not exchange.reach() >> t & 1:
+        exchange = _chords(g, exchange)
     if exchange.reach() >> t & 1:
         return exchange
     t_min, t_max = exchange.t_min, exchange.t_max
@@ -1108,7 +1219,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/5",
+            "schema": "exactmatch/6",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -1144,9 +1255,9 @@ def solve(
     open reaches D, where every subproblem below the root certifies its
     own whole set first, and the grid. It runs alike with or without a
     witness, so both give the same blocks and counts. With a witness, a t
-    in the exchange's reach takes its switched matching, and otherwise the
-    root's _top_node is inverted, so its elimination is both the probe and
-    the start of the root's cofactor chain.
+    in the exchange's reach, chords included, takes its switched matching,
+    and otherwise the root's _top_node is inverted, so its elimination is
+    both the probe and the start of the root's cofactor chain.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(target=t, want_witness=opts.want_witness)

@@ -413,6 +413,27 @@ def test_grid_dets_count_the_modular_determinants(monkeypatch):
         assert chunks[0] == (primes[0], head)
 
 
+def test_grid_leaves_the_prime_loop_once_nothing_is_open(monkeypatch):
+    # every candidate is nonzero at the top node mod the first prime, the
+    # grid's first chunk: it builds that prime's inverse Vandermonde
+    # matrix alone, not one per certificate prime
+    g = with_coloring(biwheel(12), red="bernoulli", seed=3)
+    t_min, t_max = red_count_bounds(g)
+    primes = solver.certificate_primes(coefficient_bound(g))
+    assert len(primes) >= 3
+    hits = solver._top_node(g, t_min, t_max).hits()
+    assert len(hits) >= 3
+    built = []
+    x_inverse = solver._x_inverse
+    monkeypatch.setattr(
+        solver, "_x_inverse",
+        lambda *args: built.append(args) or x_inverse(*args),
+    )
+    grid = EvaluationGrid.for_size(g.n)
+    assert grid.nonvanishing_targets(g, hits) == hits
+    assert built == [(t_min, t_max - t_min + 1, primes[0])]
+
+
 # ---------------------------------------------------------------------------
 # bounds prefilter
 
@@ -685,6 +706,9 @@ def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
         return wit
 
     monkeypatch.setattr(solver, "_brace_witness", counted)
+    # the chords would hand most targets a switched matching before any
+    # chain: without them every t outside the exchange's reach starts one
+    monkeypatch.setattr(solver, "_chords", lambda g, exchange: exchange)
     graphs = [g for g in _random_braces(20, 15200) if g.n <= 8] + [
         k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
     ] + [random_graph(n, 0.5, 0.5, seed=15300 + n, require_pm=True)
@@ -869,7 +893,7 @@ def test_solve_json_schema():
     # (5 determinants) decides it, proving {0, 1, 2, 4}, and its inverse
     # starts the witness
     d = solve(k44_diag(), 1, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/5"
+    assert d["schema"] == "exactmatch/6"
     assert d["decision"] == "YES"
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "probe"}
@@ -884,7 +908,7 @@ def test_solve_json_schema():
     # the root's probe leaves the hole t = 3 open; the grid sweeps the 6
     # other lam nodes (30 determinants)
     d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/5"
+    assert d["schema"] == "exactmatch/6"
     assert d["decision"] == "NO" and "witness" not in d
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
@@ -1203,6 +1227,18 @@ def test_a_negative_gain_raises_invariant_error():
         solver._exchange(hi_cols, hi_reds, lo_cols, lo_reds)
 
 
+def test_a_chord_gain_outside_its_cycle_raises_invariant_error():
+    # two perfect matchings that are not the optima: M_lo holds one red
+    # record, and the blue record (0, 3) closes a cycle with one fewer
+    g = with_coloring(knn(4), red=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 0)])
+    ex = solver._exchange(
+        [1, 0, 2, 3], [True, False, False, False],
+        [0, 2, 3, 1], [True, True, True, False],
+    )
+    with pytest.raises(InvariantError):
+        solver._chords(g, ex)
+
+
 @pytest.mark.parametrize(
     "g", CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
 )
@@ -1281,6 +1317,9 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
             with_coloring(knn(3), red=[(0, 0), (1, 1)]), 1, "probe",
             id="k33-two",
         ),  # T = {0, 1, 2}, reach {0, 2}
+        pytest.param(
+            with_coloring(knn(3), red="diag"), 1, "chord", id="k33-diag",
+        ),  # T = {0, 1, 3}: the one cycle gains 3, a chord of it 1
         pytest.param(k44_diag(), 3, "pure-ASNC", id="k44-diag"),  # a hole
         pytest.param(_both_colors_diagonal(3), 1, "exchange", id="multi-diag"),
         pytest.param(_two_blocks_one_red(), 1, "exchange", id="two-k22"),
@@ -1347,7 +1386,7 @@ TARGET_CASES = CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
 def _deciding_certificate(g, t):
     """The root certificate that decides t on g, in _certify's order (the
     congruence only when t != t_min modulo the gains' gcd), or None when
-    t stays open after all four; g has a perfect matching."""
+    t stays open after all five; g has a perfect matching."""
     ex = _exchange_of(g)
     if not ex.t_min < t < ex.t_max:
         return "bounds"
@@ -1358,6 +1397,8 @@ def _deciding_certificate(g, t):
     )
     if (t - ex.t_min) % math.gcd(*ex.deltas) and t not in in_class:
         return "congruence"
+    if solver._chords(g, ex).reach() >> t & 1:
+        return "chord"
     if t in solver._top_node(g, ex.t_min, ex.t_max).hits():
         return "probe"
     return None
@@ -1388,12 +1429,15 @@ def test_root_decides_its_target_from_what_it_proved(g):
 
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
-    # no top node is made for a t out of bounds, in the exchange's reach or
-    # off the records' class, and the records' congruence runs before the
-    # probe only when t != t_min modulo the gains' gcd, the one case where
-    # it can drop t (every n here fits the probe's guard)
+    # no chord is computed for a t out of bounds, in the exchange's reach
+    # or off the records' class, and no top node for a t the chords reach;
+    # the records' congruence runs before them only when t != t_min modulo
+    # the gains' gcd, the one case where it can drop t (every n here fits
+    # the probe's guard)
     calls = []
-    top, congruence = solver._top_node, solver._congruence
+    top, congruence, chords = (
+        solver._top_node, solver._congruence, solver._chords
+    )
 
     def counted_top(*args, **kwargs):
         calls.append("probe")
@@ -1403,11 +1447,16 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
         calls.append("congruence")
         return congruence(n, records)
 
+    def counted_chords(graph, exchange):
+        calls.append("chord")
+        return chords(graph, exchange)
+
     ex = _exchange_of(g)
     gains = math.gcd(*ex.deltas)
     methods = [_deciding_certificate(g, t) for t in range(-1, g.n + 2)]
     monkeypatch.setattr(solver, "_top_node", counted_top)
     monkeypatch.setattr(solver, "_congruence", counted_congruence)
+    monkeypatch.setattr(solver, "_chords", counted_chords)
     for t, method in zip(range(-1, g.n + 2), methods):
         calls.clear()
         solve(g, t)
@@ -1415,10 +1464,12 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
             assert calls == []
         elif method == "congruence":
             assert calls == ["congruence"]
-        elif (t - ex.t_min) % gains:
-            assert calls[:2] == ["congruence", "probe"]
         else:
-            assert calls[0] == "probe"
+            ran = ["congruence"] * bool((t - ex.t_min) % gains) + ["chord"]
+            if method == "chord":
+                assert calls == ran
+            else:
+                assert calls[: len(ran) + 1] == ran + ["probe"]
 
 
 @pytest.mark.parametrize("g", TARGET_CASES)
@@ -1437,6 +1488,133 @@ def test_witnessed_decided_root_never_builds_a_pair_digraph(g, monkeypatch):
         rep = solve(g, t, SolverOptions(want_witness=True))
         assert rep.witness is None or _is_witness(g, t, rep.witness)
         assert (builds == []) == (method is not None)
+
+
+def _chorded(g):
+    return solver._chords(g, _exchange_of(g))
+
+
+# multigraphs with a perfect matching, many cells holding both colors
+CHORD_MULTIGRAPHS = [
+    pytest.param(g, id=f"multi-n{g.n}-{seed}")
+    for seed, g in ((s, _multigraph(3 + s % 7, 17000 + s, 0.45))
+                    for s in range(28))
+    if red_count_bounds(g) is not None
+]
+
+
+def test_chord_cases_cover_both_colored_cells_and_new_targets():
+    added = both = 0
+    for param in TARGET_CASES + CHORD_MULTIGRAPHS:
+        g = param.values[0]
+        ex = _chorded(g)
+        added += bin(ex.reach() & ~_exchange_of(g).reach()).count("1")
+        for cycle, chords in zip(ex.cycles, ex.chords):
+            both += sum(
+                len(g.cells[cycle[a], ex.lo_cols[cycle[b]]]) == 2
+                for a, b, _ in chords.values()
+            )
+    assert added >= 50 and both >= 10
+
+
+@pytest.mark.parametrize("g", TARGET_CASES + CHORD_MULTIGRAPHS)
+def test_chord_reach_is_achievable_and_every_chord_is_a_witness(g):
+    # the chords only add to the exchange's reach, which stays inside the
+    # DP oracle's set; each chord alone, on its own cycle, is a perfect
+    # matching of g with t_min + its gain red records, and the witness of
+    # every t in the reach is one too
+    want = red_count_set_dp(g)
+    plain, ex = _exchange_of(g), _chorded(g)
+    reach = ex.reach()
+    assert plain.reach() & ~reach == 0 and reach >> (g.n + 1) == 0
+    proved = {t for t in range(g.n + 1) if reach >> t & 1}
+    assert proved <= want
+    assert len(ex.chords) == len(ex.cycles)
+    for i, (cycle, delta) in enumerate(zip(ex.cycles, ex.deltas)):
+        if delta < 2:
+            assert ex.chords[i] == {}
+        for gain in ex.chords[i]:
+            assert 0 < gain < delta
+            alone = ex._replace(
+                cycles=[cycle], deltas=[delta], chords=(ex.chords[i],)
+            )
+            wit = alone.witness(ex.t_min + gain)
+            assert _is_witness(g, ex.t_min + gain, wit)
+            for r, c, k in wit:  # rows off the cycle keep M_lo
+                assert r in cycle or (c, k == RED) == (
+                    ex.lo_cols[r], ex.lo_reds[r])
+    for t in range(-1, g.n + 2):
+        wit = ex.witness(t)
+        assert (wit is not None) == (t in proved)
+        assert wit is None or _is_witness(g, t, wit)
+
+
+def _no_top_node(*args, **kwargs):
+    raise AssertionError("a root the chords decided made a top node")
+
+
+def test_chord_decided_root_makes_no_top_node(monkeypatch):
+    # a t the chords reach is YES before the probe, and its witness is the
+    # chord's switched matching: neither makes a top node or a determinant
+    decided = [
+        (g, t)
+        for g in (p.values[0] for p in TARGET_CASES)
+        for t in range(-1, g.n + 2)
+        if _deciding_certificate(g, t) == "chord"
+    ]
+    assert len(decided) >= 40
+    monkeypatch.setattr(solver, "_top_node", _no_top_node)
+    for g, t in decided:
+        for want_witness in (False, True):
+            rep = solve(g, t, SolverOptions(want_witness=want_witness))
+            assert rep.decision and [b.method for b in rep.blocks] == ["chord"]
+            assert rep.counts["grid_dets"] == 0
+            assert t in rep.blocks[0].feasible_t
+            assert rep.witness is None or _is_witness(g, t, rep.witness)
+
+
+def _no_chords(g, exchange):
+    raise AssertionError("chords computed")
+
+
+def test_congruence_refutes_odd_gap_targets_before_any_chord(monkeypatch):
+    # every gain of a gap-colored graph is even, so its chords could run;
+    # the congruence refutes each odd t in bounds first
+    graphs = [_dense_gap_brace(n, 12500 + n) for n in range(6, 10)]
+    monkeypatch.setattr(solver, "_chords", _no_chords)
+    refuted = 0
+    for g in graphs:
+        t_min, t_max = red_count_bounds(g)
+        assert max(_exchange_of(g).deltas) >= 2
+        for t in range(t_min + 1, t_max, 2):
+            rep = solve(g, t)
+            assert not rep.decision
+            assert [b.method for b in rep.blocks] == ["congruence"]
+            refuted += 1
+    assert refuted >= 4
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(_both_colors_diagonal(4), id="multi-diag4"),
+        pytest.param(_two_blocks_one_red(), id="two-k22"),
+        pytest.param(random_graph(7, 0.6, 0.3, seed=18189, require_pm=True),
+                     id="random-three-cycles"),
+    ],
+)
+def test_cycles_of_gain_at_most_one_compute_no_chords(g, monkeypatch):
+    # gains of 1 reach every t in bounds: no solve, witness or whole set
+    # computes a chord
+    assert max(_exchange_of(g).deltas) <= 1
+    assert all(chords == {} for chords in _chorded(g).chords)
+    monkeypatch.setattr(solver, "_chords", _no_chords)
+    want = red_count_set_dp(g)
+    assert feasible_red_counts(g) == want
+    for t in range(-1, g.n + 2):
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert rep.decision == (t in want)
+        assert rep.witness is None or _is_witness(g, t, rep.witness)
 
 
 def _multi_block_root():
@@ -1626,6 +1804,42 @@ def test_sparse_root_past_the_probe_guard_finishes():
     decision, subproblems, *checks = proc.stdout.split()
     assert decision == "True" and int(subproblems) <= 64
     assert checks == ["36", "True", "True", "True", "True"]
+
+
+_SCALE_ROOTS = """
+from exactmatch.graphs import RED, random_graph
+from exactmatch.solver import SolverOptions, red_count_bounds, solve
+for n, density in ((48, 0.12), (64, 0.1)):
+    g = random_graph(n, density, 0.5, seed=7, require_pm=True)
+    t_min, t_max = red_count_bounds(g)
+    t = (t_min + t_max) // 2 + 1
+    rep = solve(g, t, SolverOptions(want_witness=True))
+    wit = rep.witness
+    print(n, rep.decision, rep.counts["subproblems"], len(wit),
+          sorted(r for r, _, _ in wit) == list(range(n)),
+          sorted(c for _, c, _ in wit) == list(range(n)),
+          all(rec in g.edges for rec in wit),
+          sum(1 for _, _, k in wit if k == RED) == t)
+"""
+
+
+def test_sparse_roots_past_the_cliff_decide_in_a_few_subproblems():
+    # past the probe's guard these roots once cut for minutes: the chords
+    # of their exchange cycles now reach t_mid + 1 and hand it a witness,
+    # in at most 4 subproblems each. A subprocess with a timeout makes a
+    # regression fail instead of hang
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCALE_ROOTS], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["48", "64"]
+    for n, decision, subproblems, *checks in lines:
+        assert decision == "True" and int(subproblems) <= 4
+        assert checks == [n, "True", "True", "True", "True"]
 
 
 def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
