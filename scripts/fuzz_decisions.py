@@ -17,10 +17,11 @@ want_witness=True): each witness is checked against the graph, and the
 report's blocks and counts against those of solve(g, t) without a
 witness. The final line counts, over every (graph, t), the certified
 blocks by the certificate that settled them (roots and subproblems below
-them), the roots left open, and the witnesses whose target lay in the
+them), the roots left open, and the witnesses by their source: the
 exchange's reach with whole cycles switched, or only with a chord (both
-switched matchings); the other witnesses came from the cofactor chain or
-from row forcing. The run stops at --budget seconds or --max-instances.
+switched matchings), else the cofactor chain when it finished the whole
+matching from the root's top node (_brace_witness, wrapped to count), else
+row forcing. The run stops at --budget seconds or --max-instances.
 One draw in GAP_SHARE is a dense graph gap-colored (red iff row and column
 lie on opposite halves), so every red count is even and the odd targets
 inside its bounds are zeros the grid must certify. One draw
@@ -58,6 +59,7 @@ from exactmatch.graphs import (
     serialize_ebg,
     with_coloring,
 )
+from exactmatch import solver
 from exactmatch.matching import is_matching_covered
 from exactmatch.solver import (
     SolverOptions,
@@ -151,7 +153,17 @@ def main(argv=None) -> int:
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
     switched = chorded = 0  # witnesses from whole cycles, from a chord
+    chained = forced = 0  # the others: the root's chain, row forcing
     settled: Counter = Counter()  # certified blocks by method, open roots
+    chains = []  # (n, finished) of each cofactor chain one solve ran
+    chain = solver._brace_witness
+
+    def counted_chain(graph, t, start):
+        witness = chain(graph, t, start)
+        chains.append((graph.n, witness is not None))
+        return witness
+
+    solver._brace_witness = counted_chain
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         oracle = red_count_set_dp
@@ -225,10 +237,15 @@ def main(argv=None) -> int:
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
         for t in targets:
+            chains.clear()
             report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
             switched += bool(reach >> t & 1)
             chorded += bool((chord_reach & ~reach) >> t & 1)
+            if not (reach | chord_reach) >> t & 1:
+                root_chain = (g.n, True) in chains
+                chained += root_chain
+                forced += not root_chain
             if not witness_ok(g, t, report.witness):
                 print(f"BAD WITNESS at t={t}: {report.witness}")
                 sys.stdout.write(wire(g))
@@ -248,7 +265,8 @@ def main(argv=None) -> int:
         f"{settled['open roots']} open roots, "
         f"{settled['roots without a perfect matching']} without a perfect "
         f"matching), {witnesses} witnesses "
-        f"({switched} from whole exchange cycles, {chorded} from a chord), "
+        f"({switched} from whole exchange cycles, {chorded} from a chord, "
+        f"{chained} from the cofactor chain, {forced} by row forcing), "
         f"0 disagreements"
     )
     return 0

@@ -16,10 +16,10 @@ some perfect matching has t red edges, and the grid decides that exactly:
     c_t at any lam node certifies t. Every reader of these residues (the
     probe, the grid, the witness chain) runs det_mod_batch or
     inverse_det_mod_batch at x = 1..m and applies V^-1 the same way
-    (_apply_v_inverse). The top lam node lam* = n(n-1)/2 is evaluated
-    for the probe and the witness in one place (_top_node), and the grid
-    takes it as the first chunk of its own sweep unless the recursion's
-    probe already did;
+    (_apply_v_inverse). The probe and the grid share one evaluator
+    (_coefficient_residues): the probe is the top lam node lam* =
+    n(n-1)/2 mod the first prime, and the grid takes that same node as
+    the first chunk of its sweep, whoever calls it;
   * every lam-coefficient of c_t is at most C = coefficient_bound(g), the
     smaller of the row-sum and column-sum products of A_ij =
     mult_ij * (1 + i)^j, which bounds perm(A). If c_t vanishes at all
@@ -84,14 +84,11 @@ each wanted t is proved or refuted:
     takes one of its chords, independently of the others, so every sum of
     one choice per cycle is achievable; a t in this larger reach is YES;
   * probe: c_t at the top lam node mod the first certificate prime
-    (_TopNode.hits), one batched elimination when it fits
-    _GRID_BLOCK_ENTRIES (_fits); its table of (lam* + i)^j is cached per
-    (n, p) (_top_powers). A nonzero residue needs a matching with t red
-    edges on any graph, so it is YES; a zero proves nothing, and a brace's
-    grid starts below that node mod that prime. When a witness is wanted,
-    the root's _top_node is one inverse_det_mod_batch at one more x node
-    instead, whose extra coefficient c_(t_min - 1) is exactly zero and
-    whose inverse the witness reuses.
+    (_probe), when g's top node fits _GRID_BLOCK_ENTRIES (_fits); its
+    table of (lam* + i)^j is cached per (n, p) (_top_powers). A nonzero
+    residue needs a matching with t red edges on any graph, so it is YES;
+    a zero proves nothing. It reads the same determinants whether or not
+    a witness is wanted.
 
 A decided subproblem's result is the set its certificates proved: its
 whole achievable set below the root, and at the root a set that holds t
@@ -103,17 +100,18 @@ Witnesses: extract_witness reduces one row at a time, as a loop. Each
 graph it reaches has a start when t is in its exchange's reach, chords
 included (the switched matching: M_lo with each cycle switched whole or
 closed along one chord, their gains summing to t - t_min, no determinant
-at all), or its top node fits the probe's guard:
+at all; the root of solve's is the exchange its certificates kept,
+SolveTrace.start), or its top node fits the probe's guard:
 then it goes down a cofactor chain (_brace_witness): M(lam*, x), inverted
 once modulo the first certificate prime at the x nodes its bounds need
-(an inverted _top_node: the root's from _certify, any other's made when
-the witness reaches it, _start_of), gives every record's cofactor along a
-row; the first record whose coefficient for the target left is nonzero is
-taken, and a rank-one downdate of the inverse's trailing block gives the
-next row's cofactors. A nonzero coefficient is a certificate on any
-graph, so each step is exact, and a certified start c_t(lam*) != 0 mod p
-keeps a qualifying record in every row (the matrix-inverse self-reduction
-of Rabin and Vazirani, deterministic here). When the start is not
+(_top_node, made when the witness reaches the graph, _start_of), gives
+every record's cofactor along a row; the first record whose coefficient
+for the target left is nonzero is taken, and a rank-one downdate of the
+inverse's trailing block gives the next row's cofactors. A nonzero
+coefficient is a certificate on any graph, so each step is exact, and a
+certified start c_t(lam*) != 0 mod p keeps a qualifying record in every
+row (the matrix-inverse self-reduction of Rabin and Vazirani,
+deterministic here). When the start is not
 certified or a cofactor vanishes at an x node, the chain gives up and row
 0 is forced onto the first record whose residual graph keeps the residual
 target in feasible_red_counts, whose subproblems settle their whole sets.
@@ -188,14 +186,19 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
 
 
 # Most int64 matrix entries one batched elimination holds, whatever n and
-# the number of nodes: it caps the grid's working memory. The probe's guard
-# (_fits) counts the top node's m matrices against it; a witness's
-# _top_node stacks m + 1, one more than that guard counts.
+# the number of nodes: the probe and the grid evaluate their x nodes in
+# chunks of at most this many (_coefficient_residues).
 _GRID_BLOCK_ENTRIES = 1 << 15
 
 
 def _fits(n: int, m: int) -> bool:
-    """Does a top node's stack of m n x n matrices fit one elimination?"""
+    """Does a top node's stack of m n x n matrices fit one elimination?
+
+    Not a memory cap for the probe, which chunks. It sizes the witness's
+    inverted _top_node, which keeps its whole stack of m + 1 inverses
+    (_start_of), and it chooses between the probe and the recursion: a
+    subproblem past it skips the probe (_certify).
+    """
     return m * n * n <= _GRID_BLOCK_ENTRIES
 
 
@@ -236,8 +239,8 @@ def _lam_powers(lams: np.ndarray, n: int, p: int) -> np.ndarray:
 def _top_powers(n: int, p: int) -> np.ndarray:
     """_lam_powers at the top lam node lam* = n(n-1)/2 alone, (1, n, n).
 
-    _top_node evaluates M there. Read-only, since the cache hands it to
-    every caller.
+    The probe (_probe) and the witness start (_top_node) evaluate M there.
+    Read-only, since the cache hands it to every caller.
     """
     powers = _lam_powers(np.array([n * (n - 1) // 2], dtype=np.int64), n, p)
     powers.setflags(write=False)
@@ -342,17 +345,12 @@ class EvaluationGrid:
         any lam node mod any prime certifies t. Each prime sweeps the lam
         nodes from the top down, in chunks of as many as one batched
         elimination holds, and stops once every candidate is certified;
-        the first prime's first chunk is the top node alone, the one
-        _top_node evaluates, since a nonzero c_t is almost always nonzero
-        there. A t still open after every prime is zero mod each of them at
-        every node, so c_t is divisible by their product, which exceeds
-        coefficient_bound(g): c_t = 0.
-
-        trace, when given, is the recursion's: it counts the modular
-        determinants in grid_dets, and g is a brace whose probe (_certify)
-        evaluated the top node mod the first prime whenever it fit one
-        elimination (_fits) and hands over only the t it missed, which are
-        zero there. The first prime then starts below the top node.
+        the first prime's first chunk is the top node alone, since a
+        nonzero c_t is almost always nonzero there. A t still open after
+        every prime is zero mod each of them at every node, so c_t is
+        divisible by their product, which exceeds coefficient_bound(g):
+        c_t = 0. trace, when given, counts the modular determinants in
+        grid_dets.
         """
         n = g.n
         if n != self.n:
@@ -375,7 +373,6 @@ class EvaluationGrid:
         # which needs every node anyway
         lams = np.arange(degree, -1, -1, dtype=np.int64)
         block = max(1, _GRID_BLOCK_ENTRIES // (m * n * n))
-        probed = trace is not None and _fits(n, m)
         dets = 0
         found: set[int] = set()
         weights = _cell_weights(g, m)
@@ -383,9 +380,7 @@ class EvaluationGrid:
             if not open_:
                 break
             inv = _x_inverse(t_min, m, p)
-            start, size = 0, block
-            if p == primes[0]:
-                start, size = (1, block) if probed else (0, 1)
+            start, size = 0, 1 if p == primes[0] else block
             while open_ and start < len(lams):
                 chunk = lams[start : start + size]
                 powers = _lam_powers(chunk, n, p)
@@ -702,49 +697,47 @@ def _in_class(lo: int, hi: int, modulus: int, residue: int) -> set[int]:
     return set(range(lo + (residue - lo) % modulus, hi + 1, modulus))
 
 
-class _TopNode(NamedTuple):
-    """M(lam*, x) mod p at the top lam node and the x nodes 1..len(det).
+def _probe(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> set[int]:
+    """The t whose c_t(lam*) is nonzero modulo the first certificate prime.
 
-    det[x - 1] is det A(x), A(x) = M(lam*, x); inv[x - 1] is A(x)^-1 (an
-    all-zero inverse where det is 0), or inv is None when no chain reads
-    it. The nodes cover the x-powers t_lo .. t_max: t_lo = t_min without
-    an inverse, t_min - 1 with one, which every cofactor along a row
-    carries (_brace_witness). c_(t_min - 1) = 0 exactly, so both give the
-    same hits.
+    c_t at the top lam node lam* = n(n-1)/2 and x = 1..m, m = t_max - t_min
+    + 1 (_coefficient_residues, in chunks); t_min, t_max are
+    red_count_bounds(g). A nonzero coefficient needs a perfect matching
+    with t red edges on any graph, multigraphs included, so every t here
+    is achievable; a zero proves nothing.
+    """
+    p, m = certificate_primes(1)[0], t_max - t_min + 1
+    coeffs = _coefficient_residues(
+        _cell_weights(g, m), _top_powers(g.n, p), _x_inverse(t_min, m, p), p
+    )
+    return {t_min + int(s) for s in np.flatnonzero(coeffs.any(axis=1))}
+
+
+class _TopNode(NamedTuple):
+    """A cofactor chain's start: M(lam*, x) inverted mod p, x = 1..len(det).
+
+    det[x - 1] is det A(x), A(x) = M(lam*, x), and inv[x - 1] is A(x)^-1
+    (all zero where det is 0). The nodes cover the x-powers t_lo .. t_max,
+    t_lo = t_min - 1, which every cofactor along a row carries
+    (_brace_witness).
     """
 
     t_lo: int
     p: int
     det: np.ndarray
-    inv: Optional[np.ndarray]
-
-    def hits(self) -> set[int]:
-        """The t whose c_t(lam*) is nonzero mod p.
-
-        A nonzero coefficient needs a perfect matching with t red edges on
-        any graph, multigraphs included, so every t here is achievable; a
-        zero proves nothing.
-        """
-        inv = _x_inverse(self.t_lo, len(self.det), self.p)
-        coeffs = _apply_v_inverse(inv, self.det, self.p)
-        return {self.t_lo + int(s) for s in np.flatnonzero(coeffs)}
+    inv: np.ndarray
 
 
-def _top_node(
-    g: ColoredBipartiteGraph, t_min: int, t_max: int, invert: bool = False
-) -> _TopNode:
-    """M(lam*, x), lam* = n(n-1)/2, modulo the first certificate prime, at
-    x = 1..m (det_mod_batch), or with invert at x = 1..m + 1, one
-    inverse_det_mod_batch whose inverse starts a witness chain;
-    m = t_max - t_min + 1, and t_min, t_max are red_count_bounds(g)."""
+def _top_node(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> _TopNode:
+    """M(lam*, x), lam* = n(n-1)/2, modulo the first certificate prime at
+    x = 1..m + 1, one inverse_det_mod_batch whose inverse starts a witness
+    chain; m = t_max - t_min + 1, and t_min, t_max are red_count_bounds(g)."""
     p = certificate_primes(1)[0]
-    t_lo = t_min - 1 if invert else t_min
-    weights = _cell_weights(g, t_max - t_lo + 1)
-    mats = reduce_mod(_top_powers(g.n, p) * weights, p)
-    if invert:
-        inv, det = inverse_det_mod_batch(mats, p)
-        return _TopNode(t_lo, p, det, inv)
-    return _TopNode(t_lo, p, det_mod_batch(mats, p), None)
+    weights = _cell_weights(g, t_max - t_min + 2)
+    inv, det = inverse_det_mod_batch(
+        reduce_mod(_top_powers(g.n, p) * weights, p), p
+    )
+    return _TopNode(t_min - 1, p, det, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -784,16 +777,13 @@ class SolveTrace:
     the root keeps in memo, under its key, only the red counts it proved,
     which only extract_witness's guard reads, for the same t. Every other
     subproblem, and every subproblem of a trace without a target, settles
-    its whole set. want_witness is set when solve wants one: the root then
-    inverts its top node, so its probe's elimination also starts the
-    cofactor chain. chain_starts maps the root's memo key to the start its
-    _certify kept: its _Exchange when target is in the reach (with its
-    chords when only they reach it), else that inverted _top_node; every
-    other graph the witness reaches gets its start on demand (_start_of).
+    its whole set. start is the root's _Exchange when its exchange or its
+    chords proved target, whether or not a witness is wanted: the witness
+    of that root is its switched matching. Every other start, and the
+    root's when start is None, is made on demand (_start_of).
     """
 
     memo: dict = field(default_factory=dict)
-    chain_starts: dict = field(default_factory=dict)
     blocks: list[BlockReport] = field(default_factory=list)
     counts: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(
@@ -805,7 +795,7 @@ class SolveTrace:
         )
     )
     target: Optional[int] = None
-    want_witness: bool = False
+    start: Optional[_Exchange] = None
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
         """Record a leaf decided without a split; returns its result."""
@@ -836,9 +826,9 @@ def _certify(
       * chord: the exchange's reach with its cycles' chords (_chords);
         every t in it is YES. It runs after the congruence, so a t the
         class refutes never pays for it;
-      * probe: when its m determinants fit one batched elimination
-        (_fits), g's one _top_node; every t among its hits is YES, and the
-        report counts m determinants.
+      * probe: when g's top node fits one batched elimination (_fits), c_t
+        at lam* mod the first certificate prime (_probe); every t among
+        its hits is YES, and the report counts m determinants.
 
     proved is every red count the certificates run so far proved: the
     exchange's reach (with its chords once they ran), and the probe's hits
@@ -848,10 +838,8 @@ def _certify(
     one block of proved (with t None, g's whole achievable set). Otherwise
     method is None and _feasible goes on to D with open.
 
-    The root of solve with a witness (trace.want_witness) keeps its start:
-    the _Exchange when t is in the reach, chords included, whose switched
-    matching is the witness, else its _top_node, inverted at one more x
-    node for the cofactor chain.
+    The root of solve keeps its _Exchange in trace.start when t is in the
+    reach, chords included: its switched matching is the witness.
     """
     found = _assignments(g)
     if found is None:
@@ -860,9 +848,8 @@ def _certify(
     t_min, t_max = exchange.t_min, exchange.t_max
     reach = exchange.reach()
     proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    keep = t is not None and trace.want_witness  # the root of solve's start
-    if keep and t in proved:
-        trace.chain_starts[_memo_key(g)] = exchange
+    if t in proved:  # only the root of solve has a t
+        trace.start = exchange
     open_ = set(range(t_min + 1, t_max))
     if t is not None:
         open_ &= {t}
@@ -881,17 +868,14 @@ def _certify(
     exchange = _chords(g, exchange)
     reach = exchange.reach()
     proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    if keep and t in proved:
-        trace.chain_starts[_memo_key(g)] = exchange
+    if t in proved:
+        trace.start = exchange
     open_ -= proved
     if not open_:
         return proved, open_, "chord"
     m = t_max - t_min + 1
     if _fits(g.n, m):
-        top = _top_node(g, t_min, t_max, invert=keep)
-        if keep:
-            trace.chain_starts[_memo_key(g)] = top
-        hits = top.hits()
+        hits = _probe(g, t_min, t_max)
         proved |= hits
         open_ -= hits
         trace.counts["grid_dets"] += m
@@ -1031,12 +1015,12 @@ def extract_witness(
     from its start when it has one: the switched matching of its exchange
     when t is in the reach, chords included, else the cofactor chain of
     _brace_witness from its inverted top node when that fits, which
-    finishes the matching from
-    one certified coefficient (the root of solve reuses the start its
-    certificates kept; _start_of makes the others). Otherwise, or when the
-    chain gives up, row 0 is forced onto each of its records in turn and
-    the first whose residual graph still reaches the residual target is
-    kept. The result is checked against g before it is returned.
+    finishes the matching from one certified coefficient (the root of
+    solve reuses the exchange its certificates kept in trace.start;
+    _start_of makes every other start). Otherwise, or when the chain gives
+    up, row 0 is forced onto each of its records in turn and the first
+    whose residual graph still reaches the residual target is kept. The
+    result is checked against g before it is returned.
     """
     if trace is None:
         trace = SolveTrace()
@@ -1075,8 +1059,9 @@ def _witness(
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
+    start = trace.start  # g's own, kept by the root of solve
     while g.n:
-        start = trace.chain_starts.get(_memo_key(g)) or _start_of(g, t)
+        start = start or _start_of(g, t)
         if start is not None:
             chain = (
                 start.witness(t) if isinstance(start, _Exchange)
@@ -1095,7 +1080,7 @@ def _witness(
         else:
             raise InvariantError("feasible target with no extractable witness")
         out.append((rows.pop(0), cols.pop(c), k))
-        g, t = rest, t - _rho(k)
+        g, t, start = rest, t - _rho(k), None
     return out
 
 
@@ -1105,7 +1090,9 @@ def _start_of(
     """g's witness start, made on demand for a g with a perfect matching:
     its _Exchange when t is in the reach, with its chords (_chords) when
     only they reach t, else its inverted _top_node when that fits one
-    elimination, else None, where the row-forcing loop must go on."""
+    elimination (_fits), else None, where the row-forcing loop must go on.
+    The only caller of _top_node: a root the probe decided pays for its
+    plain probe first, then for this inversion."""
     exchange = _exchange(*_assignments(g))
     if not exchange.reach() >> t & 1:
         exchange = _chords(g, exchange)
@@ -1113,7 +1100,7 @@ def _start_of(
         return exchange
     t_min, t_max = exchange.t_min, exchange.t_max
     if _fits(g.n, t_max - t_min + 1):
-        return _top_node(g, t_min, t_max, invert=True)
+        return _top_node(g, t_min, t_max)
     return None
 
 
@@ -1253,14 +1240,14 @@ def solve(
     that decides t: then its result is the set they proved, not the whole
     achievable set (feasible_red_counts gives that). Only a t they leave
     open reaches D, where every subproblem below the root certifies its
-    own whole set first, and the grid. It runs alike with or without a
-    witness, so both give the same blocks and counts. With a witness, a t
-    in the exchange's reach, chords included, takes its switched matching,
-    and otherwise the root's _top_node is inverted, so its elimination is
-    both the probe and the start of the root's cofactor chain.
+    own whole set first, and the grid. The decision never reads whether a
+    witness is wanted, so both give the same blocks and counts. With a
+    witness, a t in the root's exchange reach, chords included, takes its
+    switched matching (SolveTrace.start); any other t gets its start from
+    extract_witness after the decision (_start_of).
     Out-of-range targets are legal and decide to NO.
     """
-    trace = SolveTrace(target=t, want_witness=opts.want_witness)
+    trace = SolveTrace(target=t)
     t0 = time.perf_counter()
     decision = t in feasible_red_counts(g, trace)
     t1 = time.perf_counter()

@@ -85,7 +85,8 @@ def test_solve_json_report(fixtures_dir, capsys):
     assert doc["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
     ]
-    assert doc["counts"]["braces"] == 1
+    # the probe's 5 determinants, then the grid's 7 lam nodes at 5 x nodes
+    assert doc["counts"]["braces"] == 1 and doc["counts"]["grid_dets"] == 40
 
 
 def test_solve_json_deterministic_apart_from_timings(fixtures_dir, capsys):

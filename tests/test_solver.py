@@ -383,34 +383,31 @@ def test_grid_primes_must_keep_the_lam_nodes_apart(monkeypatch):
 def test_grid_dets_count_the_modular_determinants(monkeypatch):
     g = k44_diag()
     # t = 3 is identically zero: the root probe's 5 determinants (one lam
-    # node, 5 x nodes) left it open, and the one prime (C < 2^31) sweeps the
-    # other 6 lam nodes at the 5 x nodes
-    assert solve(g, 3).counts["grid_dets"] == 6 * 5 + 5
+    # node, 5 x nodes) left it open, and the one prime (C < 2^31) sweeps
+    # all 7 lam nodes at the 5 x nodes, the probe's node among them
+    assert solve(g, 3).counts["grid_dets"] == 7 * 5 + 5
     gap = _dense_gap_brace(8, 12500 + 8)
     grid = EvaluationGrid.for_size(gap.n)
-    first, again = SolveTrace(), SolveTrace()
-    assert grid.nonvanishing_targets(gap, {1}, first) == set()
-    assert grid.nonvanishing_targets(gap, {1}, again) == set()
-    assert first.counts == again.counts
     primes = solver.certificate_primes(coefficient_bound(gap))
     t_min, t_max = red_count_bounds(gap)
-    # odd targets are zeros: every prime sweeps all 29 lam nodes but the
-    # top node mod the first prime, which a trace (the recursion's) says
-    # its probe took; without one, the first prime starts there
     m = t_max - t_min + 1
-    assert first.counts["grid_dets"] == (len(primes) * 29 - 1) * m
-    # the first prime's first chunk: the top node alone, or with a trace
-    # every node below it at once (one block holds all 28)
+    # odd targets are zeros: every prime sweeps all 29 lam nodes. The grid
+    # never reads who calls it: with a trace or without, it gives the same
+    # result from the same first chunk, the top node alone, and a trace
+    # only counts the determinants
     chunks = []
     powers = solver._lam_powers
     monkeypatch.setattr(
         solver, "_lam_powers",
         lambda lams, n, p: chunks.append((p, lams.tolist())) or powers(lams, n, p),
     )
-    for trace, head in ((None, [28]), (SolveTrace(), list(range(27, -1, -1)))):
+    first, again = SolveTrace(), SolveTrace()
+    for trace in (None, first, again):
         chunks.clear()
         assert grid.nonvanishing_targets(gap, {1}, trace) == set()
-        assert chunks[0] == (primes[0], head)
+        assert chunks[0] == (primes[0], [28])
+    assert first.counts == again.counts
+    assert first.counts["grid_dets"] == len(primes) * 29 * m
 
 
 def test_grid_leaves_the_prime_loop_once_nothing_is_open(monkeypatch):
@@ -421,7 +418,7 @@ def test_grid_leaves_the_prime_loop_once_nothing_is_open(monkeypatch):
     t_min, t_max = red_count_bounds(g)
     primes = solver.certificate_primes(coefficient_bound(g))
     assert len(primes) >= 3
-    hits = solver._top_node(g, t_min, t_max).hits()
+    hits = solver._probe(g, t_min, t_max)
     assert len(hits) >= 3
     built = []
     x_inverse = solver._x_inverse
@@ -554,7 +551,7 @@ def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
 def _chain(g, t):
     """_brace_witness from a fresh start, as the witness of a brace does."""
     return solver._brace_witness(
-        g, t, solver._top_node(g, *red_count_bounds(g), invert=True)
+        g, t, solver._top_node(g, *red_count_bounds(g))
     )
 
 
@@ -662,8 +659,8 @@ CHAIN_FROM_ROOT = (
 
 @pytest.mark.parametrize("g", CHAIN_FROM_ROOT)
 def test_witness_chains_from_the_root_certificate(g, monkeypatch):
-    # within the probe's guard the root's witness comes from the probe's
-    # own elimination: every t the probe certified needs no subproblem
+    # within the probe's guard the root's witness comes from its own
+    # inverted top node: every t the probe certified needs no subproblem
     # beyond the decision's, so no row is forced. Every root here is
     # certified before D(G, M), so nothing builds one
     builds = []
@@ -676,7 +673,7 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
         assert feasible_red_counts(g) == want
     t_min, t_max = red_count_bounds(g)
     assert (t_max - t_min + 1) * g.n * g.n <= solver._GRID_BLOCK_ENTRIES
-    probed = solver._top_node(g, t_min, t_max).hits()
+    probed = solver._probe(g, t_min, t_max)
     assert probed
     for t in range(-1, g.n + 2):
         builds.clear()
@@ -687,6 +684,41 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
         if t in probed:
             assert rep.counts["certified"] == 1
             assert len(builds) == rep.counts["subproblems"] - 1 == 0
+
+
+@pytest.mark.parametrize(
+    "g", CHAIN_FROM_ROOT + [pytest.param(k44_diag(), id="k44-diag")]
+)
+def test_witnessed_solve_makes_top_nodes_only_inside_extract_witness(
+    g, monkeypatch,
+):
+    # the decision never reads whether a witness is wanted: the inverted
+    # top node that starts a cofactor chain is made by extract_witness,
+    # after the decision, and never by the probe or the grid; a YES t
+    # outside the chords' reach makes at least one
+    reach = _chorded(g).reach()
+    chained = [t for t in red_count_set_dp(g) if not reach >> t & 1]
+    inside, made = [], []
+    top, extract = solver._top_node, solver.extract_witness
+
+    def counted_top(*args):
+        assert inside, "a top node made outside extract_witness"
+        made.append(args)
+        return top(*args)
+
+    def counted_extract(*args):
+        inside.append(True)
+        try:
+            return extract(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver, "_top_node", counted_top)
+    monkeypatch.setattr(solver, "extract_witness", counted_extract)
+    for t in range(-1, g.n + 2):
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert rep.witness is None or _is_witness(g, t, rep.witness)
+    assert (made != []) == (chained != [])
 
 
 @pytest.mark.parametrize("p", [31, 37])
@@ -761,11 +793,9 @@ def _certify_nothing(g, trace, t):
 
 
 def _no_certificates(monkeypatch):
-    """Every subproblem's certificates prove nothing and no probe fits, so
-    the recursion, and each grid's sweep from the top node, run as they did
-    before any certificate."""
+    """Every subproblem's certificates prove nothing and no probe runs, so
+    the recursion runs as it did before any certificate."""
     monkeypatch.setattr(solver, "_certify", _certify_nothing)
-    monkeypatch.setattr(solver, "_fits", lambda n, m: False)
 
 
 # the same for the subprocess scripts below, which also give the witness
@@ -777,7 +807,6 @@ def _certify_nothing(g, trace, t):
         return None
     return set(), set(range(g.n + 1)), None
 solver._certify = _certify_nothing
-solver._fits = lambda n, m: False
 solver._start_of = lambda g, t: None
 """
 
@@ -890,8 +919,8 @@ def test_solve_report_blocks_k44():
 
 def test_solve_json_schema():
     # t = 1 lies outside the exchange's reach {0, 2, 4}: the root's probe
-    # (5 determinants) decides it, proving {0, 1, 2, 4}, and its inverse
-    # starts the witness
+    # (5 determinants) decides it, proving {0, 1, 2, 4}, and the witness
+    # inverts the top node after the decision
     d = solve(k44_diag(), 1, SolverOptions(want_witness=True)).to_json_dict()
     assert d["schema"] == "exactmatch/6"
     assert d["decision"] == "YES"
@@ -905,8 +934,8 @@ def test_solve_json_schema():
     assert len(d["witness"]) == 4
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
-    # the root's probe leaves the hole t = 3 open; the grid sweeps the 6
-    # other lam nodes (30 determinants)
+    # the root's probe leaves the hole t = 3 open; the grid sweeps all 7
+    # lam nodes (35 determinants)
     d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
     assert d["schema"] == "exactmatch/6"
     assert d["decision"] == "NO" and "witness" not in d
@@ -915,7 +944,7 @@ def test_solve_json_schema():
     ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0, "certified": 0, "grid_dets": 35, "depth": 1,
+        "enumerated": 0, "certified": 0, "grid_dets": 40, "depth": 1,
     }
 
 
@@ -1088,17 +1117,20 @@ def test_certificates_never_contradict_the_dp_oracle(g, monkeypatch):
     assert want <= in_class  # NO: outside the bounds or off the class
     for t in range(-1, g.n + 2):
         assert solve(g, t).decision == (t in want)
-    # YES: the probe, alike from both top-node kernels; the inverted one's
-    # extra coefficient c_(t_min - 1) is exactly zero, also at a small
-    # first prime, where accidental zeros are common
+    # YES: the probe; the witness's inverted top node gives the same
+    # coefficients, and its extra one c_(t_min - 1) is exactly zero, also
+    # at a small first prime, where accidental zeros are common
     real = solver.certificate_primes
     for small in [False] + [True] * (g.n <= 8):
         if small:
             monkeypatch.setattr(
                 solver, "certificate_primes", lambda bound: (37,) + real(bound)
             )
-        hits = solver._top_node(g, t_min, t_max).hits()
-        assert solver._top_node(g, t_min, t_max, invert=True).hits() == hits
+        hits = solver._probe(g, t_min, t_max)
+        t_lo, p, det, _ = solver._top_node(g, t_min, t_max)
+        inv = solver._x_inverse(t_lo, len(det), p)
+        coeffs = solver._apply_v_inverse(inv, det, p)
+        assert {t_lo + int(s) for s in np.flatnonzero(coeffs)} == hits
         assert hits <= want
 
 
@@ -1195,25 +1227,27 @@ def test_exchange_counts_a_cell_of_both_colors_as_a_cycle():
 def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
     monkeypatch,
 ):
-    # k44_diag: reach {0, 2, 4}, so 1 and 3 need the probe, and a witness
-    # for either inverts it (3 is a hole, which only the grid proves); a t
-    # the bounds or the reach decide makes no top node at all
+    # k44_diag: reach {0, 2, 4}, so 1 and 3 need the probe, with or
+    # without a witness; only the witness of 1 inverts the top node (3 is
+    # a hole, which only the grid proves); a t the bounds or the reach
+    # decide makes neither
     made = []
-    top = solver._top_node
-
-    def counted(g, t_min, t_max, invert=False):
-        made.append(invert)
-        return top(g, t_min, t_max, invert)
-
-    monkeypatch.setattr(solver, "_top_node", counted)
-    for t, want_witness, inverted in [
-        (1, False, [False]), (1, True, [True]), (3, False, [False]),
-        (3, True, [True]), (2, False, []), (2, True, []), (0, True, []),
-        (4, True, []), (-1, True, []), (5, True, []),
+    probe, top = solver._probe, solver._top_node
+    monkeypatch.setattr(
+        solver, "_probe", lambda *args: made.append("probe") or probe(*args)
+    )
+    monkeypatch.setattr(
+        solver, "_top_node", lambda *args: made.append("top") or top(*args)
+    )
+    for t, want_witness, ran in [
+        (1, False, ["probe"]), (1, True, ["probe", "top"]),
+        (3, False, ["probe"]), (3, True, ["probe"]), (2, False, []),
+        (2, True, []), (0, True, []), (4, True, []), (-1, True, []),
+        (5, True, []),
     ]:
         made.clear()
         solve(k44_diag(), t, SolverOptions(want_witness=want_witness))
-        assert made == inverted
+        assert made == ran
     made.clear()
     solve(_both_colors_diagonal(3), 1, SolverOptions(want_witness=True))
     assert made == []  # the reach proves every in-bound t
@@ -1399,7 +1433,7 @@ def _deciding_certificate(g, t):
         return "congruence"
     if solver._chords(g, ex).reach() >> t & 1:
         return "chord"
-    if t in solver._top_node(g, ex.t_min, ex.t_max).hits():
+    if t in solver._probe(g, ex.t_min, ex.t_max):
         return "probe"
     return None
 
@@ -1430,18 +1464,18 @@ def test_root_decides_its_target_from_what_it_proved(g):
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
     # no chord is computed for a t out of bounds, in the exchange's reach
-    # or off the records' class, and no top node for a t the chords reach;
+    # or off the records' class, and no probe for a t the chords reach;
     # the records' congruence runs before them only when t != t_min modulo
     # the gains' gcd, the one case where it can drop t (every n here fits
     # the probe's guard)
     calls = []
-    top, congruence, chords = (
-        solver._top_node, solver._congruence, solver._chords
+    probe, congruence, chords = (
+        solver._probe, solver._congruence, solver._chords
     )
 
-    def counted_top(*args, **kwargs):
+    def counted_probe(*args):
         calls.append("probe")
-        return top(*args, **kwargs)
+        return probe(*args)
 
     def counted_congruence(n, records):
         calls.append("congruence")
@@ -1454,7 +1488,7 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
     ex = _exchange_of(g)
     gains = math.gcd(*ex.deltas)
     methods = [_deciding_certificate(g, t) for t in range(-1, g.n + 2)]
-    monkeypatch.setattr(solver, "_top_node", counted_top)
+    monkeypatch.setattr(solver, "_probe", counted_probe)
     monkeypatch.setattr(solver, "_congruence", counted_congruence)
     monkeypatch.setattr(solver, "_chords", counted_chords)
     for t, method in zip(range(-1, g.n + 2), methods):
@@ -1475,7 +1509,7 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_witnessed_decided_root_never_builds_a_pair_digraph(g, monkeypatch):
     # the witness of a root its certificates decide comes from the
-    # exchange's switched matching or the inverted probe's cofactor chain:
+    # exchange's switched matching or the inverted top node's cofactor chain:
     # neither the decision nor the witness calls _elementary
     builds = []
     build = solver._elementary
@@ -1563,6 +1597,7 @@ def test_chord_decided_root_makes_no_top_node(monkeypatch):
         if _deciding_certificate(g, t) == "chord"
     ]
     assert len(decided) >= 40
+    monkeypatch.setattr(solver, "_probe", _no_top_node)
     monkeypatch.setattr(solver, "_top_node", _no_top_node)
     for g, t in decided:
         for want_witness in (False, True):
@@ -1845,8 +1880,7 @@ def test_sparse_roots_past_the_cliff_decide_in_a_few_subproblems():
 def test_decisions_survive_certificates_that_settle_nothing(monkeypatch):
     # with no certificates and modulus 1 every subproblem and every brace
     # grid see every in-bound target, so the recursion and the grid's zero
-    # path decide what the certificates settled before; with no probe the
-    # grid takes the top node first itself
+    # path decide what the certificates settled before
     graphs = [p.values[0] for p in CONGRUENCE_CASES + RESIDUAL_HOLES]
     before = [[solve(g, t).decision for t in range(-1, g.n + 2)] for g in graphs]
     _no_certificates(monkeypatch)
