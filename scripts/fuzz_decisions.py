@@ -11,8 +11,11 @@ is the report's one subproblem and one certified block, with the red
 counts they proved: each must lie in the oracle's set, and t among them
 exactly when the answer is YES. Every t the exchange's reach proves, with
 its cycles switched whole or closed along a chord, is checked against the
-oracle too. Every YES target of an instance with n <= WITNESS_ALL_N (one
-drawn YES target above that) then goes through solve(...,
+oracle too, and the records' congruence class (_congruence), from g's
+records and from the allowed records of its D(G, M) when it has a perfect
+matching, against a spanning walk (congruence_by_walk). Every YES target
+of an instance with n <= WITNESS_ALL_N (one drawn YES target above that)
+then goes through solve(...,
 want_witness=True): each witness is checked against the graph, and the
 report's blocks and counts against those of solve(g, t) without a
 witness. The final line counts, over every (graph, t), the certified
@@ -33,7 +36,7 @@ diagonal: its hole at n - 1 is zero at every lam node and lies in the class
 of its records, so the root builds D(G, M) and the brace grid sweeps every
 node for it, under every certificate prime. Its achievable set has a closed
 form, so it needs no DP oracle and its n reaches DIAG_PAST sizes past
---max-n (up to 16 at --max-n 14). Any disagreement, bad witness or report
+--max-n (up to 16 at --max-n 14). Any disagreement, congruence mismatch, bad witness or report
 mismatch prints the instance in wire format (a make() call for a
 multigraph, which EBG cannot carry) and aborts, so the output is a
 ready-made regression fixture.
@@ -60,16 +63,17 @@ from exactmatch.graphs import (
     with_coloring,
 )
 from exactmatch import solver
-from exactmatch.matching import is_matching_covered
+from exactmatch.matching import _elementary, is_matching_covered
 from exactmatch.solver import (
     SolverOptions,
     _assignments,
     _chords,
+    _congruence,
     _exchange,
     feasible_red_counts,
     solve,
 )
-from exactmatch.verify.core import red_count_set_dp
+from exactmatch.verify.core import congruence_by_walk, red_count_set_dp
 
 
 # The DP oracle's time grows with C(n, n/2) reachable column sets, and the
@@ -189,6 +193,22 @@ def main(argv=None) -> int:
         got = feasible_red_counts(g)
         instances += 1
         past += g.n > ns.max_n
+        d = _elementary(g)
+        for name, records in (
+            ("records", g.edges),
+            ("allowed records", d.allowed() if d else None),
+        ):
+            if records is None:
+                continue
+            walked = congruence_by_walk(g.n, records)
+            passed = _congruence(g.n, records)
+            if passed != walked:
+                print(
+                    f"CONGRUENCE MISMATCH on the {name}: one pass {passed}, "
+                    f"spanning walk {walked}"
+                )
+                sys.stdout.write(wire(g))
+                return 1
         found = _assignments(g)
         reach = chord_reach = 0
         if found is not None:

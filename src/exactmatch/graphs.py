@@ -49,8 +49,8 @@ class ColoredBipartiteGraph:
     Invariant: edges are valid records sorted by (row, col, color); make
     sorts them, and induced and matching.allowed_edges keep a monotonically
     relabeled subsequence. The cells, row_adj and col_adj views are each
-    one pass that relies on it, with no set and no sort; color_table is
-    one scatter over the records.
+    one pass that relies on it, with no set and no sort; cell_codes is
+    one pass over the records.
     """
 
     n: int
@@ -92,15 +92,18 @@ class ColoredBipartiteGraph:
         return out
 
     @cached_property
-    def color_table(self) -> np.ndarray:
-        """table[k, i, j]: does cell (i, j) hold a record of color k
-        (BLUE 0, RED 1)? Shape (2, n, n), bool: make allows one record per
-        color in a cell. Read-only, since every reader shares it."""
+    def cell_codes(self) -> np.ndarray:
+        """codes[i, j] = blue + 2 * red, the records of each color in cell
+        (i, j): 0 none, 1 blue, 2 red, 3 both (make allows one record per
+        color in a cell). Shape (n, n), int8. Read-only, since every reader
+        shares it."""
         n = self.n
-        table = np.zeros((2, n, n), dtype=bool)
-        table.flat[[(k * n + r) * n + c for r, c, k in self.edges]] = True
-        table.setflags(write=False)
-        return table
+        flat = bytearray(n * n)
+        for r, c, k in self.edges:  # BLUE 0 adds 1, RED 1 adds 2
+            flat[r * n + c] += 1 + k
+        codes = np.ndarray((n, n), dtype=np.int8, buffer=flat)
+        codes.setflags(write=False)
+        return codes
 
     @cached_property
     def row_adj(self) -> Tuple[Tuple[int, ...], ...]:

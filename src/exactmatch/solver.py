@@ -68,15 +68,15 @@ each wanted t is proved or refuted:
     subset sum of the deltas is achievable (_Exchange, linear in n;
     Berge's cycles, Karzanov's exchange argument); a t in this reach is
     YES;
-  * congruence, only when it can drop a wanted t: potentials along a
-    spanning tree of each connected component of g's records, with
-    p(col) - p(row) = red(e), leave a discrepancy on every other record;
-    every perfect matching has red count congruent to sum p(col) -
-    sum p(row) modulo the gcd of the discrepancies (equal when it is 0)
-    (_congruence). The class holds on every graph, its modulus divides
-    every delta and t_min is in it, so it runs only when some wanted t
-    still open is not t_min modulo the deltas' gcd; a t off the class is
-    NO;
+  * congruence, only when it can drop a wanted t: potentials with
+    p(col) - p(row) = red(e), placed by one pass over g's records in
+    their order, leave a discrepancy on every other record; every perfect
+    matching has red count congruent to sum p(col) - sum p(row) modulo
+    the gcd of the discrepancies (equal when it is 0), and the pass stops
+    once that gcd is 1 (_congruence). The class holds on every graph,
+    its modulus divides every delta and t_min is in it, so it runs only
+    when some wanted t still open is not t_min modulo the deltas' gcd; a
+    t off the class is NO;
   * chord: a record of g joining two rows of one cycle (delta >= 2)
     closes a shorter alternating cycle inside it, whose switched matching
     has an exact red count between t_min and t_min + delta (_chords, one
@@ -100,18 +100,19 @@ Witnesses: extract_witness reduces one row at a time, as a loop. Each
 graph it reaches has a start when t is in its exchange's reach, chords
 included (the switched matching: M_lo with each cycle switched whole or
 closed along one chord, their gains summing to t - t_min, no determinant
-at all; the root of solve's is the exchange its certificates kept,
-SolveTrace.start), or its top node fits the probe's guard:
-then it goes down a cofactor chain (_brace_witness): M(lam*, x), inverted
-once modulo the first certificate prime at the x nodes its bounds need
-(_top_node, made when the witness reaches the graph, _start_of), gives
+at all), or its top node fits the probe's guard: then it goes down a
+cofactor chain (_brace_witness): M(lam*, x), inverted once modulo the
+first certificate prime at the x nodes its bounds need (_top_node, made
+when the witness reaches the graph, _start_of), gives
 every record's cofactor along a row; the first record whose coefficient
 for the target left is nonzero is taken, and a rank-one downdate of the
 inverse's trailing block gives the next row's cofactors. A nonzero
 coefficient is a certificate on any graph, so each step is exact, and a
 certified start c_t(lam*) != 0 mod p keeps a qualifying record in every
 row (the matrix-inverse self-reduction of Rabin and Vazirani,
-deterministic here). When the start is not
+deterministic here). The root of solve starts from the exchange its
+certificates kept, chords included once they ran (SolveTrace.start), so
+its witness solves no assignment again. When the start is not
 certified or a cofactor vanishes at an x node, the chain gives up and row
 0 is forced onto the first record whose residual graph keeps the residual
 target in feasible_red_counts, whose subproblems settle their whole sets.
@@ -165,6 +166,13 @@ _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 # matrix and grid
 
 
+# By cell code, blue + 2 * red (ColoredBipartiteGraph.cell_codes): the
+# blue and red records of a cell and their number
+_BLUE = np.array([0, 1, 0, 1], dtype=np.int64)
+_RED = np.array([0, 0, 1, 1], dtype=np.int64)
+_MULTIPLICITY = _BLUE + _RED
+
+
 def coefficient_bound(g: ColoredBipartiteGraph) -> int:
     """C >= |every lam-coefficient of every x-coefficient c_t of det M|.
 
@@ -172,11 +180,11 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
     lam-coefficients of each prod_i (lam + i)^sigma(i) are nonnegative,
     since i >= 0, and sum to prod_i (1 + i)^sigma(i). So every coefficient
     is at most perm(A), which is at most the product of A's row sums and
-    the product of its column sums.
+    the product of its column sums. mult_ij is read off g.cell_codes.
     """
     rows = [0] * g.n
     cols = [0] * g.n
-    mult = g.color_table.sum(axis=0)
+    mult = _MULTIPLICITY[g.cell_codes]
     rr, cc = np.nonzero(mult)
     for i, j, k in zip(rr.tolist(), cc.tolist(), mult[rr, cc].tolist()):
         a = k * (1 + i) ** j
@@ -203,10 +211,10 @@ def _fits(n: int, m: int) -> bool:
 
 
 def _cell_weights(g: ColoredBipartiteGraph, m: int) -> np.ndarray:
-    """blue + red * x for every cell at x = 1..m, shape (m, n, n), int64."""
-    blue, red = g.color_table
+    """blue + red * x for every cell at x = 1..m, shape (m, n, n), int64:
+    one gather of g.cell_codes from the weight of each code at each x."""
     x = np.arange(1, m + 1, dtype=np.int64)
-    return blue + red * x[:, None, None]
+    return (x[:, None] * _RED + _BLUE)[:, g.cell_codes]
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,9 +440,9 @@ def red_count_bounds(
     return sum(lo_reds), sum(hi_reds)
 
 
-# Assignment costs by cell code, blue + 2 * red (0: no record, 1: blue,
-# 2: red, 3: both): red-only cells cost 1 for the min-red matching,
-# blue-only cells for the max-red one, and a non-cell a sentinel
+# Assignment costs by cell code (0: no record, 1: blue, 2: red, 3: both):
+# red-only cells cost 1 for the min-red matching, blue-only cells for the
+# max-red one, and a non-cell a sentinel
 _LO_COST = np.array([_NO_EDGE, 0, 1, 0])
 _HI_COST = np.array([_NO_EDGE, 1, 0, 0])
 
@@ -442,9 +450,11 @@ _HI_COST = np.array([_NO_EDGE, 1, 0, 0])
 def _assignments(g: ColoredBipartiteGraph) -> Optional[tuple]:
     """A min-red and a max-red perfect matching of g, or None if it has none.
 
-    Two assignment problems: minimize the number of red-only cells used,
-    and minimize blue-only cells (equivalently maximize red). An optimum
-    touching a non-cell's sentinel means no perfect matching at all.
+    Two assignment problems on the costs of g.cell_codes: minimize the
+    number of red-only cells used, and minimize blue-only cells
+    (equivalently maximize red). An optimum touching a non-cell's sentinel
+    means no perfect matching at all. The chosen cells' codes are read
+    from one list of the table's rows.
     Returns (lo_cols, lo_reds, hi_cols, hi_reds), lists indexed by row:
     the column of each row in the min-red matching and whether its record
     there is red, then the same for the max-red one. A cell with records
@@ -452,17 +462,16 @@ def _assignments(g: ColoredBipartiteGraph) -> Optional[tuple]:
     """
     if g.n == 0:
         return [], [], [], []
-    blue, red = g.color_table
-    code = blue + 2 * red
-    rows, lo_cols = linear_sum_assignment(_LO_COST[code])
-    lo_codes = code[rows, lo_cols].tolist()
+    codes = g.cell_codes
+    lo_cols = linear_sum_assignment(_LO_COST[codes])[1].tolist()
+    rows = codes.tolist()
+    lo_codes = [row[c] for row, c in zip(rows, lo_cols)]
     if 0 in lo_codes:
         return None
-    _, hi_cols = linear_sum_assignment(_HI_COST[code])
-    hi_codes = code[rows, hi_cols].tolist()
+    hi_cols = linear_sum_assignment(_HI_COST[codes])[1].tolist()
     return (
-        lo_cols.tolist(), [c == 2 for c in lo_codes],
-        hi_cols.tolist(), [c >= 2 for c in hi_codes],
+        lo_cols, [c == 2 for c in lo_codes],
+        hi_cols, [row[c] >= 2 for row, c in zip(rows, hi_cols)],
     )
 
 
@@ -647,13 +656,25 @@ def _congruence(n: int, records) -> Tuple[int, int]:
     """(modulus, residue) with red(M) = residue (mod modulus) for every
     perfect matching M that uses only records.
 
-    records are (row, col, color) on n rows and n columns. In each
-    connected component of the graph they span, a spanning walk gives
-    potentials with p(col) - p(row) = red(e) on its tree records; every
-    record then has red(e) = p(col) - p(row) + d(e). A perfect matching
-    covers every vertex once, so red(M) = sum p(col) - sum p(row) + sum
-    of d over M, and modulus = gcd of all d makes the last term vanish
-    (equality when modulus = 0). Linear in the records.
+    records are (row, col, color) on n rows and n columns, sorted by row
+    as g keeps them. Potentials with p(col) - p(row) = red(e) on a spanning
+    forest of the graph they span leave every record a discrepancy d(e) =
+    red(e) - p(col) + p(row). A perfect matching covers every vertex once,
+    so red(M) = sum p(col) - sum p(row) + sum of d over M, and modulus =
+    the gcd of all d makes the last term vanish (equality when modulus =
+    0); it does not depend on the forest.
+
+    One pass in record order places the potentials: the first record's row
+    roots its component at 0; a record with one end placed places the
+    other, one with both placed adds its discrepancy to the gcd, and one
+    with neither waits on both ends and is read again when either is
+    placed, so each record is read at most three times. Records still
+    waiting at the end root the components not reached. Each component is
+    rooted at the row of its first record, which in sorted order is its
+    lowest vertex, so the residue is a walk's from the lowest vertex of
+    each component even when it has more rows than columns. Once the gcd
+    is 1 the class is every integer, and (1, 0) returns at once. Linear in
+    the records.
 
     Given g.edges, the class holds for every perfect matching of g on any
     graph. Given the allowed records of g's D(G, M) (d.allowed()), whose
@@ -665,28 +686,42 @@ def _congruence(n: int, records) -> Tuple[int, int]:
     allowed; otherwise the records' modulus divides the blocks' (their
     cycles include the blocks').
     """
-    adj: list[list[Tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for r, c, k in records:  # rows 0..n-1, columns n..2n-1
-        rho = 1 if k == RED else 0
-        adj[r].append((n + c, rho))
-        adj[n + c].append((r, -rho))
-    pot: list[Optional[int]] = [None] * (2 * n)
-    for root in range(2 * n):
-        if pot[root] is not None:
-            continue
-        pot[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, step in adj[v]:
-                if pot[w] is None:
-                    pot[w] = pot[v] + step
-                    stack.append(w)
+    row_pot: list[Optional[int]] = [None] * n
+    col_pot: list[Optional[int]] = [None] * n
+    waiting: dict[int, list] = {}  # unplaced row r or column n + c -> records
     modulus = 0
-    for r in range(n):
-        for c, rho in adj[r]:
-            modulus = math.gcd(modulus, rho - pot[c] + pot[r])
-    residue = sum(pot[n:]) - sum(pot[:n])
+    todo = list(reversed(records))  # popped in record order, replays on top
+    if todo:
+        row_pot[todo[-1][0]] = 0
+    while True:
+        while todo:
+            rec = todo.pop()
+            r, c, k = rec  # the color k is rho(k), BLUE 0 and RED 1
+            pr, pc = row_pot[r], col_pot[c]
+            if pc is None:
+                if pr is None:
+                    waiting.setdefault(r, []).append(rec)
+                    waiting.setdefault(n + c, []).append(rec)
+                    continue
+                col_pot[c] = pr + k
+                if waiting:
+                    todo += waiting.pop(n + c, ())
+            elif pr is None:
+                row_pot[r] = pc - k
+                if waiting:
+                    todo += waiting.pop(r, ())
+            else:
+                d = k - pc + pr
+                if d:
+                    modulus = math.gcd(modulus, d)
+                    if modulus == 1:
+                        return 1, 0
+        if not waiting:
+            break
+        r = next(iter(waiting))  # the row of the first record left waiting
+        row_pot[r] = 0
+        todo = waiting.pop(r)
+    residue = sum(filter(None, col_pot)) - sum(filter(None, row_pot))
     return modulus, residue % modulus if modulus else residue
 
 
@@ -777,10 +812,12 @@ class SolveTrace:
     the root keeps in memo, under its key, only the red counts it proved,
     which only extract_witness's guard reads, for the same t. Every other
     subproblem, and every subproblem of a trace without a target, settles
-    its whole set. start is the root's _Exchange when its exchange or its
-    chords proved target, whether or not a witness is wanted: the witness
-    of that root is its switched matching. Every other start, and the
-    root's when start is None, is made on demand (_start_of).
+    its whole set. start is the root's _Exchange, with its chords once
+    they ran, whether or not a witness is wanted: the witness of that root
+    starts from it (_start_of), as its switched matching when target is in
+    its reach, else from the inverted top node of its bounds, with no
+    second assignment. Every other graph's start is made from its own
+    assignments.
     """
 
     memo: dict = field(default_factory=dict)
@@ -838,18 +875,18 @@ def _certify(
     one block of proved (with t None, g's whole achievable set). Otherwise
     method is None and _feasible goes on to D with open.
 
-    The root of solve keeps its _Exchange in trace.start when t is in the
-    reach, chords included: its switched matching is the witness.
+    The root of solve keeps its _Exchange in trace.start, with its chords
+    once they ran, for its witness's start (_start_of).
     """
     found = _assignments(g)
     if found is None:
         return None
     exchange = _exchange(*found)
+    if t is not None:  # only the root of solve has a t
+        trace.start = exchange
     t_min, t_max = exchange.t_min, exchange.t_max
     reach = exchange.reach()
     proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    if t in proved:  # only the root of solve has a t
-        trace.start = exchange
     open_ = set(range(t_min + 1, t_max))
     if t is not None:
         open_ &= {t}
@@ -866,10 +903,10 @@ def _certify(
     # gains of 1 alone reach every t in bounds, so some cycle here has a
     # gain of at least 2, the ones _chords reads
     exchange = _chords(g, exchange)
+    if t is not None:
+        trace.start = exchange
     reach = exchange.reach()
     proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    if t in proved:
-        trace.start = exchange
     open_ -= proved
     if not open_:
         return proved, open_, "chord"
@@ -1015,9 +1052,9 @@ def extract_witness(
     from its start when it has one: the switched matching of its exchange
     when t is in the reach, chords included, else the cofactor chain of
     _brace_witness from its inverted top node when that fits, which
-    finishes the matching from one certified coefficient (the root of
-    solve reuses the exchange its certificates kept in trace.start;
-    _start_of makes every other start). Otherwise, or when the chain gives
+    finishes the matching from one certified coefficient (_start_of; at
+    the root of solve it reads the exchange its certificates kept in
+    trace.start, chords included). Otherwise, or when the chain gives
     up, row 0 is forced onto each of its records in turn and the first
     whose residual graph still reaches the residual target is kept. The
     result is checked against g before it is returned.
@@ -1059,9 +1096,9 @@ def _witness(
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
-    start = trace.start  # g's own, kept by the root of solve
+    exchange = trace.start  # g's own, kept by the root of solve
     while g.n:
-        start = start or _start_of(g, t)
+        start = _start_of(g, t, exchange)
         if start is not None:
             chain = (
                 start.witness(t) if isinstance(start, _Exchange)
@@ -1080,21 +1117,24 @@ def _witness(
         else:
             raise InvariantError("feasible target with no extractable witness")
         out.append((rows.pop(0), cols.pop(c), k))
-        g, t, start = rest, t - _rho(k), None
+        g, t, exchange = rest, t - _rho(k), None
     return out
 
 
 def _start_of(
-    g: ColoredBipartiteGraph, t: int
+    g: ColoredBipartiteGraph, t: int, exchange: Optional[_Exchange] = None
 ) -> Optional[_Exchange | _TopNode]:
-    """g's witness start, made on demand for a g with a perfect matching:
-    its _Exchange when t is in the reach, with its chords (_chords) when
-    only they reach t, else its inverted _top_node when that fits one
-    elimination (_fits), else None, where the row-forcing loop must go on.
+    """g's witness start, for a g with a perfect matching: its _Exchange
+    when t is in the reach, with its chords (_chords) when only they reach
+    t, else its inverted _top_node when that fits one elimination (_fits),
+    else None, where the row-forcing loop must go on. exchange is g's own
+    when a caller kept it (the root of solve's, SolveTrace.start, chords
+    included once they ran); otherwise it is made from g's assignments.
     The only caller of _top_node: a root the probe decided pays for its
     plain probe first, then for this inversion."""
-    exchange = _exchange(*_assignments(g))
-    if not exchange.reach() >> t & 1:
+    if exchange is None:
+        exchange = _exchange(*_assignments(g))
+    if not exchange.reach() >> t & 1 and not exchange.chords:  # not yet run
         exchange = _chords(g, exchange)
     if exchange.reach() >> t & 1:
         return exchange
@@ -1242,9 +1282,10 @@ def solve(
     open reaches D, where every subproblem below the root certifies its
     own whole set first, and the grid. The decision never reads whether a
     witness is wanted, so both give the same blocks and counts. With a
-    witness, a t in the root's exchange reach, chords included, takes its
-    switched matching (SolveTrace.start); any other t gets its start from
-    extract_witness after the decision (_start_of).
+    witness, extract_witness starts the root from the exchange its
+    certificates kept (SolveTrace.start): its switched matching when t is
+    in its reach, chords included, else the inverted top node of its
+    bounds (_start_of).
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(target=t)

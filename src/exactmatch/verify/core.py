@@ -9,6 +9,7 @@ sizes where exhaustive enumeration is honest (CapExceeded / OracleCap).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -109,6 +110,46 @@ def red_count_set_dp(g: ColoredBipartiteGraph) -> set[int]:
         reach = step
     counts = reach.get((1 << n) - 1, 0)
     return {k for k in range(n + 1) if counts >> k & 1}
+
+
+# ---------------------------------------------------------------------------
+# red-count congruence
+
+
+def congruence_by_walk(n: int, records) -> Tuple[int, int]:
+    """(modulus, residue) with red(M) = residue (mod modulus) for every
+    perfect matching M that uses only records, by a spanning walk.
+
+    The reference for solver._congruence, in any record order: an
+    adjacency list of all records, then a walk from each unplaced vertex
+    in index order (rows 0..n-1, then columns n..2n-1) at potential 0
+    gives p(col) - p(row) = red(e) on its tree records; the modulus is the
+    gcd of every record's discrepancy red(e) - p(col) + p(row), and the
+    residue is sum p(col) - sum p(row), reduced when the modulus is not 0.
+    """
+    adj: list[list[Tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for r, c, k in records:
+        rho = 1 if k == RED else 0
+        adj[r].append((n + c, rho))
+        adj[n + c].append((r, -rho))
+    pot: list[Optional[int]] = [None] * (2 * n)
+    for root in range(2 * n):
+        if pot[root] is not None:
+            continue
+        pot[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, step in adj[v]:
+                if pot[w] is None:
+                    pot[w] = pot[v] + step
+                    stack.append(w)
+    modulus = 0
+    for r in range(n):
+        for c, rho in adj[r]:
+            modulus = math.gcd(modulus, rho - pot[c] + pot[r])
+    residue = sum(pot[n:]) - sum(pot[:n])
+    return modulus, residue % modulus if modulus else residue
 
 
 # ---------------------------------------------------------------------------

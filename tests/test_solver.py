@@ -42,6 +42,7 @@ from exactmatch.solver import (
     solve,
 )
 from exactmatch.verify.core import (
+    congruence_by_walk,
     fiber_table,
     red_count_set,
     red_count_set_dp,
@@ -301,13 +302,15 @@ def test_color_counts_and_their_readers_match_a_per_cell_loop(g, monkeypatch):
         blue[i][j], red[i][j] = ks.count(BLUE), ks.count(RED)
         rows[i] += len(ks) * (1 + i) ** j
         cols[j] += len(ks) * (1 + i) ** j
-    table = g.color_table
-    assert table.dtype == bool
-    assert table.astype(int).tolist() == [blue, red]
-    assert g.color_table is table  # one table per graph
+    table = g.cell_codes
+    assert table.dtype == np.int8 and table.shape == (n, n)
+    assert table.tolist() == [
+        [blue[i][j] + 2 * red[i][j] for j in range(n)] for i in range(n)
+    ]
+    assert g.cell_codes is table  # one table per graph
     assert not table.flags.writeable
     with pytest.raises(ValueError):
-        table[...] = False
+        table[...] = 0
     weights = solver._cell_weights(g, 4)
     assert weights.dtype == np.int64
     assert weights.tolist() == [
@@ -321,15 +324,15 @@ def test_color_counts_and_their_readers_match_a_per_cell_loop(g, monkeypatch):
     assert bounds == ((min(achievable), max(achievable)) if achievable else None)
 
     # the bounds, the top node, the grid and coefficient_bound all read
-    # color_table: a certified solve builds it once, and a second solve of
+    # cell_codes: a certified solve builds it once, and a second solve of
     # the same graph not at all
     builds = []
-    view = ColoredBipartiteGraph.color_table
+    view = ColoredBipartiteGraph.cell_codes
     counted = functools.cached_property(
         lambda graph: builds.append(graph) or view.func(graph)
     )
-    counted.__set_name__(ColoredBipartiteGraph, "color_table")
-    monkeypatch.setattr(ColoredBipartiteGraph, "color_table", counted)
+    counted.__set_name__(ColoredBipartiteGraph, "cell_codes")
+    monkeypatch.setattr(ColoredBipartiteGraph, "cell_codes", counted)
     fresh = ColoredBipartiteGraph.make(g.n, g.edges, g.multi)
     for _ in range(2):
         assert solve(fresh, g.n // 2).counts["certified"] == 1
@@ -721,6 +724,31 @@ def test_witnessed_solve_makes_top_nodes_only_inside_extract_witness(
     assert (made != []) == (chained != [])
 
 
+def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
+    # the root keeps its exchange on the trace, chords included: the probe
+    # decides t = 7, and the witness starts from that exchange with no
+    # second assignment and no second chord pass, finishing the matching a
+    # fresh start finishes
+    g = next(p.values[0] for p in CHAIN_FROM_ROOT if p.id == "nonbrace-n12-2")
+    t = 7
+    fresh = solver._brace_witness(g, t, solver._start_of(g, t))
+    assert _is_witness(g, t, fresh)
+    calls = []
+    assignments, chords = solver._assignments, solver._chords
+    monkeypatch.setattr(
+        solver, "_assignments",
+        lambda graph: calls.append("assignments") or assignments(graph),
+    )
+    monkeypatch.setattr(
+        solver, "_chords",
+        lambda graph, ex: calls.append("chords") or chords(graph, ex),
+    )
+    rep = solve(g, t, SolverOptions(want_witness=True))
+    assert [b.method for b in rep.blocks] == ["probe"]
+    assert calls == ["assignments", "chords"]
+    assert rep.witness == tuple(fresh)
+
+
 @pytest.mark.parametrize("p", [31, 37])
 def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
     # the probe and the chain work mod the first certificate prime: a
@@ -807,7 +835,7 @@ def _certify_nothing(g, trace, t):
         return None
     return set(), set(range(g.n + 1)), None
 solver._certify = _certify_nothing
-solver._start_of = lambda g, t: None
+solver._start_of = lambda g, t, exchange: None
 """
 
 
@@ -1806,6 +1834,74 @@ def test_multi_block_holes_decide_with_fewer_subproblems(
     rep = solve(g, hole)
     assert rep.counts["subproblems"] == now <= before
     assert 0 < rep.counts["certified"] < now  # the root stayed open
+
+
+def _random_record_sets(count, seed):
+    # sorted, as every graph keeps its records: n <= 9 at any density,
+    # with parallel cells of both colors and, at low density, several
+    # components and isolated vertices
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 9)
+        cells = [(r, c) for r in range(n) for c in range(n)
+                 if rng.random() < rng.choice((0.1, 0.25, 0.5, 0.9))]
+        records = set()
+        for r, c in cells:
+            for k in rng.choice(((BLUE,), (RED,), (BLUE, RED))):
+                records.add((r, c, k))
+        out.append((n, sorted(records)))
+    return out
+
+
+def _far_end_path(n, seed):
+    # one path through every vertex, read from its far end: col n-1 - row
+    # 0 is read first, then row 1 - col 0, row 1 - col 1, ..., row n-1 -
+    # col n-2, each with both ends unplaced, until the last record, row
+    # n-1 - col n-1, reaches the first and places them all
+    rng = random.Random(seed)
+    cells = [(0, n - 1)] + [(r, c) for r in range(1, n) for c in (r - 1, r)]
+    return sorted((r, c, rng.choice((BLUE, RED))) for r, c in cells)
+
+
+def test_congruence_pass_matches_the_spanning_walk():
+    cases = _random_record_sets(3000, 16000)
+    assert sum(n and len(records) < n for n, records in cases) >= 100
+    assert any(
+        (r, c, BLUE) in records and (r, c, RED) in records
+        for _, records in cases for r, c, _ in records
+    )
+    cases += [(n, _far_end_path(n, 16100 + n)) for n in range(1, 10)]
+    found = set()
+    for n, records in cases:
+        got = solver._congruence(n, records)
+        assert got == congruence_by_walk(n, records)
+        found.add(got[0])
+    assert {0, 1, 2} <= found
+
+
+def test_congruence_pass_reads_nothing_past_gcd_one():
+    # a red and a blue record close a 4-cycle of discrepancy 1: the class
+    # is every integer, so a record past them is never read (this one
+    # would index outside the 2n potentials)
+    records = [(0, 0, RED), (0, 1, BLUE), (1, 0, BLUE), (1, 1, BLUE)]
+    assert solver._congruence(2, records + [(9, 9, BLUE)]) == (1, 0)
+    with pytest.raises(IndexError):
+        solver._congruence(2, records[1:] + [(9, 9, BLUE)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    CONGRUENCE_CASES
+    + [pytest.param(random_graph(n, d, 0.5, seed=s, require_pm=True),
+                    id=f"hole-n{n}-d{d}-{s}")
+       for n, d, s, *_ in MULTI_BLOCK_HOLES],
+)
+def test_congruence_pass_matches_the_spanning_walk_on_graphs(g):
+    for records in (g.edges, _elementary(g).allowed()):
+        assert solver._congruence(g.n, records) == congruence_by_walk(
+            g.n, records
+        )
 
 
 _SPARSE_ROOT = """
