@@ -5,8 +5,8 @@ Draws random colored instances and checks each against an oracle (the DP
 oracle, or a closed form for the diagonal draw below) twice: the
 recursion's achievable set, one feasible_red_counts call per instance, and
 solve(g, t).decision for every t in -1..n+1. Every subproblem's
-certificates (bounds, exchange, congruence, chord, probe) run before any
-D(G, M) is built, the root's for t alone. A root the certificates decided
+certificates (bounds, exchange, congruence, chord, unit, probe) run before
+any D(G, M) is built, the root's for t alone. A root the certificates decided
 is the report's one subproblem and one certified block, with the red
 counts they proved: each must lie in the oracle's set, and t among them
 exactly when the answer is YES. Every t the exchange's reach proves, with
@@ -22,9 +22,11 @@ witness. The final line counts, over every (graph, t), the certified
 blocks by the certificate that settled them (roots and subproblems below
 them), the roots left open, and the witnesses by their source: the
 exchange's reach with whole cycles switched, or only with a chord (both
-switched matchings), else the cofactor chain when it finished the whole
-matching from the root's top node (_brace_witness, wrapped to count), else
-row forcing. The run stops at --budget seconds or --max-instances.
+switched matchings), else a unit cycle of M_lo or M_hi for t_min + 1 or
+t_max - 1 (_unit_cycle), else the cofactor chain when it finished the
+whole matching from the root's top node (_brace_witness, wrapped to
+count), else row forcing. The run stops at --budget seconds or
+--max-instances.
 One draw in GAP_SHARE is a dense graph gap-colored (red iff row and column
 lie on opposite halves), so every red count is even and the odd targets
 inside its bounds are zeros the grid must certify. One draw
@@ -32,11 +34,11 @@ in MULTI_SHARE (gap draws take precedence) is a node graph of decompose(g)
 for a matching-covered random g: the blocks below its root are multigraphs,
 with a parallel cell wherever crossing records of both colors meet. One
 draw in DIAG_SHARE (the two above take precedence) is K_n,n with a red
-diagonal: its hole at n - 1 is zero at every lam node and lies in the class
-of its records, so the root builds D(G, M) and the brace grid sweeps every
-node for it, under every certificate prime. Its achievable set has a closed
-form, so it needs no DP oracle and its n reaches DIAG_PAST sizes past
---max-n (up to 16 at --max-n 14). Any disagreement, congruence mismatch, bad witness or report
+diagonal: its hole at n - 1 = t_max - 1 is zero at every lam node and lies
+in the class of its records, and the unit cycles refute it with no
+determinant. Its achievable set has a closed form, so it needs no DP oracle
+and its n reaches DIAG_MAX_N whatever --max-n is. Any disagreement,
+congruence mismatch, bad witness or report
 mismatch prints the instance in wire format (a make() call for a
 multigraph, which EBG cannot carry) and aborts, so the output is a
 ready-made regression fixture.
@@ -85,11 +87,11 @@ WITNESS_ALL_N = 10
 GAP_SHARE = 4
 MULTI_SHARE = 3
 DIAG_SHARE = 5
-# The diagonal draw's closed form costs nothing, so its size may pass
-# --max-n (and MAX_N) by this much.
-DIAG_PAST = 2
+# The diagonal draw's closed form costs nothing, and the unit cycles
+# decide its hole, so its size reaches this, past --max-n and MAX_N.
+DIAG_MAX_N = 64
 # The methods of a block its certificates settled.
-CERTIFICATES = ("bounds", "exchange", "congruence", "chord", "probe")
+CERTIFICATES = ("bounds", "exchange", "congruence", "chord", "unit", "probe")
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -156,7 +158,7 @@ def main(argv=None) -> int:
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
-    switched = chorded = 0  # witnesses from whole cycles, from a chord
+    switched = chorded = unit = 0  # from whole cycles, a chord, a unit cycle
     chained = forced = 0  # the others: the root's chain, row forcing
     settled: Counter = Counter()  # certified blocks by method, open roots
     chains = []  # (n, finished) of each cofactor chain one solve ran
@@ -179,7 +181,7 @@ def main(argv=None) -> int:
         elif instances % MULTI_SHARE == MULTI_SHARE - 1:
             g = decomposition_node(rng, n)
         elif instances % DIAG_SHARE == DIAG_SHARE - 1:
-            n = rng.randint(2, ns.max_n + DIAG_PAST)
+            n = rng.randint(2, DIAG_MAX_N)
             g = with_coloring(knn(n), red="diag")
             oracle = diagonal_red_counts
         else:
@@ -211,9 +213,11 @@ def main(argv=None) -> int:
                 return 1
         found = _assignments(g)
         reach = chord_reach = 0
+        units = set()  # t_min + 1 and t_max - 1
         if found is not None:
             exchange = _exchange(*found)
             reach, chord_reach = exchange.reach(), _chords(g, exchange).reach()
+            units = {exchange.t_min + 1, exchange.t_max - 1}
         outside = [
             t for t in range(g.n + 1)
             if (reach | chord_reach) >> t & 1 and t not in want
@@ -262,7 +266,9 @@ def main(argv=None) -> int:
             witnesses += 1
             switched += bool(reach >> t & 1)
             chorded += bool((chord_reach & ~reach) >> t & 1)
-            if not (reach | chord_reach) >> t & 1:
+            unreached = not (reach | chord_reach) >> t & 1
+            unit += unreached and t in units
+            if unreached and t not in units:
                 root_chain = (g.n, True) in chains
                 chained += root_chain
                 forced += not root_chain
@@ -286,7 +292,8 @@ def main(argv=None) -> int:
         f"{settled['roots without a perfect matching']} without a perfect "
         f"matching), {witnesses} witnesses "
         f"({switched} from whole exchange cycles, {chorded} from a chord, "
-        f"{chained} from the cofactor chain, {forced} by row forcing), "
+        f"{unit} from a unit cycle, {chained} from the cofactor chain, "
+        f"{forced} by row forcing), "
         f"0 disagreements"
     )
     return 0

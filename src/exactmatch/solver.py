@@ -83,6 +83,15 @@ each wanted t is proved or refuted:
     pass over g's records). Each cycle stays, switches, or
     takes one of its chords, independently of the others, so every sum of
     one choice per cycle is achievable; a t in this larger reach is YES;
+  * unit: t_min + 1 and t_max - 1, when wanted and still open, decided
+    both ways with no determinant (_unit_cycle). Every cycle of M_lo's
+    exchange digraph (an arc per record, weighted by the red count it
+    adds) is an alternating cycle of gain >= 0, and a perfect matching
+    with t_min + 1 red edges differs from M_lo in cycles one of which
+    gains exactly 1. Bellman-Ford potentials make every reduced cost an
+    integer >= 0, so such a cycle is one arc of reduced cost 1 closed by a
+    path of reduced cost 0, which a search finds or rules out in O(n *
+    m); t_max - 1 is the same on M_hi with the weights negated;
   * probe: c_t at the top lam node mod the first certificate prime
     (_probe), when g's top node fits _GRID_BLOCK_ENTRIES (_fits); its
     table of (lam* + i)^j is cached per (n, p) (_top_powers). A nonzero
@@ -100,13 +109,15 @@ Witnesses: extract_witness reduces one row at a time, as a loop. Each
 graph it reaches has a start when t is in its exchange's reach, chords
 included (the switched matching: M_lo with each cycle switched whole or
 closed along one chord, their gains summing to t - t_min, no determinant
-at all), or its top node fits the probe's guard: then it goes down a
-cofactor chain (_brace_witness): M(lam*, x), inverted once modulo the
-first certificate prime at the x nodes its bounds need (_top_node, made
-when the witness reaches the graph, _start_of), gives
-every record's cofactor along a row; the first record whose coefficient
-for the target left is nonzero is taken, and a rank-one downdate of the
-inverse's trailing block gives the next row's cofactors. A nonzero
+at all), when t is t_min + 1 or t_max - 1 (M_lo or M_hi switched along
+the unit cycle _unit_cycle finds), or its top node fits the probe's
+guard: then it goes down a cofactor chain (_brace_witness): M(lam*, x),
+inverted once modulo the first certificate prime at the x nodes its
+bounds need (_top_node, made when the witness reaches the graph,
+_start_of), gives every record's cofactor along a row; the first record
+whose coefficient for the target left is nonzero is taken, and a
+rank-one downdate of the inverse's trailing block gives the next row's
+cofactors. A nonzero
 coefficient is a certificate on any graph, so each step is exact, and a
 certified start c_t(lam*) != 0 mod p keeps a qualifying record in every
 row (the matrix-inverse self-reduction of Rabin and Vazirani,
@@ -122,13 +133,13 @@ The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
 (a subproblem decided by certificates is one block named after the one
 that decided its last wanted t, "bounds", "exchange", "congruence",
-"chord" or "probe", with the red counts they proved; a simple brace on
-the grid is "pure-ASNC", a piece with n <= 2 is "enumeration"), plus
-counts of
-subproblems, memo hits, braces, tight cuts, enumerated pieces, certified
-subproblems, the modular determinants of the grids and the probes, and
-the recursion depth. A probe runs only when a wanted t is still open
-after the bounds, the exchange, the congruence and the chords.
+"chord", "unit" or "probe", with the red counts they proved; a simple
+brace on the grid is "pure-ASNC", a piece with n <= 2 is
+"enumeration"), plus counts of subproblems, memo hits, braces, tight
+cuts, enumerated pieces, certified subproblems, the modular determinants
+of the grids and the probes, and the recursion depth. A probe runs only
+when a wanted t is still open after the bounds, the exchange, the
+congruence, the chords and the unit cycles.
 """
 
 from __future__ import annotations
@@ -496,7 +507,9 @@ class _Exchange(NamedTuple):
     k), a and b positions on the cycle as _chords writes them. Each cycle
     then stays, switches, or takes one of its chords, independently of the
     others, so every t_min + a sum of one choice per cycle is the red
-    count of a perfect matching, exactly, on any graph.
+    count of a perfect matching, exactly, on any graph. sums is _sums of
+    deltas and chords, built once by _exchange and once more by _chords;
+    reach and witness read it.
     """
 
     t_min: int
@@ -506,35 +519,21 @@ class _Exchange(NamedTuple):
     hi_reds: list[int]
     cycles: list[list[int]]
     deltas: list[int]
+    sums: list[int]
     chords: Tuple[dict, ...] = ()
 
     @property
     def t_max(self) -> int:
         return self.t_min + sum(self.deltas)
 
-    def _gains(self, i: int):
-        """Cycle i's choices: stay (0), switch (delta), then its chords."""
-        return (0, self.deltas[i], *(self.chords[i] if self.chords else ()))
-
-    def _sums(self) -> list[int]:
-        """Bit s of entry i is set when s is a sum of one choice per cycle
-        of cycles[:i]."""
-        sums = [1]
-        for i in range(len(self.deltas)):
-            acc = 0
-            for gain in self._gains(i):
-                acc |= sums[-1] << gain
-            sums.append(acc)
-        return sums
-
     def reach(self) -> int:
         """Bit t is set for every t the exchange proves achievable."""
-        return self._sums()[-1] << self.t_min
+        return self.sums[-1] << self.t_min
 
     def witness(self, t: int) -> Optional[list[EdgeRecord]]:
         """M_lo with each cycle switched or closed along a chord, so that
         their gains sum to t - t_min, or None when t is outside the reach."""
-        sums, s = self._sums(), t - self.t_min
+        sums, s = self.sums, t - self.t_min
         if s < 0 or not sums[-1] >> s & 1:
             return None
         out = [
@@ -543,7 +542,8 @@ class _Exchange(NamedTuple):
         ]
         for i in reversed(range(len(self.deltas))):
             gain = next(
-                g for g in self._gains(i) if g <= s and sums[i] >> s - g & 1
+                g for g in _gains(self.deltas, self.chords, i)
+                if g <= s and sums[i] >> s - g & 1
             )
             s -= gain
             cycle = self.cycles[i]
@@ -561,6 +561,23 @@ class _Exchange(NamedTuple):
             for r in switched:
                 out[r] = (r, self.hi_cols[r], RED if self.hi_reds[r] else BLUE)
         return out
+
+
+def _gains(deltas: list[int], chords: Tuple[dict, ...], i: int):
+    """Cycle i's choices: stay (0), switch (delta), then its chords."""
+    return (0, deltas[i], *(chords[i] if chords else ()))
+
+
+def _sums(deltas: list[int], chords: Tuple[dict, ...]) -> list[int]:
+    """Bit s of entry i is set when s is a sum of one choice per cycle of
+    the first i (_gains)."""
+    sums = [1]
+    for i in range(len(deltas)):
+        acc = 0
+        for gain in _gains(deltas, chords, i):
+            acc |= sums[-1] << gain
+        sums.append(acc)
+    return sums
 
 
 def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
@@ -591,7 +608,8 @@ def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
             cycles.append(cycle)
             deltas.append(delta)
     return _Exchange(
-        sum(lo_reds), lo_cols, lo_reds, hi_cols, hi_reds, cycles, deltas
+        sum(lo_reds), lo_cols, lo_reds, hi_cols, hi_reds, cycles, deltas,
+        _sums(deltas, ()),
     )
 
 
@@ -649,7 +667,107 @@ def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
                 f"outside 0..{delta}: the assignment optima are not a "
                 f"min-red and a max-red matching"
             )
-    return exchange._replace(chords=tuple(chords))
+    chords = tuple(chords)
+    return exchange._replace(chords=chords, sums=_sums(deltas, chords))
+
+
+def _unit_cycle(
+    g: ColoredBipartiteGraph, exchange: _Exchange, t: int
+) -> Optional[list[EdgeRecord]]:
+    """A perfect matching of g with t red records, t = t_min + 1 or t_max
+    - 1 of exchange, or None when g has none: exact both ways.
+
+    For t_min + 1 take M = M_lo and sign 1, else M = M_hi and sign -1.
+    M's exchange digraph has a node per row and, for each record (r, c, k)
+    of g, an arc r -> v, v M's row of c, of weight sign * (rho(k) -
+    rho(M(r))); an arc with v = r is a loop, the other color of r's own
+    cell. Its cycles are the alternating cycles of M: switching one, each
+    row on it taking its arc's record, gives a perfect matching whose red
+    count is M's plus sign times the cycle's weight, so no cycle is
+    negative (M_lo has the fewest red records, M_hi the most), and a loop
+    or a cycle of weight 1 is the matching sought. Conversely, a perfect
+    matching with t red records differs from M in disjoint cycles whose
+    weights are >= 0 and sum to 1, so one of them has weight 1. Bellman-
+    Ford from a virtual source settles potentials phi within n rounds (a
+    round n + 1 that still lowers one is a negative cycle, InvariantError),
+    and a weight-1 cycle then has reduced costs w + phi(u) - phi(v) >= 0
+    summing to 1: one arc u -> v of reduced cost 1, and a path from v back
+    to u over arcs of reduced cost 0. So t is achievable exactly when a
+    loop has weight 1, or a breadth-first search from the head v of some
+    arc of reduced cost 1 reaches its tail u over arcs of reduced cost 0;
+    the search's parents give the cycle, with the record behind each arc.
+    O(n * m) for m records (Ahuja, Magnanti and Orlin, Network Flows,
+    1993: reduced-cost optimality).
+    """
+    n = g.n
+    lo = t == exchange.t_min + 1
+    cols, reds = (
+        (exchange.lo_cols, exchange.lo_reds) if lo
+        else (exchange.hi_cols, exchange.hi_reds)
+    )
+    sign = 1 if lo else -1
+    owner = [0] * n  # column -> its row in M
+    for r, c in enumerate(cols):
+        owner[c] = r
+    out = [
+        (r, c, RED if red else BLUE)
+        for r, (c, red) in enumerate(zip(cols, reds))
+    ]
+    arcs = []  # (u, v, weight, k): the record (u, cols[v], k)
+    for r, c, k in g.edges:  # the color k is rho(k), BLUE 0 and RED 1
+        v, w = owner[c], sign * (k - reds[r])
+        if v != r:
+            arcs.append((r, v, w, k))
+        elif w == 1:
+            out[r] = (r, c, k)
+            return out
+        elif w < 0:
+            raise InvariantError(
+                f"record {(r, c, k)} beats its own cell in an assignment "
+                f"optimum: it is not a min-red and a max-red matching"
+            )
+    phi = [0] * n
+    for _ in range(n + 1):
+        changed = False
+        for u, v, w, _ in arcs:
+            if phi[u] + w < phi[v]:
+                phi[v] = phi[u] + w
+                changed = True
+        if not changed:
+            break
+    else:
+        raise InvariantError(
+            "the exchange digraph has a negative cycle: the assignment "
+            "optima are not a min-red and a max-red matching"
+        )
+    zero: list[list[tuple]] = [[] for _ in range(n)]  # u -> (v, k), cost 0
+    units: dict[int, list[tuple]] = {}  # v -> (u, k) of cost 1 into v
+    for u, v, w, k in arcs:
+        cost = w + phi[u] - phi[v]
+        if cost == 0:
+            zero[u].append((v, k))
+        elif cost == 1:
+            units.setdefault(v, []).append((u, k))
+    for head, tails in units.items():
+        parent = {head: None}  # node -> (its parent, the arc's color)
+        frontier = [head]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, k in zero[u]:
+                    if v not in parent:
+                        parent[v] = (u, k)
+                        nxt.append(v)
+            frontier = nxt
+        for u, k in tails:
+            if u in parent:  # u takes head's column, then back along parents
+                out[u] = (u, cols[head], k)
+                while u != head:
+                    prev, k = parent[u]
+                    out[prev] = (prev, cols[u], k)
+                    u = prev
+                return out
+    return None
 
 
 def _congruence(n: int, records) -> Tuple[int, int]:
@@ -785,9 +903,9 @@ class BlockReport:
 
     feasible_t is the leaf's whole achievable set, except at the root of
     solve, which settles only its target: there it is the red counts its
-    certificates (method "bounds", "exchange", "congruence", "chord" or
-    "probe") and, on a brace, its grid proved, all achievable, with the
-    target among them exactly when the answer is YES.
+    certificates (method "bounds", "exchange", "congruence", "chord",
+    "unit" or "probe") and, on a brace, its grid proved, all achievable,
+    with the target among them exactly when the answer is YES.
     """
 
     n: int
@@ -815,8 +933,9 @@ class SolveTrace:
     its whole set. start is the root's _Exchange, with its chords once
     they ran, whether or not a witness is wanted: the witness of that root
     starts from it (_start_of), as its switched matching when target is in
-    its reach, else from the inverted top node of its bounds, with no
-    second assignment. Every other graph's start is made from its own
+    its reach, else a unit cycle's when target is t_min + 1 or t_max - 1,
+    else from the inverted top node of its bounds, with no second
+    assignment. Every other graph's start is made from its own
     assignments.
     """
 
@@ -863,17 +982,20 @@ def _certify(
       * chord: the exchange's reach with its cycles' chords (_chords);
         every t in it is YES. It runs after the congruence, so a t the
         class refutes never pays for it;
+      * unit: t_min + 1 and t_max - 1, each only when wanted and still
+        open, are YES exactly when M_lo, or M_hi, has a unit cycle
+        (_unit_cycle), and NO otherwise;
       * probe: when g's top node fits one batched elimination (_fits), c_t
         at lam* mod the first certificate prime (_probe); every t among
         its hits is YES, and the report counts m determinants.
 
     proved is every red count the certificates run so far proved: the
-    exchange's reach (with its chords once they ran), and the probe's hits
-    when it ran. open is the wanted t neither proved nor refuted; when it
-    is empty, method names the
-    certificate that decided the last of them, and _feasible settles g as
-    one block of proved (with t None, g's whole achievable set). Otherwise
-    method is None and _feasible goes on to D with open.
+    exchange's reach (with its chords once they ran), the unit cycles'
+    YES, and the probe's hits when it ran. open is the wanted t neither
+    proved nor refuted; when it is empty, method names the certificate
+    that decided the last of them, and _feasible settles g as one block of
+    proved (with t None, g's whole achievable set). Otherwise method is
+    None and _feasible goes on to D with open.
 
     The root of solve keeps its _Exchange in trace.start, with its chords
     once they ran, for its witness's start (_start_of).
@@ -910,6 +1032,12 @@ def _certify(
     open_ -= proved
     if not open_:
         return proved, open_, "chord"
+    for s in {t_min + 1, t_max - 1} & open_:
+        if _unit_cycle(g, exchange, s) is not None:
+            proved.add(s)
+        open_.discard(s)
+    if not open_:
+        return proved, open_, "unit"
     m = t_max - t_min + 1
     if _fits(g.n, m):
         hits = _probe(g, t_min, t_max)
@@ -1050,7 +1178,8 @@ def extract_witness(
 
     Self-reduction, one row at a time. Each graph it reaches is finished
     from its start when it has one: the switched matching of its exchange
-    when t is in the reach, chords included, else the cofactor chain of
+    when t is in the reach, chords included, else of a unit cycle when t is
+    t_min + 1 or t_max - 1 (_unit_cycle), else the cofactor chain of
     _brace_witness from its inverted top node when that fits, which
     finishes the matching from one certified coefficient (_start_of; at
     the root of solve it reads the exchange its certificates kept in
@@ -1090,22 +1219,21 @@ def _witness(
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
     rows and cols map the current g's labels to the input's; a g with a
-    start hands the rest of the matching to it: an _Exchange switches its
-    cycles or closes them along chords, an inverted _top_node goes down
-    _brace_witness.
+    start hands the rest of the matching to it: a whole matching (the
+    exchange's or a unit cycle's) is taken as it is, an inverted _top_node
+    goes down _brace_witness.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
     exchange = trace.start  # g's own, kept by the root of solve
     while g.n:
         start = _start_of(g, t, exchange)
-        if start is not None:
-            chain = (
-                start.witness(t) if isinstance(start, _Exchange)
-                else _brace_witness(g, t, start)
-            )
-            if chain is not None:
-                return out + [(rows[r], cols[c], k) for r, c, k in chain]
+        chain = (
+            _brace_witness(g, t, start) if isinstance(start, _TopNode)
+            else start
+        )
+        if chain is not None:
+            return out + [(rows[r], cols[c], k) for r, c, k in chain]
         for c in g.row_adj[0]:
             rest = g.without([0], [c])
             feasible = feasible_red_counts(rest, trace)
@@ -1123,22 +1251,28 @@ def _witness(
 
 def _start_of(
     g: ColoredBipartiteGraph, t: int, exchange: Optional[_Exchange] = None
-) -> Optional[_Exchange | _TopNode]:
-    """g's witness start, for a g with a perfect matching: its _Exchange
+) -> Optional[list[EdgeRecord] | _TopNode]:
+    """g's witness start, for a g with a perfect matching of t red
+    records: a whole matching, either its _Exchange's switched matching
     when t is in the reach, with its chords (_chords) when only they reach
-    t, else its inverted _top_node when that fits one elimination (_fits),
-    else None, where the row-forcing loop must go on. exchange is g's own
-    when a caller kept it (the root of solve's, SolveTrace.start, chords
-    included once they ran); otherwise it is made from g's assignments.
-    The only caller of _top_node: a root the probe decided pays for its
-    plain probe first, then for this inversion."""
+    t, or, for t = t_min + 1 or t_max - 1, M_lo or M_hi switched along a
+    unit cycle (_unit_cycle); else its inverted _top_node when that fits
+    one elimination (_fits), else None, where the row-forcing loop must go
+    on. It reads the exchange's stored subset sums (_Exchange.sums).
+    exchange is g's own when a caller kept it (the root of solve's,
+    SolveTrace.start, chords included once they ran); otherwise it is made
+    from g's assignments. The only caller of _top_node: a root the probe
+    decided pays for its plain probe first, then for this inversion."""
     if exchange is None:
         exchange = _exchange(*_assignments(g))
     if not exchange.reach() >> t & 1 and not exchange.chords:  # not yet run
         exchange = _chords(g, exchange)
-    if exchange.reach() >> t & 1:
-        return exchange
+    witness = exchange.witness(t)
+    if witness is not None:
+        return witness
     t_min, t_max = exchange.t_min, exchange.t_max
+    if t in (t_min + 1, t_max - 1):
+        return _unit_cycle(g, exchange, t)
     if _fits(g.n, t_max - t_min + 1):
         return _top_node(g, t_min, t_max)
     return None
@@ -1246,7 +1380,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/6",
+            "schema": "exactmatch/7",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -1284,8 +1418,8 @@ def solve(
     witness is wanted, so both give the same blocks and counts. With a
     witness, extract_witness starts the root from the exchange its
     certificates kept (SolveTrace.start): its switched matching when t is
-    in its reach, chords included, else the inverted top node of its
-    bounds (_start_of).
+    in its reach, chords included, else a unit cycle's when t is t_min + 1
+    or t_max - 1, else the inverted top node of its bounds (_start_of).
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(target=t)

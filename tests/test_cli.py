@@ -56,7 +56,8 @@ def test_solve_witness_lines(fixtures_dir, capsys):
 
 
 def test_solve_json_report(fixtures_dir, capsys):
-    # t = 1: the root's probe decides it and proves {0, 1, 2, 4}
+    # t = 1 = t_min + 1: a unit cycle of M_lo decides it and, with the
+    # exchange's reach, proves {0, 1, 2, 4}
     code, out, _ = run(
         capsys, "solve", "--input", str(fixtures_dir / "k44_red_diag.ebg"),
         "--target", "1", "--json", "--witness",
@@ -64,29 +65,29 @@ def test_solve_json_report(fixtures_dir, capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/6"
+    assert doc["schema"] == "exactmatch/7"
     assert doc["decision"] == "YES"
     assert doc["n"] == 4 and doc["t"] == 1
     assert doc["blocks"] == [
-        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "probe"}
+        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "unit"}
     ]
     assert doc["counts"]["certified"] == 1 and doc["counts"]["braces"] == 0
     assert len(doc["witness"]) == 4
     assert set(doc["timings"]) == {"decide_ms", "witness_ms"}
-    # the hole t = 3: no certificate decides it, so the brace grid does
+    # the hole t = 3 = t_max - 1: no cycle of M_hi loses exactly one red
+    # record, so the unit cycles refute it with no determinant
     code, out, _ = run(
         capsys, "solve", "--input", str(fixtures_dir / "k44_red_diag.ebg"),
         "--target", "3", "--json", "--witness",
     )
     assert code == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/6"
+    assert doc["schema"] == "exactmatch/7"
     assert doc["decision"] == "NO" and "witness" not in doc
     assert doc["blocks"] == [
-        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
+        {"n": 4, "feasible_t": [0, 2, 4], "method": "unit"}
     ]
-    # the probe's 5 determinants, then the grid's 7 lam nodes at 5 x nodes
-    assert doc["counts"]["braces"] == 1 and doc["counts"]["grid_dets"] == 40
+    assert doc["counts"]["braces"] == 0 and doc["counts"]["grid_dets"] == 0
 
 
 def test_solve_json_deterministic_apart_from_timings(fixtures_dir, capsys):

@@ -1,6 +1,7 @@
 """Solver pipeline: grid nonvanishing, feasibility recursion, witnesses."""
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -52,6 +53,15 @@ from exactmatch.verify.core import (
 
 def k44_diag():
     return with_coloring(knn(4), red="diag")
+
+
+def k44_two_diagonals():
+    # red iff c - r is 0 or 1 mod 4: T = {0, .., 4}, and the exchange and
+    # the chords reach every t but 2, which is 2 from both bounds, so only
+    # the probe proves it
+    return with_coloring(
+        knn(4), red=[(r, (r + d) % 4) for r in range(4) for d in (0, 1)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +394,15 @@ def test_grid_primes_must_keep_the_lam_nodes_apart(monkeypatch):
 
 
 def test_grid_dets_count_the_modular_determinants(monkeypatch):
-    g = k44_diag()
-    # t = 3 is identically zero: the root probe's 5 determinants (one lam
-    # node, 5 x nodes) left it open, and the one prime (C < 2^31) sweeps
-    # all 7 lam nodes at the 5 x nodes, the probe's node among them
-    assert solve(g, 3).counts["grid_dets"] == 7 * 5 + 5
+    # the root's probe evaluates its one lam node at the 5 x nodes
+    assert solve(k44_two_diagonals(), 2).counts["grid_dets"] == 5
+    # k44_diag's t = 3 is identically zero: the one prime (C < 2^31)
+    # sweeps all 7 lam nodes at the 5 x nodes
+    trace = SolveTrace()
+    assert EvaluationGrid.for_size(4).nonvanishing_targets(
+        k44_diag(), {3}, trace
+    ) == set()
+    assert trace.counts["grid_dets"] == 7 * 5
     gap = _dense_gap_brace(8, 12500 + 8)
     grid = EvaluationGrid.for_size(gap.n)
     primes = solver.certificate_primes(coefficient_bound(gap))
@@ -690,7 +704,11 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g", CHAIN_FROM_ROOT + [pytest.param(k44_diag(), id="k44-diag")]
+    "g",
+    CHAIN_FROM_ROOT + [
+        pytest.param(k44_diag(), id="k44-diag"),
+        pytest.param(k44_two_diagonals(), id="k44-two-diagonals"),
+    ],
 )
 def test_witnessed_solve_makes_top_nodes_only_inside_extract_witness(
     g, monkeypatch,
@@ -698,9 +716,13 @@ def test_witnessed_solve_makes_top_nodes_only_inside_extract_witness(
     # the decision never reads whether a witness is wanted: the inverted
     # top node that starts a cofactor chain is made by extract_witness,
     # after the decision, and never by the probe or the grid; a YES t
-    # outside the chords' reach makes at least one
-    reach = _chorded(g).reach()
-    chained = [t for t in red_count_set_dp(g) if not reach >> t & 1]
+    # outside the chords' reach, 2 or more from both bounds, makes at
+    # least one (t_min + 1 and t_max - 1 switch a unit cycle instead)
+    ex = _chorded(g)
+    chained = [
+        t for t in red_count_set_dp(g)
+        if not ex.reach() >> t & 1 and ex.t_min + 1 < t < ex.t_max - 1
+    ]
     inside, made = [], []
     top, extract = solver._top_node, solver.extract_witness
 
@@ -793,11 +815,20 @@ WRONG_WITNESSES = [
 
 @pytest.mark.parametrize("wrong", WRONG_WITNESSES)
 def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
-    # t = 1 lies outside the exchange's reach {0, 2, 4}, so the witness
-    # goes down the cofactor chain
+    # t = 2 lies outside the chords' reach and 2 from both bounds, so the
+    # witness goes down the cofactor chain
     monkeypatch.setattr(
         solver, "_brace_witness", lambda g, t, start: list(wrong)
     )
+    with pytest.raises(InvariantError):
+        solve(k44_two_diagonals(), 2, SolverOptions(want_witness=True))
+
+
+@pytest.mark.parametrize("wrong", WRONG_WITNESSES)
+def test_a_wrong_unit_cycle_witness_raises_invariant_error(wrong, monkeypatch):
+    # t = 1 is k44_diag's t_min + 1: M_lo switched along a unit cycle is
+    # the witness
+    monkeypatch.setattr(solver, "_unit_cycle", lambda g, ex, t: list(wrong))
     with pytest.raises(InvariantError):
         solve(k44_diag(), 1, SolverOptions(want_witness=True))
 
@@ -933,27 +964,32 @@ def test_solve_k44_yes_and_no():
     assert not rep_no.decision and rep_no.witness is None
 
 
-def test_solve_report_blocks_k44():
-    # the hole t = 3 is the one target no root certificate decides, so it
-    # reaches the grid, which settles the brace's whole achievable set
+def test_solve_report_blocks_k44(monkeypatch):
+    # the hole t = 3 is t_max - 1: no cycle of M_hi's exchange digraph
+    # loses exactly one red record, so the root settles it with no
+    # determinant, as the red counts it proved
     rep = solve(k44_diag(), 3)
-    assert len(rep.blocks) == 1
-    blk = rep.blocks[0]
-    assert blk.n == 4
-    assert blk.feasible_t == (0, 1, 2, 4)
-    assert blk.method == "pure-ASNC"
+    assert rep.blocks == (BlockReport(4, (0, 2, 4), "unit"),)
+    assert rep.counts["certified"] == 1 and rep.counts["grid_dets"] == 0
     assert feasible_red_counts(k44_diag()) == {0, 1, 2, 4}
+    # with no certificate the root reaches the grid, which settles the
+    # brace's whole achievable set
+    _no_certificates(monkeypatch)
+    rep = solve(k44_diag(), 3)
+    assert rep.blocks == (BlockReport(4, (0, 1, 2, 4), "pure-ASNC"),)
+    assert rep.counts["braces"] == 1 and rep.counts["grid_dets"] == 7 * 5
 
 
 def test_solve_json_schema():
-    # t = 1 lies outside the exchange's reach {0, 2, 4}: the root's probe
-    # (5 determinants) decides it, proving {0, 1, 2, 4}, and the witness
-    # inverts the top node after the decision
-    d = solve(k44_diag(), 1, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/6"
+    # t = 2 lies outside the chords' reach {0, 1, 3, 4} and 2 from both
+    # bounds: the root's probe (5 determinants) decides it, proving every
+    # t, and the witness inverts the top node after the decision
+    g = k44_two_diagonals()
+    d = solve(g, 2, SolverOptions(want_witness=True)).to_json_dict()
+    assert d["schema"] == "exactmatch/7"
     assert d["decision"] == "YES"
     assert d["blocks"] == [
-        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "probe"}
+        {"n": 4, "feasible_t": [0, 1, 2, 3, 4], "method": "probe"}
     ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 0, "tight_cuts": 0,
@@ -962,17 +998,17 @@ def test_solve_json_schema():
     assert len(d["witness"]) == 4
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
-    # the root's probe leaves the hole t = 3 open; the grid sweeps all 7
-    # lam nodes (35 determinants)
+    # k44_diag's hole t = 3 is t_max - 1: the unit cycles refute it with
+    # no determinant
     d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/6"
+    assert d["schema"] == "exactmatch/7"
     assert d["decision"] == "NO" and "witness" not in d
     assert d["blocks"] == [
-        {"n": 4, "feasible_t": [0, 1, 2, 4], "method": "pure-ASNC"}
+        {"n": 4, "feasible_t": [0, 2, 4], "method": "unit"}
     ]
     assert d["counts"] == {
-        "subproblems": 1, "memo_hits": 0, "braces": 1, "tight_cuts": 0,
-        "enumerated": 0, "certified": 0, "grid_dets": 40, "depth": 1,
+        "subproblems": 1, "memo_hits": 0, "braces": 0, "tight_cuts": 0,
+        "enumerated": 0, "certified": 1, "grid_dets": 0, "depth": 1,
     }
 
 
@@ -990,7 +1026,7 @@ def test_solve_out_of_range_t():
 
 def test_solve_report_traces_the_recursion():
     # every subproblem certifies first: here every leaf is a subproblem
-    # its certificates settled, each of the four settles some, and the
+    # its certificates settled, each of the five settles some, and the
     # tight cuts above them are where a t was left open
     g = random_graph(14, 0.2, 0.5, seed=22, require_pm=True)
     want = red_count_set_dp(g)
@@ -999,7 +1035,7 @@ def test_solve_report_traces_the_recursion():
     rep = SolveTrace()
     assert feasible_red_counts(g, rep) == want
     assert {b.method for b in rep.blocks} == {
-        "bounds", "exchange", "congruence", "probe",
+        "bounds", "exchange", "congruence", "unit", "probe",
     }
     counts = rep.counts
     assert counts["tight_cuts"] > 0
@@ -1104,11 +1140,26 @@ def _congruence_cases():
     return out + _decomposition_blocks()
 
 
+def _multi_block_root():
+    # k33 with a red diagonal (T = {0, 1, 3}) beside a hexagon whose two
+    # perfect matchings have 0 and 3 red records, and a record between
+    # them that no perfect matching uses: T = {0, 1, 3, 4, 6}, whose hole
+    # 2 is 2 from both bounds
+    k33 = with_coloring(knn(3), red="diag")
+    hexagon = [(3 + r, 3 + (r + d) % 3, RED if d == 0 else BLUE)
+               for r in range(3) for d in (0, 1)]
+    return ColoredBipartiteGraph.make(
+        6, list(k33.edges) + hexagon + [(0, 3, BLUE)]
+    )
+
+
 CONGRUENCE_CASES = _congruence_cases()
-# in-bound NOs that neither the bounds nor the congruence explain
+# in-bound NOs that neither the bounds nor the congruence explain: t_max -
+# 1 of k33_diag and k44_diag, and the multi-block root's 2
 RESIDUAL_HOLES = [
     pytest.param(with_coloring(knn(3), red="diag"), id="k33-diag"),
     pytest.param(k44_diag(), id="k44-diag"),
+    pytest.param(_multi_block_root(), id="multi-block"),
 ]
 
 
@@ -1255,10 +1306,11 @@ def test_exchange_counts_a_cell_of_both_colors_as_a_cycle():
 def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
     monkeypatch,
 ):
-    # k44_diag: reach {0, 2, 4}, so 1 and 3 need the probe, with or
-    # without a witness; only the witness of 1 inverts the top node (3 is
-    # a hole, which only the grid proves); a t the bounds or the reach
-    # decide makes neither
+    # k44_two_diagonals: the chords reach {0, 1, 3, 4}, so 2 needs the
+    # probe, with or without a witness, and only its witness inverts the
+    # top node; k44_diag: reach {0, 2, 4}, and its 1 (YES) and 3 (NO) are
+    # t_min + 1 and t_max - 1, which the unit cycles decide; a t the
+    # bounds, the reach or the unit cycles decide makes neither
     made = []
     probe, top = solver._probe, solver._top_node
     monkeypatch.setattr(
@@ -1267,14 +1319,18 @@ def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
     monkeypatch.setattr(
         solver, "_top_node", lambda *args: made.append("top") or top(*args)
     )
-    for t, want_witness, ran in [
-        (1, False, ["probe"]), (1, True, ["probe", "top"]),
-        (3, False, ["probe"]), (3, True, ["probe"]), (2, False, []),
-        (2, True, []), (0, True, []), (4, True, []), (-1, True, []),
-        (5, True, []),
+    for g, t, want_witness, ran in [
+        (k44_two_diagonals(), 2, False, ["probe"]),
+        (k44_two_diagonals(), 2, True, ["probe", "top"]),
+        (k44_two_diagonals(), 1, True, []), (k44_two_diagonals(), 3, True, []),
+        (k44_diag(), 1, False, []), (k44_diag(), 1, True, []),
+        (k44_diag(), 3, False, []), (k44_diag(), 3, True, []),
+        (k44_diag(), 2, False, []), (k44_diag(), 2, True, []),
+        (k44_diag(), 0, True, []), (k44_diag(), 4, True, []),
+        (k44_diag(), -1, True, []), (k44_diag(), 5, True, []),
     ]:
         made.clear()
-        solve(k44_diag(), t, SolverOptions(want_witness=want_witness))
+        solve(g, t, SolverOptions(want_witness=want_witness))
         assert made == ran
     made.clear()
     solve(_both_colors_diagonal(3), 1, SolverOptions(want_witness=True))
@@ -1299,6 +1355,133 @@ def test_a_chord_gain_outside_its_cycle_raises_invariant_error():
     )
     with pytest.raises(InvariantError):
         solver._chords(g, ex)
+
+
+def _unit_targets_match_the_dp_oracle(g):
+    """_unit_cycle against red_count_set_dp at t_min + 1 and t_max - 1 of
+    g when they lie strictly between the bounds: a matching exactly when
+    the oracle has t, and then a witness. Returns the checks made."""
+    found = solver._assignments(g)
+    if found is None:
+        return 0
+    ex = solver._exchange(*found)
+    targets = {ex.t_min + 1, ex.t_max - 1} & set(range(ex.t_min + 1, ex.t_max))
+    want = red_count_set_dp(g) if targets else set()
+    for t in targets:
+        wit = solver._unit_cycle(g, ex, t)
+        assert (wit is not None) == (t in want), (g, t)
+        assert wit is None or _is_witness(g, t, wit), (g, t, wit)
+    return len(targets)
+
+
+def test_unit_cycle_matches_the_dp_oracle_on_every_n3_multigraph():
+    # every K3,3 whose nine cells are blue, red or both: 3^9 graphs
+    checks = 0
+    for codes in itertools.product(range(3), repeat=9):
+        edges = []
+        for cell, code in enumerate(codes):
+            r, c = divmod(cell, 3)
+            edges += [(r, c, k) for k in (BLUE, RED) if code in (k, 2)]
+        checks += _unit_targets_match_the_dp_oracle(
+            ColoredBipartiteGraph.make(3, edges, multi=True)
+        )
+    assert checks > 19683
+
+
+def test_unit_cycle_matches_the_dp_oracle_on_random_graphs():
+    rng = random.Random(19000)
+    checks = 0
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        g = random_graph(
+            n, rng.choice((0.3, 0.5, 0.7, 0.9)),
+            rng.choice((0.1, 0.3, 0.5, 0.8)), seed=rng.randrange(1 << 30),
+        )
+        checks += _unit_targets_match_the_dp_oracle(g)
+    for seed in range(600):
+        g = _multigraph(1 + seed % 8, 19500 + seed, (0.3, 0.5, 0.7)[seed % 3])
+        checks += _unit_targets_match_the_dp_oracle(g)
+    assert checks >= 1500
+
+
+def test_unit_cycles_decide_the_red_diagonal_hole_at_every_n():
+    # K_n,n with a red diagonal: a permutation's red count is its fixed
+    # points, so T = 0..n without n - 1; the hole n - 1 = t_max - 1 is NO
+    # and t_min + 1 = 1 is YES, both with no determinant (1 is a chord's
+    # when M_lo has a cycle longer than 2)
+    for n in range(3, 129):
+        g = with_coloring(knn(n), red="diag")
+        assert red_count_bounds(g) == (0, n)
+        rep = solve(g, n - 1)
+        assert not rep.decision and rep.counts["grid_dets"] == 0
+        assert [b.method for b in rep.blocks] == ["unit"]
+        rep = solve(g, 1, SolverOptions(want_witness=True))
+        assert rep.decision and rep.counts["grid_dets"] == 0
+        assert rep.counts["certified"] == rep.counts["subproblems"] == 1
+        assert _is_witness(g, 1, rep.witness)
+
+
+def test_unit_cycle_decides_a_root_past_the_probe_guard(monkeypatch):
+    # t = 59 = t_max - 1 of a sparse n = 64 root: the exchange and the
+    # chords leave it open and its top node does not fit the probe, so it
+    # once fell into the tight-cut recursion; M_hi's unit cycle decides it
+    # and switches to its witness with no determinant
+    g = random_graph(64, 0.1, 0.5, seed=7)
+    t_min, t_max = red_count_bounds(g)
+    assert t_max - 1 == 59 and not solver._fits(g.n, t_max - t_min + 1)
+    assert not _chorded(g).reach() >> 59 & 1
+    monkeypatch.setattr(solver, "_top_node", _no_top_node)
+    monkeypatch.setattr(solver, "_elementary", _no_pair_digraph)
+    rep = solve(g, 59, SolverOptions(want_witness=True))
+    assert rep.decision and [b.method for b in rep.blocks] == ["unit"]
+    assert rep.counts["grid_dets"] == 0 and rep.counts["subproblems"] == 1
+    assert _is_witness(g, 59, rep.witness)
+
+
+def test_witnessed_unit_root_builds_no_top_node(monkeypatch):
+    # the witness of a t the unit cycles prove is M_lo or M_hi switched
+    # along the cycle found: no probe, no top node, no pair digraph
+    monkeypatch.setattr(solver, "_probe", _no_top_node)
+    monkeypatch.setattr(solver, "_top_node", _no_top_node)
+    monkeypatch.setattr(solver, "_elementary", _no_pair_digraph)
+    for g, t in [
+        (k44_diag(), 1), (with_coloring(knn(3), red=[(0, 0), (1, 1)]), 1),
+        (with_coloring(knn(6), red="diag"), 1),
+    ]:
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert [b.method for b in rep.blocks] == ["unit"]
+        assert _is_witness(g, t, rep.witness)
+
+
+def test_a_negative_cycle_raises_invariant_error():
+    # the optima handed over in the wrong order: M_hi as M_lo has arcs of
+    # weight -1 closing negative cycles, and a cell of both colors whose
+    # red record is M_lo's has a loop of weight -1
+    for g in (k44_diag(), _both_colors_diagonal(3)):
+        ex = _exchange_of(g)
+        swapped = ex._replace(lo_cols=ex.hi_cols, lo_reds=ex.hi_reds)
+        with pytest.raises(InvariantError):
+            solver._unit_cycle(g, swapped, ex.t_min + 1)
+
+
+def test_witnessed_solve_builds_the_subset_sums_at_most_twice(monkeypatch):
+    # the exchange's table of subset sums is built once for its plain
+    # cycles and once more when the chords are added; the reach, the
+    # switched matching and the witness start read it
+    builds = []
+    sums = solver._sums
+    monkeypatch.setattr(
+        solver, "_sums", lambda *args: builds.append(args) or sums(*args)
+    )
+    for g in [k44_diag(), k44_two_diagonals()] + [
+        p.values[0] for p in CHAIN_FROM_ROOT[:4]
+    ]:
+        for t in sorted(red_count_set_dp(g)):
+            builds.clear()
+            rep = solve(g, t, SolverOptions(want_witness=True))
+            assert rep.counts["certified"] == rep.counts["subproblems"] == 1
+            assert _is_witness(g, t, rep.witness)
+            assert 1 <= len(builds) <= 2
 
 
 @pytest.mark.parametrize(
@@ -1345,8 +1528,10 @@ def test_certified_roots_never_build_a_pair_digraph(g, monkeypatch):
 
 
 def test_certificates_settle_most_roots_and_leave_the_holes_open():
-    # every target of every case: each certificate decides some, most are
-    # decided before D(G, M), and the holes go on to the recursion
+    # every target of every case: each certificate but the probe decides
+    # some (every root it decided here was t_min + 1 or t_max - 1, now the
+    # unit cycles'), most are decided before D(G, M), and the holes 2 or
+    # more from both bounds go on to the recursion
     methods = {}
     for param in CONGRUENCE_CASES + RESIDUAL_HOLES:
         g = param.values[0]
@@ -1355,16 +1540,21 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
             root_certified = rep.counts["subproblems"] == rep.counts["certified"]
             method = rep.blocks[0].method if root_certified else "recursion"
             methods[method] = methods.get(method, 0) + 1
-    assert methods["recursion"] >= len(RESIDUAL_HOLES)
+    assert methods["recursion"] >= 1
     assert methods["recursion"] * 2 < sum(methods.values())
     assert all(
         methods.get(m, 0) >= 5
-        for m in ("bounds", "exchange", "congruence", "probe")
+        for m in ("bounds", "exchange", "congruence", "chord", "unit")
     )
+    # a hole at t_max - 1 is refuted by the unit cycles, one 2 from both
+    # bounds goes on to D(G, M)
     for g, hole in [(with_coloring(knn(3), red="diag"), 2), (k44_diag(), 3)]:
         rep = solve(g, hole)
-        assert not rep.decision and rep.counts["certified"] == 0
-        assert [b.method for b in rep.blocks] == ["pure-ASNC"]
+        assert not rep.decision and rep.counts["certified"] == 1
+        assert [b.method for b in rep.blocks] == ["unit"]
+    rep = solve(_multi_block_root(), 2)
+    assert not rep.decision
+    assert rep.counts["certified"] < rep.counts["subproblems"]
 
 
 @pytest.mark.parametrize(
@@ -1376,13 +1566,16 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
             id="k22-antidiag",
         ),  # T = {0, 2}: 1 is off the class
         pytest.param(
-            with_coloring(knn(3), red=[(0, 0), (1, 1)]), 1, "probe",
+            with_coloring(knn(3), red=[(0, 0), (1, 1)]), 1, "unit",
             id="k33-two",
-        ),  # T = {0, 1, 2}, reach {0, 2}
+        ),  # T = {0, 1, 2}, reach {0, 2}: 1 is t_min + 1
         pytest.param(
             with_coloring(knn(3), red="diag"), 1, "chord", id="k33-diag",
         ),  # T = {0, 1, 3}: the one cycle gains 3, a chord of it 1
-        pytest.param(k44_diag(), 3, "pure-ASNC", id="k44-diag"),  # a hole
+        pytest.param(k44_diag(), 1, "unit", id="k44-diag"),
+        # T = {0, 1, 2, 4}, reach {0, 2, 4}: M_lo gains 1 on a unit cycle
+        pytest.param(k44_two_diagonals(), 2, "probe", id="k44-two-diagonals"),
+        # T = {0, .., 4}, chords {0, 1, 3, 4}, and 2 is 2 from both bounds
         pytest.param(_both_colors_diagonal(3), 1, "exchange", id="multi-diag"),
         pytest.param(_two_blocks_one_red(), 1, "exchange", id="two-k22"),
     ],  # T = {0, 1, 2, 3} and {0, 1, 2}: the cycles' gains are all 1
@@ -1394,20 +1587,19 @@ def test_certified_report_names_its_method(g, t, method):
     assert [b.method for b in rep.blocks] == [method]
     assert rep.blocks[0].n == g.n
     assert rep.blocks[0].feasible_t == tuple(sorted(red_count_set(g)))
-    assert rep.counts["certified"] == (method != "pure-ASNC")
-    assert rep.counts["subproblems"] == 1
+    assert rep.counts["certified"] == rep.counts["subproblems"] == 1
     assert rep.to_json_dict()["blocks"][0]["method"] == method
 
 
 def test_a_trace_without_a_target_certifies_the_whole_set():
     # feasible_red_counts has one mode: its root certifies as every
     # subproblem does, for every t between the bounds
-    g = with_coloring(knn(3), red=[(0, 0), (1, 1)])
-    assert solve(g, 1).blocks[0].method == "probe"
+    g = k44_two_diagonals()
+    assert solve(g, 2).blocks[0].method == "probe"
     trace = SolveTrace()
-    assert feasible_red_counts(g, trace) == {0, 1, 2}
+    assert feasible_red_counts(g, trace) == {0, 1, 2, 3, 4}
     assert trace.counts["certified"] == trace.counts["subproblems"] == 1
-    assert trace.blocks == [BlockReport(3, (0, 1, 2), "probe")]
+    assert trace.blocks == [BlockReport(4, (0, 1, 2, 3, 4), "probe")]
 
 
 @pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)
@@ -1448,7 +1640,7 @@ TARGET_CASES = CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
 def _deciding_certificate(g, t):
     """The root certificate that decides t on g, in _certify's order (the
     congruence only when t != t_min modulo the gains' gcd), or None when
-    t stays open after all five; g has a perfect matching."""
+    t stays open after all six; g has a perfect matching."""
     ex = _exchange_of(g)
     if not ex.t_min < t < ex.t_max:
         return "bounds"
@@ -1461,6 +1653,8 @@ def _deciding_certificate(g, t):
         return "congruence"
     if solver._chords(g, ex).reach() >> t & 1:
         return "chord"
+    if t in (ex.t_min + 1, ex.t_max - 1):
+        return "unit"
     if t in solver._probe(g, ex.t_min, ex.t_max):
         return "probe"
     return None
@@ -1492,18 +1686,22 @@ def test_root_decides_its_target_from_what_it_proved(g):
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
     # no chord is computed for a t out of bounds, in the exchange's reach
-    # or off the records' class, and no probe for a t the chords reach;
-    # the records' congruence runs before them only when t != t_min modulo
-    # the gains' gcd, the one case where it can drop t (every n here fits
-    # the probe's guard)
+    # or off the records' class, no unit cycle for a t the chords reach,
+    # and no probe for t_min + 1 or t_max - 1; the records' congruence
+    # runs before them only when t != t_min modulo the gains' gcd, the one
+    # case where it can drop t (every n here fits the probe's guard)
     calls = []
-    probe, congruence, chords = (
-        solver._probe, solver._congruence, solver._chords
+    probe, congruence, chords, unit = (
+        solver._probe, solver._congruence, solver._chords, solver._unit_cycle
     )
 
     def counted_probe(*args):
         calls.append("probe")
         return probe(*args)
+
+    def counted_unit(*args):
+        calls.append("unit")
+        return unit(*args)
 
     def counted_congruence(n, records):
         calls.append("congruence")
@@ -1519,6 +1717,7 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
     monkeypatch.setattr(solver, "_probe", counted_probe)
     monkeypatch.setattr(solver, "_congruence", counted_congruence)
     monkeypatch.setattr(solver, "_chords", counted_chords)
+    monkeypatch.setattr(solver, "_unit_cycle", counted_unit)
     for t, method in zip(range(-1, g.n + 2), methods):
         calls.clear()
         solve(g, t)
@@ -1530,6 +1729,8 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
             ran = ["congruence"] * bool((t - ex.t_min) % gains) + ["chord"]
             if method == "chord":
                 assert calls == ran
+            elif method == "unit":
+                assert calls == ran + ["unit"]
             else:
                 assert calls[: len(ran) + 1] == ran + ["probe"]
 
@@ -1537,8 +1738,9 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_witnessed_decided_root_never_builds_a_pair_digraph(g, monkeypatch):
     # the witness of a root its certificates decide comes from the
-    # exchange's switched matching or the inverted top node's cofactor chain:
-    # neither the decision nor the witness calls _elementary
+    # exchange's switched matching, a unit cycle's, or the inverted top
+    # node's cofactor chain: neither the decision nor the witness calls
+    # _elementary
     builds = []
     build = solver._elementary
     methods = [_deciding_certificate(g, t) for t in range(-1, g.n + 2)]
@@ -1680,38 +1882,32 @@ def test_cycles_of_gain_at_most_one_compute_no_chords(g, monkeypatch):
         assert rep.witness is None or _is_witness(g, t, rep.witness)
 
 
-def _multi_block_root():
-    # k33 with a red diagonal (a hole at 2) beside a two-pair block, and a
-    # record between them that no perfect matching uses
-    k33 = with_coloring(knn(3), red="diag")
-    k22 = [(3 + r, 3 + c, RED if r == c else BLUE) for r in range(2) for c in range(2)]
-    return ColoredBipartiteGraph.make(5, list(k33.edges) + k22 + [(0, 3, BLUE)])
-
-
 def _coarse_records_root():
-    # two K22 blocks with red anti-diagonals (T = {0, 2, 4}) and two records
-    # from the first block's rows to the second's columns that no perfect
-    # matching uses: their cycle has an odd red value, so the records'
-    # class is mod 1 while the blocks' is mod 2, and only D drops 1 and 3
+    # three K22 blocks with red anti-diagonals (T = {0, 2, 4, 6}) and two
+    # records from the first block's rows to the second's columns that no
+    # perfect matching uses: their cycle has an odd red value, so the
+    # records' class is mod 1 while the blocks' is mod 2; the unit cycles
+    # refute 1 and 5, and only D drops 3
     def k22(o):
         return [(o + r, o + c, RED if r != c else BLUE)
                 for r in range(2) for c in range(2)]
     return ColoredBipartiteGraph.make(
-        4, k22(0) + k22(2) + [(0, 2, RED), (1, 3, BLUE)]
+        6, k22(0) + k22(2) + k22(4) + [(0, 2, RED), (1, 3, BLUE)]
     )
 
 
 @pytest.mark.parametrize(
     "g, open_targets",
-    [  # the t no root certificate decides: the holes, and coarse-records'
-        # odd t, which only the blocks' class drops
-        pytest.param(with_coloring(knn(3), red="diag"), {2}, id="k33-diag"),
-        pytest.param(k44_diag(), {3}, id="k44-diag"),
+    [  # the t no root certificate decides: the multi-block hole 2 from
+        # both bounds, and coarse-records' odd t 2 from both bounds, which
+        # only the blocks' class drops (the holes at t_max - 1 are unit's)
+        pytest.param(with_coloring(knn(3), red="diag"), set(), id="k33-diag"),
+        pytest.param(k44_diag(), set(), id="k44-diag"),
         pytest.param(with_coloring(knn(3), red=[(0, 0), (1, 1)]), set(),
                      id="probe"),
         pytest.param(knn(3), set(), id="bounds"),
-        pytest.param(_multi_block_root(), {4}, id="multi-block"),
-        pytest.param(_coarse_records_root(), {1, 3}, id="coarse-records"),
+        pytest.param(_multi_block_root(), {2}, id="multi-block"),
+        pytest.param(_coarse_records_root(), {3}, id="coarse-records"),
         pytest.param(with_coloring(band_path(7), red="bernoulli", seed=3),
                      set(), id="band7"),
         pytest.param(ColoredBipartiteGraph.make(2, [(0, 0, BLUE)]), set(),
@@ -1755,31 +1951,31 @@ def test_one_pair_digraph_per_subproblem(g, open_targets, monkeypatch):
 def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
     g = _coarse_records_root()
     d = _elementary(g)
-    assert len(d.blocks) == 2 and len(d.allowed()) < len(g.edges)
+    assert len(d.blocks) == 3 and len(d.allowed()) < len(g.edges)
     assert solver._congruence(g.n, g.edges) == (1, 0)
     assert solver._congruence(g.n, d.allowed()) == (2, 0)
     want = red_count_set_dp(g)
-    assert want == {0, 2, 4}
+    assert want == {0, 2, 4, 6}
     builds = []
     build = solver._elementary
     monkeypatch.setattr(
         solver, "_elementary", lambda graph: builds.append(graph) or build(graph)
     )
-    # the odd t are in bounds, outside the reach, in the records' class and
-    # no probe hit: D is built, and its two equal K2,2 blocks (one a memo
-    # hit) each certify their own class, which drops the odd t; every other
-    # t the root's certificates decide before D
+    # 3 is in bounds, outside the reach, in the records' class, 2 from both
+    # bounds and no probe hit: D is built, and its three equal K2,2 blocks
+    # (two of them memo hits) each certify their own class, which drops
+    # it; every other t the root's certificates decide before D
     for t in range(-1, g.n + 2):
         for want_witness in (False, True):
             builds.clear()
             rep = solve(g, t, SolverOptions(want_witness=want_witness))
             assert rep.decision == (t in want)
             assert rep.witness is None or _is_witness(g, t, rep.witness)
-            if t in (1, 3):
+            if t == 3:
                 assert [b.method for b in rep.blocks] == ["congruence"]
                 assert rep.blocks[0].feasible_t == (0, 2)
                 assert (rep.counts["subproblems"], rep.counts["certified"],
-                        rep.counts["memo_hits"]) == (2, 1, 1)
+                        rep.counts["memo_hits"]) == (2, 1, 2)
                 assert builds == [g]
             else:
                 assert rep.counts["certified"] == rep.counts["subproblems"] == 1
@@ -1790,14 +1986,15 @@ def test_coarse_records_root_builds_d_and_still_certifies(monkeypatch):
 def test_multi_block_root_reaches_the_recursion():
     g = _multi_block_root()
     assert len(_elementary(g).blocks) == 2
-    # 4 is the hole: every other t the root's certificates decide. Its
-    # blocks certify as subproblems: the K3,3's own hole 2 goes on to the
-    # grid, and the K2,2's class settles it
-    rep = solve(g, 4)
+    # 2 is the hole 2 from both bounds: every other t the root's
+    # certificates decide. Its blocks certify as subproblems: the unit
+    # cycles refute the K3,3's own hole 2 (its t_max - 1), and the
+    # hexagon's class settles it
+    rep = solve(g, 2)
     assert not rep.decision
-    assert rep.counts["certified"] == 1 and rep.counts["subproblems"] == 3
+    assert rep.counts["certified"] == 2 and rep.counts["subproblems"] == 3
     assert [(b.method, b.feasible_t) for b in rep.blocks] == [
-        ("pure-ASNC", (0, 1, 3)), ("congruence", (0, 2)),
+        ("unit", (0, 1, 3)), ("congruence", (0, 3)),
     ]
 
 
@@ -1805,14 +2002,16 @@ def test_multi_block_root_reaches_the_recursion():
 # D(G, M) of several elementary blocks, found by scanning random_graph(n,
 # d, 0.5, seed, require_pm=True) at n = 8..16: (n, d, seed, hole,
 # subproblems when only the root certified, subproblems now). Each block
-# now certifies its own set, so no count may rise.
+# now certifies its own set, so no count may rise. Every hole but the
+# first is t_min + 1 or t_max - 1 of its root, which the unit cycles now
+# refute in one subproblem.
 MULTI_BLOCK_HOLES = [
-    (8, 0.25, 54, 4, 10, 8), (9, 0.2, 55, 4, 10, 8), (9, 0.3, 51, 6, 10, 7),
-    (10, 0.25, 39, 6, 18, 10), (10, 0.3, 44, 7, 19, 15),
-    (11, 0.2, 31, 8, 12, 7), (12, 0.2, 40, 3, 20, 15),
-    (12, 0.25, 47, 7, 26, 11), (12, 0.3, 11, 3, 23, 13),
-    (14, 0.2, 22, 3, 57, 28), (15, 0.2, 31, 3, 16, 12),
-    (16, 0.2, 3, 9, 21, 7),
+    (8, 0.25, 54, 4, 10, 8), (9, 0.2, 55, 4, 10, 1), (9, 0.3, 51, 6, 10, 1),
+    (10, 0.25, 39, 6, 18, 1), (10, 0.3, 44, 7, 19, 1),
+    (11, 0.2, 31, 8, 12, 1), (12, 0.2, 40, 3, 20, 1),
+    (12, 0.25, 47, 7, 26, 1), (12, 0.3, 11, 3, 23, 1),
+    (14, 0.2, 22, 3, 57, 1), (15, 0.2, 31, 3, 16, 1),
+    (16, 0.2, 3, 9, 21, 1),
 ]
 
 
@@ -1829,6 +2028,42 @@ def test_multi_block_holes_decide_with_fewer_subproblems(
     assert len(_elementary(g).blocks) > 1 and hole not in want
     t_min, t_max = red_count_bounds(g)
     assert t_min < hole < t_max
+    for t in range(-1, n + 2):
+        assert solve(g, t).decision == (t in want)
+    rep = solve(g, hole)
+    assert rep.counts["subproblems"] == now <= before
+    if hole in (t_min + 1, t_max - 1):
+        assert [b.method for b in rep.blocks] == ["unit"]
+        assert rep.counts["certified"] == 1
+    else:
+        assert 0 < rep.counts["certified"] < now  # the root stayed open
+
+
+# Holes 2 or more from both bounds of such roots, which no root
+# certificate decides, found by the same scan at densities 0.2-0.3 and
+# seeds below 120: (n, d, seed, hole, subproblems before the unit cycles
+# certified, subproblems now). The unit cycles settle some blocks and
+# tight-cut sides below the root, so no count may rise.
+INTERIOR_HOLES = [
+    (8, 0.25, 26, 3, 5, 5), (9, 0.3, 22, 6, 10, 7), (10, 0.2, 105, 4, 12, 11),
+    (11, 0.2, 70, 5, 5, 5), (13, 0.2, 85, 8, 7, 7), (14, 0.2, 22, 4, 28, 18),
+    (15, 0.2, 103, 7, 13, 10), (16, 0.2, 65, 7, 15, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "n, density, seed, hole, before, now",
+    [pytest.param(*case, id=f"n{case[0]}-d{case[1]}-{case[2]}")
+     for case in INTERIOR_HOLES],
+)
+def test_interior_holes_reach_the_recursion(
+    n, density, seed, hole, before, now,
+):
+    g = random_graph(n, density, 0.5, seed=seed, require_pm=True)
+    want = red_count_set_dp(g)
+    assert len(_elementary(g).blocks) > 1 and hole not in want
+    t_min, t_max = red_count_bounds(g)
+    assert t_min + 2 <= hole <= t_max - 2
     for t in range(-1, n + 2):
         assert solve(g, t).decision == (t in want)
     rep = solve(g, hole)
