@@ -23,10 +23,8 @@ blocks by the certificate that settled them (roots and subproblems below
 them), the roots left open, and the witnesses by their source: the
 exchange's reach with whole cycles switched, or only with a chord (both
 switched matchings), else a unit cycle of M_lo or M_hi for t_min + 1 or
-t_max - 1 (_unit_cycle), else the cofactor chain when it finished the
-whole matching from the root's top node (_brace_witness, wrapped to
-count), else row forcing. The run stops at --budget seconds or
---max-instances.
+t_max - 1 (_unit_cycle), else row forcing. The run stops at --budget
+seconds or --max-instances.
 One draw in GAP_SHARE is a dense graph gap-colored (red iff row and column
 lie on opposite halves), so every red count is even and the odd targets
 inside its bounds are zeros the grid must certify. One draw
@@ -64,7 +62,6 @@ from exactmatch.graphs import (
     serialize_ebg,
     with_coloring,
 )
-from exactmatch import solver
 from exactmatch.matching import _elementary, is_matching_covered
 from exactmatch.solver import (
     SolverOptions,
@@ -158,18 +155,9 @@ def main(argv=None) -> int:
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
-    switched = chorded = unit = 0  # from whole cycles, a chord, a unit cycle
-    chained = forced = 0  # the others: the root's chain, row forcing
+    # witnesses from whole cycles, a chord, a unit cycle, row forcing
+    switched = chorded = unit = forced = 0
     settled: Counter = Counter()  # certified blocks by method, open roots
-    chains = []  # (n, finished) of each cofactor chain one solve ran
-    chain = solver._brace_witness
-
-    def counted_chain(graph, t, start):
-        witness = chain(graph, t, start)
-        chains.append((graph.n, witness is not None))
-        return witness
-
-    solver._brace_witness = counted_chain
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         oracle = red_count_set_dp
@@ -261,17 +249,13 @@ def main(argv=None) -> int:
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
         for t in targets:
-            chains.clear()
             report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
             switched += bool(reach >> t & 1)
             chorded += bool((chord_reach & ~reach) >> t & 1)
             unreached = not (reach | chord_reach) >> t & 1
             unit += unreached and t in units
-            if unreached and t not in units:
-                root_chain = (g.n, True) in chains
-                chained += root_chain
-                forced += not root_chain
+            forced += unreached and t not in units
             if not witness_ok(g, t, report.witness):
                 print(f"BAD WITNESS at t={t}: {report.witness}")
                 sys.stdout.write(wire(g))
@@ -292,8 +276,7 @@ def main(argv=None) -> int:
         f"{settled['roots without a perfect matching']} without a perfect "
         f"matching), {witnesses} witnesses "
         f"({switched} from whole exchange cycles, {chorded} from a chord, "
-        f"{unit} from a unit cycle, {chained} from the cofactor chain, "
-        f"{forced} by row forcing), "
+        f"{unit} from a unit cycle, {forced} by row forcing), "
         f"0 disagreements"
     )
     return 0

@@ -13,11 +13,9 @@ some perfect matching has t red edges, and the grid decides that exactly:
     t_max - t_min + 1, and the values at x = 1..m give every c_t by one
     inverse Vandermonde matrix;
   * it works modulo the largest primes below 2^31: a nonzero residue of
-    c_t at any lam node certifies t. Every reader of these residues (the
-    probe, the grid, the witness chain) runs det_mod_batch or
-    inverse_det_mod_batch at x = 1..m and applies V^-1 the same way
-    (_apply_v_inverse). The probe and the grid share one evaluator
-    (_coefficient_residues): the probe is the top lam node lam* =
+    c_t at any lam node certifies t. The probe and the grid read these
+    residues through one evaluator (_coefficient_residues: det_mod_batch
+    at x = 1..m, then V^-1): the probe is the top lam node lam* =
     n(n-1)/2 mod the first prime, and the grid takes that same node as
     the first chunk of its sweep, whoever calls it;
   * every lam-coefficient of c_t is at most C = coefficient_bound(g), the
@@ -106,38 +104,26 @@ builds its one D(G, M): several elementary blocks are each certified as
 subproblems of their own and multiply by sumset, a tight cut recurses,
 and a brace hands the t still open to its grid.
 Witnesses: extract_witness reduces one row at a time, as a loop. Each
-graph it reaches has a start when t is in its exchange's reach, chords
-included (the switched matching: M_lo with each cycle switched whole or
-closed along one chord, their gains summing to t - t_min, no determinant
-at all), when t is t_min + 1 or t_max - 1 (M_lo or M_hi switched along
-the unit cycle _unit_cycle finds), or its top node fits the probe's
-guard: then it goes down a cofactor chain (_brace_witness): M(lam*, x),
-inverted once modulo the first certificate prime at the x nodes its
-bounds need (_top_node, made when the witness reaches the graph,
-_start_of), gives every record's cofactor along a row; the first record
-whose coefficient for the target left is nonzero is taken, and a
-rank-one downdate of the inverse's trailing block gives the next row's
-cofactors. A nonzero
-coefficient is a certificate on any graph, so each step is exact, and a
-certified start c_t(lam*) != 0 mod p keeps a qualifying record in every
-row (the matrix-inverse self-reduction of Rabin and Vazirani,
-deterministic here). The root of solve starts from the exchange its
-certificates kept, chords included once they ran (SolveTrace.start), so
-its witness solves no assignment again. When the start is not
-certified or a cofactor vanishes at an x node, the chain gives up and row
-0 is forced onto the first record whose residual graph keeps the residual
-target in feasible_red_counts, whose subproblems settle their whole sets.
-The witness is checked against the graph.
+graph it reaches is finished at once, with no determinant, when it has a
+start (_start_of): the switched matching of its exchange when t is in the
+reach, chords included (M_lo with each cycle switched whole or closed
+along one chord, their gains summing to t - t_min), or, when t is t_min +
+1 or t_max - 1, M_lo or M_hi switched along the unit cycle _unit_cycle
+finds. The root of solve starts from the exchange its certificates kept,
+chords included once they ran (SolveTrace.start), so its witness solves
+no assignment again. A graph with no start has row 0 forced onto the
+first record whose residual graph keeps the residual target in
+feasible_red_counts, whose subproblems settle their whole sets. The
+witness is checked against the graph.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
 (a subproblem decided by certificates is one block named after the one
 that decided its last wanted t, "bounds", "exchange", "congruence",
-"chord", "unit" or "probe", with the red counts they proved; a simple
-brace on the grid is "pure-ASNC", a piece with n <= 2 is
-"enumeration"), plus counts of subproblems, memo hits, braces, tight
-cuts, enumerated pieces, certified subproblems, the modular determinants
-of the grids and the probes, and the recursion depth. A probe runs only
+"chord", "unit" or "probe", with the red counts they proved; a brace on
+the grid is "pure-ASNC"), plus counts of subproblems, memo hits, braces,
+tight cuts, certified subproblems, the modular determinants of the grids
+and the probes, and the recursion depth. A probe runs only
 when a wanted t is still open after the bounds, the exchange, the
 congruence, the chords and the unit cycles.
 """
@@ -145,7 +131,6 @@ congruence, the chords and the unit cycles.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -161,7 +146,6 @@ from .algebra import (
     det_rows,
     interpolate,
     inverse_det_mod_batch,
-    inverses_mod,
     reduce_mod,
 )
 from .errors import (
@@ -206,17 +190,16 @@ def coefficient_bound(g: ColoredBipartiteGraph) -> int:
 
 # Most int64 matrix entries one batched elimination holds, whatever n and
 # the number of nodes: the probe and the grid evaluate their x nodes in
-# chunks of at most this many (_coefficient_residues).
+# chunks of at most this many (_coefficient_residues), and a subproblem
+# whose top node needs more skips the probe (_fits).
 _GRID_BLOCK_ENTRIES = 1 << 15
 
 
 def _fits(n: int, m: int) -> bool:
     """Does a top node's stack of m n x n matrices fit one elimination?
 
-    Not a memory cap for the probe, which chunks. It sizes the witness's
-    inverted _top_node, which keeps its whole stack of m + 1 inverses
-    (_start_of), and it chooses between the probe and the recursion: a
-    subproblem past it skips the probe (_certify).
+    Not a memory cap, since the probe chunks: it chooses between the probe
+    and the recursion, and a subproblem past it skips the probe (_certify).
     """
     return m * n * n <= _GRID_BLOCK_ENTRIES
 
@@ -258,25 +241,12 @@ def _lam_powers(lams: np.ndarray, n: int, p: int) -> np.ndarray:
 def _top_powers(n: int, p: int) -> np.ndarray:
     """_lam_powers at the top lam node lam* = n(n-1)/2 alone, (1, n, n).
 
-    The probe (_probe) and the witness start (_top_node) evaluate M there.
-    Read-only, since the cache hands it to every caller.
+    The probe (_probe) evaluates M there. Read-only, since the cache hands
+    it to every caller.
     """
     powers = _lam_powers(np.array([n * (n - 1) // 2], dtype=np.int64), n, p)
     powers.setflags(write=False)
     return powers
-
-
-def _apply_v_inverse(
-    inv: np.ndarray, values: np.ndarray, p: int
-) -> np.ndarray:
-    """Rows of V^-1 applied mod p to residues at the x nodes.
-
-    inv is (s, m), rows of an _x_inverse; values holds the m x nodes on
-    axis 0. Each product is reduced before the m terms are summed, and m
-    terms below p < 2^31 fit int64. Returns shape (s,) + values.shape[1:].
-    """
-    inv = inv.reshape(inv.shape + (1,) * (values.ndim - 1))
-    return reduce_mod(reduce_mod(inv * values, p).sum(axis=1), p)
 
 
 def _coefficient_residues(
@@ -290,7 +260,9 @@ def _coefficient_residues(
     t_min, m and p.
     The matrices at every (x, lam) go through det_mod_batch, a run of x
     nodes at a time: at most _GRID_BLOCK_ENTRIES entries per block unless
-    one x node's L matrices alone exceed it.
+    one x node's L matrices alone exceed it. V^-1 then maps the x nodes to
+    the coefficients: each product is reduced before the m terms are
+    summed, and m terms below p < 2^31 fit int64.
     """
     m, (lams, n) = weights.shape[0], powers.shape[:2]
     dets = np.empty((m, lams), dtype=np.int64)
@@ -300,7 +272,7 @@ def _coefficient_residues(
         dets[lo : lo + per] = det_mod_batch(
             mats.reshape(-1, n, n), p
         ).reshape(-1, lams)
-    return _apply_v_inverse(inv, dets, p)
+    return reduce_mod(reduce_mod(inv[:, :, None] * dets, p).sum(axis=1), p)
 
 
 @dataclass(frozen=True)
@@ -866,33 +838,6 @@ def _probe(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> set[int]:
     return {t_min + int(s) for s in np.flatnonzero(coeffs.any(axis=1))}
 
 
-class _TopNode(NamedTuple):
-    """A cofactor chain's start: M(lam*, x) inverted mod p, x = 1..len(det).
-
-    det[x - 1] is det A(x), A(x) = M(lam*, x), and inv[x - 1] is A(x)^-1
-    (all zero where det is 0). The nodes cover the x-powers t_lo .. t_max,
-    t_lo = t_min - 1, which every cofactor along a row carries
-    (_brace_witness).
-    """
-
-    t_lo: int
-    p: int
-    det: np.ndarray
-    inv: np.ndarray
-
-
-def _top_node(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> _TopNode:
-    """M(lam*, x), lam* = n(n-1)/2, modulo the first certificate prime at
-    x = 1..m + 1, one inverse_det_mod_batch whose inverse starts a witness
-    chain; m = t_max - t_min + 1, and t_min, t_max are red_count_bounds(g)."""
-    p = certificate_primes(1)[0]
-    weights = _cell_weights(g, t_max - t_min + 2)
-    inv, det = inverse_det_mod_batch(
-        reduce_mod(_top_powers(g.n, p) * weights, p), p
-    )
-    return _TopNode(t_min - 1, p, det, inv)
-
-
 # ---------------------------------------------------------------------------
 # sound feasibility recursion
 
@@ -901,11 +846,13 @@ def _top_node(g: ColoredBipartiteGraph, t_min: int, t_max: int) -> _TopNode:
 class BlockReport:
     """One settled leaf: its size, red counts and the method that settled it.
 
-    feasible_t is the leaf's whole achievable set, except at the root of
-    solve, which settles only its target: there it is the red counts its
-    certificates (method "bounds", "exchange", "congruence", "chord",
-    "unit" or "probe") and, on a brace, its grid proved, all achievable,
-    with the target among them exactly when the answer is YES.
+    A leaf is a subproblem its certificates decided (method "bounds",
+    "exchange", "congruence", "chord", "unit" or "probe") or a brace its
+    grid decided ("pure-ASNC"); there is no other kind. feasible_t is the
+    leaf's whole achievable set, except at the root of solve, which settles
+    only its target: there it is the red counts its certificates and, on a
+    brace, its grid proved, all achievable, with the target among them
+    exactly when the answer is YES.
     """
 
     n: int
@@ -920,8 +867,8 @@ class SolveTrace:
     memo maps each subproblem key to its feasible set. blocks lists the
     leaves the recursion settled, one per subproblem, in the order they
     were first evaluated. counts tallies memo misses (subproblems), memo
-    hits, braces decided on the grid, tight cuts split, n <= 2 pieces
-    enumerated, subproblems settled by their certificates (certified), the
+    hits, braces decided on the grid, tight cuts split, subproblems
+    settled by their certificates (certified), the
     modular determinants the grid and the probes evaluated (grid_dets,
     summed over primes, lam and x nodes) and the deepest nesting of
     subproblems, memo hits included (depth; the root counts as 1).
@@ -933,10 +880,9 @@ class SolveTrace:
     its whole set. start is the root's _Exchange, with its chords once
     they ran, whether or not a witness is wanted: the witness of that root
     starts from it (_start_of), as its switched matching when target is in
-    its reach, else a unit cycle's when target is t_min + 1 or t_max - 1,
-    else from the inverted top node of its bounds, with no second
-    assignment. Every other graph's start is made from its own
-    assignments.
+    its reach or a unit cycle's when target is t_min + 1 or t_max - 1,
+    with no second assignment. Every other graph's start is made from its
+    own assignments.
     """
 
     memo: dict = field(default_factory=dict)
@@ -945,7 +891,7 @@ class SolveTrace:
         default_factory=lambda: dict.fromkeys(
             (
                 "subproblems", "memo_hits", "braces", "tight_cuts",
-                "enumerated", "certified", "grid_dets", "depth",
+                "certified", "grid_dets", "depth",
             ),
             0,
         )
@@ -1113,7 +1059,7 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     if not open_:
         return trace.settle("certified", method, n, frozenset(proved))
     d = _elementary(g)  # the one D(G, M) of a subproblem left open
-    if len(d.blocks) > 1:  # the elementary blocks, induced on g itself
+    if len(d.blocks) != 1:  # the elementary blocks, induced on g itself
         acc = {0}
         for rows, cols in d.blocks:
             part = yield _subproblem(g.induced(rows, cols), trace, level + 1)
@@ -1121,16 +1067,6 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
         return frozenset(acc)
 
     # one block: g is matching-covered, so every record is allowed
-    if n <= 2:  # every column order, every record of each matched cell
-        result = frozenset(
-            sum(1 for k in ks if k == RED)
-            for perm in itertools.permutations(range(n))
-            for ks in itertools.product(
-                *(g.cells.get(cell, ()) for cell in enumerate(perm))
-            )
-        )
-        return trace.settle("enumerated", "enumeration", n, result)
-
     cert = d.split_certificate()  # None: g is a brace
     if cert is None:  # the grid proves or refutes what is still open
         grid = EvaluationGrid.for_size(n)
@@ -1179,14 +1115,11 @@ def extract_witness(
     Self-reduction, one row at a time. Each graph it reaches is finished
     from its start when it has one: the switched matching of its exchange
     when t is in the reach, chords included, else of a unit cycle when t is
-    t_min + 1 or t_max - 1 (_unit_cycle), else the cofactor chain of
-    _brace_witness from its inverted top node when that fits, which
-    finishes the matching from one certified coefficient (_start_of; at
-    the root of solve it reads the exchange its certificates kept in
-    trace.start, chords included). Otherwise, or when the chain gives
-    up, row 0 is forced onto each of its records in turn and the first
-    whose residual graph still reaches the residual target is kept. The
-    result is checked against g before it is returned.
+    t_min + 1 or t_max - 1 (_unit_cycle; _start_of, which at the root of
+    solve reads the exchange its certificates kept in trace.start, chords
+    included). Otherwise row 0 is forced onto each of its records in turn
+    and the first whose residual graph still reaches the residual target
+    is kept. The result is checked against g before it is returned.
     """
     if trace is None:
         trace = SolveTrace()
@@ -1219,21 +1152,16 @@ def _witness(
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
     rows and cols map the current g's labels to the input's; a g with a
-    start hands the rest of the matching to it: a whole matching (the
-    exchange's or a unit cycle's) is taken as it is, an inverted _top_node
-    goes down _brace_witness.
+    start (the exchange's switched matching or a unit cycle's) takes it as
+    the rest of the matching.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
     exchange = trace.start  # g's own, kept by the root of solve
     while g.n:
         start = _start_of(g, t, exchange)
-        chain = (
-            _brace_witness(g, t, start) if isinstance(start, _TopNode)
-            else start
-        )
-        if chain is not None:
-            return out + [(rows[r], cols[c], k) for r, c, k in chain]
+        if start is not None:
+            return out + [(rows[r], cols[c], k) for r, c, k in start]
         for c in g.row_adj[0]:
             rest = g.without([0], [c])
             feasible = feasible_red_counts(rest, trace)
@@ -1251,18 +1179,16 @@ def _witness(
 
 def _start_of(
     g: ColoredBipartiteGraph, t: int, exchange: Optional[_Exchange] = None
-) -> Optional[list[EdgeRecord] | _TopNode]:
+) -> Optional[list[EdgeRecord]]:
     """g's witness start, for a g with a perfect matching of t red
     records: a whole matching, either its _Exchange's switched matching
     when t is in the reach, with its chords (_chords) when only they reach
     t, or, for t = t_min + 1 or t_max - 1, M_lo or M_hi switched along a
-    unit cycle (_unit_cycle); else its inverted _top_node when that fits
-    one elimination (_fits), else None, where the row-forcing loop must go
-    on. It reads the exchange's stored subset sums (_Exchange.sums).
+    unit cycle (_unit_cycle); else None, where the row-forcing loop must
+    go on. It reads the exchange's stored subset sums (_Exchange.sums).
     exchange is g's own when a caller kept it (the root of solve's,
     SolveTrace.start, chords included once they ran); otherwise it is made
-    from g's assignments. The only caller of _top_node: a root the probe
-    decided pays for its plain probe first, then for this inversion."""
+    from g's assignments. No start needs a determinant."""
     if exchange is None:
         exchange = _exchange(*_assignments(g))
     if not exchange.reach() >> t & 1 and not exchange.chords:  # not yet run
@@ -1270,93 +1196,9 @@ def _start_of(
     witness = exchange.witness(t)
     if witness is not None:
         return witness
-    t_min, t_max = exchange.t_min, exchange.t_max
-    if t in (t_min + 1, t_max - 1):
+    if t in (exchange.t_min + 1, exchange.t_max - 1):
         return _unit_cycle(g, exchange, t)
-    if _fits(g.n, t_max - t_min + 1):
-        return _top_node(g, t_min, t_max)
     return None
-
-
-def _brace_witness(
-    g: ColoredBipartiteGraph, t: int, start: _TopNode
-) -> Optional[list[EdgeRecord]]:
-    """A perfect matching of g with t red records, or None.
-
-    Cofactor self-reduction from start, g's inverted _top_node: A(x) =
-    M(lam*, x) inverted modulo p at x = 1..m, m = t_max - t_lo + 1, t_lo =
-    t_min - 1. At row r, what is left of A is the minor on rows r.. and
-    the columns not yet taken; with B its inverse, its cofactor along row
-    r at column c is det * B[c, r]. A record (r, c) of red count rho
-    completes every perfect matching of that cofactor's minor, so their
-    red counts lie in t_lo - forced .. t_max - forced (forced: red records
-    taken so far) and the m x nodes give its coefficients through
-    _x_inverse. A nonzero residue of the coefficient of x^(t - forced -
-    rho) is a sum over the minor's perfect matchings with that many red
-    records, so one exists and the record is safe to take, on any graph.
-    By Laplace expansion along row r, the coefficient of det for the
-    target left is the sum of those record terms, and the cofactor of the
-    record taken is the next det: a nonzero c_t(lam*) mod p carries the
-    chain to the last row with no second certificate. The first record
-    whose coefficient is nonzero and whose cofactor is nonzero at every x
-    node (the next A(x) stays invertible) is taken. B keeps the columns
-    taken so far in its leading rows: the taken column's row of B is
-    swapped into position r, and only the trailing block, rows and columns
-    r + 1.., is downdated by the rank-one deletion formula B - B[:, r]
-    B[c, :] / B[c, r], which leaves the inverse of the minor there. start
-    is not modified. Returns None, for the row-forcing fallback, when t is
-    out of bounds, some A(x) is singular or no record of a row qualifies
-    (c_t(lam*) = 0 mod p, or only cofactors that vanish at some node); a
-    returned matching is always a witness.
-    """
-    t_lo, p, det, inv = start
-    m = len(det)
-    if not t_lo < t < t_lo + m or not det.all():
-        return None
-    # det holds x^forced * det A(x) (up to sign), so the cofactors it gives
-    # carry the x-powers t_lo .. t_max and a record of red count rho needs
-    # the coefficient of x^(t - rho) at every row: two rows of V^-1
-    basis = _x_inverse(t_lo, m, p)[[t - t_lo, t - t_lo - 1]]
-    x = np.arange(1, m + 1, dtype=np.int64)
-    inv = inv.copy()
-    pos = list(range(g.n))  # column label -> its row of inv
-    label = list(range(g.n))  # row of inv -> column label
-    out: list[EdgeRecord] = []
-    for r in range(g.n):
-        first = inv[:, r:, r]  # row r's cofactors are det * first
-        weights = reduce_mod(basis * det, p)
-        coeffs = _apply_v_inverse(weights, first, p).tolist()  # [rho][pos - r]
-        alive = first.all(axis=0).tolist()
-        pick = next(
-            (
-                (c, k)
-                for c in g.row_adj[r]
-                if pos[c] >= r and alive[pos[c] - r]
-                for k in g.cells[r, c]
-                if coeffs[_rho(k)][pos[c] - r]
-            ),
-            None,
-        )
-        if pick is None:
-            return None
-        c, k = pick
-        out.append((r, c, k))
-        q = pos[c]
-        if q != r:
-            inv[:, [r, q]] = inv[:, [q, r]]
-        label[r], label[q] = c, label[r]
-        pos[c], pos[label[q]] = r, q
-        pivot = inv[:, r, r]
-        scale = inverses_mod(pivot, p)[:, None]
-        row = reduce_mod(inv[:, r, r + 1 :] * scale, p)
-        lead = p - inv[:, r + 1 :, r]
-        inv[:, r + 1 :, r + 1 :] = reduce_mod(
-            inv[:, r + 1 :, r + 1 :] + lead[:, :, None] * row[:, None], p
-        )
-        det = reduce_mod(det * pivot, p)
-        if _rho(k):
-            det = reduce_mod(det * x, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1380,7 +1222,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/7",
+            "schema": "exactmatch/8",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -1419,7 +1261,7 @@ def solve(
     witness, extract_witness starts the root from the exchange its
     certificates kept (SolveTrace.start): its switched matching when t is
     in its reach, chords included, else a unit cycle's when t is t_min + 1
-    or t_max - 1, else the inverted top node of its bounds (_start_of).
+    or t_max - 1 (_start_of), else it forces rows.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(target=t)

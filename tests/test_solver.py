@@ -565,43 +565,10 @@ def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
             assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
 
 
-def _chain(g, t):
-    """_brace_witness from a fresh start, as the witness of a brace does."""
-    return solver._brace_witness(
-        g, t, solver._top_node(g, *red_count_bounds(g))
-    )
-
-
-def test_brace_witness_finishes_every_target_at_the_real_prime():
-    for g in _random_braces(30, 14100) + [k44_diag(), biwheel(6)]:
-        for t in sorted(red_count_set_dp(g)):
-            assert _is_witness(g, t, _chain(g, t))
-        t_min, t_max = red_count_bounds(g)
-        assert _chain(g, t_min - 1) is None
-        assert _chain(g, t_max + 1) is None
-
-
-@pytest.mark.parametrize("p", [31, 37, 41])
-def test_brace_witness_under_small_primes_is_right_or_gives_up(p, monkeypatch):
-    # small primes make zero residues common: the chain must then return
-    # None (the fallback's cue), and never a wrong matching
-    monkeypatch.setattr(solver, "certificate_primes", lambda bound: (p,))
-    outcomes = {"witness": 0, "none": 0}
-    for g in _random_braces(40, 14300):
-        for t in sorted(red_count_set_dp(g)):
-            wit = _chain(g, t)
-            if wit is None:
-                outcomes["none"] += 1
-            else:
-                assert _is_witness(g, t, wit)
-                outcomes["witness"] += 1
-    assert outcomes["witness"] >= 20 and outcomes["none"] >= 20
-
-
 def test_brace_witness_leaves_the_recursion_alone():
     # on a brace the decision settled, the start made on demand (its
-    # exchange, or its inverted top node for the chain) finishes every
-    # witness: the witness adds no subproblem
+    # exchange's switched matching, chords included, or a unit cycle's)
+    # finishes every witness: the witness adds no subproblem
     for g in _random_braces(10, 14500) + [k44_diag()]:
         trace = SolveTrace()
         feasible = feasible_red_counts(g, trace)
@@ -612,15 +579,25 @@ def test_brace_witness_leaves_the_recursion_alone():
         assert trace.counts["subproblems"] == subproblems == len(trace.memo)
 
 
-def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
-    monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
+def test_fallback_witnesses_when_the_chain_gives_up():
+    # every achievable t gets a checked witness, from a start or by forcing
+    # rows: k44_two_diagonals' 2 and the roots of CHAIN_FROM_ROOT that only
+    # the probe decides have no start, and K_n,n with a red diagonal is
+    # asked every t it has
     graphs = _random_braces(10, 14700) + [
-        k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
+        k44_diag(), k44_two_diagonals(),
+        with_coloring(band_path(7), red="bernoulli", seed=3),
+    ] + [with_coloring(knn(n), red="diag") for n in range(6, 17)] + [
+        p.values[0] for p in CHAIN_FROM_ROOT
     ]
+    forced = 0
     for g in graphs:
         for t in sorted(red_count_set_dp(g)):
+            forced += solver._start_of(g, t) is None
             rep = solve(g, t, SolverOptions(want_witness=True))
             assert rep.decision and _is_witness(g, t, rep.witness)
+    assert solver._start_of(k44_two_diagonals(), 2) is None
+    assert forced >= 10
 
 
 @pytest.mark.parametrize(
@@ -631,10 +608,9 @@ def test_fallback_witnesses_when_the_chain_gives_up(monkeypatch):
     ],
 )
 def test_certificates_run_once_per_solve(g, monkeypatch):
-    # the chain gives up, so the witness forces rows through residual
-    # subproblems: each subproblem runs its certificates once, and only
-    # the root, once per solve, asks them for solve's target
-    monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
+    # a witness with no start forces rows through residual subproblems:
+    # each subproblem runs its certificates once, and only the root, once
+    # per solve, asks them for solve's target
     calls = []
     certify = solver._certify
 
@@ -676,10 +652,10 @@ CHAIN_FROM_ROOT = (
 
 @pytest.mark.parametrize("g", CHAIN_FROM_ROOT)
 def test_witness_chains_from_the_root_certificate(g, monkeypatch):
-    # within the probe's guard the root's witness comes from its own
-    # inverted top node: every t the probe certified needs no subproblem
-    # beyond the decision's, so no row is forced. Every root here is
-    # certified before D(G, M), so nothing builds one
+    # within the probe's guard every t the probe certified is decided at
+    # the root, before D(G, M); its witness, from a start or by forcing
+    # rows onto residual graphs that their certificates settle, builds no
+    # D(G, M) either
     builds = []
     build = solver._elementary
     monkeypatch.setattr(
@@ -703,93 +679,51 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
             assert len(builds) == rep.counts["subproblems"] - 1 == 0
 
 
-@pytest.mark.parametrize(
-    "g",
-    CHAIN_FROM_ROOT + [
-        pytest.param(k44_diag(), id="k44-diag"),
-        pytest.param(k44_two_diagonals(), id="k44-two-diagonals"),
-    ],
-)
-def test_witnessed_solve_makes_top_nodes_only_inside_extract_witness(
-    g, monkeypatch,
-):
-    # the decision never reads whether a witness is wanted: the inverted
-    # top node that starts a cofactor chain is made by extract_witness,
-    # after the decision, and never by the probe or the grid; a YES t
-    # outside the chords' reach, 2 or more from both bounds, makes at
-    # least one (t_min + 1 and t_max - 1 switch a unit cycle instead)
-    ex = _chorded(g)
-    chained = [
-        t for t in red_count_set_dp(g)
-        if not ex.reach() >> t & 1 and ex.t_min + 1 < t < ex.t_max - 1
-    ]
-    inside, made = [], []
-    top, extract = solver._top_node, solver.extract_witness
-
-    def counted_top(*args):
-        assert inside, "a top node made outside extract_witness"
-        made.append(args)
-        return top(*args)
-
-    def counted_extract(*args):
-        inside.append(True)
-        try:
-            return extract(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(solver, "_top_node", counted_top)
-    monkeypatch.setattr(solver, "extract_witness", counted_extract)
-    for t in range(-1, g.n + 2):
-        rep = solve(g, t, SolverOptions(want_witness=True))
-        assert rep.witness is None or _is_witness(g, t, rep.witness)
-    assert (made != []) == (chained != [])
-
-
 def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
     # the root keeps its exchange on the trace, chords included: the probe
-    # decides t = 7, and the witness starts from that exchange with no
-    # second assignment and no second chord pass, finishing the matching a
-    # fresh start finishes
+    # decides t = 7, which no start reaches, and the witness reads that
+    # exchange before it forces rows, with no second assignment and no
+    # second chord pass on the root graph
     g = next(p.values[0] for p in CHAIN_FROM_ROOT if p.id == "nonbrace-n12-2")
     t = 7
-    fresh = solver._brace_witness(g, t, solver._start_of(g, t))
-    assert _is_witness(g, t, fresh)
+    assert solver._start_of(g, t) is None
     calls = []
     assignments, chords = solver._assignments, solver._chords
     monkeypatch.setattr(
         solver, "_assignments",
-        lambda graph: calls.append("assignments") or assignments(graph),
+        lambda graph: (graph is g and calls.append("assignments"))
+        or assignments(graph),
     )
     monkeypatch.setattr(
         solver, "_chords",
-        lambda graph, ex: calls.append("chords") or chords(graph, ex),
+        lambda graph, ex: (graph is g and calls.append("chords"))
+        or chords(graph, ex),
     )
     rep = solve(g, t, SolverOptions(want_witness=True))
     assert [b.method for b in rep.blocks] == ["probe"]
     assert calls == ["assignments", "chords"]
-    assert rep.witness == tuple(fresh)
+    assert _is_witness(g, t, rep.witness)
 
 
 @pytest.mark.parametrize("p", [31, 37])
 def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
-    # the probe and the chain work mod the first certificate prime: a
-    # small one makes the chain give up often, and the row-forcing
-    # fallback must then finish the witness; the real primes after it
-    # keep the grid's zero proofs exact
+    # the probe works mod the first certificate prime: a small one makes
+    # its zero residues common, and the real primes after it keep the
+    # grid's zero proofs exact; every witness is checked, and the
+    # row-forcing fallback finishes those with no start
     real = solver.certificate_primes
     monkeypatch.setattr(solver, "certificate_primes", lambda bound: (p,) + real(bound))
-    outcomes = {"chain": 0, "fallback": 0}
-    chain = solver._brace_witness
+    outcomes = {"start": 0, "fallback": 0}
+    start_of = solver._start_of
 
-    def counted(g, t, start):
-        wit = chain(g, t, start)
-        outcomes["chain" if wit is not None else "fallback"] += 1
-        return wit
+    def counted(g, t, exchange=None):
+        start = start_of(g, t, exchange)
+        outcomes["start" if start is not None else "fallback"] += 1
+        return start
 
-    monkeypatch.setattr(solver, "_brace_witness", counted)
-    # the chords would hand most targets a switched matching before any
-    # chain: without them every t outside the exchange's reach starts one
+    monkeypatch.setattr(solver, "_start_of", counted)
+    # the chords would hand most targets a switched matching: without them
+    # every t outside the exchange's reach but a unit cycle's has no start
     monkeypatch.setattr(solver, "_chords", lambda g, exchange: exchange)
     graphs = [g for g in _random_braces(20, 15200) if g.n <= 8] + [
         k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
@@ -802,7 +736,7 @@ def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
             assert rep.decision == (t in want)
             if rep.decision:
                 assert _is_witness(g, t, rep.witness)
-    assert outcomes["chain"] >= 10 and outcomes["fallback"] >= 1
+    assert outcomes["start"] >= 10 and outcomes["fallback"] >= 1
 
 
 WRONG_WITNESSES = [
@@ -815,10 +749,10 @@ WRONG_WITNESSES = [
 
 @pytest.mark.parametrize("wrong", WRONG_WITNESSES)
 def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
-    # t = 2 lies outside the chords' reach and 2 from both bounds, so the
-    # witness goes down the cofactor chain
+    # t = 2 lies outside the chords' reach and 2 from both bounds, so no
+    # start reaches it; a wrong matching handed over as one is caught
     monkeypatch.setattr(
-        solver, "_brace_witness", lambda g, t, start: list(wrong)
+        solver, "_start_of", lambda g, t, exchange=None: list(wrong)
     )
     with pytest.raises(InvariantError):
         solve(k44_two_diagonals(), 2, SolverOptions(want_witness=True))
@@ -909,7 +843,7 @@ def test_witness_depth_is_not_bounded_by_recursion_limit():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
-        "160", "80", "160", "80", "True", "2", "True", "2", "4", "enumeration",
+        "160", "80", "160", "80", "True", "2", "True", "2", "4", "pure-ASNC",
     ]
 
 
@@ -948,7 +882,7 @@ def test_decision_depth_is_not_bounded_by_recursion_limit():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == [
         "400", "202", "400", "202",
-        "221", "202", "201", "796", "True", "201", "796", "enumeration",
+        "221", "202", "201", "796", "True", "201", "796", "pure-ASNC",
     ]
 
 
@@ -983,17 +917,18 @@ def test_solve_report_blocks_k44(monkeypatch):
 def test_solve_json_schema():
     # t = 2 lies outside the chords' reach {0, 1, 3, 4} and 2 from both
     # bounds: the root's probe (5 determinants) decides it, proving every
-    # t, and the witness inverts the top node after the decision
+    # t, and the witness, which no start reaches, forces rows after the
+    # decision
     g = k44_two_diagonals()
     d = solve(g, 2, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/7"
+    assert d["schema"] == "exactmatch/8"
     assert d["decision"] == "YES"
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 1, 2, 3, 4], "method": "probe"}
     ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 0, "tight_cuts": 0,
-        "enumerated": 0, "certified": 1, "grid_dets": 5, "depth": 1,
+        "certified": 1, "grid_dets": 5, "depth": 1,
     }
     assert len(d["witness"]) == 4
     assert all(len(rec) == 3 for rec in d["witness"])
@@ -1001,14 +936,14 @@ def test_solve_json_schema():
     # k44_diag's hole t = 3 is t_max - 1: the unit cycles refute it with
     # no determinant
     d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/7"
+    assert d["schema"] == "exactmatch/8"
     assert d["decision"] == "NO" and "witness" not in d
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 2, 4], "method": "unit"}
     ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 0, "tight_cuts": 0,
-        "enumerated": 0, "certified": 1, "grid_dets": 0, "depth": 1,
+        "certified": 1, "grid_dets": 0, "depth": 1,
     }
 
 
@@ -1039,17 +974,15 @@ def test_solve_report_traces_the_recursion():
     }
     counts = rep.counts
     assert counts["tight_cuts"] > 0
-    assert counts["braces"] + counts["enumerated"] + counts["certified"] == (
-        len(rep.blocks))
+    assert counts["braces"] + counts["certified"] == len(rep.blocks)
     assert counts["subproblems"] == len(rep.memo)
     again = SolveTrace()
     feasible_red_counts(g, again)
     assert again.blocks == rep.blocks and again.counts == rep.counts
 
 
-def test_solve_report_ignores_witness_subproblems(monkeypatch):
-    # the chain gives up, so the witness forces rows through new subproblems
-    monkeypatch.setattr(solver, "_brace_witness", lambda g, t, start: None)
+def test_solve_report_ignores_witness_subproblems():
+    # the witness forces rows through new subproblems
     g = with_coloring(band_path(7), red="bernoulli", seed=3)
     t = min(red_count_set(g))
     plain = solve(g, t)
@@ -1065,27 +998,28 @@ def test_solve_report_ignores_witness_subproblems(monkeypatch):
 # must keep its subproblems, leaves and their order. depth and memo_hits
 # were read off feasible_red_counts when the recursion still nested Python
 # calls, before it ran on an explicit stack; memo hits depend on the
-# evaluation order.
+# evaluation order. The n <= 2 leaves go to the grid, which is exact on
+# any graph that small, so braces and grid_dets count them.
 PINNED_TRACES = {
     "band_path7": (
         lambda: with_coloring(band_path(7), red="bernoulli", seed=3),
-        {"subproblems": 10, "braces": 0, "tight_cuts": 4, "enumerated": 3,
-         "grid_dets": 0, "depth": 5, "memo_hits": 13},
-        [(1, (0,), "enumeration"), (1, (1,), "enumeration"),
-         (2, (0, 1), "enumeration")],
+        {"subproblems": 10, "braces": 3, "tight_cuts": 4,
+         "grid_dets": 4, "depth": 5, "memo_hits": 13},
+        [(1, (0,), "pure-ASNC"), (1, (1,), "pure-ASNC"),
+         (2, (0, 1), "pure-ASNC")],
     ),
     "random12-d0.3": (
         lambda: random_graph(12, 0.3, 0.5, seed=13, require_pm=True),
-        {"subproblems": 147, "braces": 5, "tight_cuts": 60, "enumerated": 11,
-         "grid_dets": 31, "depth": 7, "memo_hits": 353},
-        [(10, (4, 5, 6, 7, 8, 9), "pure-ASNC"), (1, (0,), "enumeration"),
-         (1, (1,), "enumeration"), (2, (1, 2), "enumeration"),
-         (2, (1, 2), "enumeration"), (2, (0, 1), "enumeration"),
-         (2, (2,), "enumeration"), (2, (0, 1), "enumeration"),
-         (2, (0, 1), "enumeration"), (2, (1,), "enumeration"),
+        {"subproblems": 147, "braces": 16, "tight_cuts": 60,
+         "grid_dets": 48, "depth": 7, "memo_hits": 353},
+        [(10, (4, 5, 6, 7, 8, 9), "pure-ASNC"), (1, (0,), "pure-ASNC"),
+         (1, (1,), "pure-ASNC"), (2, (1, 2), "pure-ASNC"),
+         (2, (1, 2), "pure-ASNC"), (2, (0, 1), "pure-ASNC"),
+         (2, (2,), "pure-ASNC"), (2, (0, 1), "pure-ASNC"),
+         (2, (0, 1), "pure-ASNC"), (2, (1,), "pure-ASNC"),
          (10, (4, 5, 6, 7, 8, 9), "pure-ASNC"),
          (10, (3, 4, 5, 6, 7, 8, 9), "pure-ASNC"),
-         (2, (1, 2), "enumeration"), (2, (1,), "enumeration"),
+         (2, (1, 2), "pure-ASNC"), (2, (1,), "pure-ASNC"),
          (10, (4, 5, 6, 7, 8, 9), "pure-ASNC"),
          (10, (4, 5, 6, 7, 8, 9), "pure-ASNC")],
     ),
@@ -1196,21 +1130,15 @@ def test_certificates_never_contradict_the_dp_oracle(g, monkeypatch):
     assert want <= in_class  # NO: outside the bounds or off the class
     for t in range(-1, g.n + 2):
         assert solve(g, t).decision == (t in want)
-    # YES: the probe; the witness's inverted top node gives the same
-    # coefficients, and its extra one c_(t_min - 1) is exactly zero, also
-    # at a small first prime, where accidental zeros are common
+    # YES: the probe, also at a small first prime, where accidental zeros
+    # are common
     real = solver.certificate_primes
     for small in [False] + [True] * (g.n <= 8):
         if small:
             monkeypatch.setattr(
                 solver, "certificate_primes", lambda bound: (37,) + real(bound)
             )
-        hits = solver._probe(g, t_min, t_max)
-        t_lo, p, det, _ = solver._top_node(g, t_min, t_max)
-        inv = solver._x_inverse(t_lo, len(det), p)
-        coeffs = solver._apply_v_inverse(inv, det, p)
-        assert {t_lo + int(s) for s in np.flatnonzero(coeffs)} == hits
-        assert hits <= want
+        assert solver._probe(g, t_min, t_max) <= want
 
 
 @pytest.mark.parametrize("g", CONGRUENCE_CASES + RESIDUAL_HOLES)
@@ -1307,21 +1235,19 @@ def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
     monkeypatch,
 ):
     # k44_two_diagonals: the chords reach {0, 1, 3, 4}, so 2 needs the
-    # probe, with or without a witness, and only its witness inverts the
-    # top node; k44_diag: reach {0, 2, 4}, and its 1 (YES) and 3 (NO) are
-    # t_min + 1 and t_max - 1, which the unit cycles decide; a t the
-    # bounds, the reach or the unit cycles decide makes neither
+    # probe, once with or without a witness (the residual graphs its
+    # witness forces rows onto have n = 3, which needs no probe);
+    # k44_diag: reach {0, 2, 4}, and its 1 (YES) and 3 (NO) are t_min + 1
+    # and t_max - 1, which the unit cycles decide; a t the bounds, the
+    # reach or the unit cycles decide runs no probe
     made = []
-    probe, top = solver._probe, solver._top_node
+    probe = solver._probe
     monkeypatch.setattr(
         solver, "_probe", lambda *args: made.append("probe") or probe(*args)
     )
-    monkeypatch.setattr(
-        solver, "_top_node", lambda *args: made.append("top") or top(*args)
-    )
     for g, t, want_witness, ran in [
         (k44_two_diagonals(), 2, False, ["probe"]),
-        (k44_two_diagonals(), 2, True, ["probe", "top"]),
+        (k44_two_diagonals(), 2, True, ["probe"]),
         (k44_two_diagonals(), 1, True, []), (k44_two_diagonals(), 3, True, []),
         (k44_diag(), 1, False, []), (k44_diag(), 1, True, []),
         (k44_diag(), 3, False, []), (k44_diag(), 3, True, []),
@@ -1430,7 +1356,6 @@ def test_unit_cycle_decides_a_root_past_the_probe_guard(monkeypatch):
     t_min, t_max = red_count_bounds(g)
     assert t_max - 1 == 59 and not solver._fits(g.n, t_max - t_min + 1)
     assert not _chorded(g).reach() >> 59 & 1
-    monkeypatch.setattr(solver, "_top_node", _no_top_node)
     monkeypatch.setattr(solver, "_elementary", _no_pair_digraph)
     rep = solve(g, 59, SolverOptions(want_witness=True))
     assert rep.decision and [b.method for b in rep.blocks] == ["unit"]
@@ -1440,9 +1365,8 @@ def test_unit_cycle_decides_a_root_past_the_probe_guard(monkeypatch):
 
 def test_witnessed_unit_root_builds_no_top_node(monkeypatch):
     # the witness of a t the unit cycles prove is M_lo or M_hi switched
-    # along the cycle found: no probe, no top node, no pair digraph
-    monkeypatch.setattr(solver, "_probe", _no_top_node)
-    monkeypatch.setattr(solver, "_top_node", _no_top_node)
+    # along the cycle found: it runs no probe and builds no pair digraph
+    monkeypatch.setattr(solver, "_probe", _no_probe)
     monkeypatch.setattr(solver, "_elementary", _no_pair_digraph)
     for g, t in [
         (k44_diag(), 1), (with_coloring(knn(3), red=[(0, 0), (1, 1)]), 1),
@@ -1467,7 +1391,9 @@ def test_a_negative_cycle_raises_invariant_error():
 def test_witnessed_solve_builds_the_subset_sums_at_most_twice(monkeypatch):
     # the exchange's table of subset sums is built once for its plain
     # cycles and once more when the chords are added; the reach, the
-    # switched matching and the witness start read it
+    # switched matching and the witness start read it. Roots whose witness
+    # their own start gives: one with no start forces rows, and each
+    # residual graph builds its own table
     builds = []
     sums = solver._sums
     monkeypatch.setattr(
@@ -1476,7 +1402,12 @@ def test_witnessed_solve_builds_the_subset_sums_at_most_twice(monkeypatch):
     for g in [k44_diag(), k44_two_diagonals()] + [
         p.values[0] for p in CHAIN_FROM_ROOT[:4]
     ]:
-        for t in sorted(red_count_set_dp(g)):
+        started = [
+            t for t in sorted(red_count_set_dp(g))
+            if solver._start_of(g, t) is not None
+        ]
+        assert started
+        for t in started:
             builds.clear()
             rep = solve(g, t, SolverOptions(want_witness=True))
             assert rep.counts["certified"] == rep.counts["subproblems"] == 1
@@ -1664,7 +1595,7 @@ def _deciding_certificate(g, t):
 def test_root_decides_its_target_from_what_it_proved(g):
     # every decision is the DP oracle's; a root the certificates decide is
     # one block named after the certificate that decided t; a root that is
-    # its own one block (certified, a brace on the grid or enumerated)
+    # its own one block (certified or a brace on the grid)
     # lists red counts that are all achievable and hold t exactly when the
     # answer is YES; feasible_red_counts still gives the whole set
     want = red_count_set_dp(g)
@@ -1813,13 +1744,13 @@ def test_chord_reach_is_achievable_and_every_chord_is_a_witness(g):
         assert wit is None or _is_witness(g, t, wit)
 
 
-def _no_top_node(*args, **kwargs):
-    raise AssertionError("a root the chords decided made a top node")
+def _no_probe(*args, **kwargs):
+    raise AssertionError("a root its certificates decided ran a probe")
 
 
 def test_chord_decided_root_makes_no_top_node(monkeypatch):
     # a t the chords reach is YES before the probe, and its witness is the
-    # chord's switched matching: neither makes a top node or a determinant
+    # chord's switched matching: neither runs a probe nor a determinant
     decided = [
         (g, t)
         for g in (p.values[0] for p in TARGET_CASES)
@@ -1827,8 +1758,7 @@ def test_chord_decided_root_makes_no_top_node(monkeypatch):
         if _deciding_certificate(g, t) == "chord"
     ]
     assert len(decided) >= 40
-    monkeypatch.setattr(solver, "_probe", _no_top_node)
-    monkeypatch.setattr(solver, "_top_node", _no_top_node)
+    monkeypatch.setattr(solver, "_probe", _no_probe)
     for g, t in decided:
         for want_witness in (False, True):
             rep = solve(g, t, SolverOptions(want_witness=want_witness))
@@ -2069,6 +1999,58 @@ def test_interior_holes_reach_the_recursion(
     rep = solve(g, hole)
     assert rep.counts["subproblems"] == now <= before
     assert 0 < rep.counts["certified"] < now  # the root stayed open
+
+
+def _multigraph_with_both_colors(n, seed, density, both):
+    # a sparse random graph with a perfect matching, and about a fraction
+    # both of its cells given a record of the other color as well
+    g = random_graph(n, density, 0.5, seed=seed, require_pm=True)
+    rng = random.Random(seed)
+    extra = {(r, c, 1 - k) for r, c, k in g.edges if rng.random() < both}
+    return ColoredBipartiteGraph.make(
+        n, sorted(set(g.edges) | extra), multi=True
+    )
+
+
+def test_every_pair_digraph_has_a_t_two_from_both_bounds(monkeypatch):
+    # _certify decides t_min + 1 and t_max - 1 whenever they are wanted, so
+    # a subproblem it leaves open wants some t in [t_min + 2, t_max - 2]:
+    # every graph that builds D(G, M) has t_max - t_min >= 4, hence n >= 4,
+    # and no piece with n <= 2 ever reaches the recursion's structure
+    built = []
+    build = solver._elementary
+    monkeypatch.setattr(
+        solver, "_elementary", lambda graph: built.append(graph) or build(graph)
+    )
+    rng = random.Random(20100)
+    simple = [
+        random_graph(
+            rng.randint(10, 16), rng.choice((0.15, 0.2, 0.25)), 0.5,
+            seed=rng.randrange(1 << 30), require_pm=True,
+        )
+        for _ in range(600)
+    ]
+    multi = [
+        _multigraph_with_both_colors(
+            8 + s % 5, 20500 + s, (0.15, 0.2, 0.25)[s % 3], 0.1
+        )
+        for s in range(1200)
+    ]
+    assert sum(len(ks) == 2 for g in multi for ks in g.cells.values()) >= 600
+    holes = [
+        random_graph(n, d, 0.5, seed=seed, require_pm=True)
+        for n, d, seed, *_ in INTERIOR_HOLES + MULTI_BLOCK_HOLES
+    ]
+    for graphs in (simple, multi, holes):
+        built.clear()
+        for g in graphs:
+            feasible_red_counts(g)
+            for t in range(-1, g.n + 2):
+                solve(g, t)
+        assert len(built) >= 5
+        for g in built:
+            t_min, t_max = red_count_bounds(g)
+            assert g.n >= 4 and t_max - t_min >= 4
 
 
 def _random_record_sets(count, seed):
