@@ -9,18 +9,21 @@ certificates (bounds, exchange, congruence, chord, unit, probe) run before
 any D(G, M) is built, the root's for t alone. A root the certificates decided
 is the report's one subproblem and one certified block, with the red
 counts they proved: each must lie in the oracle's set, and t among them
-exactly when the answer is YES. Every t the exchange's reach proves, with
-its cycles switched whole or closed along a chord, is checked against the
-oracle too, and the records' congruence class (_congruence), from g's
-records and from the allowed records of its D(G, M) when it has a perfect
-matching, against a spanning walk (congruence_by_walk). Every YES target
+exactly when the answer is YES. A root the chords decided ran a chord pass
+that stops once t is reached: the full pass (t None) must reach t as well
+and hold every red count that root proved. Every t the exchange's reach
+proves, with its cycles switched whole or closed along a chord, is checked
+against the oracle too, and the records' congruence class (_congruence),
+from g's records and from the allowed records of its D(G, M) when it has a
+perfect matching, against a spanning walk (congruence_by_walk). Every YES target
 of an instance with n <= WITNESS_ALL_N (one drawn YES target above that)
 then goes through solve(...,
 want_witness=True): each witness is checked against the graph, and the
 report's blocks and counts against those of solve(g, t) without a
 witness. The final line counts, over every (graph, t), the certified
 blocks by the certificate that settled them (roots and subproblems below
-them), the roots left open, and the witnesses by their source: the
+them), the roots left open, the chord-decided roots whose pass stopped
+before it read every record, and the witnesses by their source: the
 exchange's reach with whole cycles switched, or only with a chord (both
 switched matchings), else a unit cycle of M_lo or M_hi for t_min + 1 or
 t_max - 1 (_unit_cycle), else row forcing. The run stops at --budget
@@ -156,7 +159,8 @@ def main(argv=None) -> int:
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
     # witnesses from whole cycles, a chord, a unit cycle, row forcing
-    switched = chorded = unit = forced = 0
+    switched = chord_wits = unit = forced = 0
+    stopped = 0  # chord roots whose pass left records unread
     settled: Counter = Counter()  # certified blocks by method, open roots
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
@@ -204,7 +208,8 @@ def main(argv=None) -> int:
         units = set()  # t_min + 1 and t_max - 1
         if found is not None:
             exchange = _exchange(*found)
-            reach, chord_reach = exchange.reach(), _chords(g, exchange).reach()
+            chorded = _chords(g, exchange)  # the full pass, t None
+            reach, chord_reach = exchange.reach(), chorded.reach()
             units = {exchange.t_min + 1, exchange.t_max - 1}
         outside = [
             t for t in range(g.n + 1)
@@ -245,6 +250,17 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
+            if root.method == "chord":
+                if not chord_reach >> t & 1 or any(
+                    not chord_reach >> s & 1 for s in proved
+                ):
+                    print(
+                        f"CHORD ROOT OUTSIDE THE FULL PASS at t={t}: proved "
+                        f"{sorted(proved)}, full pass reach {chord_reach:b}"
+                    )
+                    sys.stdout.write(wire(g))
+                    return 1
+                stopped += _chords(g, exchange, t).chords != chorded.chords
         targets = sorted(want)
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
@@ -252,7 +268,7 @@ def main(argv=None) -> int:
             report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
             switched += bool(reach >> t & 1)
-            chorded += bool((chord_reach & ~reach) >> t & 1)
+            chord_wits += bool((chord_reach & ~reach) >> t & 1)
             unreached = not (reach | chord_reach) >> t & 1
             unit += unreached and t in units
             forced += unreached and t not in units
@@ -274,8 +290,9 @@ def main(argv=None) -> int:
         f"decisions (certified blocks: {blocks}; "
         f"{settled['open roots']} open roots, "
         f"{settled['roots without a perfect matching']} without a perfect "
-        f"matching), {witnesses} witnesses "
-        f"({switched} from whole exchange cycles, {chorded} from a chord, "
+        f"matching; {stopped} chord roots stopped early), {witnesses} "
+        f"witnesses ({switched} from whole exchange cycles, {chord_wits} "
+        f"from a chord, "
         f"{unit} from a unit cycle, {forced} by row forcing), "
         f"0 disagreements"
     )

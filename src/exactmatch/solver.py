@@ -78,9 +78,12 @@ each wanted t is proved or refuted:
   * chord: a record of g joining two rows of one cycle (delta >= 2)
     closes a shorter alternating cycle inside it, whose switched matching
     has an exact red count between t_min and t_min + delta (_chords, one
-    pass over g's records). Each cycle stays, switches, or
-    takes one of its chords, independently of the others, so every sum of
-    one choice per cycle is achievable; a t in this larger reach is YES;
+    pass over g's records). Each cycle stays, switches, or takes one of
+    its chords, independently of the others, so every sum of one choice
+    per cycle is achievable; a t in this larger reach is YES. At the root
+    the pass stops at the first chord that reaches t with the other
+    cycles staying or switching whole, so it proves t exactly when the
+    full pass would, but may list fewer chords' counts;
   * unit: t_min + 1 and t_max - 1, when wanted and still open, decided
     both ways with no determinant (_unit_cycle). Every cycle of M_lo's
     exchange digraph (an arc per record, weighted by the red count it
@@ -99,10 +102,12 @@ each wanted t is proved or refuted:
 
 A decided subproblem's result is the set its certificates proved: its
 whole achievable set below the root, and at the root a set that holds t
-exactly when the answer is YES. A subproblem with a wanted t still open
-builds its one D(G, M): several elementary blocks are each certified as
-subproblems of their own and multiply by sumset, a tight cut recurses,
-and a brace hands the t still open to its grid.
+exactly when the answer is YES. _certify keeps what is proved and what is
+still open as bitmasks, and makes each a set once, when it returns. A
+subproblem with a wanted t still open builds its one D(G, M): several
+elementary blocks are each certified as subproblems of their own and
+multiply by sumset, a tight cut recurses, and a brace hands the t still
+open to its grid.
 Witnesses: extract_witness reduces one row at a time, as a loop. Each
 graph it reaches is finished at once, with no determinant, when it has a
 start (_start_of): the switched matching of its exchange when t is in the
@@ -111,10 +116,12 @@ along one chord, their gains summing to t - t_min), or, when t is t_min +
 1 or t_max - 1, M_lo or M_hi switched along the unit cycle _unit_cycle
 finds. The root of solve starts from the exchange its certificates kept,
 chords included once they ran (SolveTrace.start), so its witness solves
-no assignment again. A graph with no start has row 0 forced onto the
+no assignment again, and solve, which holds the decision, goes straight
+to the self-reduction. A graph with no start has row 0 forced onto the
 first record whose residual graph keeps the residual target in
 feasible_red_counts, whose subproblems settle their whole sets. The
-witness is checked against the graph.
+witness is checked against the graph: n records on n distinct rows and
+n distinct columns, each in a cell of g with its color, t of them red.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
@@ -437,7 +444,7 @@ def _assignments(g: ColoredBipartiteGraph) -> Optional[tuple]:
     number of red-only cells used, and minimize blue-only cells
     (equivalently maximize red). An optimum touching a non-cell's sentinel
     means no perfect matching at all. The chosen cells' codes are read
-    from one list of the table's rows.
+    with one gather per matching.
     Returns (lo_cols, lo_reds, hi_cols, hi_reds), lists indexed by row:
     the column of each row in the min-red matching and whether its record
     there is red, then the same for the max-red one. A cell with records
@@ -446,15 +453,14 @@ def _assignments(g: ColoredBipartiteGraph) -> Optional[tuple]:
     if g.n == 0:
         return [], [], [], []
     codes = g.cell_codes
-    lo_cols = linear_sum_assignment(_LO_COST[codes])[1].tolist()
-    rows = codes.tolist()
-    lo_codes = [row[c] for row, c in zip(rows, lo_cols)]
+    rows, lo_cols = linear_sum_assignment(_LO_COST.take(codes))
+    lo_codes = codes[rows, lo_cols].tolist()
     if 0 in lo_codes:
         return None
-    hi_cols = linear_sum_assignment(_HI_COST[codes])[1].tolist()
+    hi_cols = linear_sum_assignment(_HI_COST.take(codes))[1]
     return (
-        lo_cols, [c == 2 for c in lo_codes],
-        hi_cols, [row[c] >= 2 for row, c in zip(rows, hi_cols)],
+        lo_cols.tolist(), [c == 2 for c in lo_codes],
+        hi_cols.tolist(), [c >= 2 for c in codes[rows, hi_cols].tolist()],
     )
 
 
@@ -475,7 +481,8 @@ class _Exchange(NamedTuple):
     cycles holds the rows of each cycle with delta > 0, deltas their
     gains, which sum to t_max - t_min. chords is empty, or, once _chords
     has run, one dict per cycle mapping each gain strictly between 0 and
-    its delta to a chord (a, b, k) that reaches it: the record (r_a, c_b,
+    its delta that a chord reaches (those its pass read, when it stopped
+    at a target) to the first such chord (a, b, k): the record (r_a, c_b,
     k), a and b positions on the cycle as _chords writes them. Each cycle
     then stays, switches, or takes one of its chords, independently of the
     others, so every t_min + a sum of one choice per cycle is the red
@@ -513,10 +520,10 @@ class _Exchange(NamedTuple):
             for r, (c, red) in enumerate(zip(self.lo_cols, self.lo_reds))
         ]
         for i in reversed(range(len(self.deltas))):
-            gain = next(
-                g for g in _gains(self.deltas, self.chords, i)
-                if g <= s and sums[i] >> s - g & 1
-            )
+            below = sums[i]  # sums[i + 1] holds s: some choice of cycle i fits
+            for gain in _gains(self.deltas, self.chords, i):
+                if gain <= s and below >> s - gain & 1:
+                    break
             s -= gain
             cycle = self.cycles[i]
             if gain == self.deltas[i]:
@@ -585,7 +592,9 @@ def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
     )
 
 
-def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
+def _chords(
+    g: ColoredBipartiteGraph, exchange: _Exchange, t: Optional[int] = None
+) -> _Exchange:
     """exchange with the chords of every cycle whose gain is at least 2.
 
     Write a cycle as rows r_0 .. r_(L-1), where r_l takes c_l in M_lo and
@@ -602,6 +611,16 @@ def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
     so it is skipped. The first record in g's order that reaches a gain is
     its chord (a, b, k). One pass over g's records, linear in them;
     multigraph cells count once per color.
+
+    With t None the pass reads every record. With a t (the root of solve's,
+    or a witness's), each cycle of gain delta >= 2 first gets a bitmask of
+    the gains in 0 < gain < delta for which t - t_min - gain is a sum of
+    the other cycles' deltas, each cycle staying or switching whole; the
+    pass stops at the first new chord whose gain is in its cycle's mask,
+    since that chord and those cycles are a perfect matching with t red
+    records. So the reach holds t exactly when the full pass's does, and
+    its chords are the full pass's first ones; records after the stop are
+    not read, so they are not checked against 0..delta either.
     """
     lo_reds, hi_reds = exchange.lo_reds, exchange.hi_reds
     deltas = exchange.deltas
@@ -609,6 +628,7 @@ def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
     cid = [-1] * n  # row -> its cycle, when that cycle's gain is >= 2
     pos = [0] * n  # row -> its l on that cycle
     before = [0] * n  # row r_l -> the gains of r_0 .. r_(l-1)
+    stops = [0] * len(deltas)  # cycle -> the chord gains that reach t
     for i, (cycle, delta) in enumerate(zip(exchange.cycles, deltas)):
         if delta < 2:
             continue
@@ -616,6 +636,14 @@ def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
         for l, r in enumerate(cycle):
             cid[r], pos[r], before[r] = i, l, s
             s += hi_reds[r] - lo_reds[r]
+        if t is not None:
+            others = 1  # the other cycles' sums, each staying or switching
+            for j, d in enumerate(deltas):
+                if j != i:
+                    others |= others << d
+            want = t - exchange.t_min
+            for gain in range(1, min(delta, want + 1)):
+                stops[i] |= (others >> want - gain & 1) << gain
     owner = [0] * n  # column -> its row in M_lo
     for r, c in enumerate(exchange.lo_cols):
         owner[c] = r
@@ -632,7 +660,11 @@ def _chords(g: ColoredBipartiteGraph, exchange: _Exchange) -> _Exchange:
         if pos[b] > pos[r]:
             gain += delta
         if 0 < gain < delta:
-            chords[i].setdefault(gain, (pos[r], pos[b], k))
+            found = chords[i]
+            if gain not in found:
+                found[gain] = (pos[r], pos[b], k)
+                if stops[i] >> gain & 1:
+                    break
         elif not 0 <= gain <= delta:
             raise InvariantError(
                 f"record {(r, c, k)} closes a cycle of red gain {gain} "
@@ -852,7 +884,9 @@ class BlockReport:
     leaf's whole achievable set, except at the root of solve, which settles
     only its target: there it is the red counts its certificates and, on a
     brace, its grid proved, all achievable, with the target among them
-    exactly when the answer is YES.
+    exactly when the answer is YES. A root the chords decided lists only
+    the chords its pass read before it reached the target (_chords), so
+    it may list fewer red counts than the full pass proves.
     """
 
     n: int
@@ -875,9 +909,10 @@ class SolveTrace:
     target is the t that solve asks; the next subproblem, the root, takes
     it (and clears it), so its certificates stop once t is decided, and
     the root keeps in memo, under its key, only the red counts it proved,
-    which only extract_witness's guard reads, for the same t. Every other
-    subproblem, and every subproblem of a trace without a target, settles
-    its whole set. start is the root's _Exchange, with its chords once
+    which solve's witness never reads again (it holds the decision), and
+    which extract_witness's guard, handed this trace, reads only for the
+    same t. Every other subproblem, and every subproblem of a trace
+    without a target, settles its whole set. start is the root's _Exchange, with its chords once
     they ran, whether or not a witness is wanted: the witness of that root
     starts from it (_start_of), as its switched matching when target is in
     its reach or a unit cycle's when target is t_min + 1 or t_max - 1,
@@ -936,10 +971,13 @@ def _certify(
         its hits is YES, and the report counts m determinants.
 
     proved is every red count the certificates run so far proved: the
-    exchange's reach (with its chords once they ran), the unit cycles'
-    YES, and the probe's hits when it ran. open is the wanted t neither
-    proved nor refuted; when it is empty, method names the certificate
-    that decided the last of them, and _feasible settles g as one block of
+    exchange's reach (with its chords once they ran; at the root of solve
+    a chord pass that stops once t is reached, so possibly fewer chords'
+    counts), the unit cycles' YES, and the probe's hits when it ran. open
+    is the wanted t neither proved nor refuted. Both are bitmasks (bit s
+    for red count s) until g is settled or handed on, and each becomes a
+    set once. When open is empty, method names the certificate that
+    decided the last of them, and _feasible settles g as one block of
     proved (with t None, g's whole achievable set). Otherwise method is
     None and _feasible goes on to D with open.
 
@@ -953,46 +991,59 @@ def _certify(
     if t is not None:  # only the root of solve has a t
         trace.start = exchange
     t_min, t_max = exchange.t_min, exchange.t_max
-    reach = exchange.reach()
-    proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    open_ = set(range(t_min + 1, t_max))
+    proved = exchange.reach()
+    open_ = max(0, (1 << t_max) - (2 << t_min))  # t_min < s < t_max
     if t is not None:
-        open_ &= {t}
-    if not open_:
-        return proved, open_, "bounds"
-    open_ -= proved
-    if not open_:
-        return proved, open_, "exchange"
-    gains = math.gcd(*exchange.deltas)
-    if any((s - t_min) % gains for s in open_):
-        open_ &= _in_class(t_min, t_max, *_congruence(g.n, g.edges))
-        if not open_:
-            return proved, open_, "congruence"
-    # gains of 1 alone reach every t in bounds, so some cycle here has a
-    # gain of at least 2, the ones _chords reads
-    exchange = _chords(g, exchange)
-    if t is not None:
-        trace.start = exchange
-    reach = exchange.reach()
-    proved = {s for s in range(t_min, t_max + 1) if reach >> s & 1}
-    open_ -= proved
-    if not open_:
-        return proved, open_, "chord"
-    for s in {t_min + 1, t_max - 1} & open_:
-        if _unit_cycle(g, exchange, s) is not None:
-            proved.add(s)
-        open_.discard(s)
-    if not open_:
-        return proved, open_, "unit"
-    m = t_max - t_min + 1
-    if _fits(g.n, m):
-        hits = _probe(g, t_min, t_max)
-        proved |= hits
-        open_ -= hits
-        trace.counts["grid_dets"] += m
-        if not open_:
-            return proved, open_, "probe"
-    return proved, open_, None
+        open_ = open_ & 1 << t if t_min < t < t_max else 0
+    method = "bounds"
+    if open_:
+        open_ &= ~proved
+        method = "exchange"
+    if open_:
+        gains = math.gcd(*exchange.deltas)
+        if gains > 1 and open_ & ~_mask(range(t_min, t_max + 1, gains)):
+            open_ &= _mask(_in_class(t_min, t_max, *_congruence(g.n, g.edges)))
+            method = "congruence"
+    if open_:
+        # gains of 1 alone reach every t in bounds, so some cycle here has
+        # a gain of at least 2, the ones _chords reads
+        exchange = _chords(g, exchange, t)
+        if t is not None:
+            trace.start = exchange
+        proved = exchange.reach()
+        open_ &= ~proved
+        method = "chord"
+    if open_:
+        for s in {t_min + 1, t_max - 1}:
+            if open_ >> s & 1:
+                if _unit_cycle(g, exchange, s) is not None:
+                    proved |= 1 << s
+                open_ &= ~(1 << s)
+        method = "unit"
+    if open_:
+        method = None
+        m = t_max - t_min + 1
+        if _fits(g.n, m):
+            hits = _mask(_probe(g, t_min, t_max))
+            proved |= hits
+            open_ &= ~hits
+            trace.counts["grid_dets"] += m
+            if not open_:
+                method = "probe"
+    return _unmask(proved), _unmask(open_), method
+
+
+def _mask(ts) -> int:
+    """The bitmask of the red counts ts: bit s set for each s."""
+    out = 0
+    for s in ts:
+        out |= 1 << s
+    return out
+
+
+def _unmask(mask: int) -> set[int]:
+    """The red counts of a bitmask: each s whose bit is set."""
+    return {s for s, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
 
 
 def _memo_key(g: ColoredBipartiteGraph) -> tuple:
@@ -1119,21 +1170,31 @@ def extract_witness(
     solve reads the exchange its certificates kept in trace.start, chords
     included). Otherwise row 0 is forced onto each of its records in turn
     and the first whose residual graph still reaches the residual target
-    is kept. The result is checked against g before it is returned.
+    is kept. A t that g does not achieve returns None; any other result is
+    checked against g before it is returned (_checked_witness).
     """
     if trace is None:
         trace = SolveTrace()
     if t not in feasible_red_counts(g, trace):
         return None
+    return _checked_witness(g, t, trace)
+
+
+def _checked_witness(
+    g: ColoredBipartiteGraph, t: int, trace: SolveTrace
+) -> list[EdgeRecord]:
+    """_witness for a t that g achieves, checked against g: n records, on
+    n distinct rows and n distinct columns, each one of g's records, and
+    exactly t of them red; anything else raises InvariantError."""
     witness = _witness(g, t, trace)
-    rows = sorted(r for r, _, _ in witness)
-    cols = sorted(c for _, c, _ in witness)
-    records = set(g.edges)
+    cells, n = g.cells, g.n
+    colors = [k for r, c, k in witness if k in cells.get((r, c), ())]
     if (
-        rows != list(range(g.n))
-        or cols != rows
-        or not all(rec in records for rec in witness)
-        or sum(1 for _, _, k in witness if k == RED) != t
+        len(witness) != n
+        or len({r for r, _, _ in witness}) != n
+        or len({c for _, c, _ in witness}) != n
+        or len(colors) != n  # a record that is not g's was left out
+        or colors.count(RED) != t
     ):
         raise InvariantError(
             f"witness for t = {t} is not a perfect matching of the graph "
@@ -1161,6 +1222,8 @@ def _witness(
     while g.n:
         start = _start_of(g, t, exchange)
         if start is not None:
+            if not out:  # the input's labels: checked as _start_of made it
+                return start
             return out + [(rows[r], cols[c], k) for r, c, k in start]
         for c in g.row_adj[0]:
             rest = g.without([0], [c])
@@ -1182,17 +1245,18 @@ def _start_of(
 ) -> Optional[list[EdgeRecord]]:
     """g's witness start, for a g with a perfect matching of t red
     records: a whole matching, either its _Exchange's switched matching
-    when t is in the reach, with its chords (_chords) when only they reach
-    t, or, for t = t_min + 1 or t_max - 1, M_lo or M_hi switched along a
-    unit cycle (_unit_cycle); else None, where the row-forcing loop must
-    go on. It reads the exchange's stored subset sums (_Exchange.sums).
-    exchange is g's own when a caller kept it (the root of solve's,
-    SolveTrace.start, chords included once they ran); otherwise it is made
-    from g's assignments. No start needs a determinant."""
+    when t is in the reach, with its chords (_chords, stopping once t is
+    reached) when only they reach t, or, for t = t_min + 1 or t_max - 1,
+    M_lo or M_hi switched along a unit cycle (_unit_cycle); else None,
+    where the row-forcing loop must go on. It reads the exchange's stored
+    subset sums (_Exchange.sums). exchange is g's own when a caller kept
+    it (the root of solve's, SolveTrace.start, chords included once they
+    ran); otherwise it is made from g's assignments. No start needs a
+    determinant."""
     if exchange is None:
         exchange = _exchange(*_assignments(g))
     if not exchange.reach() >> t & 1 and not exchange.chords:  # not yet run
-        exchange = _chords(g, exchange)
+        exchange = _chords(g, exchange, t)
     witness = exchange.witness(t)
     if witness is not None:
         return witness
@@ -1258,10 +1322,12 @@ def solve(
     open reaches D, where every subproblem below the root certifies its
     own whole set first, and the grid. The decision never reads whether a
     witness is wanted, so both give the same blocks and counts. With a
-    witness, extract_witness starts the root from the exchange its
-    certificates kept (SolveTrace.start): its switched matching when t is
-    in its reach, chords included, else a unit cycle's when t is t_min + 1
-    or t_max - 1 (_start_of), else it forces rows.
+    witness on a YES, the checked self-reduction of extract_witness runs
+    at once (_checked_witness), since the decision is held, and starts the
+    root from the exchange its certificates kept (SolveTrace.start): its
+    switched matching when t is in its reach, chords included, else a unit
+    cycle's when t is t_min + 1 or t_max - 1 (_start_of), else it forces
+    rows.
     Out-of-range targets are legal and decide to NO.
     """
     trace = SolveTrace(target=t)
@@ -1272,10 +1338,7 @@ def solve(
 
     witness = None
     if decision and opts.want_witness:
-        wit = extract_witness(g, t, trace)
-        if wit is None:
-            raise InvariantError(f"t = {t} decided YES but has no witness")
-        witness = tuple(wit)
+        witness = tuple(_checked_witness(g, t, trace))
     t2 = time.perf_counter()
 
     timings = {

@@ -565,7 +565,7 @@ def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
             assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
 
 
-def test_brace_witness_leaves_the_recursion_alone():
+def test_brace_witness_from_its_start_adds_no_subproblem():
     # on a brace the decision settled, the start made on demand (its
     # exchange's switched matching, chords included, or a unit cycle's)
     # finishes every witness: the witness adds no subproblem
@@ -579,7 +579,7 @@ def test_brace_witness_leaves_the_recursion_alone():
         assert trace.counts["subproblems"] == subproblems == len(trace.memo)
 
 
-def test_fallback_witnesses_when_the_chain_gives_up():
+def test_every_achievable_t_gets_a_witness_from_a_start_or_forced_rows():
     # every achievable t gets a checked witness, from a start or by forcing
     # rows: k44_two_diagonals' 2 and the roots of CHAIN_FROM_ROOT that only
     # the probe decides have no start, and K_n,n with a red diagonal is
@@ -696,8 +696,8 @@ def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
     )
     monkeypatch.setattr(
         solver, "_chords",
-        lambda graph, ex: (graph is g and calls.append("chords"))
-        or chords(graph, ex),
+        lambda graph, *args: (graph is g and calls.append("chords"))
+        or chords(graph, *args),
     )
     rep = solve(g, t, SolverOptions(want_witness=True))
     assert [b.method for b in rep.blocks] == ["probe"]
@@ -724,7 +724,9 @@ def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
     monkeypatch.setattr(solver, "_start_of", counted)
     # the chords would hand most targets a switched matching: without them
     # every t outside the exchange's reach but a unit cycle's has no start
-    monkeypatch.setattr(solver, "_chords", lambda g, exchange: exchange)
+    monkeypatch.setattr(
+        solver, "_chords", lambda g, exchange, t=None: exchange
+    )
     graphs = [g for g in _random_braces(20, 15200) if g.n <= 8] + [
         k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
     ] + [random_graph(n, 0.5, 0.5, seed=15300 + n, require_pm=True)
@@ -756,6 +758,68 @@ def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
     )
     with pytest.raises(InvariantError):
         solve(k44_two_diagonals(), 2, SolverOptions(want_witness=True))
+
+
+# k44_two_diagonals at t = 2, red iff c - r is 0 or 1 mod 4: a perfect
+# matching with 2 red records, then lists that break one clause of the
+# witness check each; the same graph without the cell (0, 2) gives a
+# record that is in no cell of g
+TWO_RED = [(0, 1, RED), (1, 0, BLUE), (2, 3, RED), (3, 2, BLUE)]
+
+
+def _k44_two_diagonals_but_0_2():
+    return ColoredBipartiteGraph.make(
+        4, [e for e in k44_two_diagonals().edges if e[:2] != (0, 2)]
+    )
+
+
+BROKEN_WITNESSES = [
+    pytest.param(k44_two_diagonals, TWO_RED[:3], id="short"),
+    pytest.param(k44_two_diagonals, TWO_RED + [(1, 0, BLUE)],
+                 id="repeated-record"),
+    pytest.param(k44_two_diagonals, TWO_RED + [(1, 0, RED)],
+                 id="extra-record-of-another-color"),
+    pytest.param(k44_two_diagonals, TWO_RED[:3] + [(0, 2, BLUE)],
+                 id="repeated-row"),
+    pytest.param(k44_two_diagonals, TWO_RED[:3] + [(3, 1, BLUE)],
+                 id="repeated-column"),
+    pytest.param(k44_two_diagonals, TWO_RED[:3] + [(4, 2, BLUE)],
+                 id="row-outside"),
+    pytest.param(k44_two_diagonals, TWO_RED[:3] + [(-1, 2, BLUE)],
+                 id="negative-row"),
+    pytest.param(k44_two_diagonals,
+                 [(0, 0, RED), (1, 3, RED), (2, 1, BLUE), (3, 2, BLUE)],
+                 id="other-color"),
+    pytest.param(_k44_two_diagonals_but_0_2,
+                 [(0, 2, BLUE), (1, 1, RED), (2, 0, BLUE), (3, 3, RED)],
+                 id="no-cell"),
+    pytest.param(k44_two_diagonals,
+                 [(0, 0, RED), (1, 3, BLUE), (2, 1, BLUE), (3, 2, BLUE)],
+                 id="one-red"),
+]
+
+
+@pytest.mark.parametrize(
+    "graph", [k44_two_diagonals, _k44_two_diagonals_but_0_2]
+)
+def test_the_two_red_witness_passes_the_check(graph, monkeypatch):
+    monkeypatch.setattr(
+        solver, "_start_of", lambda g, t, exchange=None: list(TWO_RED)
+    )
+    rep = solve(graph(), 2, SolverOptions(want_witness=True))
+    assert list(rep.witness) == TWO_RED
+    assert extract_witness(graph(), 2) == TWO_RED
+
+
+@pytest.mark.parametrize("graph, wrong", BROKEN_WITNESSES)
+def test_each_clause_of_the_witness_check_raises(graph, wrong, monkeypatch):
+    monkeypatch.setattr(
+        solver, "_start_of", lambda g, t, exchange=None: list(wrong)
+    )
+    with pytest.raises(InvariantError):
+        solve(graph(), 2, SolverOptions(want_witness=True))
+    with pytest.raises(InvariantError):
+        extract_witness(graph(), 2)
 
 
 @pytest.mark.parametrize("wrong", WRONG_WITNESSES)
@@ -957,6 +1021,11 @@ def test_solve_no_pm_graph():
 def test_solve_out_of_range_t():
     assert not solve(knn(3), -1).decision
     assert not solve(knn(3), 5).decision
+    # a target far out of range decides NO without building a bit for it
+    assert not solve(knn(3), 10**12).decision
+    g = random_graph(14, 0.2, 0.5, seed=22, require_pm=True)
+    assert not solve(g, 2**70).decision
+    assert not solve(g, 2**70, SolverOptions(want_witness=True)).decision
 
 
 def test_solve_report_traces_the_recursion():
@@ -1231,9 +1300,7 @@ def test_exchange_counts_a_cell_of_both_colors_as_a_cycle():
     assert rep.counts["grid_dets"] == 0 and _is_witness(g, 2, rep.witness)
 
 
-def test_top_node_runs_for_unproved_t_and_inverts_outside_the_reach(
-    monkeypatch,
-):
+def test_probe_runs_only_for_a_t_no_other_certificate_decides(monkeypatch):
     # k44_two_diagonals: the chords reach {0, 1, 3, 4}, so 2 needs the
     # probe, once with or without a witness (the residual graphs its
     # witness forces rows onto have n = 3, which needs no probe);
@@ -1363,7 +1430,7 @@ def test_unit_cycle_decides_a_root_past_the_probe_guard(monkeypatch):
     assert _is_witness(g, 59, rep.witness)
 
 
-def test_witnessed_unit_root_builds_no_top_node(monkeypatch):
+def test_witnessed_unit_root_runs_no_probe_and_no_pair_digraph(monkeypatch):
     # the witness of a t the unit cycles prove is M_lo or M_hi switched
     # along the cycle found: it runs no probe and builds no pair digraph
     monkeypatch.setattr(solver, "_probe", _no_probe)
@@ -1638,9 +1705,9 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
         calls.append("congruence")
         return congruence(n, records)
 
-    def counted_chords(graph, exchange):
+    def counted_chords(*args):
         calls.append("chord")
-        return chords(graph, exchange)
+        return chords(*args)
 
     ex = _exchange_of(g)
     gains = math.gcd(*ex.deltas)
@@ -1744,11 +1811,77 @@ def test_chord_reach_is_achievable_and_every_chord_is_a_witness(g):
         assert wit is None or _is_witness(g, t, wit)
 
 
+def _chords_by_matchings(g, ex):
+    """_chords' full pass restated: each record joining two rows of one
+    cycle of gain >= 2 builds its switched matching and counts its red
+    records; the first record in g's order that reaches a gain strictly
+    inside the cycle's is its chord."""
+    chords = [{} for _ in ex.deltas]
+    for i, (cycle, delta) in enumerate(zip(ex.cycles, ex.deltas)):
+        if delta < 2:
+            continue
+        size = len(cycle)
+        for r, c, k in g.edges:
+            if r not in cycle or ex.lo_cols.index(c) not in cycle:
+                continue
+            a, b = cycle.index(r), cycle.index(ex.lo_cols.index(c))
+            switched = [cycle[(b + u) % size] for u in range((a - b) % size)]
+            red = sum(ex.lo_reds) + k - ex.lo_reds[r] + sum(
+                ex.hi_reds[q] - ex.lo_reds[q] for q in switched
+            )
+            if 0 < red - ex.t_min < delta:
+                chords[i].setdefault(red - ex.t_min, (a, b, k))
+    return tuple(chords)
+
+
+@pytest.mark.parametrize("g", TARGET_CASES + CHORD_MULTIGRAPHS)
+def test_chord_pass_stops_at_a_target_with_the_full_pass_answer(g):
+    # with no t the pass reads every record; with a t its chords are the
+    # full pass's first ones, and its reach holds t exactly when the full
+    # reach does, inside the DP oracle's set, every chord a witness
+    want = red_count_set_dp(g)
+    plain = _exchange_of(g)
+    full = solver._chords(g, plain)
+    assert full == solver._chords(g, plain, None)
+    assert full.chords == _chords_by_matchings(g, plain)
+    for t in range(-1, g.n + 2):
+        early = solver._chords(g, plain, t)
+        reach = early.reach()
+        for mine, whole in zip(early.chords, full.chords, strict=True):
+            assert mine.items() <= whole.items()
+        if t >= 0:
+            assert reach >> t & 1 == full.reach() >> t & 1
+        assert {s for s in range(g.n + 1) if reach >> s & 1} <= want
+        assert reach >> (g.n + 1) == 0
+        for i, (cycle, delta) in enumerate(zip(early.cycles, early.deltas)):
+            for gain in early.chords[i]:
+                alone = early._replace(
+                    cycles=[cycle], deltas=[delta], chords=(early.chords[i],)
+                )
+                assert _is_witness(
+                    g, early.t_min + gain, alone.witness(early.t_min + gain)
+                )
+
+
+def test_chord_pass_stops_early_on_some_targets():
+    # the early stop is exercised: some root targets leave chords unread
+    stopped = 0
+    for param in TARGET_CASES + CHORD_MULTIGRAPHS:
+        g = param.values[0]
+        plain = _exchange_of(g)
+        full = solver._chords(g, plain).chords
+        stopped += sum(
+            solver._chords(g, plain, t).chords != full
+            for t in range(plain.t_min + 1, plain.t_max)
+        )
+    assert stopped >= 20
+
+
 def _no_probe(*args, **kwargs):
     raise AssertionError("a root its certificates decided ran a probe")
 
 
-def test_chord_decided_root_makes_no_top_node(monkeypatch):
+def test_chord_decided_root_runs_no_probe(monkeypatch):
     # a t the chords reach is YES before the probe, and its witness is the
     # chord's switched matching: neither runs a probe nor a determinant
     decided = [
@@ -1768,7 +1901,7 @@ def test_chord_decided_root_makes_no_top_node(monkeypatch):
             assert rep.witness is None or _is_witness(g, t, rep.witness)
 
 
-def _no_chords(g, exchange):
+def _no_chords(*args):
     raise AssertionError("chords computed")
 
 
