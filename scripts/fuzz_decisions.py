@@ -20,7 +20,11 @@ of an instance with n <= WITNESS_ALL_N (one drawn YES target above that)
 then goes through solve(...,
 want_witness=True): each witness is checked against the graph, and the
 report's blocks and counts against those of solve(g, t) without a
-witness. The final line counts, over every (graph, t), the certified
+witness. The same targets go through extract_witness on one trace per
+instance, each witness checked too; afterwards feasible_red_counts on
+that trace must still give the oracle's set, so a root's partial set
+that leaks into the memo aborts the run. The final line counts, over
+every (graph, t), the certified
 blocks by the certificate that settled them (roots and subproblems below
 them), the roots left open, the chord-decided roots whose pass stopped
 before it read every record, and the witnesses by their source: the
@@ -67,11 +71,13 @@ from exactmatch.graphs import (
 )
 from exactmatch.matching import _elementary, is_matching_covered
 from exactmatch.solver import (
+    SolveTrace,
     SolverOptions,
     _assignments,
     _chords,
     _congruence,
     _exchange,
+    extract_witness,
     feasible_red_counts,
     solve,
 )
@@ -264,7 +270,13 @@ def main(argv=None) -> int:
         targets = sorted(want)
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
+        trace = SolveTrace()  # one per instance, across its targets
         for t in targets:
+            witness = extract_witness(g, t, trace)
+            if not witness_ok(g, t, witness):
+                print(f"BAD EXTRACTED WITNESS at t={t}: {witness}")
+                sys.stdout.write(wire(g))
+                return 1
             report = solve(g, t, SolverOptions(want_witness=True))
             witnesses += 1
             switched += bool(reach >> t & 1)
@@ -284,6 +296,14 @@ def main(argv=None) -> int:
                 )
                 sys.stdout.write(wire(g))
                 return 1
+        reused = feasible_red_counts(g, trace)
+        if reused != want:
+            print(
+                f"MEMO NOT WHOLE after witnesses at {targets}: "
+                f"{sorted(reused)}, oracle {sorted(want)}"
+            )
+            sys.stdout.write(wire(g))
+            return 1
     blocks = ", ".join(f"{settled[name]} {name}" for name in CERTIFICATES)
     print(
         f"ok: {instances} instances ({past} past --max-n), {decisions} "

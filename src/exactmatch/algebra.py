@@ -16,14 +16,12 @@ stack at once: each step picks the first nonzero pivot per matrix and swaps
 it up with its sign (_pivot, a single comparison when no matrix needs a
 swap), writes it to a pivot table, and updates row_i <- piv * row_i -
 lead * row_k with one reduction, which scales the determinant by piv per
-updated row. inverse_det_mod_batch takes the same pivot step and update as
-an in-place Gauss-Jordan and returns every inverse with its determinant.
-Neither tracks its scale inside the loop: after it, doubling scans of the
-pivot table (_prefix_products) give the products of the pivots, and one
-batch of modular inverses (Montgomery's trick, inverses_mod) clears them. A
-zero residue is only a residue: callers that conclude an integer is zero
-must first multiply enough primes to exceed a bound on its size
-(certificate_primes).
+updated row. It does not track that scale inside the loop: after it,
+doubling scans of the pivot table (_prefix_products) give the products of
+the pivots, and one batch of modular inverses (Montgomery's trick,
+inverses_mod) clears them. A zero residue is only a residue: callers that
+conclude an integer is zero must first multiply enough primes to exceed a
+bound on its size (certificate_primes).
 """
 
 from __future__ import annotations
@@ -480,30 +478,28 @@ def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 def _pivot(
     a: np.ndarray, c: int, negate: np.ndarray, alive: np.ndarray
-) -> Optional[np.ndarray]:
+) -> None:
     """Bring each matrix's pivot for column c up to row c, in place.
 
     The pivot row is the first at or below c with a nonzero entry in
     column c. A swap flips negate; a matrix with no such row is cleared
-    from alive. Returns the row each matrix swapped with row c, or None
-    when none swapped: when every entry (c, c) is nonzero, that one
-    comparison is the whole step.
+    from alive. When every entry (c, c) is nonzero, that one comparison is
+    the whole step.
     """
     if a[:, c, c].all():
-        return None
+        return
     idx = np.arange(a.shape[0])
     nonzero = a[:, c:, c] != 0
     offset = nonzero.argmax(axis=1)
     alive &= nonzero[idx, offset]
     swapped = offset != 0
     if not swapped.any():
-        return None
+        return
     other = c + offset
     top = a[:, c].copy()
     a[:, c] = a[idx, other]
     a[idx, other] = top
     negate ^= swapped
-    return other
 
 
 def _prefix_products(table: np.ndarray, p: int) -> np.ndarray:
@@ -579,66 +575,3 @@ def inverses_mod(values: np.ndarray, p: int) -> np.ndarray:
     res = np.array(out, dtype=np.int64)
     res[values == 0] = 0
     return res
-
-
-def inverse_det_mod_batch(
-    mats: np.ndarray, p: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverses and determinants mod p of a (B, k, k) int64 stack.
-
-    Entries lie in [0, p). In-place division-free Gauss-Jordan, all B
-    matrices in step. Column c brings its pivot up to row c (_pivot) and
-    writes it to a pivot table, stores the inverse's column c in its place
-    (1 in the pivot row, 0 in the others), and replaces every other row by
-    piv * row - lead * pivot row, reduced once as in det_mod_batch. With
-    P_c = piv_0 ... piv_(c-1), entry (r, c) then holds A^-1[r, c] times
-    P_k / (P_r P_c): row r carries the pivots of the steps that updated
-    it, P_k / P_r, and column c, seeded with 1 rather than the P_c its
-    pivot row had gained by then, a further 1 / P_c. After the loop, two
-    doubling scans of the pivot table give the P_c and their product, one
-    batch of modular inverses gives 1 / P_k and det A = P_k / (P_0 ...
-    P_(k-1)) (with the swaps' sign), and one outer product of the P_c
-    clears every entry. The row swaps come back out as column swaps in
-    reverse order. Returns (inv, det): a singular matrix has det 0 and an
-    all-zero inverse. The stack is not modified.
-    """
-    batch, k = mats.shape[0], mats.shape[1]
-    if k == 0:
-        return mats.copy(), np.ones(batch, dtype=np.int64)
-    a = mats.copy()
-    idx = np.arange(batch)
-    negate = np.zeros(batch, dtype=bool)
-    alive = np.ones(batch, dtype=bool)
-    pivots = np.ones((k + 1, batch), dtype=np.int64)  # row c + 1: piv_c
-    swaps = []  # (c, the row each matrix swapped with row c)
-    for c in range(k):
-        other = _pivot(a, c, negate, alive)
-        if other is not None:
-            swaps.append((c, other))
-        pivots[c + 1] = a[:, c, c]
-        piv = pivots[c + 1, :, None, None]
-        lead = a[:, :, c : c + 1].copy()
-        row = a[:, c : c + 1].copy()
-        row[:, 0, c] = 1
-        a[:, :, c] = 0
-        a = reduce_mod(piv * a - lead * row, p)
-        a[:, c : c + 1] = row
-    prefix = _prefix_products(pivots, p)  # P_0 .. P_k
-    lower = _prefix_products(prefix[:k], p)[-1]
-    top_inv, lower_inv = inverses_mod(
-        np.concatenate([prefix[k], lower]), p
-    ).reshape(2, batch)
-    scale = prefix[:k].T  # (B, k): P_r by row, P_c by column
-    unscale = reduce_mod(scale * top_inv[:, None], p)  # P_r / P_k
-    inv = reduce_mod(
-        reduce_mod(a * unscale[:, :, None], p) * scale[:, None, :], p
-    )
-    for c, other in reversed(swaps):
-        col = inv[:, :, c].copy()
-        inv[:, :, c] = inv[idx, :, other]
-        inv[idx, :, other] = col
-    det = reduce_mod(prefix[k] * lower_inv, p)
-    det[negate] = reduce_mod(p - det[negate], p)
-    det[~alive] = 0
-    inv[~alive] = 0
-    return inv, det

@@ -5,8 +5,10 @@ an edge (i, j) with rho = 1 for red, 0 for blue (multigraph cells weigh in
 as (blues + reds * x) * (lam + i)^j, and 0^0 = 1). Writing D(lam, x) for its
 determinant, the coefficient c_t(lam) of x^t collects exactly the perfect
 matchings with t red edges, each contributing a signed monomial of total
-lam-degree n(n-1)/2. On a brace, c_t is a nonzero polynomial exactly when
-some perfect matching has t red edges, and the grid decides that exactly:
+lam-degree n(n-1)/2. On a simple brace, c_t is a nonzero polynomial exactly
+when some perfect matching has t red edges, and the grid decides that
+exactly (a multigraph brace, which a multigraph input can hand it, has no
+such theorem: ROADMAP item 1):
 
   * c_t = 0 outside the exact red-count bounds [t_min, t_max] of the
     assignment prefilter, so D = x^t_min * P(x) with deg P < m =
@@ -46,13 +48,14 @@ explicit stack, and each brace's grid is asked only for the t its
 certificates left open (below).
 
 Certificates before structure, in every subproblem: exact certificates
-that need no zero proof run at the top of every _feasible and read g's
-records alone (_certify), so a subproblem they decide never builds
-D(G, M). solve asks one question, whether some perfect matching has
-exactly t red edges, so the root wants {t} alone, with or without a
-witness; every other subproblem wants every t between its bounds, since
-its parent needs its whole set. They run in this order and stop once
-each wanted t is proved or refuted:
+that need no zero proof run first and read g's records alone (_certify),
+so a subproblem they decide never builds D(G, M). solve asks one
+question, whether some perfect matching has exactly t red edges, so its
+root (_decide, which takes t as an argument) wants {t} alone, with or
+without a witness; every other subproblem (_feasible), and the root of
+feasible_red_counts, wants every t between its bounds, since its parent
+needs its whole set. They run in this order and stop once each wanted t
+is proved or refuted:
 
   * bounds: _assignments solves two assignment problems, for a min-red and
     a max-red perfect matching M_lo and M_hi; their red counts are the
@@ -101,27 +104,30 @@ each wanted t is proved or refuted:
     a witness is wanted.
 
 A decided subproblem's result is the set its certificates proved: its
-whole achievable set below the root, and at the root a set that holds t
-exactly when the answer is YES. _certify keeps what is proved and what is
-still open as bitmasks, and makes each a set once, when it returns. A
-subproblem with a wanted t still open builds its one D(G, M): several
-elementary blocks are each certified as subproblems of their own and
-multiply by sumset, a tight cut recurses, and a brace hands the t still
-open to its grid.
-Witnesses: extract_witness reduces one row at a time, as a loop. Each
-graph it reaches is finished at once, with no determinant, when it has a
-start (_start_of): the switched matching of its exchange when t is in the
+whole achievable set, except at a root asked for one t, where it is a set
+that holds t exactly when the answer is YES. _certify keeps what is
+proved and what is still open as bitmasks, and makes each a set once,
+when it returns. A subproblem with a wanted t still open builds its one
+D(G, M) (_structure): several elementary blocks are each certified as
+subproblems of their own and multiply by sumset, a tight cut recurses,
+and a brace hands the t still open to its grid. Only whole sets enter the
+memo: a root asked for one t reads it, but never stores what it proved.
+Witnesses: extract_witness and a witnessed solve take the same steps. The
+root decides t (_decide) and returns its _Exchange, chords included once
+they ran, and the unit cycle's matching when that decided t; the
+self-reduction then reduces one row at a time, as a loop. Each graph it
+reaches is finished at once, with no determinant, when it has a start
+(_start_of): the switched matching of its exchange when t is in the
 reach, chords included (M_lo with each cycle switched whole or closed
 along one chord, their gains summing to t - t_min), or, when t is t_min +
-1 or t_max - 1, M_lo or M_hi switched along the unit cycle _unit_cycle
-finds. The root of solve starts from the exchange its certificates kept,
-chords included once they ran (SolveTrace.start), so its witness solves
-no assignment again, and solve, which holds the decision, goes straight
-to the self-reduction. A graph with no start has row 0 forced onto the
-first record whose residual graph keeps the residual target in
-feasible_red_counts, whose subproblems settle their whole sets. The
-witness is checked against the graph: n records on n distinct rows and
-n distinct columns, each in a cell of g with its color, t of them red.
+1 or t_max - 1, M_lo or M_hi switched along a unit cycle. The root's
+start comes from the exchange it returned, so its witness solves no
+assignment and searches no unit cycle again. A graph with no start has
+row 0 forced onto the first record whose residual graph keeps the
+residual target in feasible_red_counts, whose subproblems settle their
+whole sets. The witness is checked against the graph: n records on n
+distinct rows and n distinct columns, each in a cell of g with its color,
+t of them red.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
@@ -152,7 +158,6 @@ from .algebra import (
     det_mod_batch,
     det_rows,
     interpolate,
-    inverse_det_mod_batch,
     reduce_mod,
 )
 from .errors import (
@@ -223,14 +228,26 @@ def _x_inverse(t_min: int, m: int, p: int) -> np.ndarray:
     """V^-1 mod p for V[x - 1][s] = x^(t_min + s), x = 1..m; t_min may be < 0.
 
     It maps the determinant residues at x = 1..m to the residues of
-    c_(t_min + s), s < m (p > m keeps the nodes apart). Read-only, since
-    the cache hands it to every caller.
+    c_(t_min + s), s < m. Built from the Lagrange basis: with Q(y) the
+    product of (y - x) over the nodes, column x is the coefficients of
+    Q(y) / (y - x) (one synthetic division) times (Q'(x) * x^t_min)^-1,
+    where Q'(x), the product of x - y over the other nodes y, is
+    (-1)^(m - x) (x - 1)! (m - x)!. p > m keeps the nodes apart and
+    nonzero mod p. Read-only, since the cache hands it to every caller.
     """
-    v = [[pow(x, t_min + s, p) for s in range(m)] for x in range(1, m + 1)]
-    inv, det = inverse_det_mod_batch(np.array([v], dtype=np.int64), p)
-    if not det[0]:
+    if m >= p:
         raise ZeroDivisor(f"x nodes 1..{m} collide mod {p}")
-    inv = inv[0]
+    master = [1]  # Q, coefficients low to high
+    for x in range(1, m + 1):
+        master = [(a - x * b) % p for a, b in zip([0] + master, master + [0])]
+    inv = np.empty((m, m), dtype=np.int64)
+    for x in range(1, m + 1):
+        quotient, acc = [0] * m, 0
+        for s in range(m, 0, -1):
+            acc = quotient[s - 1] = (master[s] + x * acc) % p
+        slope = (-1) ** (m - x) * math.factorial(x - 1) * math.factorial(m - x)
+        scale = pow(slope * pow(x, t_min, p), -1, p)
+        inv[:, x - 1] = [c * scale % p for c in quotient]
     inv.setflags(write=False)
     return inv
 
@@ -488,7 +505,9 @@ class _Exchange(NamedTuple):
     others, so every t_min + a sum of one choice per cycle is the red
     count of a perfect matching, exactly, on any graph. sums is _sums of
     deltas and chords, built once by _exchange and once more by _chords;
-    reach and witness read it.
+    reach and witness read it. unit is None, or the perfect matching
+    _unit_cycle found for the one t that _certify was asked (the root's),
+    t_min + 1 or t_max - 1, so its witness need not search again.
     """
 
     t_min: int
@@ -500,6 +519,7 @@ class _Exchange(NamedTuple):
     deltas: list[int]
     sums: list[int]
     chords: Tuple[dict, ...] = ()
+    unit: Optional[list[EdgeRecord]] = None
 
     @property
     def t_max(self) -> int:
@@ -612,8 +632,8 @@ def _chords(
     its chord (a, b, k). One pass over g's records, linear in them;
     multigraph cells count once per color.
 
-    With t None the pass reads every record. With a t (the root of solve's,
-    or a witness's), each cycle of gain delta >= 2 first gets a bitmask of
+    With t None the pass reads every record. With a t (the root's, or a
+    witness's), each cycle of gain delta >= 2 first gets a bitmask of
     the gains in 0 < gain < delta for which t - t_min - gain is a sum of
     the other cycles' deltas, each cycle staying or switching whole; the
     pass stops at the first new chord whose gain is in its cycle's mask,
@@ -881,11 +901,11 @@ class BlockReport:
     A leaf is a subproblem its certificates decided (method "bounds",
     "exchange", "congruence", "chord", "unit" or "probe") or a brace its
     grid decided ("pure-ASNC"); there is no other kind. feasible_t is the
-    leaf's whole achievable set, except at the root of solve, which settles
-    only its target: there it is the red counts its certificates and, on a
-    brace, its grid proved, all achievable, with the target among them
-    exactly when the answer is YES. A root the chords decided lists only
-    the chords its pass read before it reached the target (_chords), so
+    leaf's whole achievable set, except at a root asked for one t (solve's
+    and extract_witness's, _decide): there it is the red counts its
+    certificates and, on a brace, its grid proved, all achievable, with t
+    among them exactly when the answer is YES. A root the chords decided
+    lists only the chords its pass read before it reached t (_chords), so
     it may list fewer red counts than the full pass proves.
     """
 
@@ -898,26 +918,16 @@ class BlockReport:
 class SolveTrace:
     """The memo of the feasibility recursion and a record of its work.
 
-    memo maps each subproblem key to its feasible set. blocks lists the
-    leaves the recursion settled, one per subproblem, in the order they
-    were first evaluated. counts tallies memo misses (subproblems), memo
-    hits, braces decided on the grid, tight cuts split, subproblems
-    settled by their certificates (certified), the
-    modular determinants the grid and the probes evaluated (grid_dets,
-    summed over primes, lam and x nodes) and the deepest nesting of
-    subproblems, memo hits included (depth; the root counts as 1).
-    target is the t that solve asks; the next subproblem, the root, takes
-    it (and clears it), so its certificates stop once t is decided, and
-    the root keeps in memo, under its key, only the red counts it proved,
-    which solve's witness never reads again (it holds the decision), and
-    which extract_witness's guard, handed this trace, reads only for the
-    same t. Every other subproblem, and every subproblem of a trace
-    without a target, settles its whole set. start is the root's _Exchange, with its chords once
-    they ran, whether or not a witness is wanted: the witness of that root
-    starts from it (_start_of), as its switched matching when target is in
-    its reach or a unit cycle's when target is t_min + 1 or t_max - 1,
-    with no second assignment. Every other graph's start is made from its
-    own assignments.
+    memo maps each subproblem key to its whole achievable set; a root
+    asked for one t (_decide) reads it but never writes to it, so a trace
+    may be handed to any number of calls. blocks lists the leaves the
+    recursion settled, one per subproblem, in the order they were first
+    evaluated. counts tallies memo misses (subproblems), memo hits, braces
+    decided on the grid, tight cuts split, subproblems settled by their
+    certificates (certified), the modular determinants the grid and the
+    probes evaluated (grid_dets, summed over primes, lam and x nodes) and
+    the deepest nesting of subproblems, memo hits included (depth; the
+    root counts as 1).
     """
 
     memo: dict = field(default_factory=dict)
@@ -931,8 +941,6 @@ class SolveTrace:
             0,
         )
     )
-    target: Optional[int] = None
-    start: Optional[_Exchange] = None
 
     def settle(self, count: str, method: str, n: int, result: frozenset):
         """Record a leaf decided without a split; returns its result."""
@@ -943,13 +951,14 @@ class SolveTrace:
 
 def _certify(
     g: ColoredBipartiteGraph, trace: SolveTrace, t: Optional[int]
-) -> Optional[Tuple[set[int], set[int], Optional[str]]]:
-    """None if g has no perfect matching, else (proved, open, method).
+) -> Optional[Tuple[set[int], set[int], Optional[str], _Exchange]]:
+    """None if g has no perfect matching, else (proved, open, method,
+    exchange).
 
     The wanted set is {t}, or every t between g's bounds when t is None
-    (every subproblem but the root of solve). Every certificate here reads
-    g's records alone, so none builds D(G, M), and they stop as soon as
-    each wanted t is proved or refuted, in this order:
+    (every subproblem but a root asked for one t). Every certificate here
+    reads g's records alone, so none builds D(G, M), and they stop as soon
+    as each wanted t is proved or refuted, in this order:
 
       * bounds: the red counts of the two assignment optima are the
         attained bounds, so a t outside [t_min, t_max] is NO and t_min and
@@ -971,25 +980,22 @@ def _certify(
         its hits is YES, and the report counts m determinants.
 
     proved is every red count the certificates run so far proved: the
-    exchange's reach (with its chords once they ran; at the root of solve
-    a chord pass that stops once t is reached, so possibly fewer chords'
-    counts), the unit cycles' YES, and the probe's hits when it ran. open
-    is the wanted t neither proved nor refuted. Both are bitmasks (bit s
-    for red count s) until g is settled or handed on, and each becomes a
-    set once. When open is empty, method names the certificate that
-    decided the last of them, and _feasible settles g as one block of
-    proved (with t None, g's whole achievable set). Otherwise method is
-    None and _feasible goes on to D with open.
-
-    The root of solve keeps its _Exchange in trace.start, with its chords
-    once they ran, for its witness's start (_start_of).
+    exchange's reach (with its chords once they ran; with a t, a chord pass
+    that stops once t is reached, so possibly fewer chords' counts), the
+    unit cycles' YES, and the probe's hits when it ran. open is the wanted
+    t neither proved nor refuted. Both are bitmasks (bit s for red count s)
+    until g is settled or handed on, and each becomes a set once. When open
+    is empty, method names the certificate that decided the last of them,
+    and g is settled as one block of proved (with t None, g's whole
+    achievable set). Otherwise method is None and g's structure (_structure)
+    goes on with open. exchange is g's _Exchange, with its chords once they
+    ran and, when the unit cycle proved the t asked, that matching (unit):
+    a root's witness starts from it (_start_of).
     """
     found = _assignments(g)
     if found is None:
         return None
     exchange = _exchange(*found)
-    if t is not None:  # only the root of solve has a t
-        trace.start = exchange
     t_min, t_max = exchange.t_min, exchange.t_max
     proved = exchange.reach()
     open_ = max(0, (1 << t_max) - (2 << t_min))  # t_min < s < t_max
@@ -1008,16 +1014,17 @@ def _certify(
         # gains of 1 alone reach every t in bounds, so some cycle here has
         # a gain of at least 2, the ones _chords reads
         exchange = _chords(g, exchange, t)
-        if t is not None:
-            trace.start = exchange
         proved = exchange.reach()
         open_ &= ~proved
         method = "chord"
     if open_:
         for s in {t_min + 1, t_max - 1}:
             if open_ >> s & 1:
-                if _unit_cycle(g, exchange, s) is not None:
+                unit = _unit_cycle(g, exchange, s)
+                if unit is not None:
                     proved |= 1 << s
+                    if s == t:
+                        exchange = exchange._replace(unit=unit)
                 open_ &= ~(1 << s)
         method = "unit"
     if open_:
@@ -1030,7 +1037,7 @@ def _certify(
             trace.counts["grid_dets"] += m
             if not open_:
                 method = "probe"
-    return _unmask(proved), _unmask(open_), method
+    return _unmask(proved), _unmask(open_), method, exchange
 
 
 def _mask(ts) -> int:
@@ -1056,59 +1063,75 @@ def feasible_red_counts(
 ) -> frozenset:
     """The exact set of achievable red counts over perfect matchings.
 
-    Every subproblem runs its certificates first (_certify) and settles
-    there when they decide its whole set. A trace whose target is set
-    (solve's) lets the root stop once they decide that target; its result
-    is then the red counts it proved, which hold the target exactly when
-    the answer is YES.
-
-    Elementary blocks multiply independently (sumset); a matching-covered
-    graph is decided by the brace grid test or recursively through its
-    tight-cut crossing records. Every subproblem is induced from the input
-    graph, so the recursion only ever evaluates determinant tables on
-    simple braces, where fiber-nonemptiness and coefficient nonvanishing
-    coincide.
+    Every subproblem, the root included, runs its certificates first
+    (_certify) and settles there when they decide its whole set. Elementary
+    blocks multiply independently (sumset); a matching-covered graph is
+    decided by the brace grid test or recursively through its tight-cut
+    crossing records. Every subproblem is induced from the input graph, so
+    on a simple input the grid only ever meets simple braces, where
+    fiber-nonemptiness and coefficient nonvanishing coincide; a multigraph
+    input hands it multigraph braces, on which that has no theorem behind
+    it (ROADMAP item 1).
     """
     if trace is None:
         trace = SolveTrace()
     return _run(_subproblem(g, trace, 1))
 
 
-def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
-    """One subproblem at nesting level (root: 1): memo, then _feasible."""
+def _recall(trace: SolveTrace, key: tuple, level: int) -> Optional[frozenset]:
+    """A subproblem's depth and memo bookkeeping at nesting level (root:
+    1): its memoized whole set (a memo hit), or None (one more subproblem
+    to settle)."""
     if level > trace.counts["depth"]:
         trace.counts["depth"] = level
+    whole = trace.memo.get(key)
+    trace.counts["subproblems" if whole is None else "memo_hits"] += 1
+    return whole
+
+
+def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
+    """One subproblem of the recursion: memo, then _feasible."""
     key = _memo_key(g)
-    if key in trace.memo:
-        trace.counts["memo_hits"] += 1
-        return trace.memo[key]
-    trace.counts["subproblems"] += 1
-    result = trace.memo[key] = yield from _feasible(g, trace, level)
+    result = _recall(trace, key, level)
+    if result is None:
+        result = trace.memo[key] = yield from _feasible(g, trace, level)
     return result
 
 
 def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
-    """g's achievable set, as a generator step of the recursion.
+    """g's whole achievable set, as a generator step of the recursion.
 
-    Every subproblem runs its certificates first (_certify), before any
-    structure: one they decide, or one the bounds find without a perfect
-    matching, returns without building D(G, M), its result what they
-    proved. The root of solve asks them for its target alone; every other
-    subproblem for its whole set, since its parent needs every red count
-    it has. A subproblem they leave open builds its one D (_elementary):
-    its elementary blocks multiply by sumset, each certified as its own
-    subproblem; a brace hands the grid the t still open, its result what
-    the certificates and the grid proved; a tight cut recurses on its
-    crossing records.
+    Certificates first (_certify, for every t between g's bounds): one
+    they decide, or one the bounds find without a perfect matching,
+    returns what they proved without building D(G, M). The rest goes on to
+    g's structure (_structure).
     """
-    n = g.n
-    t, trace.target = trace.target, None  # the root of solve's, taken once
-    found = _certify(g, trace, t)
+    found = _certify(g, trace, None)
     if found is None:
         return frozenset()  # no perfect matching
-    proved, open_, method = found
+    proved, open_, method, _ = found
     if not open_:
-        return trace.settle("certified", method, n, frozenset(proved))
+        return trace.settle("certified", method, g.n, frozenset(proved))
+    return (yield from _structure(g, trace, level, proved, open_))
+
+
+def _structure(
+    g: ColoredBipartiteGraph,
+    trace: SolveTrace,
+    level: int,
+    proved: set[int],
+    open_: set[int],
+):
+    """The red counts of g that its one D(G, M) decides, as a generator
+    step; proved and open_ are what g's certificates left (_certify).
+
+    Several elementary blocks multiply by sumset, each certified as its own
+    subproblem; a brace hands the grid the t still open, its result what
+    the certificates and the grid proved; a tight cut recurses on its
+    crossing records. Only the brace's result depends on open_: the other
+    two are g's whole set.
+    """
+    n = g.n
     d = _elementary(g)  # the one D(G, M) of a subproblem left open
     if len(d.blocks) != 1:  # the elementary blocks, induced on g itself
         acc = {0}
@@ -1152,6 +1175,33 @@ def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
     return frozenset(out)
 
 
+def _decide(
+    g: ColoredBipartiteGraph, t: int, trace: SolveTrace
+) -> Tuple[bool, Optional[_Exchange]]:
+    """Whether some perfect matching of g has t red records, with g's
+    _Exchange for its witness (None when no certificate ran): the root of
+    solve and extract_witness.
+
+    A whole set in trace's memo answers at once (a memo hit). Otherwise
+    the root is one subproblem whose certificates want t alone and stop
+    once it is decided; a t they leave open goes on to g's structure.
+    What the root proves is never memoized, since it need not be g's
+    whole set.
+    """
+    whole = _recall(trace, _memo_key(g), 1)
+    if whole is not None:
+        return t in whole, None
+    found = _certify(g, trace, t)
+    if found is None:
+        return False, None  # no perfect matching
+    proved, open_, method, exchange = found
+    if open_:
+        proved = _run(_structure(g, trace, 1, proved, open_))
+    else:
+        trace.settle("certified", method, g.n, frozenset(proved))
+    return t in proved, exchange
+
+
 # ---------------------------------------------------------------------------
 # witness extraction
 
@@ -1163,30 +1213,33 @@ def extract_witness(
 ) -> Optional[list[EdgeRecord]]:
     """A perfect matching with exactly t red edges, or None.
 
-    Self-reduction, one row at a time. Each graph it reaches is finished
-    from its start when it has one: the switched matching of its exchange
-    when t is in the reach, chords included, else of a unit cycle when t is
-    t_min + 1 or t_max - 1 (_unit_cycle; _start_of, which at the root of
-    solve reads the exchange its certificates kept in trace.start, chords
-    included). Otherwise row 0 is forced onto each of its records in turn
-    and the first whose residual graph still reaches the residual target
-    is kept. A t that g does not achieve returns None; any other result is
-    checked against g before it is returned (_checked_witness).
+    The steps of a witnessed solve: the root decides t alone (_decide),
+    and a t that g does not achieve returns None. Otherwise the checked
+    self-reduction runs from the root's exchange (_checked_witness), one
+    row at a time. Each graph it reaches is finished from its start when
+    it has one (_start_of): the switched matching of its exchange when t
+    is in the reach, chords included, else of a unit cycle when t is t_min
+    + 1 or t_max - 1. Otherwise row 0 is forced onto each of its records
+    in turn and the first whose residual graph still reaches the residual
+    target is kept.
     """
     if trace is None:
         trace = SolveTrace()
-    if t not in feasible_red_counts(g, trace):
-        return None
-    return _checked_witness(g, t, trace)
+    decision, exchange = _decide(g, t, trace)
+    return _checked_witness(g, t, trace, exchange) if decision else None
 
 
 def _checked_witness(
-    g: ColoredBipartiteGraph, t: int, trace: SolveTrace
+    g: ColoredBipartiteGraph,
+    t: int,
+    trace: SolveTrace,
+    exchange: Optional[_Exchange],
 ) -> list[EdgeRecord]:
-    """_witness for a t that g achieves, checked against g: n records, on
-    n distinct rows and n distinct columns, each one of g's records, and
-    exactly t of them red; anything else raises InvariantError."""
-    witness = _witness(g, t, trace)
+    """_witness for a t that g achieves, from g's exchange when the root
+    kept one, checked against g: n records, on n distinct rows and n
+    distinct columns, each one of g's records, and exactly t of them red;
+    anything else raises InvariantError."""
+    witness = _witness(g, t, trace, exchange)
     cells, n = g.cells, g.n
     colors = [k for r, c, k in witness if k in cells.get((r, c), ())]
     if (
@@ -1208,17 +1261,19 @@ def _rho(k: int) -> int:
 
 
 def _witness(
-    g: ColoredBipartiteGraph, t: int, trace: SolveTrace
+    g: ColoredBipartiteGraph,
+    t: int,
+    trace: SolveTrace,
+    exchange: Optional[_Exchange],
 ) -> list[EdgeRecord]:
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
     rows and cols map the current g's labels to the input's; a g with a
     start (the exchange's switched matching or a unit cycle's) takes it as
-    the rest of the matching.
+    the rest of the matching. exchange is the input's own, or None.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
-    exchange = trace.start  # g's own, kept by the root of solve
     while g.n:
         start = _start_of(g, t, exchange)
         if start is not None:
@@ -1247,12 +1302,12 @@ def _start_of(
     records: a whole matching, either its _Exchange's switched matching
     when t is in the reach, with its chords (_chords, stopping once t is
     reached) when only they reach t, or, for t = t_min + 1 or t_max - 1,
-    M_lo or M_hi switched along a unit cycle (_unit_cycle); else None,
-    where the row-forcing loop must go on. It reads the exchange's stored
-    subset sums (_Exchange.sums). exchange is g's own when a caller kept
-    it (the root of solve's, SolveTrace.start, chords included once they
-    ran); otherwise it is made from g's assignments. No start needs a
-    determinant."""
+    M_lo or M_hi switched along a unit cycle (the exchange's unit, else
+    _unit_cycle); else None, where the row-forcing loop must go on. It
+    reads the exchange's stored subset sums (_Exchange.sums). exchange is
+    g's own when the root kept it for this t (_decide, chords included
+    once they ran); otherwise it is made from g's assignments. No start
+    needs a determinant."""
     if exchange is None:
         exchange = _exchange(*_assignments(g))
     if not exchange.reach() >> t & 1 and not exchange.chords:  # not yet run
@@ -1261,7 +1316,7 @@ def _start_of(
     if witness is not None:
         return witness
     if t in (exchange.t_min + 1, exchange.t_max - 1):
-        return _unit_cycle(g, exchange, t)
+        return exchange.unit or _unit_cycle(g, exchange, t)
     return None
 
 
@@ -1313,32 +1368,31 @@ def solve(
 ) -> SolveReport:
     """Decide whether some perfect matching has exactly t red edges.
 
-    The decision is one run of feasible_red_counts with t handed to the
-    root (SolveTrace.target); blocks and counts are its trace, taken
-    before any witness extraction adds subproblems. The root first tries
-    the certificates (_certify), before D(G, M), and stops at the first
-    that decides t: then its result is the set they proved, not the whole
-    achievable set (feasible_red_counts gives that). Only a t they leave
-    open reaches D, where every subproblem below the root certifies its
-    own whole set first, and the grid. The decision never reads whether a
-    witness is wanted, so both give the same blocks and counts. With a
-    witness on a YES, the checked self-reduction of extract_witness runs
-    at once (_checked_witness), since the decision is held, and starts the
-    root from the exchange its certificates kept (SolveTrace.start): its
-    switched matching when t is in its reach, chords included, else a unit
-    cycle's when t is t_min + 1 or t_max - 1 (_start_of), else it forces
+    The decision is the root's (_decide), with t as its argument: the root
+    first tries the certificates (_certify), before D(G, M), and stops at
+    the first that decides t, so its block lists what they proved, not the
+    whole achievable set (feasible_red_counts gives that). Only a t they
+    leave open reaches D, where every subproblem below the root certifies
+    its own whole set first, and the grid. blocks and counts are the
+    trace's, taken before any witness extraction adds subproblems. The
+    decision never reads whether a witness is wanted, so both give the
+    same blocks and counts. With a witness on a YES, the checked
+    self-reduction of extract_witness runs at once (_checked_witness),
+    from the exchange the root returned: its switched matching when t is
+    in its reach, chords included, else the unit cycle's matching the root
+    found when t is t_min + 1 or t_max - 1 (_start_of), else it forces
     rows.
     Out-of-range targets are legal and decide to NO.
     """
-    trace = SolveTrace(target=t)
+    trace = SolveTrace()
     t0 = time.perf_counter()
-    decision = t in feasible_red_counts(g, trace)
+    decision, exchange = _decide(g, t, trace)
     t1 = time.perf_counter()
     blocks, counts = tuple(trace.blocks), dict(trace.counts)
 
     witness = None
     if decision and opts.want_witness:
-        witness = tuple(_checked_witness(g, t, trace))
+        witness = tuple(_checked_witness(g, t, trace, exchange))
     t2 = time.perf_counter()
 
     timings = {

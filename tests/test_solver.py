@@ -16,7 +16,7 @@ from exactmatch.algebra import (
     IntPolynomial, P_ZERO, certificate_primes, is_probable_prime,
 )
 from exactmatch.decomposition import Split, decompose
-from exactmatch.errors import BadParams, BadPrime, InvariantError
+from exactmatch.errors import BadParams, BadPrime, InvariantError, ZeroDivisor
 from exactmatch.graphs import (
     BLUE,
     RED,
@@ -556,13 +556,60 @@ def _random_braces(count, seed):
 
 @pytest.mark.parametrize("p", [certificate_primes(1)[0], 37])
 def test_x_inverse_is_the_shifted_vandermonde_inverse(p):
-    for m in range(1, 8):
-        for t_min in (-3, -1, 0, 1, 4):
-            inv = solver._x_inverse(t_min, m, p).tolist()
-            v = [[pow(x, t_min + s, p) for s in range(m)] for x in range(1, m + 1)]
-            prod = [[sum(inv[i][l] * v[l][j] for l in range(m)) % p
-                     for j in range(m)] for i in range(m)]
-            assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
+    # V^-1 V = I, at m = 130 too under the first certificate prime; nodes
+    # that collide mod p have no inverse
+    sizes = (*range(1, 8), 130) if p > 37 else range(1, 8)
+    for m in sizes:
+        for t_min in (-3, -1, 0, 1, 4, 60):
+            inv = solver._x_inverse(t_min, m, p)
+            v = np.array(
+                [[pow(x, t_min + s, p) for s in range(m)]
+                 for x in range(1, m + 1)],
+                dtype=np.int64,
+            )
+            prod = (inv[:, :, None] * v[None, :, :] % p).sum(axis=1) % p
+            assert (prod == np.eye(m, dtype=np.int64)).all()
+            assert not inv.flags.writeable
+    with pytest.raises(ZeroDivisor):
+        solver._x_inverse(0, 37, 37)
+
+
+def test_a_root_asked_for_one_t_leaves_only_whole_sets_in_the_memo():
+    # the root of extract_witness decides t = 0 by its bounds alone and
+    # proves {0, 7}; the trace's memo must not keep that as g's set, so
+    # the same trace still gives the whole set and a witness for t = 1
+    g = random_graph(10, 0.5, 0.5, seed=0, require_pm=True)
+    want = red_count_set_dp(g)
+    assert want == set(range(8))
+    assert solve(g, 0).blocks[0].feasible_t == (0, 7)
+    trace = SolveTrace()
+    assert _is_witness(g, 0, extract_witness(g, 0, trace))
+    assert feasible_red_counts(g, trace) == want
+    assert _is_witness(g, 1, extract_witness(g, 1, trace))
+    assert trace.memo
+    for (n, edges, multi), whole in trace.memo.items():
+        graph = ColoredBipartiteGraph.make(n, edges, multi=multi)
+        assert whole == red_count_set_dp(graph)
+
+
+def test_a_witnessed_unit_root_searches_its_unit_cycle_once(monkeypatch):
+    # t = 4 is this graph's t_min + 1, outside the chords' reach: the
+    # root's unit cycle decides it, and the witness is the matching that
+    # search found, with no second search
+    g = random_graph(10, 0.3, 0.5, seed=1, require_pm=True)
+    t, calls = 4, []
+    unit_cycle = solver._unit_cycle
+    monkeypatch.setattr(
+        solver, "_unit_cycle",
+        lambda graph, ex, s: calls.append(s) or unit_cycle(graph, ex, s),
+    )
+    rep = solve(g, t, SolverOptions(want_witness=True))
+    assert [b.method for b in rep.blocks] == ["unit"]
+    assert calls == [t]
+    assert _is_witness(g, t, rep.witness)
+    calls.clear()
+    assert extract_witness(g, t) == list(rep.witness)
+    assert calls == [t]
 
 
 def test_brace_witness_from_its_start_adds_no_subproblem():
@@ -680,8 +727,8 @@ def test_witness_chains_from_the_root_certificate(g, monkeypatch):
 
 
 def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
-    # the root keeps its exchange on the trace, chords included: the probe
-    # decides t = 7, which no start reaches, and the witness reads that
+    # the root returns its exchange, chords included: the probe decides
+    # t = 7, which no start reaches, and the witness reads that
     # exchange before it forces rows, with no second assignment and no
     # second chord pass on the root graph
     g = next(p.values[0] for p in CHAIN_FROM_ROOT if p.id == "nonbrace-n12-2")
@@ -846,7 +893,7 @@ def _certify_nothing(g, trace, t):
     is settled (by its bounds), and every t of 0..n stays open."""
     if red_count_bounds(g) is None:
         return None
-    return set(), set(range(g.n + 1)), None
+    return set(), set(range(g.n + 1)), None, None
 
 
 def _no_certificates(monkeypatch):
@@ -862,7 +909,7 @@ from exactmatch import solver
 def _certify_nothing(g, trace, t):
     if solver.red_count_bounds(g) is None:
         return None
-    return set(), set(range(g.n + 1)), None
+    return set(), set(range(g.n + 1)), None, None
 solver._certify = _certify_nothing
 solver._start_of = lambda g, t, exchange: None
 """
@@ -1622,7 +1669,7 @@ def test_subproblem_certificates_settle_whole_sets(g, monkeypatch):
             if found is None:
                 assert red_count_bounds(graph) is None
                 continue
-            proved, open_, method = found
+            proved, open_, method, _ = found
             want = red_count_set_dp(graph)
             if open_:
                 t_min, t_max = red_count_bounds(graph)
