@@ -51,8 +51,9 @@ Certificates before structure, in every subproblem: exact certificates
 that need no zero proof run first and read g's records alone (_certify),
 so a subproblem they decide never builds D(G, M). solve asks one
 question, whether some perfect matching has exactly t red edges, so its
-root (_decide, which takes t as an argument) wants {t} alone, with or
-without a witness; every other subproblem (_feasible), and the root of
+root (_decide, which takes t as an argument; solve reaches it through
+feasible_red_counts on a _Root) wants {t} alone, with or without a
+witness; every other subproblem (_feasible), and the root of
 feasible_red_counts, wants every t between its bounds, since its parent
 needs its whole set. They run in this order and stop once each wanted t
 is proved or refuted:
@@ -949,6 +950,17 @@ class SolveTrace:
         return result
 
 
+@dataclass
+class _Root:
+    """solve's root, which feasible_red_counts (the entry perfbench's spans
+    wrap) runs as _decide(g, t, trace), keeping its exchange for the
+    witness; a _Root never leaves solve."""
+
+    trace: SolveTrace
+    t: int
+    exchange: Optional[_Exchange] = None
+
+
 def _certify(
     g: ColoredBipartiteGraph, trace: SolveTrace, t: Optional[int]
 ) -> Optional[Tuple[set[int], set[int], Optional[str], _Exchange]]:
@@ -1071,10 +1083,14 @@ def feasible_red_counts(
     on a simple input the grid only ever meets simple braces, where
     fiber-nonemptiness and coefficient nonvanishing coincide; a multigraph
     input hands it multigraph braces, on which that has no theorem behind
-    it (ROADMAP item 1).
+    it (ROADMAP item 1). solve's _Root, in place of a trace, asks for its
+    t alone: the result holds t exactly when the answer is YES.
     """
     if trace is None:
         trace = SolveTrace()
+    if isinstance(trace, _Root):  # solve's root: its t alone
+        decision, trace.exchange = _decide(g, trace.t, trace.trace)
+        return frozenset({trace.t} if decision else ())
     return _run(_subproblem(g, trace, 1))
 
 
@@ -1368,31 +1384,31 @@ def solve(
 ) -> SolveReport:
     """Decide whether some perfect matching has exactly t red edges.
 
-    The decision is the root's (_decide), with t as its argument: the root
-    first tries the certificates (_certify), before D(G, M), and stops at
-    the first that decides t, so its block lists what they proved, not the
-    whole achievable set (feasible_red_counts gives that). Only a t they
-    leave open reaches D, where every subproblem below the root certifies
-    its own whole set first, and the grid. blocks and counts are the
-    trace's, taken before any witness extraction adds subproblems. The
-    decision never reads whether a witness is wanted, so both give the
-    same blocks and counts. With a witness on a YES, the checked
-    self-reduction of extract_witness runs at once (_checked_witness),
-    from the exchange the root returned: its switched matching when t is
-    in its reach, chords included, else the unit cycle's matching the root
-    found when t is t_min + 1 or t_max - 1 (_start_of), else it forces
-    rows.
-    Out-of-range targets are legal and decide to NO.
+    The decision is the root's (_decide, run by feasible_red_counts on a
+    _Root), with t as its argument: it first tries the certificates
+    (_certify), before D(G, M), and stops at the first that decides t, so
+    its block lists what they proved, not the whole achievable set
+    (feasible_red_counts gives that). Only a t they leave open reaches D,
+    where every subproblem below the root certifies its own whole set first,
+    and the grid. blocks and counts are the trace's, taken before any
+    witness extraction adds subproblems; the decision never reads whether a
+    witness is wanted, so both give the same. With a witness on a YES, the
+    checked self-reduction of extract_witness runs at once
+    (_checked_witness), from the exchange the root kept: its switched
+    matching when t is in its reach, chords included, else the unit cycle's
+    matching the root found when t is t_min + 1 or t_max - 1 (_start_of),
+    else it forces rows. Out-of-range targets are legal and decide to NO.
     """
-    trace = SolveTrace()
+    root = _Root(SolveTrace(), t)
+    trace = root.trace
     t0 = time.perf_counter()
-    decision, exchange = _decide(g, t, trace)
+    decision = t in feasible_red_counts(g, root)
     t1 = time.perf_counter()
     blocks, counts = tuple(trace.blocks), dict(trace.counts)
 
     witness = None
     if decision and opts.want_witness:
-        witness = tuple(_checked_witness(g, t, trace, exchange))
+        witness = tuple(_checked_witness(g, t, trace, root.exchange))
     t2 = time.perf_counter()
 
     timings = {
