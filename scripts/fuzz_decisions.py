@@ -42,7 +42,14 @@ draw in DIAG_SHARE (the two above take precedence) is K_n,n with a red
 diagonal: its hole at n - 1 = t_max - 1 is zero at every lam node and lies
 in the class of its records, and the unit cycles refute it with no
 determinant. Its achievable set has a closed form, so it needs no DP oracle
-and its n reaches DIAG_MAX_N whatever --max-n is. Any disagreement,
+and its n reaches DIAG_MAX_N whatever --max-n is. One draw in CIRC_SHARE
+(the three above take precedence) is a circulant: the diagonal step and
+one to three random others, the diagonal red, a blue back arc (r, r - 1)
+at random rows, and a few recolored cells. Most of these are braces, and
+some of their interior holes are left open by every certificate, so the
+root's grid must refute them (tests/test_solver.py pins three closed
+forms). The final line also counts the NO roots that are braces the grid
+decided. Any disagreement,
 congruence mismatch, bad witness or report
 mismatch prints the instance in wire format (a make() call for a
 multigraph, which EBG cannot carry) and aborts, so the output is a
@@ -64,6 +71,7 @@ from exactmatch.graphs import (
     BLUE,
     RED,
     ColoredBipartiteGraph,
+    circulant,
     knn,
     random_graph,
     serialize_ebg,
@@ -93,6 +101,7 @@ WITNESS_ALL_N = 10
 GAP_SHARE = 4
 MULTI_SHARE = 3
 DIAG_SHARE = 5
+CIRC_SHARE = 7
 # The diagonal draw's closed form costs nothing, and the unit cycles
 # decide its hole, so its size reaches this, past --max-n and MAX_N.
 DIAG_MAX_N = 64
@@ -113,6 +122,25 @@ def diagonal_red_counts(g: ColoredBipartiteGraph) -> set[int]:
     permutation with k fixed points has k red records, and every k in
     0..n occurs except n - 1."""
     return set(range(g.n + 1)) - {g.n - 1}
+
+
+def circulant_draw(rng: random.Random, n: int) -> ColoredBipartiteGraph:
+    """circulant(n, steps) for step 0 and one to three random others, with
+    the diagonal red, a blue back arc (r, r - 1 mod n) at rows drawn with
+    probability 1/8 where the cell is free, and up to two cells recolored."""
+    others = rng.sample(range(1, n), min(n - 1, rng.randint(1, 3)))
+    cells = {
+        (r, c): RED if r == c else BLUE
+        for r, c, _ in circulant(n, [0] + others).edges
+    }
+    for r in range(n):
+        if rng.random() < 0.125:
+            cells.setdefault((r, (r - 1) % n), BLUE)
+    for cell in rng.sample(sorted(cells), rng.randint(0, 2)):
+        cells[cell] = RED + BLUE - cells[cell]
+    return ColoredBipartiteGraph.make(
+        n, [(r, c, k) for (r, c), k in cells.items()]
+    )
 
 
 def decomposition_node(rng: random.Random, n: int) -> ColoredBipartiteGraph:
@@ -167,6 +195,7 @@ def main(argv=None) -> int:
     # witnesses from whole cycles, a chord, a unit cycle, row forcing
     switched = chord_wits = unit = forced = 0
     stopped = 0  # chord roots whose pass left records unread
+    grid_nos = 0  # NO roots that are braces the grid decided
     settled: Counter = Counter()  # certified blocks by method, open roots
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
@@ -182,6 +211,8 @@ def main(argv=None) -> int:
             n = rng.randint(2, DIAG_MAX_N)
             g = with_coloring(knn(n), red="diag")
             oracle = diagonal_red_counts
+        elif instances % CIRC_SHARE == CIRC_SHARE - 1:
+            g = circulant_draw(rng, n)
         else:
             g = random_graph(
                 n,
@@ -246,6 +277,10 @@ def main(argv=None) -> int:
                 continue
             if not counts["subproblems"] == counts["certified"] == 1:
                 settled["open roots"] += 1
+                grid_nos += (
+                    not decided
+                    and counts["subproblems"] == counts["braces"] == 1
+                )
                 continue
             root = report.blocks[0]
             proved = set(root.feasible_t)
@@ -308,7 +343,8 @@ def main(argv=None) -> int:
     print(
         f"ok: {instances} instances ({past} past --max-n), {decisions} "
         f"decisions (certified blocks: {blocks}; "
-        f"{settled['open roots']} open roots, "
+        f"{settled['open roots']} open roots, {grid_nos} of them NO "
+        f"braces the grid decided, "
         f"{settled['roots without a perfect matching']} without a perfect "
         f"matching; {stopped} chord roots stopped early), {witnesses} "
         f"witnesses ({switched} from whole exchange cycles, {chord_wits} "

@@ -409,6 +409,17 @@ def biwheel(m: int) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph.make(m, sorted(set(edges)))
 
 
+def circulant(n: int, steps: Sequence[int]) -> ColoredBipartiteGraph:
+    """Cells (i, (i + s) mod n) for every row i and step s, all blue.
+
+    Steps are read mod n, and two that agree mod n give one cell.
+    """
+    if n < 1:
+        raise BadParams("circulant needs n >= 1")
+    cells = {(i, (i + s) % n) for i in range(n) for s in steps}
+    return ColoredBipartiteGraph.make(n, [(i, j, BLUE) for i, j in cells])
+
+
 def random_graph(
     n: int,
     density: float,

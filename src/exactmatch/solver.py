@@ -49,11 +49,13 @@ certificates left open (below).
 
 Certificates before structure, in every subproblem: exact certificates
 that need no zero proof run first and read g's records alone (_certify),
-so a subproblem they decide never builds D(G, M). solve asks one
-question, whether some perfect matching has exactly t red edges, so its
-root (_decide, which takes t as an argument; solve reaches it through
-feasible_red_counts on a _Root) wants {t} alone, with or without a
-witness; every other subproblem (_feasible), and the root of
+so a subproblem they decide never builds D(G, M). One step (_subproblem)
+serves every subproblem: the depth, memo and counts bookkeeping, the
+certificates, then the structure. solve asks one question, whether some
+perfect matching has exactly t red edges, so its root (_decide, which
+takes t as an argument; solve reaches it through feasible_red_counts on a
+_Root) wants {t} alone, with or without a witness, and so does each row a
+witness forces; every other subproblem, and the root of
 feasible_red_counts, wants every t between its bounds, since its parent
 needs its whole set. They run in this order and stop once each wanted t
 is proved or refuted:
@@ -105,14 +107,14 @@ is proved or refuted:
     a witness is wanted.
 
 A decided subproblem's result is the set its certificates proved: its
-whole achievable set, except at a root asked for one t, where it is a set
-that holds t exactly when the answer is YES. _certify keeps what is
+whole achievable set, except when asked for one t, where it is a set that
+holds t exactly when the answer is YES. _certify keeps what is
 proved and what is still open as bitmasks, and makes each a set once,
 when it returns. A subproblem with a wanted t still open builds its one
 D(G, M) (_structure): several elementary blocks are each certified as
 subproblems of their own and multiply by sumset, a tight cut recurses,
 and a brace hands the t still open to its grid. Only whole sets enter the
-memo: a root asked for one t reads it, but never stores what it proved.
+memo: a step asked for one t reads it, but never stores what it proved.
 Witnesses: extract_witness and a witnessed solve take the same steps. The
 root decides t (_decide) and returns its _Exchange, chords included once
 they ran, and the unit cycle's matching when that decided t; the
@@ -121,14 +123,14 @@ reaches is finished at once, with no determinant, when it has a start
 (_start_of): the switched matching of its exchange when t is in the
 reach, chords included (M_lo with each cycle switched whole or closed
 along one chord, their gains summing to t - t_min), or, when t is t_min +
-1 or t_max - 1, M_lo or M_hi switched along a unit cycle. The root's
-start comes from the exchange it returned, so its witness solves no
-assignment and searches no unit cycle again. A graph with no start has
-row 0 forced onto the first record whose residual graph keeps the
-residual target in feasible_red_counts, whose subproblems settle their
-whole sets. The witness is checked against the graph: n records on n
-distinct rows and n distinct columns, each in a cell of g with its color,
-t of them red.
+1 or t_max - 1, M_lo or M_hi switched along a unit cycle. A graph with no
+start has row 0 forced onto the first record whose residual graph has
+the residual target, each residual decided for that one target by the
+same step (_decide). Every start comes from the exchange that the
+decision of its graph returned, the root's or a forced row's, so no
+graph's assignments are solved or its unit cycle searched twice. The
+witness is checked against the graph: n records on n distinct rows and n
+distinct columns, each in a cell of g with its color, t of them red.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
@@ -902,12 +904,13 @@ class BlockReport:
     A leaf is a subproblem its certificates decided (method "bounds",
     "exchange", "congruence", "chord", "unit" or "probe") or a brace its
     grid decided ("pure-ASNC"); there is no other kind. feasible_t is the
-    leaf's whole achievable set, except at a root asked for one t (solve's
-    and extract_witness's, _decide): there it is the red counts its
-    certificates and, on a brace, its grid proved, all achievable, with t
-    among them exactly when the answer is YES. A root the chords decided
-    lists only the chords its pass read before it reached t (_chords), so
-    it may list fewer red counts than the full pass proves.
+    leaf's whole achievable set, except at a graph asked for one t (the
+    root of solve and of extract_witness, _decide): there it is the red
+    counts its certificates and, on a brace, its grid proved, all
+    achievable, with t among them exactly when the answer is YES. A root
+    the chords decided lists only the chords its pass read before it
+    reached t (_chords), so it may list fewer red counts than the full
+    pass proves.
     """
 
     n: int
@@ -919,7 +922,9 @@ class BlockReport:
 class SolveTrace:
     """The memo of the feasibility recursion and a record of its work.
 
-    memo maps each subproblem key to its whole achievable set; a root
+    memo maps each subproblem key to its whole achievable set. One step
+    (_subproblem) serves the root, the subproblems and the rows a witness
+    forces, and it writes the memo only when asked for every t: a graph
     asked for one t (_decide) reads it but never writes to it, so a trace
     may be handed to any number of calls. blocks lists the leaves the
     recursion settled, one per subproblem, in the order they were first
@@ -968,9 +973,10 @@ def _certify(
     exchange).
 
     The wanted set is {t}, or every t between g's bounds when t is None
-    (every subproblem but a root asked for one t). Every certificate here
-    reads g's records alone, so none builds D(G, M), and they stop as soon
-    as each wanted t is proved or refuted, in this order:
+    (every subproblem but the root and a forced row, which ask for one
+    t). Every certificate here reads g's records alone, so none builds
+    D(G, M), and they stop as soon as each wanted t is proved or refuted,
+    in this order:
 
       * bounds: the red counts of the two assignment optima are the
         attained bounds, so a t outside [t_min, t_max] is NO and t_min and
@@ -1002,7 +1008,7 @@ def _certify(
     achievable set). Otherwise method is None and g's structure (_structure)
     goes on with open. exchange is g's _Exchange, with its chords once they
     ran and, when the unit cycle proved the t asked, that matching (unit):
-    a root's witness starts from it (_start_of).
+    the witness of g starts from it (_start_of).
     """
     found = _assignments(g)
     if found is None:
@@ -1091,44 +1097,46 @@ def feasible_red_counts(
     if isinstance(trace, _Root):  # solve's root: its t alone
         decision, trace.exchange = _decide(g, trace.t, trace.trace)
         return frozenset({trace.t} if decision else ())
-    return _run(_subproblem(g, trace, 1))
+    return _run(_subproblem(g, trace, 1))[0]
 
 
-def _recall(trace: SolveTrace, key: tuple, level: int) -> Optional[frozenset]:
-    """A subproblem's depth and memo bookkeeping at nesting level (root:
-    1): its memoized whole set (a memo hit), or None (one more subproblem
-    to settle)."""
+def _subproblem(
+    g: ColoredBipartiteGraph,
+    trace: SolveTrace,
+    level: int,
+    t: Optional[int] = None,
+):
+    """One subproblem at nesting level (root: 1), as a generator step of
+    the recursion: (red counts, g's _Exchange or None).
+
+    A whole set in trace's memo answers at once (a memo hit, no exchange).
+    Otherwise g's certificates (_certify) want t alone, or every t between
+    g's bounds when t is None, and stop once each is decided; a graph they
+    decide, or one the bounds find without a perfect matching, returns
+    what they proved without building D(G, M), and the rest goes on to g's
+    structure (_structure). With t None the red counts are g's whole set,
+    and only they enter the memo; with a t they hold t exactly when some
+    perfect matching has t red records.
+    """
     if level > trace.counts["depth"]:
         trace.counts["depth"] = level
-    whole = trace.memo.get(key)
-    trace.counts["subproblems" if whole is None else "memo_hits"] += 1
-    return whole
-
-
-def _subproblem(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
-    """One subproblem of the recursion: memo, then _feasible."""
     key = _memo_key(g)
-    result = _recall(trace, key, level)
-    if result is None:
-        result = trace.memo[key] = yield from _feasible(g, trace, level)
-    return result
-
-
-def _feasible(g: ColoredBipartiteGraph, trace: SolveTrace, level: int):
-    """g's whole achievable set, as a generator step of the recursion.
-
-    Certificates first (_certify, for every t between g's bounds): one
-    they decide, or one the bounds find without a perfect matching,
-    returns what they proved without building D(G, M). The rest goes on to
-    g's structure (_structure).
-    """
-    found = _certify(g, trace, None)
-    if found is None:
-        return frozenset()  # no perfect matching
-    proved, open_, method, _ = found
-    if not open_:
-        return trace.settle("certified", method, g.n, frozenset(proved))
-    return (yield from _structure(g, trace, level, proved, open_))
+    whole = trace.memo.get(key)
+    if whole is not None:
+        trace.counts["memo_hits"] += 1
+        return whole, None
+    trace.counts["subproblems"] += 1
+    result, exchange = frozenset(), None  # no perfect matching
+    found = _certify(g, trace, t)
+    if found is not None:
+        proved, open_, method, exchange = found
+        if open_:
+            result = yield from _structure(g, trace, level, proved, open_)
+        else:
+            result = trace.settle("certified", method, g.n, frozenset(proved))
+    if t is None:
+        trace.memo[key] = result
+    return result, exchange
 
 
 def _structure(
@@ -1152,7 +1160,8 @@ def _structure(
     if len(d.blocks) != 1:  # the elementary blocks, induced on g itself
         acc = {0}
         for rows, cols in d.blocks:
-            part = yield _subproblem(g.induced(rows, cols), trace, level + 1)
+            block = g.induced(rows, cols)
+            part, _ = yield _subproblem(block, trace, level + 1)
             acc = {a + b for a in acc for b in part}
         return frozenset(acc)
 
@@ -1179,15 +1188,15 @@ def _structure(
         lpart = lefts.get(a)
         if lpart is None:
             left = g.induced([r for r in a1s if r != a], b1s)
-            lpart = lefts[a] = yield _subproblem(left, trace, level + 1)
+            lpart = lefts[a] = (yield _subproblem(left, trace, level + 1))[0]
         if not lpart:
             continue
         rpart = rights.get(b)
         if rpart is None:
             right = g.induced(a2, [c for c in b2 if c != b])
-            rpart = rights[b] = yield _subproblem(right, trace, level + 1)
-        rho = 1 if k == RED else 0
-        out |= {rho + x + y for x in lpart for y in rpart}
+            rpart = rights[b] = (yield _subproblem(right, trace, level + 1))[0]
+        # the color k is rho(k), BLUE 0 and RED 1
+        out |= {k + x + y for x in lpart for y in rpart}
     return frozenset(out)
 
 
@@ -1195,26 +1204,12 @@ def _decide(
     g: ColoredBipartiteGraph, t: int, trace: SolveTrace
 ) -> Tuple[bool, Optional[_Exchange]]:
     """Whether some perfect matching of g has t red records, with g's
-    _Exchange for its witness (None when no certificate ran): the root of
-    solve and extract_witness.
-
-    A whole set in trace's memo answers at once (a memo hit). Otherwise
-    the root is one subproblem whose certificates want t alone and stop
-    once it is decided; a t they leave open goes on to g's structure.
-    What the root proves is never memoized, since it need not be g's
-    whole set.
+    _Exchange for its witness (None after a memo hit or when g has no
+    perfect matching): the root of solve and extract_witness, and each
+    forced row of a witness. It is the one subproblem step (_subproblem)
+    asked for t alone, so what it proves is never memoized.
     """
-    whole = _recall(trace, _memo_key(g), 1)
-    if whole is not None:
-        return t in whole, None
-    found = _certify(g, trace, t)
-    if found is None:
-        return False, None  # no perfect matching
-    proved, open_, method, exchange = found
-    if open_:
-        proved = _run(_structure(g, trace, 1, proved, open_))
-    else:
-        trace.settle("certified", method, g.n, frozenset(proved))
+    proved, exchange = _run(_subproblem(g, trace, 1, t))
     return t in proved, exchange
 
 
@@ -1236,8 +1231,8 @@ def extract_witness(
     it has one (_start_of): the switched matching of its exchange when t
     is in the reach, chords included, else of a unit cycle when t is t_min
     + 1 or t_max - 1. Otherwise row 0 is forced onto each of its records
-    in turn and the first whose residual graph still reaches the residual
-    target is kept.
+    in turn and the first whose residual graph has the residual target
+    (_decide, for that one target) is kept, with its exchange.
     """
     if trace is None:
         trace = SolveTrace()
@@ -1272,10 +1267,6 @@ def _checked_witness(
     return witness
 
 
-def _rho(k: int) -> int:
-    return 1 if k == RED else 0
-
-
 def _witness(
     g: ColoredBipartiteGraph,
     t: int,
@@ -1286,7 +1277,9 @@ def _witness(
 
     rows and cols map the current g's labels to the input's; a g with a
     start (the exchange's switched matching or a unit cycle's) takes it as
-    the rest of the matching. exchange is the input's own, or None.
+    the rest of the matching. exchange is the one the decision of the
+    current g and t returned (the input's, then each forced row's), or
+    None after a memo hit.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
@@ -1296,18 +1289,18 @@ def _witness(
             if not out:  # the input's labels: checked as _start_of made it
                 return start
             return out + [(rows[r], cols[c], k) for r, c, k in start]
-        for c in g.row_adj[0]:
+        for c in g.row_adj[0]:  # the color k is rho(k), BLUE 0 and RED 1
             rest = g.without([0], [c])
-            feasible = feasible_red_counts(rest, trace)
-            k = next(
-                (k for k in g.cells[0, c] if t - _rho(k) in feasible), None
-            )
-            if k is not None:
+            for k in g.cells[0, c]:
+                decision, exchange = _decide(rest, t - k, trace)
+                if decision:
+                    break
+            if decision:
                 break
         else:
             raise InvariantError("feasible target with no extractable witness")
         out.append((rows.pop(0), cols.pop(c), k))
-        g, t, exchange = rest, t - _rho(k), None
+        g, t = rest, t - k
     return out
 
 
@@ -1316,24 +1309,18 @@ def _start_of(
 ) -> Optional[list[EdgeRecord]]:
     """g's witness start, for a g with a perfect matching of t red
     records: a whole matching, either its _Exchange's switched matching
-    when t is in the reach, with its chords (_chords, stopping once t is
-    reached) when only they reach t, or, for t = t_min + 1 or t_max - 1,
-    M_lo or M_hi switched along a unit cycle (the exchange's unit, else
-    _unit_cycle); else None, where the row-forcing loop must go on. It
-    reads the exchange's stored subset sums (_Exchange.sums). exchange is
-    g's own when the root kept it for this t (_decide, chords included
-    once they ran); otherwise it is made from g's assignments. No start
-    needs a determinant."""
+    when t is in the reach, chords included, or, for t = t_min + 1 or
+    t_max - 1, the unit cycle's matching (_Exchange.unit); else None, where
+    the row-forcing loop must go on. exchange is the one g's decision of
+    this same t returned (_decide: the root's, or a forced row's), whose
+    certificates already ran the chords and the unit cycle t needed. Only a
+    caller that kept none (a memo hit, or a direct call) has _certify make
+    it here, and that may run the probe; a start itself needs no
+    determinant."""
     if exchange is None:
-        exchange = _exchange(*_assignments(g))
-    if not exchange.reach() >> t & 1 and not exchange.chords:  # not yet run
-        exchange = _chords(g, exchange, t)
+        exchange = _certify(g, SolveTrace(), t)[3]
     witness = exchange.witness(t)
-    if witness is not None:
-        return witness
-    if t in (exchange.t_min + 1, exchange.t_max - 1):
-        return exchange.unit or _unit_cycle(g, exchange, t)
-    return None
+    return exchange.unit if witness is None else witness
 
 
 # ---------------------------------------------------------------------------

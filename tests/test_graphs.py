@@ -22,6 +22,7 @@ from exactmatch.graphs import (
     band_cyclic,
     band_path,
     biwheel,
+    circulant,
     gen_family,
     knn,
     parse_ebg,
@@ -354,6 +355,16 @@ def test_with_coloring_modes():
 def test_with_coloring_rejects_missing_cell():
     with pytest.raises(BadParams):
         with_coloring(band_path(3), red=[(0, 2)])
+
+
+def test_circulant_cells():
+    # steps are read mod n, and steps that agree mod n give one cell
+    g = circulant(5, (0, 1, 6))
+    assert set(g.cells) == {(i, (i + s) % 5) for i in range(5) for s in (0, 1)}
+    assert g.red_edges == () and not g.multi
+    assert circulant(4, range(4)) == knn(4)
+    with pytest.raises(BadParams):
+        circulant(0, (0,))
 
 
 def test_gen_family_dispatch():

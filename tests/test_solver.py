@@ -23,6 +23,7 @@ from exactmatch.graphs import (
     ColoredBipartiteGraph,
     band_path,
     biwheel,
+    circulant,
     knn,
     random_graph,
     with_coloring,
@@ -628,14 +629,14 @@ def test_brace_witness_from_its_start_adds_no_subproblem():
 
 def test_every_achievable_t_gets_a_witness_from_a_start_or_forced_rows():
     # every achievable t gets a checked witness, from a start or by forcing
-    # rows: k44_two_diagonals' 2 and the roots of CHAIN_FROM_ROOT that only
-    # the probe decides have no start, and K_n,n with a red diagonal is
-    # asked every t it has
+    # rows: k44_two_diagonals' 2 and the roots of PROBE_DECIDED_ROOTS that
+    # only the probe decides have no start, and K_n,n with a red diagonal
+    # is asked every t it has
     graphs = _random_braces(10, 14700) + [
         k44_diag(), k44_two_diagonals(),
         with_coloring(band_path(7), red="bernoulli", seed=3),
     ] + [with_coloring(knn(n), red="diag") for n in range(6, 17)] + [
-        p.values[0] for p in CHAIN_FROM_ROOT
+        p.values[0] for p in PROBE_DECIDED_ROOTS
     ]
     forced = 0
     for g in graphs:
@@ -655,9 +656,9 @@ def test_every_achievable_t_gets_a_witness_from_a_start_or_forced_rows():
     ],
 )
 def test_certificates_run_once_per_solve(g, monkeypatch):
-    # a witness with no start forces rows through residual subproblems:
-    # each subproblem runs its certificates once, and only the root, once
-    # per solve, asks them for solve's target
+    # the root asks its certificates for solve's target once per solve,
+    # with or without a witness (every witness here has a start), and a
+    # subproblem below it runs them once, for its whole set
     calls = []
     certify = solver._certify
 
@@ -687,7 +688,7 @@ def _non_braces(count, seed):
     return out[:count]
 
 
-CHAIN_FROM_ROOT = (
+PROBE_DECIDED_ROOTS = (
     [pytest.param(with_coloring(band_path(32), "bernoulli", seed=s),
                   id=f"band32-{s}") for s in (1, 2)]
     + [pytest.param(with_coloring(biwheel(16), "bernoulli", seed=s),
@@ -697,8 +698,10 @@ CHAIN_FROM_ROOT = (
 )
 
 
-@pytest.mark.parametrize("g", CHAIN_FROM_ROOT)
-def test_witness_chains_from_the_root_certificate(g, monkeypatch):
+@pytest.mark.parametrize("g", PROBE_DECIDED_ROOTS)
+def test_probe_decided_root_and_its_witness_build_no_pair_digraph(
+    g, monkeypatch
+):
     # within the probe's guard every t the probe certified is decided at
     # the root, before D(G, M); its witness, from a start or by forcing
     # rows onto residual graphs that their certificates settle, builds no
@@ -731,7 +734,9 @@ def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
     # t = 7, which no start reaches, and the witness reads that
     # exchange before it forces rows, with no second assignment and no
     # second chord pass on the root graph
-    g = next(p.values[0] for p in CHAIN_FROM_ROOT if p.id == "nonbrace-n12-2")
+    g = next(
+        p.values[0] for p in PROBE_DECIDED_ROOTS if p.id == "nonbrace-n12-2"
+    )
     t = 7
     assert solver._start_of(g, t) is None
     calls = []
@@ -750,6 +755,58 @@ def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
     assert [b.method for b in rep.blocks] == ["probe"]
     assert calls == ["assignments", "chords"]
     assert _is_witness(g, t, rep.witness)
+
+
+def test_forced_rows_decide_one_target_and_carry_their_exchange(monkeypatch):
+    # only the probe proves t = 8 at this root, so no start reaches it and
+    # the witness forces rows: each forced record's residual graph is
+    # decided for its one target (_decide), and the exchange that decision
+    # returns is the next graph's start, so _start_of solves no assignment
+    # problem of a graph that a decision already certified
+    g = random_graph(16, 0.2, 0.5, seed=65, require_pm=True)
+    t = 8
+    decided, certified, started = [], [], []
+    in_start = [False]
+    decide, certify = solver._decide, solver._certify
+    assignments, start_of = solver._assignments, solver._start_of
+
+    def spy_start_of(graph, target, exchange=None):
+        in_start[0] = True
+        try:
+            return start_of(graph, target, exchange)
+        finally:
+            in_start[0] = False
+
+    def spy_assignments(graph):
+        if in_start[0]:
+            started.append(solver._memo_key(graph))
+        return assignments(graph)
+
+    def spy_certify(graph, trace, target):
+        certified.append((solver._memo_key(graph), target))
+        return certify(graph, trace, target)
+
+    monkeypatch.setattr(
+        solver, "_decide",
+        lambda graph, target, trace: decided.append(
+            (solver._memo_key(graph), target)
+        ) or decide(graph, target, trace),
+    )
+    monkeypatch.setattr(solver, "_certify", spy_certify)
+    monkeypatch.setattr(solver, "_assignments", spy_assignments)
+    monkeypatch.setattr(solver, "_start_of", spy_start_of)
+    rep = solve(g, t, SolverOptions(want_witness=True))
+    assert [b.method for b in rep.blocks] == ["probe"]
+    assert rep.witness == (
+        (0, 3, 0), (1, 1, 1), (2, 2, 1), (3, 10, 0), (4, 12, 1), (5, 5, 0),
+        (6, 11, 1), (7, 0, 0), (8, 14, 1), (9, 7, 0), (10, 8, 1), (11, 6, 1),
+        (12, 15, 0), (13, 13, 0), (14, 4, 0), (15, 9, 1),
+    )
+    assert decided[0] == (solver._memo_key(g), t) and len(decided) >= 3
+    keys = [key for key, _ in decided]
+    assert len(keys) == len(set(keys))  # one target per residual graph
+    assert certified == decided  # no residual asks for its whole set
+    assert started == []
 
 
 @pytest.mark.parametrize("p", [31, 37])
@@ -1461,6 +1518,49 @@ def test_unit_cycles_decide_the_red_diagonal_hole_at_every_n():
         assert _is_witness(g, 1, rep.witness)
 
 
+def _circulant_hole_brace(n, back_rows=()):
+    # steps 0, 1 and 2 with the diagonal red, plus the blue back arc
+    # (r, r - 1) at each of back_rows
+    g = with_coloring(circulant(n, (0, 1, 2)), "diag")
+    back = [(r, r - 1, BLUE) for r in back_rows]
+    return ColoredBipartiteGraph.make(n, list(g.edges) + back)
+
+
+CIRCULANT_HOLES = [
+    pytest.param(n, (), set(range(n // 2 + 1)) | {n}, id=f"diag-n{n}")
+    for n in (6, 8, 10, 12)
+] + [
+    pytest.param(n, (1,), set(range(n // 2 + 1)) | {n - 2, n},
+                 id=f"back1-n{n}")
+    for n in (10, 12)
+] + [
+    pytest.param(12, (1, 4, 7, 10), set(range(7)) | {8, 10, 12},
+                 id="back-every-third-n12"),
+]
+
+
+@pytest.mark.parametrize("n, back_rows, want", CIRCULANT_HOLES)
+def test_circulant_brace_holes_reach_the_grid(n, back_rows, want):
+    # a permutation's red count is its fixed points. The closed forms hold
+    # at every t, and each graph is a brace: its hole t_max - 1 = n - 1 is
+    # the unit cycles' NO, and every other interior hole goes through the
+    # root's structure to a grid NO
+    g = _circulant_hole_brace(n, back_rows)
+    assert is_brace(g) and red_count_set_dp(g) == want
+    assert feasible_red_counts(g) == want
+    for t in range(-1, n + 2):
+        rep = solve(g, t)
+        assert rep.decision == (t in want)
+        if t in want or not 0 < t < n:
+            continue
+        methods = [b.method for b in rep.blocks]
+        if t == n - 1:
+            assert methods == ["unit"] and rep.counts["grid_dets"] == 0
+        else:
+            assert methods == ["pure-ASNC"] and rep.counts["grid_dets"] > 0
+            assert rep.counts["subproblems"] == rep.counts["braces"] == 1
+
+
 def test_unit_cycle_decides_a_root_past_the_probe_guard(monkeypatch):
     # t = 59 = t_max - 1 of a sparse n = 64 root: the exchange and the
     # chords leave it open and its top node does not fit the probe, so it
@@ -1514,7 +1614,7 @@ def test_witnessed_solve_builds_the_subset_sums_at_most_twice(monkeypatch):
         solver, "_sums", lambda *args: builds.append(args) or sums(*args)
     )
     for g in [k44_diag(), k44_two_diagonals()] + [
-        p.values[0] for p in CHAIN_FROM_ROOT[:4]
+        p.values[0] for p in PROBE_DECIDED_ROOTS[:4]
     ]:
         started = [
             t for t in sorted(red_count_set_dp(g))
@@ -1783,9 +1883,8 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
 @pytest.mark.parametrize("g", TARGET_CASES)
 def test_witnessed_decided_root_never_builds_a_pair_digraph(g, monkeypatch):
     # the witness of a root its certificates decide comes from the
-    # exchange's switched matching, a unit cycle's, or the inverted top
-    # node's cofactor chain: neither the decision nor the witness calls
-    # _elementary
+    # exchange's switched matching or a unit cycle's: neither the decision
+    # nor the witness calls _elementary
     builds = []
     build = solver._elementary
     methods = [_deciding_certificate(g, t) for t in range(-1, g.n + 2)]
