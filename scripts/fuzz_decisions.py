@@ -6,16 +6,20 @@ oracle, or a closed form for the diagonal draw below) twice: the
 recursion's achievable set, one feasible_red_counts call per instance, and
 solve(g, t).decision for every t in -1..n+1. Every subproblem's
 certificates (bounds, exchange, congruence, chord, unit, probe) run before
-any D(G, M) is built, the root's for t alone. A root the certificates decided
-is the report's one subproblem and one certified block, with the red
-counts they proved: each must lie in the oracle's set, and t among them
-exactly when the answer is YES. A root the chords decided ran a chord pass
-that stops once t is reached: the full pass (t None) must reach t as well
-and hold every red count that root proved. Every t the exchange's reach
-proves, with its cycles switched whole or closed along a chord, is checked
-against the oracle too, and the records' congruence class (_congruence),
-from g's records and from the allowed records of its D(G, M) when it has a
-perfect matching, against a spanning walk (congruence_by_walk). Every YES target
+any D(G, M) is built, the root's for t alone, and a graph asked for one t
+adds the pair (two greedy perfect matchings switched along their cycles
+and chords) before the probe. A root the certificates decided is the
+report's one subproblem and one certified block, with the red counts they
+proved: each must lie in the oracle's set, and t among them exactly when
+the answer is YES. A root the chords decided ran a chord pass that stops
+once t is reached: the full pass (t None) must reach t as well and hold
+every red count that root proved. A root the pair decided must give a
+checked witness for its t. Every t the exchange's reach proves, with its
+cycles switched whole or closed along a chord, is checked against the
+oracle too, and so is every t in each pair's reach; so is the records'
+congruence class (_congruence), from g's records and from the allowed
+records of its D(G, M) when it has a perfect matching, against a spanning
+walk (congruence_by_walk). Every YES target
 of an instance with n <= WITNESS_ALL_N (one drawn YES target above that)
 then goes through solve(...,
 want_witness=True): each witness is checked against the graph, and the
@@ -26,12 +30,13 @@ that trace must still give the oracle's set, so a root's partial set
 that leaks into the memo aborts the run. The final line counts, over
 every (graph, t), the certified
 blocks by the certificate that settled them (roots and subproblems below
-them), the roots left open, the chord-decided roots whose pass stopped
-before it read every record, and the witnesses by their source: the
-exchange's reach with whole cycles switched, or only with a chord (both
-switched matchings), else a unit cycle of M_lo or M_hi for t_min + 1 or
-t_max - 1 (_unit_cycle), else row forcing. The run stops at --budget
-seconds or --max-instances.
+them), the roots the pair decided and those still decided by the probe,
+the roots left open, the chord-decided roots whose pass stopped before it
+read every record, and the witnesses by their source: the exchange's
+reach with whole cycles switched, or only with a chord (both switched
+matchings), else a unit cycle of M_lo or M_hi for t_min + 1 or t_max - 1
+(_unit_cycle), else a pair's switched matching, else row forcing. The run
+stops at --budget seconds or --max-instances.
 One draw in GAP_SHARE is a dense graph gap-colored (red iff row and column
 lie on opposite halves), so every red count is even and the odd targets
 inside its bounds are zeros the grid must certify. One draw
@@ -85,6 +90,7 @@ from exactmatch.solver import (
     _chords,
     _congruence,
     _exchange,
+    _pair,
     extract_witness,
     feasible_red_counts,
     solve,
@@ -106,7 +112,9 @@ CIRC_SHARE = 7
 # decide its hole, so its size reaches this, past --max-n and MAX_N.
 DIAG_MAX_N = 64
 # The methods of a block its certificates settled.
-CERTIFICATES = ("bounds", "exchange", "congruence", "chord", "unit", "probe")
+CERTIFICATES = (
+    "bounds", "exchange", "congruence", "chord", "unit", "pair", "probe",
+)
 
 
 def gap_colored(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
@@ -192,11 +200,12 @@ def main(argv=None) -> int:
     rng = random.Random(ns.seed)
     deadline = time.perf_counter() + ns.budget
     instances = decisions = witnesses = past = 0
-    # witnesses from whole cycles, a chord, a unit cycle, row forcing
-    switched = chord_wits = unit = forced = 0
+    # witnesses from whole cycles, a chord, a unit cycle, a pair, row forcing
+    switched = chord_wits = unit = pair_wits = forced = 0
     stopped = 0  # chord roots whose pass left records unread
     grid_nos = 0  # NO roots that are braces the grid decided
     settled: Counter = Counter()  # certified blocks by method, open roots
+    roots: Counter = Counter()  # roots the pair or the probe decided
     while time.perf_counter() < deadline and instances < ns.max_instances:
         n = rng.randint(2, ns.max_n)
         oracle = red_count_set_dp
@@ -241,19 +250,24 @@ def main(argv=None) -> int:
                 sys.stdout.write(wire(g))
                 return 1
         found = _assignments(g)
-        reach = chord_reach = 0
+        reach = chord_reach = pair_reach = 0
         units = set()  # t_min + 1 and t_max - 1
         if found is not None:
             exchange = _exchange(*found)
             chorded = _chords(g, exchange)  # the full pass, t None
             reach, chord_reach = exchange.reach(), chorded.reach()
             units = {exchange.t_min + 1, exchange.t_max - 1}
+            for backward in (False, True):  # full passes; the root's rung
+                pair_reach |= _chords(g, _pair(g, backward), None, False).reach()
         outside = [
             t for t in range(g.n + 1)
-            if (reach | chord_reach) >> t & 1 and t not in want
+            if (reach | chord_reach | pair_reach) >> t & 1 and t not in want
         ]
         if outside:
-            print(f"EXCHANGE OR CHORD REACH OUTSIDE THE ORACLE at t={outside}")
+            print(
+                f"EXCHANGE, CHORD OR PAIR REACH OUTSIDE THE ORACLE at "
+                f"t={outside}"
+            )
             sys.stdout.write(wire(g))
             return 1
         reports = {}
@@ -302,6 +316,14 @@ def main(argv=None) -> int:
                     sys.stdout.write(wire(g))
                     return 1
                 stopped += _chords(g, exchange, t).chords != chorded.chords
+            if root.method in ("pair", "probe"):
+                roots[root.method] += 1
+            if root.method == "pair":
+                witness = solve(g, t, SolverOptions(want_witness=True)).witness
+                if not witness_ok(g, t, witness):
+                    print(f"BAD PAIR WITNESS at t={t}: {witness}")
+                    sys.stdout.write(wire(g))
+                    return 1
         targets = sorted(want)
         if targets and g.n > WITNESS_ALL_N:
             targets = [rng.choice(targets)]
@@ -318,7 +340,9 @@ def main(argv=None) -> int:
             chord_wits += bool((chord_reach & ~reach) >> t & 1)
             unreached = not (reach | chord_reach) >> t & 1
             unit += unreached and t in units
-            forced += unreached and t not in units
+            paired = unreached and t not in units and pair_reach >> t & 1
+            pair_wits += paired
+            forced += unreached and t not in units and not paired
             if not witness_ok(g, t, report.witness):
                 print(f"BAD WITNESS at t={t}: {report.witness}")
                 sys.stdout.write(wire(g))
@@ -342,14 +366,16 @@ def main(argv=None) -> int:
     blocks = ", ".join(f"{settled[name]} {name}" for name in CERTIFICATES)
     print(
         f"ok: {instances} instances ({past} past --max-n), {decisions} "
-        f"decisions (certified blocks: {blocks}; "
+        f"decisions (certified blocks: {blocks}; {roots['pair']} roots "
+        f"decided by the pair, {roots['probe']} still by the probe; "
         f"{settled['open roots']} open roots, {grid_nos} of them NO "
         f"braces the grid decided, "
         f"{settled['roots without a perfect matching']} without a perfect "
         f"matching; {stopped} chord roots stopped early), {witnesses} "
         f"witnesses ({switched} from whole exchange cycles, {chord_wits} "
         f"from a chord, "
-        f"{unit} from a unit cycle, {forced} by row forcing), "
+        f"{unit} from a unit cycle, {pair_wits} from a pair, {forced} by "
+        f"row forcing), "
         f"0 disagreements"
     )
     return 0

@@ -99,6 +99,15 @@ is proved or refuted:
     integer >= 0, so such a cycle is one arc of reduced cost 1 closed by a
     path of reduced cost 0, which a search finds or rules out in O(n *
     m); t_max - 1 is the same on M_hi with the weights negated;
+  * pair: for a graph asked for one t, still open, two greedy perfect
+    matchings (_pair: Kuhn searches with each row's blue cells listed
+    before its red ones, and red before blue). The exchange argument
+    holds for any two perfect matchings, so with each cycle of their
+    symmetric difference oriented to gain >= 0 they are an exchange of
+    their own, and a t in its reach with chords is YES; their cycles are
+    not the optima's, so they reach t the optima's miss. A miss tries
+    once more with each row's lists in reverse column order, and proves
+    nothing. A chord of theirs may gain outside 0..delta, and is skipped;
   * probe: c_t at the top lam node mod the first certificate prime
     (_probe), when g's top node fits _GRID_BLOCK_ENTRIES (_fits); its
     table of (lam* + i)^j is cached per (n, p) (_top_powers). A nonzero
@@ -117,31 +126,32 @@ and a brace hands the t still open to its grid. Only whole sets enter the
 memo: a step asked for one t reads it, but never stores what it proved.
 Witnesses: extract_witness and a witnessed solve take the same steps. The
 root decides t (_decide) and returns its _Exchange, chords included once
-they ran, and the unit cycle's matching when that decided t; the
-self-reduction then reduces one row at a time, as a loop. Each graph it
-reaches is finished at once, with no determinant, when it has a start
-(_start_of): the switched matching of its exchange when t is in the
-reach, chords included (M_lo with each cycle switched whole or closed
-along one chord, their gains summing to t - t_min), or, when t is t_min +
-1 or t_max - 1, M_lo or M_hi switched along a unit cycle. A graph with no
-start has row 0 forced onto the first record whose residual graph has
-the residual target, each residual decided for that one target by the
-same step (_decide). Every start comes from the exchange that the
-decision of its graph returned, the root's or a forced row's, so no
-graph's assignments are solved or its unit cycle searched twice. The
-witness is checked against the graph: n records on n distinct rows and n
-distinct columns, each in a cell of g with its color, t of them red.
+they ran, and the matching of the unit cycle or the pair when that
+decided t; the self-reduction then reduces one row at a time, as a loop.
+Each graph it reaches is finished at once, with no determinant, when it
+has a start (_start_of): the switched matching of its exchange when t is
+in the reach, chords included (M_lo with each cycle switched whole or
+closed along one chord, their gains summing to t - t_min), or, when t is
+t_min + 1 or t_max - 1, M_lo or M_hi switched along a unit cycle, or the
+pair's switched matching. A graph with no start has row 0 forced onto
+the first record whose residual graph has the residual target, each
+residual decided for that one target by the same step (_decide). Every
+start comes from the exchange that the decision of its graph returned,
+the root's or a forced row's, so no graph's assignments are solved or
+its unit cycle searched twice. The witness is checked against the graph:
+n records on n distinct rows and n distinct columns, each in a cell of g
+with its color, t of them red.
 
 The report is the trace of whatever decided: a SolveTrace carries the
 memo and records each leaf settled, in the order it was first evaluated
 (a subproblem decided by certificates is one block named after the one
 that decided its last wanted t, "bounds", "exchange", "congruence",
-"chord", "unit" or "probe", with the red counts they proved; a brace on
-the grid is "pure-ASNC"), plus counts of subproblems, memo hits, braces,
-tight cuts, certified subproblems, the modular determinants of the grids
-and the probes, and the recursion depth. A probe runs only
+"chord", "unit", "pair" or "probe", with the red counts they proved; a
+brace on the grid is "pure-ASNC"), plus counts of subproblems, memo hits,
+braces, tight cuts, certified subproblems, the modular determinants of
+the grids and the probes, and the recursion depth. A probe runs only
 when a wanted t is still open after the bounds, the exchange, the
-congruence, the chords and the unit cycles.
+congruence, the chords and the unit cycles, and, for one t, the pairs.
 """
 
 from __future__ import annotations
@@ -167,7 +177,7 @@ from .errors import (
     BadParams, BadPrime, InvariantError, NoPerfectMatching, ZeroDivisor,
 )
 from .graphs import BLUE, RED, ColoredBipartiteGraph, EdgeRecord, _run
-from .matching import _elementary, is_brace
+from .matching import _elementary, _max_assignment, is_brace
 
 _NO_EDGE = 10**6  # assignment sentinel, far above any reachable cost
 
@@ -489,28 +499,39 @@ def _assignments(g: ColoredBipartiteGraph) -> Optional[tuple]:
 
 
 class _Exchange(NamedTuple):
-    """The alternating cycles of a min-red and a max-red perfect matching.
+    """The alternating cycles of two perfect matchings M_lo and M_hi.
 
-    lo_cols, lo_reds, hi_cols and hi_reds are _assignments(g). M_lo and
+    lo_cols, lo_reds, hi_cols and hi_reds are _assignments(g), the min-red
+    and the max-red optimum, or the two matchings of a _pair. M_lo and
     M_hi differ in disjoint alternating cycles (Berge), and switching any
     subset of them in M_lo gives another perfect matching (the exchange
     argument of Karzanov's exact matching on complete bipartite graphs).
     The red gain delta of a cycle, red(M_hi) - red(M_lo) on its rows, is
-    never negative, since M_lo has the fewest red records; a row whose two
-    records share a cell and differ in color is a cycle with delta 1.
-    cycles holds the rows of each cycle with delta > 0, deltas their
-    gains, which sum to t_max - t_min. chords is empty, or, once _chords
-    has run, one dict per cycle mapping each gain strictly between 0 and
-    its delta that a chord reaches (those its pass read, when it stopped
-    at a target) to the first such chord (a, b, k): the record (r_a, c_b,
-    k), a and b positions on the cycle as _chords writes them. Each cycle
-    then stays, switches, or takes one of its chords, independently of the
-    others, so every t_min + a sum of one choice per cycle is the red
-    count of a perfect matching, exactly, on any graph. sums is _sums of
-    deltas and chords, built once by _exchange and once more by _chords;
-    reach and witness read it. unit is None, or the perfect matching
-    _unit_cycle found for the one t that _certify was asked (the root's),
-    t_min + 1 or t_max - 1, so its witness need not search again.
+    never negative: on the optima since M_lo has the fewest red records,
+    and a pair orients each cycle so. A row whose two records share a cell
+    and differ in color is a cycle with delta 1. cycles holds the rows of
+    each cycle with delta > 0, deltas their gains, which sum to t_max -
+    t_min. chords is empty, or, once _chords has run, one dict per cycle
+    mapping each gain strictly between 0 and its delta that a chord
+    reaches (those its pass read, when it stopped at a target) to the
+    first such chord (a, b, k): the record (r_a, c_b, k), a and b
+    positions on the cycle as _chords writes them. Each cycle then stays,
+    switches, or takes one of its chords, independently of the others, so
+    every t_min + a sum of one choice per cycle is the red count of a
+    perfect matching, exactly, on any graph and for any two perfect
+    matchings. sums is _sums of deltas and chords, built once by _exchange
+    and once more by _chords; reach and witness read it.
+
+    Only on the optima are t_min and t_max g's bounds, and three checks
+    assume them: _exchange's negative gain (which a pair's orientation
+    rules out), _chords' gain outside 0..delta (a pair's is skipped), and
+    _unit_cycle's negative arc or cycle (it runs on the optima alone).
+    Each raises InvariantError.
+
+    start is None, or the perfect matching that the unit cycle (for t_min
+    + 1 or t_max - 1) or a pair found for the one t that _certify was
+    asked (the root's, or a forced row's), so its witness need not search
+    again.
     """
 
     t_min: int
@@ -522,7 +543,7 @@ class _Exchange(NamedTuple):
     deltas: list[int]
     sums: list[int]
     chords: Tuple[dict, ...] = ()
-    unit: Optional[list[EdgeRecord]] = None
+    start: Optional[list[EdgeRecord]] = None
 
     @property
     def t_max(self) -> int:
@@ -616,7 +637,10 @@ def _exchange(lo_cols, lo_reds, hi_cols, hi_reds) -> _Exchange:
 
 
 def _chords(
-    g: ColoredBipartiteGraph, exchange: _Exchange, t: Optional[int] = None
+    g: ColoredBipartiteGraph,
+    exchange: _Exchange,
+    t: Optional[int] = None,
+    optima: bool = True,
 ) -> _Exchange:
     """exchange with the chords of every cycle whose gain is at least 2.
 
@@ -628,12 +652,13 @@ def _chords(
     M_hi instead, with r_(a+1) .. r_(b-1) reverted to M_lo, gives the same
     matching.) Its gain is the switched rows' gains plus rho(k) minus
     lo_red(r_a), the exact red count of a perfect matching that differs
-    from M_lo on this cycle alone, so it lies in 0..delta (M_lo has the
-    fewest red records, M_hi the most); a gain outside raises
-    InvariantError. A cycle of gain 0 or 1 admits no gain strictly inside,
-    so it is skipped. The first record in g's order that reaches a gain is
-    its chord (a, b, k). One pass over g's records, linear in them;
-    multigraph cells count once per color.
+    from M_lo on this cycle alone. On the assignment optima (optima) it
+    lies in 0..delta, since M_lo has the fewest red records and M_hi the
+    most, and a gain outside raises InvariantError; a _pair's chord may
+    fall outside, and is skipped. A cycle of gain 0 or 1 admits no gain
+    strictly inside, so it is skipped. The first record in g's order that
+    reaches a gain is its chord (a, b, k). One pass over g's records,
+    linear in them; multigraph cells count once per color.
 
     With t None the pass reads every record. With a t (the root's, or a
     witness's), each cycle of gain delta >= 2 first gets a bitmask of
@@ -688,7 +713,7 @@ def _chords(
                 found[gain] = (pos[r], pos[b], k)
                 if stops[i] >> gain & 1:
                     break
-        elif not 0 <= gain <= delta:
+        elif optima and not 0 <= gain <= delta:
             raise InvariantError(
                 f"record {(r, c, k)} closes a cycle of red gain {gain} "
                 f"outside 0..{delta}: the assignment optima are not a "
@@ -696,6 +721,53 @@ def _chords(
             )
     chords = tuple(chords)
     return exchange._replace(chords=chords, sums=_sums(deltas, chords))
+
+
+def _pair(g: ColoredBipartiteGraph, backward: bool) -> _Exchange:
+    """The exchange of two greedy perfect matchings of g, which has one.
+
+    Two Kuhn searches (matching._max_assignment) on g's records: in the
+    first, each row's adjacency lists its blue cells, then its red ones;
+    in the second, red first. With backward each list runs in descending
+    column order instead. Neither matching need be an optimum, but the
+    exchange argument holds for any two perfect matchings: each cycle of
+    their symmetric difference is oriented so that its side with fewer
+    red records is the base (a cell with records of both colors is blue
+    there and red on the other side), so every gain is >= 0 and _exchange
+    takes the two as they are. Their cycles differ from the optima's, so
+    their reach, with chords (_chords, optima False), proves red counts
+    that of the optima left open.
+    """
+    n = g.n
+    blues: list[list[int]] = [[] for _ in range(n)]
+    reds: list[list[int]] = [[] for _ in range(n)]
+    for r, c, k in g.edges:  # the color k is rho(k), BLUE 0 and RED 1
+        (reds if k else blues)[r].append(c)
+    if backward:
+        for row in blues + reds:
+            row.reverse()
+    first = _max_assignment(n, [b + r for b, r in zip(blues, reds)])
+    second = _max_assignment(n, [r + b for b, r in zip(blues, reds)])
+    codes = g.cell_codes.tolist()
+    row_of = [0] * n  # column -> its row in the first matching
+    for r, c in enumerate(first):
+        row_of[c] = r
+    lo_cols, hi_cols = list(first), list(second)
+    seen = [False] * n
+    for start in range(n):
+        cycle, gain, r = [], 0, start
+        while not seen[r]:
+            seen[r] = True
+            cycle.append(r)
+            gain += (codes[r][second[r]] >= 2) - (codes[r][first[r]] == 2)
+            r = row_of[second[r]]
+        if gain < 0:  # the second matching has fewer red records here
+            for r in cycle:
+                lo_cols[r], hi_cols[r] = second[r], first[r]
+    return _exchange(
+        lo_cols, [codes[r][c] == 2 for r, c in enumerate(lo_cols)],
+        hi_cols, [codes[r][c] >= 2 for r, c in enumerate(hi_cols)],
+    )
 
 
 def _unit_cycle(
@@ -902,15 +974,17 @@ class BlockReport:
     """One settled leaf: its size, red counts and the method that settled it.
 
     A leaf is a subproblem its certificates decided (method "bounds",
-    "exchange", "congruence", "chord", "unit" or "probe") or a brace its
-    grid decided ("pure-ASNC"); there is no other kind. feasible_t is the
-    leaf's whole achievable set, except at a graph asked for one t (the
-    root of solve and of extract_witness, _decide): there it is the red
-    counts its certificates and, on a brace, its grid proved, all
-    achievable, with t among them exactly when the answer is YES. A root
-    the chords decided lists only the chords its pass read before it
-    reached t (_chords), so it may list fewer red counts than the full
-    pass proves.
+    "exchange", "congruence", "chord", "unit", "pair" or "probe") or a
+    brace its grid decided ("pure-ASNC"); there is no other kind.
+    feasible_t is the leaf's whole achievable set, except at a graph asked
+    for one t (the root of solve and of extract_witness, _decide): there
+    it is the red counts its certificates and, on a brace, its grid
+    proved, all achievable, with t among them exactly when the answer is
+    YES. A root the chords decided lists only the chords its pass read
+    before it reached t (_chords), so it may list fewer red counts than
+    the full pass proves; a root the pair decided adds the reach of the
+    pair that reached t, whose chord pass stopped there too, and a pair
+    that missed adds nothing.
     """
 
     n: int
@@ -993,6 +1067,10 @@ def _certify(
       * unit: t_min + 1 and t_max - 1, each only when wanted and still
         open, are YES exactly when M_lo, or M_hi, has a unit cycle
         (_unit_cycle), and NO otherwise;
+      * pair, only for a t asked and still open: the reach of two greedy
+        perfect matchings with their chords (_pair, then _chords with
+        optima False); t in it is YES. A miss builds the second pair, with
+        each row's lists reversed, and a second miss proves nothing;
       * probe: when g's top node fits one batched elimination (_fits), c_t
         at lam* mod the first certificate prime (_probe); every t among
         its hits is YES, and the report counts m determinants.
@@ -1000,15 +1078,16 @@ def _certify(
     proved is every red count the certificates run so far proved: the
     exchange's reach (with its chords once they ran; with a t, a chord pass
     that stops once t is reached, so possibly fewer chords' counts), the
-    unit cycles' YES, and the probe's hits when it ran. open is the wanted
-    t neither proved nor refuted. Both are bitmasks (bit s for red count s)
-    until g is settled or handed on, and each becomes a set once. When open
-    is empty, method names the certificate that decided the last of them,
-    and g is settled as one block of proved (with t None, g's whole
-    achievable set). Otherwise method is None and g's structure (_structure)
-    goes on with open. exchange is g's _Exchange, with its chords once they
-    ran and, when the unit cycle proved the t asked, that matching (unit):
-    the witness of g starts from it (_start_of).
+    unit cycles' YES, the reach of the pair that proved t, and the probe's
+    hits when it ran. open is the wanted t neither proved nor refuted.
+    Both are bitmasks (bit s for red count s) until g is settled or handed
+    on, and each becomes a set once. When open is empty, method names the
+    certificate that decided the last of them, and g is settled as one
+    block of proved (with t None, g's whole achievable set). Otherwise
+    method is None and g's structure (_structure) goes on with open. exchange is g's _Exchange of the optima, with its
+    chords once they ran and, when the unit cycle or a pair proved the t
+    asked, that matching (start): the witness of g starts from it
+    (_start_of).
     """
     found = _assignments(g)
     if found is None:
@@ -1042,9 +1121,19 @@ def _certify(
                 if unit is not None:
                     proved |= 1 << s
                     if s == t:
-                        exchange = exchange._replace(unit=unit)
+                        exchange = exchange._replace(start=unit)
                 open_ &= ~(1 << s)
         method = "unit"
+    if open_ and t is not None:
+        for backward in (False, True):
+            pair = _chords(g, _pair(g, backward), t, False)
+            reach = pair.reach()
+            if reach >> t & 1:
+                proved |= reach
+                open_ = 0
+                exchange = exchange._replace(start=pair.witness(t))
+                method = "pair"
+                break
     if open_:
         method = None
         m = t_max - t_min + 1
@@ -1109,22 +1198,25 @@ def _subproblem(
     """One subproblem at nesting level (root: 1), as a generator step of
     the recursion: (red counts, g's _Exchange or None).
 
-    A whole set in trace's memo answers at once (a memo hit, no exchange).
-    Otherwise g's certificates (_certify) want t alone, or every t between
-    g's bounds when t is None, and stop once each is decided; a graph they
-    decide, or one the bounds find without a perfect matching, returns
-    what they proved without building D(G, M), and the rest goes on to g's
-    structure (_structure). With t None the red counts are g's whole set,
-    and only they enter the memo; with a t they hold t exactly when some
-    perfect matching has t red records.
+    A whole set in trace's memo answers at once (a memo hit, no exchange);
+    a step asked for one t on an empty memo (solve's root) builds no key,
+    since it can neither read nor write one. Otherwise g's certificates
+    (_certify) want t alone, or every t between g's bounds when t is None,
+    and stop once each is decided; a graph they decide, or one the bounds
+    find without a perfect matching, returns what they proved without
+    building D(G, M), and the rest goes on to g's structure (_structure).
+    With t None the red counts are g's whole set, and only they enter the
+    memo; with a t they hold t exactly when some perfect matching has t
+    red records.
     """
     if level > trace.counts["depth"]:
         trace.counts["depth"] = level
-    key = _memo_key(g)
-    whole = trace.memo.get(key)
-    if whole is not None:
-        trace.counts["memo_hits"] += 1
-        return whole, None
+    if trace.memo or t is None:  # the key hashes all of g's records
+        key = _memo_key(g)
+        whole = trace.memo.get(key)
+        if whole is not None:
+            trace.counts["memo_hits"] += 1
+            return whole, None
     trace.counts["subproblems"] += 1
     result, exchange = frozenset(), None  # no perfect matching
     found = _certify(g, trace, t)
@@ -1230,9 +1322,10 @@ def extract_witness(
     row at a time. Each graph it reaches is finished from its start when
     it has one (_start_of): the switched matching of its exchange when t
     is in the reach, chords included, else of a unit cycle when t is t_min
-    + 1 or t_max - 1. Otherwise row 0 is forced onto each of its records
-    in turn and the first whose residual graph has the residual target
-    (_decide, for that one target) is kept, with its exchange.
+    + 1 or t_max - 1, else of the pair that proved t. Otherwise row 0 is
+    forced onto each of its records in turn and the first whose residual
+    graph has the residual target (_decide, for that one target) is kept,
+    with its exchange.
     """
     if trace is None:
         trace = SolveTrace()
@@ -1276,10 +1369,10 @@ def _witness(
     """The self-reduction as a loop: g shrinks by one row per forced record.
 
     rows and cols map the current g's labels to the input's; a g with a
-    start (the exchange's switched matching or a unit cycle's) takes it as
-    the rest of the matching. exchange is the one the decision of the
-    current g and t returned (the input's, then each forced row's), or
-    None after a memo hit.
+    start (the switched matching of the exchange, a unit cycle or a pair)
+    takes it as the rest of the matching. exchange is the one the decision
+    of the current g and t returned (the input's, then each forced row's),
+    or None after a memo hit.
     """
     rows, cols = list(range(g.n)), list(range(g.n))
     out: list[EdgeRecord] = []
@@ -1309,18 +1402,19 @@ def _start_of(
 ) -> Optional[list[EdgeRecord]]:
     """g's witness start, for a g with a perfect matching of t red
     records: a whole matching, either its _Exchange's switched matching
-    when t is in the reach, chords included, or, for t = t_min + 1 or
-    t_max - 1, the unit cycle's matching (_Exchange.unit); else None, where
-    the row-forcing loop must go on. exchange is the one g's decision of
-    this same t returned (_decide: the root's, or a forced row's), whose
-    certificates already ran the chords and the unit cycle t needed. Only a
+    when t is in the reach, chords included, or the one the unit cycle
+    (for t = t_min + 1 or t_max - 1) or a pair found (_Exchange.start);
+    else None, where the row-forcing loop must go on. exchange is the one
+    g's decision of this same t returned (_decide: the root's, or a forced
+    row's), whose certificates already ran the chords, the unit cycle and
+    the pairs t needed, so no row is forced where they proved t. Only a
     caller that kept none (a memo hit, or a direct call) has _certify make
     it here, and that may run the probe; a start itself needs no
     determinant."""
     if exchange is None:
         exchange = _certify(g, SolveTrace(), t)[3]
     witness = exchange.witness(t)
-    return exchange.unit if witness is None else witness
+    return exchange.start if witness is None else witness
 
 
 # ---------------------------------------------------------------------------
@@ -1344,7 +1438,7 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema": "exactmatch/8",
+            "schema": "exactmatch/9",
             "decision": "YES" if self.decision else "NO",
             "n": self.n,
             "t": self.t,
@@ -1382,9 +1476,9 @@ def solve(
     witness is wanted, so both give the same. With a witness on a YES, the
     checked self-reduction of extract_witness runs at once
     (_checked_witness), from the exchange the root kept: its switched
-    matching when t is in its reach, chords included, else the unit cycle's
-    matching the root found when t is t_min + 1 or t_max - 1 (_start_of),
-    else it forces rows. Out-of-range targets are legal and decide to NO.
+    matching when t is in its reach, chords included, else the matching
+    the root's unit cycle (t_min + 1 or t_max - 1) or pair found
+    (_start_of), else it forces rows. Out-of-range targets are legal and decide to NO.
     """
     root = _Root(SolveTrace(), t)
     trace = root.trace

@@ -65,7 +65,7 @@ def test_solve_json_report(fixtures_dir, capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/8"
+    assert doc["schema"] == "exactmatch/9"
     assert doc["decision"] == "YES"
     assert doc["n"] == 4 and doc["t"] == 1
     assert doc["blocks"] == [
@@ -82,7 +82,7 @@ def test_solve_json_report(fixtures_dir, capsys):
     )
     assert code == 1
     doc = json.loads(out)
-    assert doc["schema"] == "exactmatch/8"
+    assert doc["schema"] == "exactmatch/9"
     assert doc["decision"] == "NO" and "witness" not in doc
     assert doc["blocks"] == [
         {"n": 4, "feasible_t": [0, 2, 4], "method": "unit"}

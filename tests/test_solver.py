@@ -59,10 +59,22 @@ def k44_diag():
 def k44_two_diagonals():
     # red iff c - r is 0 or 1 mod 4: T = {0, .., 4}, and the exchange and
     # the chords reach every t but 2, which is 2 from both bounds, so only
-    # the probe proves it
+    # a switched pair of greedy matchings (the pair) proves it
     return with_coloring(
         knn(4), red=[(r, (r + d) % 4) for r in range(4) for d in (0, 1)]
     )
+
+
+def probe_only():
+    # T = {2, .., 7}: the optima's one cycle gains 5, and its chords reach
+    # {2, 3, 5, 6, 7}, the pairs' {3, 5, 6, 7} and {2, 3, 5, 6}; 4 is 2
+    # from both bounds, so only the probe (6 determinants) proves it
+    return ColoredBipartiteGraph.make(7, [
+        (0, 2, 1), (0, 4, 1), (0, 5, 0), (1, 3, 1), (2, 0, 0), (2, 1, 0),
+        (2, 2, 1), (2, 5, 1), (2, 6, 1), (3, 0, 1), (3, 3, 1), (4, 0, 0),
+        (4, 2, 0), (4, 4, 1), (4, 5, 1), (4, 6, 0), (5, 1, 1), (5, 4, 0),
+        (5, 5, 0), (6, 2, 0), (6, 4, 0), (6, 5, 0), (6, 6, 1),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +407,10 @@ def test_grid_primes_must_keep_the_lam_nodes_apart(monkeypatch):
 
 
 def test_grid_dets_count_the_modular_determinants(monkeypatch):
-    # the root's probe evaluates its one lam node at the 5 x nodes
-    assert solve(k44_two_diagonals(), 2).counts["grid_dets"] == 5
+    # the root's probe evaluates its one lam node at the 6 x nodes; a root
+    # the pair decides evaluates none
+    assert solve(probe_only(), 4).counts["grid_dets"] == 6
+    assert solve(k44_two_diagonals(), 2).counts["grid_dets"] == 0
     # k44_diag's t = 3 is identically zero: the one prime (C < 2^31)
     # sweeps all 7 lam nodes at the 5 x nodes
     trace = SolveTrace()
@@ -629,11 +643,11 @@ def test_brace_witness_from_its_start_adds_no_subproblem():
 
 def test_every_achievable_t_gets_a_witness_from_a_start_or_forced_rows():
     # every achievable t gets a checked witness, from a start or by forcing
-    # rows: k44_two_diagonals' 2 and the roots of PROBE_DECIDED_ROOTS that
-    # only the probe decides have no start, and K_n,n with a red diagonal
-    # is asked every t it has
+    # rows: probe_only's 4 and the roots of PROBE_DECIDED_ROOTS that only
+    # the probe decides have no start, and K_n,n with a red diagonal is
+    # asked every t it has
     graphs = _random_braces(10, 14700) + [
-        k44_diag(), k44_two_diagonals(),
+        k44_diag(), k44_two_diagonals(), probe_only(),
         with_coloring(band_path(7), red="bernoulli", seed=3),
     ] + [with_coloring(knn(n), red="diag") for n in range(6, 17)] + [
         p.values[0] for p in PROBE_DECIDED_ROOTS
@@ -644,7 +658,7 @@ def test_every_achievable_t_gets_a_witness_from_a_start_or_forced_rows():
             forced += solver._start_of(g, t) is None
             rep = solve(g, t, SolverOptions(want_witness=True))
             assert rep.decision and _is_witness(g, t, rep.witness)
-    assert solver._start_of(k44_two_diagonals(), 2) is None
+    assert solver._start_of(probe_only(), 4) is None
     assert forced >= 10
 
 
@@ -731,13 +745,11 @@ def test_probe_decided_root_and_its_witness_build_no_pair_digraph(
 
 def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
     # the root returns its exchange, chords included: the probe decides
-    # t = 7, which no start reaches, and the witness reads that
-    # exchange before it forces rows, with no second assignment and no
-    # second chord pass on the root graph
-    g = next(
-        p.values[0] for p in PROBE_DECIDED_ROOTS if p.id == "nonbrace-n12-2"
-    )
-    t = 7
+    # t = 4, which no start reaches, and the witness reads that exchange
+    # before it forces rows, with no second assignment and no second chord
+    # pass on the root graph (the root's three passes are the optima's and
+    # each pair's)
+    g, t = probe_only(), 4
     assert solver._start_of(g, t) is None
     calls = []
     assignments, chords = solver._assignments, solver._chords
@@ -753,18 +765,90 @@ def test_witnessed_probe_root_solves_its_assignments_once(monkeypatch):
     )
     rep = solve(g, t, SolverOptions(want_witness=True))
     assert [b.method for b in rep.blocks] == ["probe"]
-    assert calls == ["assignments", "chords"]
+    assert calls == ["assignments"] + ["chords"] * 3
     assert _is_witness(g, t, rep.witness)
 
 
+# a sparse root where both pairs miss t and the probe decides it
+SPARSE_PROBE_ROOT = (random_graph(12, 0.3, 0.5, seed=153, require_pm=True), 7)
+
+
+def _pairs_reach(g, t):
+    """Does either pair's reach, chords included, hold t (_certify's rung)?"""
+    return any(
+        solver._chords(g, solver._pair(g, backward), t, False).reach() >> t & 1
+        for backward in (False, True)
+    )
+
+
+def test_pair_decides_a_probe_root_of_the_optima_with_no_determinant(
+    monkeypatch,
+):
+    # the optima's exchange, chords and unit cycles leave t = 8 open, and
+    # the pair's switched matching reaches it: the root is "pair" with no
+    # determinant, and the witness is that matching, so no residual graph
+    # is decided
+    g, t = random_graph(16, 0.2, 0.5, seed=65, require_pm=True), 8
+    ex = solver._chords(g, _exchange_of(g), t)
+    assert not ex.reach() >> t & 1 and t not in (ex.t_min + 1, ex.t_max - 1)
+    assert _pairs_reach(g, t)
+    decided = []
+    decide = solver._decide
+    monkeypatch.setattr(
+        solver, "_decide",
+        lambda graph, target, trace: decided.append(graph)
+        or decide(graph, target, trace),
+    )
+    rep = solve(g, t, SolverOptions(want_witness=True))
+    assert [b.method for b in rep.blocks] == ["pair"]
+    assert rep.decision and rep.counts["grid_dets"] == 0
+    assert _is_witness(g, t, rep.witness)
+    assert decided == [g]
+
+
+def test_a_sparse_root_both_pairs_miss_goes_to_the_probe():
+    g, t = SPARSE_PROBE_ROOT
+    assert not _pairs_reach(g, t)
+    rep = solve(g, t)
+    assert rep.decision == (t in red_count_set_dp(g))
+    assert [b.method for b in rep.blocks] == ["probe"]
+    assert rep.counts["grid_dets"] > 0
+
+
+def test_probe_never_runs_for_a_root_the_pair_decided(monkeypatch):
+    probed = []
+    probe = solver._probe
+    monkeypatch.setattr(
+        solver, "_probe", lambda *args: probed.append(args) or probe(*args)
+    )
+    pair_roots = 0
+    graphs = [k44_two_diagonals(), probe_only()] + [
+        p.values[0] for p in PROBE_DECIDED_ROOTS
+    ] + [
+        random_graph(12, 0.3, 0.5, seed=s, require_pm=True)
+        for s in range(150, 200)
+    ]
+    for g in graphs:
+        for t in range(-1, g.n + 2):
+            for want_witness in (False, True):
+                probed.clear()
+                rep = solve(g, t, SolverOptions(want_witness=want_witness))
+                if [b.method for b in rep.blocks] == ["pair"]:
+                    pair_roots += 1
+                    assert probed == []
+                    assert rep.counts["grid_dets"] == 0
+                    assert not want_witness or _is_witness(g, t, rep.witness)
+    assert pair_roots >= 10
+
+
 def test_forced_rows_decide_one_target_and_carry_their_exchange(monkeypatch):
-    # only the probe proves t = 8 at this root, so no start reaches it and
-    # the witness forces rows: each forced record's residual graph is
-    # decided for its one target (_decide), and the exchange that decision
-    # returns is the next graph's start, so _start_of solves no assignment
-    # problem of a graph that a decision already certified
-    g = random_graph(16, 0.2, 0.5, seed=65, require_pm=True)
-    t = 8
+    # only the probe proves t = 7 at this root (both pairs miss it), so no
+    # start reaches it and the witness forces rows: each forced record's
+    # residual graph is decided for its one target (_decide), and the
+    # exchange that decision returns is the next graph's start, so
+    # _start_of solves no assignment problem of a graph that a decision
+    # already certified
+    g, t = SPARSE_PROBE_ROOT
     decided, certified, started = [], [], []
     in_start = [False]
     decide, certify = solver._decide, solver._certify
@@ -798,9 +882,8 @@ def test_forced_rows_decide_one_target_and_carry_their_exchange(monkeypatch):
     rep = solve(g, t, SolverOptions(want_witness=True))
     assert [b.method for b in rep.blocks] == ["probe"]
     assert rep.witness == (
-        (0, 3, 0), (1, 1, 1), (2, 2, 1), (3, 10, 0), (4, 12, 1), (5, 5, 0),
-        (6, 11, 1), (7, 0, 0), (8, 14, 1), (9, 7, 0), (10, 8, 1), (11, 6, 1),
-        (12, 15, 0), (13, 13, 0), (14, 4, 0), (15, 9, 1),
+        (0, 1, 1), (1, 9, 1), (2, 0, 1), (3, 3, 0), (4, 2, 1), (5, 4, 0),
+        (6, 7, 0), (7, 10, 0), (8, 5, 1), (9, 6, 0), (10, 11, 1), (11, 8, 1),
     )
     assert decided[0] == (solver._memo_key(g), t) and len(decided) >= 3
     keys = [key for key, _ in decided]
@@ -827,9 +910,10 @@ def test_witnesses_under_a_small_first_prime_fall_back(p, monkeypatch):
 
     monkeypatch.setattr(solver, "_start_of", counted)
     # the chords would hand most targets a switched matching: without them
-    # every t outside the exchange's reach but a unit cycle's has no start
+    # every t outside the reach of the optima's exchange and the pairs'
+    # but a unit cycle's has no start
     monkeypatch.setattr(
-        solver, "_chords", lambda g, exchange, t=None: exchange
+        solver, "_chords", lambda g, exchange, *args: exchange
     )
     graphs = [g for g in _random_braces(20, 15200) if g.n <= 8] + [
         k44_diag(), with_coloring(band_path(7), red="bernoulli", seed=3),
@@ -855,8 +939,9 @@ WRONG_WITNESSES = [
 
 @pytest.mark.parametrize("wrong", WRONG_WITNESSES)
 def test_a_wrong_witness_raises_invariant_error(wrong, monkeypatch):
-    # t = 2 lies outside the chords' reach and 2 from both bounds, so no
-    # start reaches it; a wrong matching handed over as one is caught
+    # t = 2 lies outside the chords' reach and 2 from both bounds, so only
+    # a pair's switched matching starts it; a wrong matching handed over
+    # as the start is caught
     monkeypatch.setattr(
         solver, "_start_of", lambda g, t, exchange=None: list(wrong)
     )
@@ -1084,27 +1169,36 @@ def test_solve_report_blocks_k44(monkeypatch):
 
 def test_solve_json_schema():
     # t = 2 lies outside the chords' reach {0, 1, 3, 4} and 2 from both
-    # bounds: the root's probe (5 determinants) decides it, proving every
-    # t, and the witness, which no start reaches, forces rows after the
-    # decision
+    # bounds: the first pair's cycle gains 3 from t = 1 and a chord of it
+    # 1, so the root is "pair" with no determinant, the optima's reach and
+    # the pair's proving every t, and the witness is that switched matching
     g = k44_two_diagonals()
     d = solve(g, 2, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/8"
+    assert d["schema"] == "exactmatch/9"
     assert d["decision"] == "YES"
     assert d["blocks"] == [
-        {"n": 4, "feasible_t": [0, 1, 2, 3, 4], "method": "probe"}
+        {"n": 4, "feasible_t": [0, 1, 2, 3, 4], "method": "pair"}
     ]
     assert d["counts"] == {
         "subproblems": 1, "memo_hits": 0, "braces": 0, "tight_cuts": 0,
-        "certified": 1, "grid_dets": 5, "depth": 1,
+        "certified": 1, "grid_dets": 0, "depth": 1,
     }
     assert len(d["witness"]) == 4
+    # probe_only's t = 4 is outside both pairs' reach too: the probe's 6
+    # determinants decide it, and its witness forces rows
+    d = solve(probe_only(), 4, SolverOptions(want_witness=True)).to_json_dict()
+    assert d["schema"] == "exactmatch/9"
+    assert d["blocks"] == [
+        {"n": 7, "feasible_t": [2, 3, 4, 5, 6, 7], "method": "probe"}
+    ]
+    assert d["counts"]["grid_dets"] == 6
+    assert len(d["witness"]) == 7
     assert all(len(rec) == 3 for rec in d["witness"])
     assert set(d["timings"]) == {"decide_ms", "witness_ms"}
     # k44_diag's hole t = 3 is t_max - 1: the unit cycles refute it with
     # no determinant
     d = solve(k44_diag(), 3, SolverOptions(want_witness=True)).to_json_dict()
-    assert d["schema"] == "exactmatch/8"
+    assert d["schema"] == "exactmatch/9"
     assert d["decision"] == "NO" and "witness" not in d
     assert d["blocks"] == [
         {"n": 4, "feasible_t": [0, 2, 4], "method": "unit"}
@@ -1405,20 +1499,23 @@ def test_exchange_counts_a_cell_of_both_colors_as_a_cycle():
 
 
 def test_probe_runs_only_for_a_t_no_other_certificate_decides(monkeypatch):
-    # k44_two_diagonals: the chords reach {0, 1, 3, 4}, so 2 needs the
-    # probe, once with or without a witness (the residual graphs its
-    # witness forces rows onto have n = 3, which needs no probe);
-    # k44_diag: reach {0, 2, 4}, and its 1 (YES) and 3 (NO) are t_min + 1
-    # and t_max - 1, which the unit cycles decide; a t the bounds, the
-    # reach or the unit cycles decide runs no probe
+    # probe_only: the chords and both pairs reach {2, 3, 5, 6, 7}, so 4
+    # needs the probe, once with or without a witness (the residual graphs
+    # its witness forces rows onto need none); k44_two_diagonals: the
+    # chords reach {0, 1, 3, 4}, and a pair reaches 2; k44_diag: reach
+    # {0, 2, 4}, and its 1 (YES) and 3 (NO) are t_min + 1 and t_max - 1,
+    # which the unit cycles decide; a t the bounds, the reach, the unit
+    # cycles or a pair decide runs no probe
     made = []
     probe = solver._probe
     monkeypatch.setattr(
         solver, "_probe", lambda *args: made.append("probe") or probe(*args)
     )
     for g, t, want_witness, ran in [
-        (k44_two_diagonals(), 2, False, ["probe"]),
-        (k44_two_diagonals(), 2, True, ["probe"]),
+        (probe_only(), 4, False, ["probe"]),
+        (probe_only(), 4, True, ["probe"]),
+        (k44_two_diagonals(), 2, False, []),
+        (k44_two_diagonals(), 2, True, []),
         (k44_two_diagonals(), 1, True, []), (k44_two_diagonals(), 3, True, []),
         (k44_diag(), 1, False, []), (k44_diag(), 1, True, []),
         (k44_diag(), 3, False, []), (k44_diag(), 3, True, []),
@@ -1452,6 +1549,76 @@ def test_a_chord_gain_outside_its_cycle_raises_invariant_error():
     )
     with pytest.raises(InvariantError):
         solver._chords(g, ex)
+
+
+def test_a_pair_skips_a_chord_gain_outside_its_cycle():
+    # the two matchings above as a pair's exchange: the blue record (0, 3)
+    # closes a cycle of gain -1, which the pass skips instead of raising,
+    # and every red count the kept chord reaches has a checked witness
+    g = with_coloring(knn(4), red=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 0)])
+    ex = solver._exchange(
+        [1, 0, 2, 3], [True, False, False, False],
+        [0, 2, 3, 1], [True, True, True, False],
+    )
+    pair = solver._chords(g, ex, None, False)
+    assert pair.chords == ({1: (2, 1, BLUE)},)
+    want = red_count_set_dp(g)
+    reached = [t for t in range(g.n + 1) if pair.reach() >> t & 1]
+    assert reached == [1, 2, 3]
+    for t in reached:
+        assert t in want and _is_witness(g, t, pair.witness(t))
+
+
+@pytest.mark.parametrize(
+    "g", CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
+    + [p.values[0] for p in PROBE_DECIDED_ROOTS]
+)
+def test_pair_reach_matches_the_dp_oracle_at_every_t(g):
+    # _exchange takes each pair as it is (a negative gain would raise);
+    # every red count its reach holds, with or without its chords, is
+    # achievable and has a checked witness; a pass that stops at t reaches
+    # it exactly when the full pass does; and the root's decision is the
+    # oracle's at every t
+    want = red_count_set_dp(g)
+    if not want:
+        return
+    for backward in (False, True):
+        plain = solver._pair(g, backward)
+        full = solver._chords(g, plain, None, False)
+        for t in range(g.n + 2):
+            for pair in (plain, full):
+                if pair.reach() >> t & 1:
+                    assert t in want and _is_witness(g, t, pair.witness(t))
+            early = solver._chords(g, plain, t, False)
+            assert (early.reach() >> t & 1) == (full.reach() >> t & 1)
+    for t in range(-1, g.n + 2):
+        rep = solve(g, t, SolverOptions(want_witness=True))
+        assert rep.decision == (t in want)
+        if rep.decision:
+            assert _is_witness(g, t, rep.witness)
+
+
+def test_a_solve_root_never_builds_a_memo_key(monkeypatch):
+    # the root asks for one t and starts with an empty memo, so it neither
+    # reads nor writes one: only subproblems below an open root key their
+    # whole sets
+    keyed = []
+    memo_key = solver._memo_key
+    monkeypatch.setattr(
+        solver, "_memo_key", lambda graph: keyed.append(graph) or memo_key(graph)
+    )
+    below = 0
+    for g in [
+        k44_diag(), k44_two_diagonals(), probe_only(), _multi_block_root(),
+        SPARSE_PROBE_ROOT[0],
+    ]:
+        for t in range(-1, g.n + 2):
+            for want_witness in (False, True):
+                keyed.clear()
+                solve(g, t, SolverOptions(want_witness=want_witness))
+                assert all(graph is not g for graph in keyed)
+                below += bool(keyed)
+    assert below > 0
 
 
 def _unit_targets_match_the_dp_oracle(g):
@@ -1605,9 +1772,10 @@ def test_a_negative_cycle_raises_invariant_error():
 def test_witnessed_solve_builds_the_subset_sums_at_most_twice(monkeypatch):
     # the exchange's table of subset sums is built once for its plain
     # cycles and once more when the chords are added; the reach, the
-    # switched matching and the witness start read it. Roots whose witness
-    # their own start gives: one with no start forces rows, and each
-    # residual graph builds its own table
+    # switched matching and the witness start read it. A root the pair
+    # decided builds the two of each pair it ran as well. Roots whose
+    # witness their own start gives: one with no start forces rows, and
+    # each residual graph builds its own table
     builds = []
     sums = solver._sums
     monkeypatch.setattr(
@@ -1626,7 +1794,8 @@ def test_witnessed_solve_builds_the_subset_sums_at_most_twice(monkeypatch):
             rep = solve(g, t, SolverOptions(want_witness=True))
             assert rep.counts["certified"] == rep.counts["subproblems"] == 1
             assert _is_witness(g, t, rep.witness)
-            assert 1 <= len(builds) <= 2
+            pairs = 2 if rep.blocks[0].method == "pair" else 0
+            assert 1 <= len(builds) <= 2 + 2 * pairs
 
 
 @pytest.mark.parametrize(
@@ -1719,8 +1888,10 @@ def test_certificates_settle_most_roots_and_leave_the_holes_open():
         ),  # T = {0, 1, 3}: the one cycle gains 3, a chord of it 1
         pytest.param(k44_diag(), 1, "unit", id="k44-diag"),
         # T = {0, 1, 2, 4}, reach {0, 2, 4}: M_lo gains 1 on a unit cycle
-        pytest.param(k44_two_diagonals(), 2, "probe", id="k44-two-diagonals"),
+        pytest.param(k44_two_diagonals(), 2, "pair", id="k44-two-diagonals"),
         # T = {0, .., 4}, chords {0, 1, 3, 4}, and 2 is 2 from both bounds
+        pytest.param(probe_only(), 4, "probe", id="probe-only"),
+        # T = {2, .., 7}, and every reach misses 4, 2 from both bounds
         pytest.param(_both_colors_diagonal(3), 1, "exchange", id="multi-diag"),
         pytest.param(_two_blocks_one_red(), 1, "exchange", id="two-k22"),
     ],  # T = {0, 1, 2, 3} and {0, 1, 2}: the cycles' gains are all 1
@@ -1739,8 +1910,10 @@ def test_certified_report_names_its_method(g, t, method):
 def test_a_trace_without_a_target_certifies_the_whole_set():
     # feasible_red_counts has one mode: its root certifies as every
     # subproblem does, for every t between the bounds
+    # (the pairs are the rung of a root asked for one t: this one runs the
+    # probe)
     g = k44_two_diagonals()
-    assert solve(g, 2).blocks[0].method == "probe"
+    assert solve(g, 2).blocks[0].method == "pair"
     trace = SolveTrace()
     assert feasible_red_counts(g, trace) == {0, 1, 2, 3, 4}
     assert trace.counts["certified"] == trace.counts["subproblems"] == 1
@@ -1785,7 +1958,7 @@ TARGET_CASES = CONGRUENCE_CASES + RESIDUAL_HOLES + EXCHANGE_RANDOM
 def _deciding_certificate(g, t):
     """The root certificate that decides t on g, in _certify's order (the
     congruence only when t != t_min modulo the gains' gcd), or None when
-    t stays open after all six; g has a perfect matching."""
+    t stays open after all seven; g has a perfect matching."""
     ex = _exchange_of(g)
     if not ex.t_min < t < ex.t_max:
         return "bounds"
@@ -1800,6 +1973,8 @@ def _deciding_certificate(g, t):
         return "chord"
     if t in (ex.t_min + 1, ex.t_max - 1):
         return "unit"
+    if _pairs_reach(g, t):
+        return "pair"
     if t in solver._probe(g, ex.t_min, ex.t_max):
         return "probe"
     return None
@@ -1832,9 +2007,11 @@ def test_root_decides_its_target_from_what_it_proved(g):
 def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
     # no chord is computed for a t out of bounds, in the exchange's reach
     # or off the records' class, no unit cycle for a t the chords reach,
-    # and no probe for t_min + 1 or t_max - 1; the records' congruence
-    # runs before them only when t != t_min modulo the gains' gcd, the one
-    # case where it can drop t (every n here fits the probe's guard)
+    # no pair and no probe for t_min + 1 or t_max - 1, and no probe for a
+    # t a pair reaches (each pair runs one chord pass); the records'
+    # congruence runs before them only when t != t_min modulo the gains'
+    # gcd, the one case where it can drop t (every n here fits the probe's
+    # guard)
     calls = []
     probe, congruence, chords, unit = (
         solver._probe, solver._congruence, solver._chords, solver._unit_cycle
@@ -1876,8 +2053,10 @@ def test_certificates_stop_once_the_target_is_decided(g, monkeypatch):
                 assert calls == ran
             elif method == "unit":
                 assert calls == ran + ["unit"]
+            elif method == "pair":  # the first pair, or both
+                assert calls in (ran + ["chord"], ran + ["chord"] * 2)
             else:
-                assert calls[: len(ran) + 1] == ran + ["probe"]
+                assert calls[: len(ran) + 3] == ran + ["chord"] * 2 + ["probe"]
 
 
 @pytest.mark.parametrize("g", TARGET_CASES)
